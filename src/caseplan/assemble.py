@@ -13,46 +13,44 @@ from .mining import ActionSeq, FrequentFragmentSet
 from .strips import GroundAction, Plan, PlanningProblem, execute_plan, grounded
 
 
+def _merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
+    """What :func:`append` returns, or None where :func:`share` is false."""
+    fragment = tuple(fragment)
+    if not partial:
+        return fragment
+    at_end = at_front = 0
+    for k in range(1, min(len(partial), len(fragment)) + 1):
+        if partial[-k:] == fragment[:k]:
+            at_end = k
+        if fragment[-k:] == partial[:k]:
+            at_front = k
+    if at_end == at_front == 0:
+        return None
+    if at_end >= at_front:
+        return partial + fragment[at_end:]
+    return fragment + partial[at_front:]
+
+
 def share(partial: Plan, fragment: ActionSeq) -> bool:
     """True if the partial plan is empty or overlaps the fragment at an end.
 
     An overlap is a contiguous run of equal actions that is both a suffix of
     one sequence and a prefix of the other, of length at least one.
     """
-    if not partial:
-        return True
-    limit = min(len(partial), len(fragment))
-    for k in range(1, limit + 1):
-        if partial[-k:] == fragment[:k] or fragment[-k:] == partial[:k]:
-            return True
-    return False
-
-
-def _overlap(head: Plan, tail: Plan) -> int:
-    """Longest k such that the last k actions of head equal the first k of tail."""
-    best = 0
-    for k in range(1, min(len(head), len(tail)) + 1):
-        if head[-k:] == tail[:k]:
-            best = k
-    return best
+    return _merge(partial, fragment) is not None
 
 
 def append(partial: Plan, fragment: ActionSeq) -> Plan:
     """Merge the fragment into the partial plan on their longest end overlap.
 
     The overlap appears once in the result. When both directions overlap, the
-    longer one wins; ties attach the fragment at the end.
+    longer one wins; ties attach the fragment at the end. Raises ValueError
+    unless the two :func:`share` an end.
     """
-    fragment = tuple(fragment)
-    if not partial:
-        return fragment
-    at_end = _overlap(partial, fragment)
-    at_front = _overlap(fragment, partial)
-    if at_end == 0 and at_front == 0:
+    merged = _merge(partial, fragment)
+    if merged is None:
         raise ValueError("append requires share(partial, fragment)")
-    if at_end >= at_front:
-        return partial + fragment[at_end:]
-    return fragment + partial[at_front:]
+    return merged
 
 
 def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPair]:
@@ -72,30 +70,24 @@ def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPai
 
 
 def trim(plan: Plan, problem: PlanningProblem) -> Plan:
-    """Remove broken leading actions and goal-deleting trailing actions.
+    """Remove inapplicable actions, then goal-deleting trailing actions.
 
-    Front: simulate from the initial state under the problem's model and
-    delete the earliest inapplicable action, restarting until the whole
-    remainder executes. Back: while the last action's delete list touches a
-    goal atom, drop it.
+    Front: one forward pass from the initial state under the problem's model
+    keeps each action whose precondition holds in the state reached by the
+    kept actions before it; a skipped action leaves that state unchanged.
+    Back: while the last kept action's delete list touches a goal atom, drop
+    it.
     """
-    model = problem.domain
-    actions = list(plan)
-    while actions:
-        state = problem.init
-        failed = None
-        for i, action in enumerate(actions):
-            ga = grounded(model, action)
-            if not ga.pre <= state:
-                failed = i
-                break
+    state = problem.init
+    kept = []
+    for action in plan:
+        ga = grounded(problem.domain, action)
+        if ga.pre <= state:
             state = (state - ga.delete) | ga.add
-        if failed is None:
-            break
-        del actions[failed]
-    while actions and grounded(model, actions[-1]).delete & problem.goal:
-        actions.pop()
-    return tuple(actions)
+            kept.append(ga)
+    while kept and kept[-1].delete & problem.goal:
+        kept.pop()
+    return tuple(ga.action for ga in kept)
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
@@ -121,12 +113,13 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
             return candidate if result.success else None
         for pair in sorted(remaining):
             for idx, frag in enumerate(available):
-                if (pair.provider in frag or pair.consumer in frag) \
-                        and share(partial, frag):
+                if pair.provider not in frag and pair.consumer not in frag:
+                    continue
+                merged = _merge(partial, frag)
+                if merged is not None:
                     nodes += 1
                     if nodes > node_budget:
                         return None
-                    merged = append(partial, frag)
                     rest = available[:idx] + available[idx + 1:]
                     found = rec(merged, removelinks(merged, remaining), rest)
                     if found is not None:

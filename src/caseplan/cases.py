@@ -145,7 +145,7 @@ class ExperimentRow:
     problem_id: str
     solved: bool
     plan_length: int
-    cpu_millis: int
+    cpu_millis: int  # wall-clock ms of the solve call, despite the name
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.completeness <= 1.0:

@@ -68,6 +68,17 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _emit_plan(plan, out: str | None) -> int:
+    """Print the plan length, then write the plan to ``out`` or print it."""
+    print(f"plan-length: {len(plan)}")
+    if out:
+        caseio.write_plan(out, plan)
+    else:
+        for action in plan:
+            print(action.pddl())
+    return OK
+
+
 def cmd_gen_cases(args) -> int:
     domain = _load_domain(args.domain)
     problems = None
@@ -149,13 +160,7 @@ def cmd_solve(args) -> int:
         return PIPELINE_FAILURE
     print("status: solved")
     print(f"route: {outcome.route}")
-    print(f"plan-length: {len(outcome.plan)}")
-    if args.out:
-        caseio.write_plan(args.out, outcome.plan)
-    else:
-        for action in outcome.plan:
-            print(action.pddl())
-    return OK
+    return _emit_plan(outcome.plan, args.out)
 
 
 def cmd_solve_classical(args) -> int:
@@ -166,13 +171,7 @@ def cmd_solve_classical(args) -> int:
     print(f"expansions: {result.expansions}")
     if not result.solved:
         return PIPELINE_FAILURE
-    print(f"plan-length: {len(result.plan)}")
-    if args.out:
-        caseio.write_plan(args.out, result.plan)
-    else:
-        for action in result.plan:
-            print(action.pddl())
-    return OK
+    return _emit_plan(result.plan, args.out)
 
 
 def cmd_evaluate(args) -> int:
@@ -249,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Case-based STRIPS planning with incomplete action models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, *, searches: bool = False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--max-expansions", type=int, default=100_000,
-                       help="search expansion budget")
+        if searches:
+            p.add_argument("--max-expansions", type=int, default=100_000,
+                           help="search expansion budget")
         return p
 
-    p = add("gen-cases", cmd_gen_cases, help="solve random problems and record cases")
+    p = add("gen-cases", cmd_gen_cases, searches=True,
+            help="solve random problems and record cases")
     p.add_argument("--domain", required=True, help="complete domain PDDL")
     p.add_argument("--problems", help="directory of source problems (default: generate)")
     p.add_argument("--count", type=int, default=40)
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", help="comma list among pre,add,delete (default all)")
     p.add_argument("--out", required=True)
 
-    p = add("skeletal", cmd_skeletal, help="print causal pairs for a problem")
+    p = add("skeletal", cmd_skeletal, searches=True, help="print causal pairs for a problem")
     p.add_argument("--incomplete-domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--heuristic", default="relaxed-add",
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True)
     p.add_argument("--delta", type=int, default=15, help="support threshold")
 
-    p = add("solve", cmd_solve, help="full pipeline under an incomplete model")
+    p = add("solve", cmd_solve, searches=True, help="full pipeline under an incomplete model")
     p.add_argument("--incomplete-domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--cases", help="case library directory")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", default="relaxed-add",
                    choices=["relaxed-add", "goal-count"])
 
-    p = add("solve-classical", cmd_solve_classical, help="forward search only")
+    p = add("solve-classical", cmd_solve_classical, searches=True, help="forward search only")
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plans", required=True, help="directory of matching *.plan files")
     p.add_argument("--out", help="optional CSV output")
 
-    p = add("experiment", cmd_experiment, help="run a benchmark sweep to CSV")
+    p = add("experiment", cmd_experiment, searches=True, help="run a benchmark sweep to CSV")
     p.add_argument("--domain", required=True)
     p.add_argument("--problems", help="directory of test problems (default: generate)")
     p.add_argument("--num-problems", type=int, default=20)
@@ -337,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
-    except (PddlError, StripsError, ValueError, OSError) as err:
+    except (InputError, PddlError, StripsError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR
 

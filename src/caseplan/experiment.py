@@ -33,7 +33,6 @@ class ExperimentSpec:
     search: SearchConfig = field(default_factory=SearchConfig)
     cases: list[tuple[str, CaseFile]] | None = None  # fixed library; else generated
     case_blocks: int = 5
-    mapping_budget: int = 200_000
     assembly_budget: int = 20_000
     timing: bool = True
 
@@ -61,7 +60,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     """Execute the sweep. Deterministic for fixed seeds (timing aside).
 
     A row is marked solved only when the produced plan re-executes to the
-    goal under the complete model. cpu_millis is the wall-clock of the solve
+    goal under the complete model. cpu_millis is the wall-clock ms of the solve
     call alone (no parsing, no validation); with ``timing=False`` it is
     written as 0 so reruns are byte-identical.
     """
@@ -86,7 +85,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                         outcome = solve_with_library(
                             degraded_problem, subset, delta,
                             config=spec.search,
-                            mapping_budget=spec.mapping_budget,
                             assembly_budget=spec.assembly_budget)
                         elapsed = int((time.perf_counter() - start) * 1000)
                         solved = outcome.plan is not None and check_solution(

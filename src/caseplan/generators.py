@@ -73,12 +73,11 @@ def random_walk_problem(domain: DomainModel, objects: dict[str, str], init: Stat
     state_ids = grounding.encode(init)
     ops = grounding.ops_ids
     for _ in range(walk_length):
-        applicable = [i for i, (pre, _, _) in enumerate(ops)
-                      if frozenset(pre) <= state_ids]
+        applicable = [i for i, (pre, _, _) in enumerate(ops) if pre <= state_ids]
         if not applicable:
             break
-        pre, add, dele = ops[rng.choice(applicable)]
-        state_ids = (state_ids - frozenset(dele)) | frozenset(add)
+        _, add, dele = ops[rng.choice(applicable)]
+        state_ids = (state_ids - dele) | add
     final = {grounding.atoms[i] for i in state_ids}
     pool = sorted(a for a in final
                   if goal_predicates is None or a.predicate in goal_predicates)

@@ -236,11 +236,11 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     return fragments
 
 
-def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
-                    node_budget: int = 200_000) -> list[Fragment]:
+def build_fragments(problem: PlanningProblem,
+                    cases: list[tuple[str, CaseFile]]) -> list[Fragment]:
     """Best-map every case onto the problem and collect all plan fragments."""
     out: list[Fragment] = []
     for name, case in cases:
-        mapping = best_mapping(case, problem, node_budget=node_budget)
+        mapping = best_mapping(case, problem)
         out.extend(extract_fragments(case, mapping, problem, source=name))
     return out

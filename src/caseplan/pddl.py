@@ -211,6 +211,28 @@ def _sections(body: list[object], what: str) -> list[tuple[str, SList]]:
     return out
 
 
+def _define(text: str, kind: str) -> tuple[SList, str]:
+    """Check the ``(define (KIND NAME) ...)`` frame; return the form and NAME."""
+    trees = read_sexprs(text)
+    if len(trees) != 1:
+        raise PddlSyntaxError("expected exactly one (define ...) form")
+    tree = _as_list(trees[0], "a define form")
+    if len(tree) < 2 or not isinstance(tree[0], Token) or tree[0].text != "define":
+        raise PddlSyntaxError(f"expected (define ({kind} ...) ...)", tree.line, tree.col)
+    head = _as_list(tree[1], f"({kind} NAME)")
+    if len(head) != 2 or _as_symbol(head[0], "a keyword").text != kind:
+        raise PddlSyntaxError(f"expected ({kind} NAME)", head.line, head.col)
+    return tree, _as_symbol(head[1], f"a {kind} name").text
+
+
+def _check_requirements(section: SList) -> None:
+    for req in section[1:]:
+        tok = _as_symbol(req, "a requirement")
+        if tok.text not in SUPPORTED_REQUIREMENTS:
+            raise UnsupportedFeatureError(f"requirement {tok.text} is not supported",
+                                          tok.line, tok.col)
+
+
 def parse_domain(text: str) -> DomainModel:
     """Parse a PDDL domain restricted to ``:strips``/``:typing``.
 
@@ -218,16 +240,7 @@ def parse_domain(text: str) -> DomainModel:
     naming the construct; malformed input raises :class:`PddlSyntaxError`
     with a source position.
     """
-    trees = read_sexprs(text)
-    if len(trees) != 1:
-        raise PddlSyntaxError("expected exactly one (define ...) form")
-    tree = _as_list(trees[0], "a define form")
-    if len(tree) < 2 or not isinstance(tree[0], Token) or tree[0].text != "define":
-        raise PddlSyntaxError("expected (define (domain ...) ...)", tree.line, tree.col)
-    head = _as_list(tree[1], "(domain NAME)")
-    if len(head) != 2 or _as_symbol(head[0], "a keyword").text != "domain":
-        raise PddlSyntaxError("expected (domain NAME)", head.line, head.col)
-    name = _as_symbol(head[1], "a domain name").text
+    tree, name = _define(text, "domain")
 
     types: dict[str, str | None] = {"object": None}
     predicates: dict[str, tuple[str, ...]] = {}
@@ -235,11 +248,7 @@ def parse_domain(text: str) -> DomainModel:
 
     for kind, section in _sections(tree[2:], "domain"):
         if kind == ":requirements":
-            for req in section[1:]:
-                tok = _as_symbol(req, "a requirement")
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedFeatureError(f"requirement {tok.text} is not supported",
-                                                  tok.line, tok.col)
+            _check_requirements(section)
         elif kind == ":types":
             for child, parent in _parse_typed_list(section[1:], "type"):
                 types[child] = parent
@@ -313,16 +322,7 @@ def _parse_action(section: SList) -> ActionSchema:
 
 def parse_problem(text: str, domain: DomainModel) -> PlanningProblem:
     """Parse a PDDL problem against an already-parsed domain."""
-    trees = read_sexprs(text)
-    if len(trees) != 1:
-        raise PddlSyntaxError("expected exactly one (define ...) form")
-    tree = _as_list(trees[0], "a define form")
-    if len(tree) < 2 or not isinstance(tree[0], Token) or tree[0].text != "define":
-        raise PddlSyntaxError("expected (define (problem ...) ...)", tree.line, tree.col)
-    head = _as_list(tree[1], "(problem NAME)")
-    if len(head) != 2 or _as_symbol(head[0], "a keyword").text != "problem":
-        raise PddlSyntaxError("expected (problem NAME)", head.line, head.col)
-    name = _as_symbol(head[1], "a problem name").text
+    tree, name = _define(text, "problem")
 
     objects: dict[str, str] = {}
     init: list[Atom] = []
@@ -337,11 +337,7 @@ def parse_problem(text: str, domain: DomainModel) -> PlanningProblem:
                                 section.line, section.col)
             saw_domain = True
         elif kind == ":requirements":
-            for req in section[1:]:
-                tok = _as_symbol(req, "a requirement")
-                if tok.text not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedFeatureError(f"requirement {tok.text} is not supported",
-                                                  tok.line, tok.col)
+            _check_requirements(section)
         elif kind == ":objects":
             for obj, t in _parse_typed_list(section[1:], "object"):
                 if obj in objects:

@@ -40,7 +40,6 @@ class PipelineOutcome:
 def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
                        min_support: int, *,
                        config: SearchConfig | None = None,
-                       mapping_budget: int = 200_000,
                        assembly_budget: int = 20_000,
                        search_fallback: bool = True) -> PipelineOutcome:
     """Solve under the problem's (possibly incomplete) model using the case library.
@@ -55,26 +54,21 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     config = config or SearchConfig()
     grounding = Grounding.for_problem(problem)
 
-    goal_plans = single_goal_plans(problem, config, grounding)
+    goal_plans = [result.plan for _, result in single_goal_plans(problem, config, grounding)
+                  if result.solved and result.plan]
     pairs: frozenset[CausalPair] = frozenset()
-    for _, result in goal_plans:
-        if result.solved and result.plan:
-            pairs |= extract_causal_pairs(result.plan, problem.domain, problem.init)
+    for goal_plan in goal_plans:
+        pairs |= extract_causal_pairs(goal_plan, problem.domain, problem.init)
 
-    fragments = tuple(build_fragments(problem, cases, node_budget=mapping_budget))
+    fragments = tuple(build_fragments(problem, cases))
     db = SequenceDB.from_sequences([f.actions for f in fragments])
-    frequent = mine_frequent(db, min_support) if fragments else \
-        FrequentFragmentSet(patterns=(), supports={}, min_support=min_support)
+    frequent = mine_frequent(db, min_support)
 
     plan = concat_frag(problem, pairs, frequent, node_budget=assembly_budget)
     if plan is not None:
         return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
 
-    skeletal: Plan = ()
-    for _, result in goal_plans:
-        if result.solved and result.plan:
-            skeletal = skeletal + result.plan
-    skeletal = trim(skeletal, problem)
+    skeletal = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem)
     if execute_plan(problem, skeletal).success:
         return PipelineOutcome(skeletal, ROUTE_SKELETAL, None, pairs, fragments, frequent)
 

@@ -141,11 +141,6 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     if h0 == math.inf:
         return SolveResult(UNSOLVABLE, None, 0)
 
-    ops = grounding.ops_ids
-    actions = grounding.actions
-    op_ids_sets = [(frozenset(pre), frozenset(add), frozenset(dele))
-                   for pre, add, dele in ops]
-
     parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
     heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
     closed: set[frozenset[int]] = set()
@@ -157,7 +152,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
         if state in closed:
             continue
         if goal <= state:
-            plan = _reconstruct(parent, state, actions)
+            plan = _reconstruct(parent, state, grounding.actions)
             check = execute_plan(problem, plan)
             if not check.success:
                 raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
@@ -166,7 +161,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
             return SolveResult(BUDGET, None, expansions)
         closed.add(state)
         expansions += 1
-        for op_idx, (pre, add, dele) in enumerate(op_ids_sets):
+        for op_idx, (pre, add, dele) in enumerate(grounding.ops_ids):
             if pre <= state:
                 succ = (state - dele) | add
                 if succ not in parent:

@@ -111,7 +111,8 @@ class DomainModel:
     completeness: float = 1.0
 
     def __post_init__(self) -> None:
-        self.types.setdefault("object", None)
+        if "object" not in self.types:
+            object.__setattr__(self, "types", {**self.types, "object": None})
         for t, parent in self.types.items():
             if parent is not None and parent not in self.types:
                 raise StripsError(f"type {t} has undeclared parent {parent}")
@@ -320,11 +321,9 @@ class Grounding:
         ground_ops.sort(key=lambda ga: ga.action)
         self.actions: tuple[GroundedAction, ...] = tuple(ground_ops)
 
-        idx = self.atom_index
-        self.ops_ids: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...] = tuple(
-            (tuple(sorted(idx[a] for a in ga.pre)),
-             tuple(sorted(idx[a] for a in ga.add)),
-             tuple(sorted(idx[a] for a in ga.delete)))
+        # (pre, add, delete) atom ids of each ground action, aligned with ``actions``
+        self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
+            (self.encode(ga.pre), self.encode(ga.add), self.encode(ga.delete))
             for ga in ground_ops)
 
     @classmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from caseplan import Atom, CaseFile, DomainModel, PlanningProblem
+from caseplan import Atom, CaseFile, DomainModel, PlanningProblem, grounded
 
 
 def _ground_schema(schema, combo):
@@ -144,3 +144,75 @@ def causal_pairs_by_triples(plan, model: DomainModel, init):
                     pairs.add((plan[i], plan[j]))
                     break
     return pairs
+
+
+# The earlier assembly primitives, kept unchanged as references for the
+# single-pass trim and the one-scan merge in caseplan.assemble.
+
+def share_by_scan(partial, fragment) -> bool:
+    """True if the partial plan is empty or overlaps the fragment at an end.
+
+    An overlap is a contiguous run of equal actions that is both a suffix of
+    one sequence and a prefix of the other, of length at least one.
+    """
+    if not partial:
+        return True
+    limit = min(len(partial), len(fragment))
+    for k in range(1, limit + 1):
+        if partial[-k:] == fragment[:k] or fragment[-k:] == partial[:k]:
+            return True
+    return False
+
+
+def _overlap(head, tail) -> int:
+    """Longest k such that the last k actions of head equal the first k of tail."""
+    best = 0
+    for k in range(1, min(len(head), len(tail)) + 1):
+        if head[-k:] == tail[:k]:
+            best = k
+    return best
+
+
+def append_by_overlaps(partial, fragment):
+    """Merge the fragment into the partial plan on their longest end overlap.
+
+    The overlap appears once in the result. When both directions overlap, the
+    longer one wins; ties attach the fragment at the end.
+    """
+    fragment = tuple(fragment)
+    if not partial:
+        return fragment
+    at_end = _overlap(partial, fragment)
+    at_front = _overlap(fragment, partial)
+    if at_end == 0 and at_front == 0:
+        raise ValueError("append requires share(partial, fragment)")
+    if at_end >= at_front:
+        return partial + fragment[at_end:]
+    return fragment + partial[at_front:]
+
+
+def trim_by_restarts(plan, problem: PlanningProblem):
+    """Remove broken leading actions and goal-deleting trailing actions.
+
+    Front: simulate from the initial state under the problem's model and
+    delete the earliest inapplicable action, restarting until the whole
+    remainder executes. Back: while the last action's delete list touches a
+    goal atom, drop it.
+    """
+    model = problem.domain
+    actions = list(plan)
+    while actions:
+        state = problem.init
+        failed = None
+        for i, action in enumerate(actions):
+            ga = grounded(model, action)
+            if not ga.pre <= state:
+                failed = i
+                break
+            state = (state - ga.delete) | ga.add
+        if failed is None:
+            break
+        del actions[failed]
+    while actions and grounded(model, actions[-1]).delete & problem.goal:
+        actions.pop()
+    return tuple(actions)

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caseplan import (
     CausalPair,
+    DegradeSpec,
     FrequentFragmentSet,
+    Grounding,
     SequenceDB,
     append,
     concat_frag,
+    degrade,
     mine_frequent,
+    random_blocks_problem,
     removelinks,
     share,
     trim,
@@ -22,9 +30,12 @@ from .conftest import (
     P1_FRAGMENT,
     P2_FRAGMENT,
     atoms,
+    make_blocks_domain,
+    make_incomplete_blocks,
     make_tower_problem,
     plan,
 )
+from .oracles import append_by_overlaps, share_by_scan, trim_by_restarts
 
 MERGED = P2_FRAGMENT + P1_FRAGMENT[4:]  # the ten-action concatenation
 
@@ -126,6 +137,43 @@ def test_trim_removes_goal_deleting_tail(blocks):
 
 def test_trim_empty_plan(tower_incomplete):
     assert trim((), tower_incomplete) == ()
+
+
+MODELS = (make_blocks_domain(), make_incomplete_blocks(),
+          degrade(make_blocks_domain(), DegradeSpec(completeness=0.5, seed=3)))
+
+
+@st.composite
+def problem_and_actions(draw):
+    """A random 3-block problem under a complete or degraded model, with its ground actions."""
+    model = draw(st.sampled_from(MODELS))
+    problem = random_blocks_problem(model, 3, random.Random(draw(st.integers(0, 9999))))
+    return problem, tuple(ga.action for ga in Grounding.for_problem(problem).actions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trim_matches_restarting_reference(data):
+    problem, actions = data.draw(problem_and_actions())
+    steps = tuple(data.draw(st.lists(st.sampled_from(actions), max_size=16)))
+    assert trim(steps, problem) == trim_by_restarts(steps, problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_share_and_append_match_scanning_reference(data):
+    _, actions = data.draw(problem_and_actions())
+    # a few distinct actions, so that end overlaps are common
+    alphabet = actions[:data.draw(st.integers(1, 4))]
+    seqs = st.lists(st.sampled_from(alphabet), max_size=6).map(tuple)
+    partial, fragment = data.draw(seqs), data.draw(seqs)
+    shared = share_by_scan(partial, fragment)
+    assert share(partial, fragment) == shared
+    if shared:
+        assert append(partial, fragment) == append_by_overlaps(partial, fragment)
+    else:
+        with pytest.raises(ValueError):
+            append(partial, fragment)
 
 
 def golden_fragments(min_support=1):

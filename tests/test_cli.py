@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from caseplan import parse_domain, parse_problem, read_case_library
 from caseplan.cases import read_plan, read_rows
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
@@ -182,6 +184,22 @@ def test_experiment_command(tmp_path, capsys):
                 f"_c{row.completeness}_d{row.delta}")
         plan = read_plan(tmp_path / "artifacts" / "plans" / f"{stem}.plan")
         assert check_solution(problem, plan, domain)
+
+
+def test_zero_delta_is_input_error_with_or_without_cases(capsys):
+    solve = ("solve", "--incomplete-domain", INCOMPLETE, "--problem", TOWER, "--delta", 0)
+    for extra in ((), ("--cases", CASES)):
+        code, _, stderr = run(capsys, *solve, *extra)
+        assert code == INPUT_ERROR
+        assert "min_support" in stderr
+
+
+def test_max_expansions_is_rejected_where_nothing_searches(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "map", "--domain", DOMAIN, "--problem", TOWER, "--cases", CASES,
+            "--max-expansions", 1)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-expansions" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):

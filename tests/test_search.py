@@ -10,6 +10,7 @@ import pytest
 from caseplan import (
     DegradeSpec,
     Grounding,
+    PlanningProblem,
     SearchConfig,
     degrade,
     execute_plan,
@@ -70,6 +71,18 @@ def test_heuristic_zero_iff_goal_holds(blocks):
     held = atoms("on c a")
     assert relaxed_add_heuristic(problem.init, held, grounding) == 0
     assert relaxed_add_heuristic(problem.init, problem.goal, grounding) > 0
+
+
+def test_heuristic_exact_h_add_on_two_blocks(blocks):
+    # from both blocks on the table: pickup costs 1, so (holding a) costs 1,
+    # and stack a b costs 1 + h(holding a) + h(clear b) = 2 for (on a b)
+    init = atoms("ontable a", "ontable b", "clear a", "clear b", "handempty")
+    problem = PlanningProblem(name="two", domain=blocks, objects={"a": "object", "b": "object"},
+                              init=init, goal=atoms("on a b"))
+    grounding = Grounding.for_problem(problem)
+    assert relaxed_add_heuristic(init, atoms("holding a"), grounding) == 1
+    assert relaxed_add_heuristic(init, atoms("on a b"), grounding) == 2
+    assert relaxed_add_heuristic(init, atoms("on a b", "on b a"), grounding) == 4
 
 
 def test_heuristic_infinite_when_unreachable(blocks):

@@ -196,6 +196,13 @@ def test_domain_rejects_undeclared_predicate(blocks):
                     schemas={"fly": schema})
 
 
+def test_domain_leaves_callers_types_untouched():
+    types = {"block": None}
+    model = DomainModel(name="d", types=types, predicates={}, schemas={})
+    assert types == {"block": None}
+    assert model.types == {"block": None, "object": None}
+
+
 def test_problem_rejects_unknown_object(blocks):
     with pytest.raises(StripsError, match="undeclared object"):
         PlanningProblem(name="bad", domain=blocks, objects={"a": "object"},
