@@ -7,7 +7,7 @@ landmarks that later steer fragment assembly.
 
 from pathlib import Path
 
-from caseplan import generate_causal_pairs, parse_domain, parse_problem
+from caseplan import parse_domain, parse_problem, skeleton
 from caseplan.causal import single_goal_plans
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
@@ -22,7 +22,7 @@ for atom, result in single_goal_plans(problem):
 
 print()
 print("causal pairs (the skeletal plan):")
-for pair in sorted(generate_causal_pairs(problem)):
+for pair in sorted(skeleton(problem)[1]):
     print("  ", pair.pddl())
 
 print()

@@ -6,7 +6,8 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .pddl import PddlError, PddlSyntaxError, SList, _as_list, _as_symbol, read_sexprs
+from .pddl import PddlError, PddlSyntaxError, SList, _as_list, _as_symbol, _parse_atom, \
+    read_sexprs
 from .strips import Atom, GroundAction, Plan
 
 
@@ -34,15 +35,8 @@ class CaseFile:
         return tuple(sorted(seen))
 
 
-def _ground_atom(node: object, what: str) -> Atom:
-    lst = _as_list(node, what)
-    if not lst:
-        raise PddlSyntaxError(f"empty {what}", lst.line, lst.col)
-    parts = [_as_symbol(n, what).text for n in lst]
-    for p in parts:
-        if p.startswith("?"):
-            raise PddlError(f"{what} {parts[0]} contains a variable", lst.line, lst.col)
-    return Atom(parts[0], tuple(parts[1:]))
+def _parse_actions(nodes: list[object]) -> Plan:
+    return tuple(GroundAction(*_parse_atom(n, variables_ok=False)) for n in nodes)
 
 
 def parse_case(text: str) -> CaseFile:
@@ -61,13 +55,9 @@ def parse_case(text: str) -> CaseFile:
     for required in (":init", ":goal", ":plan"):
         if required not in sections:
             raise PddlError(f"case is missing the {required} section")
-    init = frozenset(_ground_atom(n, "init atom") for n in sections[":init"][1:])
-    goal = frozenset(_ground_atom(n, "goal atom") for n in sections[":goal"][1:])
-    plan = []
-    for node in sections[":plan"][1:]:
-        atom = _ground_atom(node, "plan action")
-        plan.append(GroundAction(atom.predicate, atom.args))
-    return CaseFile(init=init, goal=goal, plan=tuple(plan))
+    init = frozenset(_parse_atom(n, variables_ok=False) for n in sections[":init"][1:])
+    goal = frozenset(_parse_atom(n, variables_ok=False) for n in sections[":goal"][1:])
+    return CaseFile(init=init, goal=goal, plan=_parse_actions(sections[":plan"][1:]))
 
 
 def case_to_text(case: CaseFile) -> str:
@@ -108,14 +98,7 @@ def write_case_library(directory: Path | str, cases: list[tuple[str, CaseFile]])
 
 def parse_plan(text: str) -> Plan:
     """Read a plan file: one ``(name arg1 arg2)`` per line, ';' comments allowed."""
-    actions = []
-    for tree in read_sexprs(text):
-        lst = _as_list(tree, "a plan action")
-        if not lst:
-            raise PddlSyntaxError("empty action", lst.line, lst.col)
-        parts = [_as_symbol(n, "an action symbol").text for n in lst]
-        actions.append(GroundAction(parts[0], tuple(parts[1:])))
-    return tuple(actions)
+    return _parse_actions(read_sexprs(text))
 
 
 def plan_to_text(plan: Plan) -> str:

@@ -79,12 +79,3 @@ def single_goal_plans(problem: PlanningProblem, config: SearchConfig | None = No
         out.append((atom, solve(sub, config, grounding)))
     return out
 
-
-def generate_causal_pairs(problem: PlanningProblem, config: SearchConfig | None = None,
-                          grounding: Grounding | None = None) -> frozenset[CausalPair]:
-    """Union of causal pairs over the per-goal plans; failed goals contribute nothing."""
-    pairs: set[CausalPair] = set()
-    for _, result in single_goal_plans(problem, config, grounding):
-        if result.solved and result.plan:
-            pairs |= extract_causal_pairs(result.plan, problem.domain, problem.init)
-    return frozenset(pairs)

@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import cases as caseio
-from .causal import generate_causal_pairs
 from .degrade import SCOPE_ALL, DegradeSpec, degrade
 from .evaluate import evaluate
 from .experiment import ExperimentSpec, make_problem_suite, run_experiment
@@ -19,7 +18,7 @@ from .generators import generate_case_library
 from .mapping import best_mapping, build_fragments, mapping_score
 from .mining import SequenceDB, mine_frequent
 from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
-from .pipeline import solve_with_library
+from .pipeline import skeleton, solve_with_library
 from .search import SearchConfig, solve
 from .strips import StripsError
 
@@ -112,7 +111,7 @@ def cmd_degrade(args) -> int:
 def cmd_skeletal(args) -> int:
     domain = _load_domain(args.incomplete_domain)
     problem = _load_problem(args.problem, domain)
-    pairs = generate_causal_pairs(problem, _search_config(args))
+    _, pairs = skeleton(problem, _search_config(args))
     for pair in sorted(pairs):
         print(pair.pddl())
     return OK
@@ -133,11 +132,11 @@ def cmd_mine(args) -> int:
     domain = _load_domain(args.domain)
     problem = _load_problem(args.problem, domain)
     fragments = build_fragments(problem, _load_cases(args.cases))
-    db = SequenceDB.from_sequences([f.actions for f in fragments])
+    result = mine_frequent(SequenceDB.from_sequences([f.actions for f in fragments]),
+                           args.delta)
     if not fragments:
         print("no fragments")
         return OK
-    result = mine_frequent(db, args.delta)
     for pattern in result.patterns:
         text = " ".join(a.pddl() for a in pattern)
         print(f"support={result.supports[pattern]} {text}")
@@ -192,7 +191,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         rows = [caseio.ExperimentRow(domain=domain.name, num_cases=0, completeness=1.0,
                                      delta=1, problem_id=r.problem_id, solved=r.solved,
-                                     plan_length=r.plan_length, cpu_millis=r.cpu_millis)
+                                     plan_length=r.plan_length, cpu_millis=0)
                 for r in report.per_problem]
         caseio.write_rows(args.out, rows)
     return OK

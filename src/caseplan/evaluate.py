@@ -12,7 +12,6 @@ class ProblemResult:
     problem_id: str
     solved: bool
     plan_length: int
-    cpu_millis: int
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,7 @@ def check_solution(problem: PlanningProblem, plan: Plan,
 
 def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
              complete_model: DomainModel, *,
-             ids: list[str] | None = None,
-             timings_millis: list[int] | None = None) -> EvalReport:
+             ids: list[str] | None = None) -> EvalReport:
     """A problem counts as correct iff it has a solution that executes to the
     goal under the complete model."""
     if not problems:
@@ -44,8 +42,6 @@ def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
         raise ValueError(f"{len(problems)} problems but {len(solutions)} solutions")
     if ids is not None and len(ids) != len(problems):
         raise ValueError("ids misaligned with problems")
-    if timings_millis is not None and len(timings_millis) != len(problems):
-        raise ValueError("timings misaligned with problems")
 
     per = []
     lengths = []
@@ -56,8 +52,7 @@ def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
         per.append(ProblemResult(
             problem_id=ids[i] if ids else problem.name,
             solved=solved,
-            plan_length=len(plan) if plan is not None else 0,
-            cpu_millis=timings_millis[i] if timings_millis else 0))
+            plan_length=len(plan) if plan is not None else 0))
     n_correct = sum(r.solved for r in per)
     return EvalReport(
         n_total=len(problems),

@@ -44,6 +44,8 @@ class ExperimentSpec:
                               ("deltas", self.deltas), ("seeds", self.seeds)):
             if not values:
                 raise ValueError(f"{group} must be nonempty")
+        if min(self.case_counts) < 0:
+            raise ValueError(f"case count {min(self.case_counts)} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
             library = generate_case_library(
                 spec.domain, max(spec.case_counts), seed,
                 n_blocks=spec.case_blocks, config=spec.search)
+        if max(spec.case_counts) > len(library):
+            raise ValueError(f"case count {max(spec.case_counts)} exceeds the library "
+                             f"of {len(library)} cases")
         for completeness in spec.completeness_levels:
             model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))
             for num_cases in spec.case_counts:
@@ -91,7 +96,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                             degraded_problem, outcome.plan, spec.domain)
                         row = ExperimentRow(
                             domain=spec.domain.name,
-                            num_cases=len(subset),
+                            num_cases=num_cases,
                             completeness=completeness,
                             delta=delta,
                             problem_id=f"seed{seed}-p{p_idx:03d}",

@@ -37,6 +37,18 @@ class PipelineOutcome:
         return self.plan is not None
 
 
+def skeleton(problem: PlanningProblem, config: SearchConfig | None = None,
+             grounding: Grounding | None = None) -> tuple[list[Plan], frozenset[CausalPair]]:
+    """The skeletal plan: the solved per-goal plans, in sorted goal order, and the
+    union of their causal pairs. Goals the solver cannot reach contribute nothing."""
+    goal_plans = [result.plan for _, result in single_goal_plans(problem, config, grounding)
+                  if result.solved and result.plan]
+    pairs: frozenset[CausalPair] = frozenset()
+    for goal_plan in goal_plans:
+        pairs |= extract_causal_pairs(goal_plan, problem.domain, problem.init)
+    return goal_plans, pairs
+
+
 def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
                        min_support: int, *,
                        config: SearchConfig | None = None,
@@ -53,12 +65,7 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     """
     config = config or SearchConfig()
     grounding = Grounding.for_problem(problem)
-
-    goal_plans = [result.plan for _, result in single_goal_plans(problem, config, grounding)
-                  if result.solved and result.plan]
-    pairs: frozenset[CausalPair] = frozenset()
-    for goal_plan in goal_plans:
-        pairs |= extract_causal_pairs(goal_plan, problem.domain, problem.init)
+    goal_plans, pairs = skeleton(problem, config, grounding)
 
     fragments = tuple(build_fragments(problem, cases))
     db = SequenceDB.from_sequences([f.actions for f in fragments])

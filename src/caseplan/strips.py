@@ -187,39 +187,6 @@ class GroundedAction(NamedTuple):
     delete: frozenset[Atom]
 
 
-def substitute(atom: Atom, binding: dict[str, str]) -> Atom:
-    return Atom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
-
-
-def instantiate(schema: ActionSchema, binding: dict[str, str], *,
-                objects: dict[str, str] | None = None,
-                types: dict[str, str | None] | None = None) -> GroundedAction:
-    """Ground a schema under a parameter binding.
-
-    When ``objects`` and ``types`` are supplied, the binding is type checked
-    against the schema's parameter types.
-    """
-    args = []
-    for var, ptype in schema.params:
-        if var not in binding:
-            raise StripsError(f"action {schema.name}: parameter {var} is unbound")
-        obj = binding[var]
-        if objects is not None and types is not None:
-            otype = objects.get(obj)
-            if otype is None:
-                raise StripsError(f"action {schema.name}: unknown object {obj}")
-            if not is_subtype(types, otype, ptype):
-                raise StripsError(f"action {schema.name}: object {obj} of type {otype} "
-                                  f"does not fit parameter {var} - {ptype}")
-        args.append(obj)
-
-    def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
-        return frozenset(substitute(a, binding) for a in atoms)
-
-    return GroundedAction(GroundAction(schema.name, tuple(args)),
-                          ground(schema.pre), ground(schema.add), ground(schema.delete))
-
-
 def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
     """Instantiate the schema named by a ground action."""
     schema = model.schemas.get(action.name)
@@ -229,7 +196,11 @@ def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
         raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} arguments, "
                           f"got {len(action.args)}")
     binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
-    return instantiate(schema, binding)
+
+    def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
+        return frozenset([Atom(a.predicate, tuple([binding[x] for x in a.args])) for a in atoms])
+
+    return GroundedAction(action, ground(schema.pre), ground(schema.add), ground(schema.delete))
 
 
 def applicable(state: State, action: GroundAction, model: DomainModel) -> bool:
@@ -237,11 +208,10 @@ def applicable(state: State, action: GroundAction, model: DomainModel) -> bool:
     return grounded(model, action).pre <= state
 
 
-def apply_action(state: State, action: GroundAction, model: DomainModel, *,
-                 check: bool = True) -> State:
+def apply_action(state: State, action: GroundAction, model: DomainModel) -> State:
     """Apply one action: remove its delete list, then add its add list."""
     ga = grounded(model, action)
-    if check and not ga.pre <= state:
+    if not ga.pre <= state:
         missing = sorted(ga.pre - state)
         raise StripsError(f"action {action.pddl()} is not applicable: "
                           f"missing {missing[0].pddl()}")
@@ -302,29 +272,20 @@ class Grounding:
             by_type[t] = sorted(o for o, ot in objects.items()
                                 if is_subtype(domain.types, ot, t))
 
-        atoms: list[Atom] = []
-        for pred in sorted(domain.predicates):
-            sig = domain.predicates[pred]
-            pools = [by_type[t] for t in sig]
-            for combo in itertools.product(*pools):
-                atoms.append(Atom(pred, combo))
-        self.atoms: tuple[Atom, ...] = tuple(sorted(set(atoms)))
+        # predicates, schemas and type pools are all iterated in sorted order,
+        # so atoms and actions come out sorted and duplicate-free
+        self.atoms: tuple[Atom, ...] = tuple(
+            Atom(pred, combo) for pred in sorted(domain.predicates)
+            for combo in itertools.product(*(by_type[t] for t in domain.predicates[pred])))
         self.atom_index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
-
-        ground_ops: list[GroundedAction] = []
-        for name in sorted(domain.schemas):
-            schema = domain.schemas[name]
-            pools = [by_type[t] for _, t in schema.params]
-            for combo in itertools.product(*pools):
-                binding = dict(zip(schema.variables, combo))
-                ground_ops.append(instantiate(schema, binding))
-        ground_ops.sort(key=lambda ga: ga.action)
-        self.actions: tuple[GroundedAction, ...] = tuple(ground_ops)
+        self.actions: tuple[GroundedAction, ...] = tuple(
+            grounded(domain, GroundAction(name, combo)) for name in sorted(domain.schemas)
+            for combo in itertools.product(*(by_type[t] for _, t in domain.schemas[name].params)))
 
         # (pre, add, delete) atom ids of each ground action, aligned with ``actions``
         self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
             (self.encode(ga.pre), self.encode(ga.add), self.encode(ga.delete))
-            for ga in ground_ops)
+            for ga in self.actions)
 
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":

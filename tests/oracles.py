@@ -11,6 +11,7 @@ import itertools
 from collections import deque
 
 from caseplan import Atom, CaseFile, DomainModel, PlanningProblem, grounded
+from caseplan.strips import ActionSchema, GroundAction, GroundedAction, StripsError, is_subtype
 
 
 def _ground_schema(schema, combo):
@@ -216,3 +217,39 @@ def trim_by_restarts(plan, problem: PlanningProblem):
     while actions and grounded(model, actions[-1]).delete & problem.goal:
         actions.pop()
     return tuple(actions)
+
+
+# The earlier schema instantiation, kept unchanged as the reference for
+# caseplan.strips.grounded, which now grounds a schema by itself.
+
+def substitute(atom: Atom, binding: dict[str, str]) -> Atom:
+    return Atom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
+
+
+def instantiate(schema: ActionSchema, binding: dict[str, str], *,
+                objects: dict[str, str] | None = None,
+                types: dict[str, str | None] | None = None) -> GroundedAction:
+    """Ground a schema under a parameter binding.
+
+    When ``objects`` and ``types`` are supplied, the binding is type checked
+    against the schema's parameter types.
+    """
+    args = []
+    for var, ptype in schema.params:
+        if var not in binding:
+            raise StripsError(f"action {schema.name}: parameter {var} is unbound")
+        obj = binding[var]
+        if objects is not None and types is not None:
+            otype = objects.get(obj)
+            if otype is None:
+                raise StripsError(f"action {schema.name}: unknown object {obj}")
+            if not is_subtype(types, otype, ptype):
+                raise StripsError(f"action {schema.name}: object {obj} of type {otype} "
+                                  f"does not fit parameter {var} - {ptype}")
+        args.append(obj)
+
+    def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
+        return frozenset(substitute(a, binding) for a in atoms)
+
+    return GroundedAction(GroundAction(schema.name, tuple(args)),
+                          ground(schema.pre), ground(schema.add), ground(schema.delete))

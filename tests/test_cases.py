@@ -88,6 +88,12 @@ def test_plan_file_golden_solution(tmp_path):
     assert parse_plan(text) == GOLDEN_SOLUTION
 
 
+def test_plan_file_rejects_variable_with_location():
+    with pytest.raises(PddlError, match=r"^line 1, col 12: variable \?x not allowed") as exc:
+        parse_plan("(unstack c ?x)\n")
+    assert (exc.value.line, exc.value.col) == (1, 12)
+
+
 def test_empty_plan_file():
     assert plan_to_text(()) == ""
     assert parse_plan("") == ()

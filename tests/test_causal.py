@@ -13,7 +13,7 @@ from caseplan import (
     StripsError,
     degrade,
     extract_causal_pairs,
-    generate_causal_pairs,
+    skeleton,
 )
 from caseplan.causal import single_goal_plans
 
@@ -48,7 +48,7 @@ def test_rejects_non_executable_plan(blocks, tower):
 
 
 def test_golden_pairs(tower_incomplete):
-    pairs = generate_causal_pairs(tower_incomplete)
+    pairs = skeleton(tower_incomplete)[1]
     assert as_tuples(pairs) == {
         (GA("pickup b"), GA("stack b a")),
         (GA("unstack c a"), GA("stack c b")),
@@ -61,7 +61,7 @@ def test_empty_goal_gives_no_pairs(incomplete_blocks):
     empty = type(problem)(name="e", domain=incomplete_blocks,
                           objects=problem.objects, init=problem.init,
                           goal=frozenset())
-    assert generate_causal_pairs(empty) == frozenset()
+    assert skeleton(empty)[1] == frozenset()
 
 
 def test_unreachable_goal_contributes_nothing(blocks):
@@ -72,7 +72,7 @@ def test_unreachable_goal_contributes_nothing(blocks):
                           schemas={**blocks.schemas,
                                    "stack": model.schemas["stack"]})
     problem = make_tower_problem(merged)
-    assert generate_causal_pairs(problem) == frozenset()
+    assert skeleton(problem)[1] == frozenset()
 
 
 def test_pair_actions_come_from_goal_plans(tower_incomplete):
@@ -81,7 +81,7 @@ def test_pair_actions_come_from_goal_plans(tower_incomplete):
     for _, result in plans:
         if result.solved:
             seen.update(result.plan)
-    for pair in generate_causal_pairs(tower_incomplete):
+    for pair in skeleton(tower_incomplete)[1]:
         assert pair.provider in seen and pair.consumer in seen
 
 
@@ -110,5 +110,5 @@ def test_random_plans_match_triple_oracle(blocks):
 
 
 def test_determinism(tower_incomplete):
-    assert generate_causal_pairs(tower_incomplete) == \
-        generate_causal_pairs(tower_incomplete)
+    assert skeleton(tower_incomplete)[1] == \
+        skeleton(tower_incomplete)[1]

@@ -157,6 +157,19 @@ def test_evaluate_missing_plan_counts_unsolved(tmp_path, capsys):
     assert "accuracy: 0.0000 (0/1)" in stdout
 
 
+def test_evaluate_variable_in_plan_is_input_error(tmp_path, capsys):
+    problems = tmp_path / "problems"
+    plans = tmp_path / "plans"
+    problems.mkdir()
+    plans.mkdir()
+    (problems / "tower.pddl").write_text(TOWER.read_text())
+    (plans / "tower.plan").write_text("(unstack c ?x)\n")
+    code, _, stderr = run(capsys, "evaluate", "--domain", DOMAIN,
+                          "--problems", problems, "--plans", plans)
+    assert code == INPUT_ERROR
+    assert "line 1, col 12: variable ?x not allowed in a ground atom" in stderr
+
+
 def test_experiment_command(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, stdout, _ = run(capsys, "experiment", "--domain", DOMAIN,
@@ -192,6 +205,31 @@ def test_zero_delta_is_input_error_with_or_without_cases(capsys):
         code, _, stderr = run(capsys, *solve, *extra)
         assert code == INPUT_ERROR
         assert "min_support" in stderr
+
+
+def test_mine_zero_delta_is_input_error_with_or_without_cases(tmp_path, capsys):
+    empty = tmp_path / "empty-cases"
+    empty.mkdir()
+    for cases in (empty, CASES):
+        code, stdout, stderr = run(capsys, "mine", "--domain", DOMAIN, "--problem", TOWER,
+                                   "--cases", cases, "--delta", 0)
+        assert code == INPUT_ERROR
+        assert "min_support" in stderr
+        assert stdout == ""
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("-1,2", "case count -1 must be >= 0"),
+    ("1,3", "case count 3 exceeds the library of 2 cases"),
+])
+def test_experiment_bad_case_count_is_input_error(tmp_path, capsys, counts, message):
+    code, _, stderr = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,
+                          f"--case-counts={counts}", "--num-problems", 1, "--blocks", 4,
+                          "--completeness", "1.0", "--delta", 1, "--no-timing",
+                          "--out", tmp_path / "rows.csv")
+    assert code == INPUT_ERROR
+    assert message in stderr
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_max_expansions_is_rejected_where_nothing_searches(capsys):

@@ -26,6 +26,17 @@ def small_spec(blocks, **overrides):
     return ExperimentSpec(**defaults)
 
 
+def test_negative_case_count_rejected(blocks):
+    with pytest.raises(ValueError, match="case count -1"):
+        small_spec(blocks, case_counts=(-1, 2))
+
+
+def test_case_count_above_library_size_rejected(blocks, p1, p2):
+    spec = small_spec(blocks, cases=[("p1", p1), ("p2", p2)], case_counts=(1, 3))
+    with pytest.raises(ValueError, match="case count 3 exceeds the library of 2 cases"):
+        run_experiment(spec)
+
+
 def test_row_count_arithmetic(blocks):
     rows, _ = run_experiment(small_spec(blocks))
     # 2 case counts x 1 completeness x 1 delta x 4 problems x 2 seeds

@@ -2,59 +2,89 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caseplan import (
     ActionSchema,
+    DegradeSpec,
     DomainModel,
+    GroundAction,
     Grounding,
     StripsError,
     applicable,
     apply_action,
+    degrade,
     execute_plan,
     grounded,
-    instantiate,
+    parse_domain,
 )
-from caseplan.strips import PlanningProblem, substitute
+from caseplan.strips import PlanningProblem
 
 from .conftest import A, GA, GOLDEN_SOLUTION, atoms, make_tower_problem
+from .oracles import instantiate, substitute
+
+DOMAIN_NAMES = ("blocks", "driverlog", "depots")
 
 
-def test_instantiate_pickup(blocks):
-    ga = instantiate(blocks.schemas["pickup"], {"?x": "b"})
+@functools.cache
+def typed_grounding(name: str, completeness: float) -> Grounding:
+    """A packaged domain, degraded with a fixed seed, grounded over two objects
+    of every declared type."""
+    model = parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
+    model = degrade(model, DegradeSpec(completeness=completeness, seed=3))
+    return Grounding(model, {f"{t}{i}": t for t in model.types for i in (1, 2)})
+
+
+def test_grounded_pickup(blocks):
+    ga = grounded(blocks, GA("pickup b"))
     assert ga.action == GA("pickup b")
     assert ga.pre == atoms("clear b", "ontable b", "handempty")
     assert ga.add == atoms("holding b")
     assert ga.delete == atoms("ontable b", "clear b", "handempty")
 
 
-def test_instantiate_no_params():
+def test_grounded_no_params():
     schema = ActionSchema("noop", (), pre=frozenset(), add=frozenset(),
                           delete=frozenset())
-    ga = instantiate(schema, {})
+    model = DomainModel(name="d", types={}, predicates={}, schemas={"noop": schema})
+    ga = grounded(model, GA("noop"))
     assert ga.action == GA("noop")
     assert ga.pre == frozenset()
 
 
-def test_instantiate_stack_add(blocks):
-    ga = instantiate(blocks.schemas["stack"], {"?x": "b", "?y": "a"})
-    assert A("on b a") in ga.add
+def test_grounded_stack_add(blocks):
+    assert A("on b a") in grounded(blocks, GA("stack b a")).add
 
 
-def test_instantiate_unbound(blocks):
-    with pytest.raises(StripsError, match="unbound"):
-        instantiate(blocks.schemas["stack"], {"?x": "b"})
+def test_grounded_wrong_arity(blocks):
+    with pytest.raises(StripsError, match="expected 2 arguments, got 1"):
+        grounded(blocks, GA("stack b"))
 
 
-def test_instantiate_type_mismatch():
-    schema = ActionSchema("move", (("?t", "truck"),), pre=frozenset(),
-                          add=frozenset(), delete=frozenset())
-    types = {"object": None, "truck": "object", "crate": "object"}
-    with pytest.raises(StripsError, match="does not fit"):
-        instantiate(schema, {"?t": "c1"}, objects={"c1": "crate"}, types=types)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grounded_matches_instantiate_reference(data):
+    name = data.draw(st.sampled_from(DOMAIN_NAMES))
+    grounding = typed_grounding(name, data.draw(st.sampled_from([1.0, 0.5])))
+    action = data.draw(st.sampled_from(grounding.actions)).action
+    schema = grounding.domain.schemas[action.name]
+    reference = instantiate(schema, dict(zip(schema.variables, action.args)))
+    assert grounded(grounding.domain, action) == reference
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_grounding_is_sorted_without_duplicates(name):
+    grounding = typed_grounding(name, 1.0)
+    assert list(grounding.atoms) == sorted(set(grounding.atoms))
+    names = [ga.action for ga in grounding.actions]
+    assert names == sorted(set(names))
 
 
 def test_applicable_pickup_b(blocks, tower):
@@ -166,7 +196,7 @@ def test_grounding_matches_lifted_check(blocks):
     for schema in blocks.schemas.values():
         for combo in itertools.product(objects, repeat=len(schema.params)):
             binding = dict(zip(schema.variables, combo))
-            action = instantiate(schema, binding).action
+            action = GroundAction(schema.name, combo)
             lifted_holds = all(substitute(a, binding) in problem.init
                                for a in schema.pre)
             assert applicable(problem.init, action, blocks) == lifted_holds
