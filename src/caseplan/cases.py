@@ -128,7 +128,9 @@ class ExperimentRow:
     problem_id: str
     solved: bool
     plan_length: int
-    cpu_millis: int  # wall-clock ms of the solve call, despite the name
+    # wall-clock ms, despite the name: the solve call plus the fragment build
+    # time of every case in the row's library prefix, as a standalone solve
+    cpu_millis: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.completeness <= 1.0:

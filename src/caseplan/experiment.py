@@ -10,6 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
+from .mapping import Fragment, build_fragments
 from .pipeline import solve_with_library
 from .search import SearchConfig
 from .strips import DomainModel, Plan, PlanningProblem
@@ -44,6 +45,9 @@ class ExperimentSpec:
                               ("deltas", self.deltas), ("seeds", self.seeds)):
             if not values:
                 raise ValueError(f"{group} must be nonempty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{group} repeats the value {repeated[0]}")
         if min(self.case_counts) < 0:
             raise ValueError(f"case count {min(self.case_counts)} must be >= 0")
 
@@ -62,9 +66,16 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     """Execute the sweep. Deterministic for fixed seeds (timing aside).
 
     A row is marked solved only when the produced plan re-executes to the
-    goal under the complete model. cpu_millis is the wall-clock ms of the solve
-    call alone (no parsing, no validation); with ``timing=False`` it is
-    written as 0 so reruns are byte-identical.
+    goal under the complete model. A case's fragments on a problem depend
+    only on the problem's objects, init and goal and on the domain's
+    signatures, which degrading the model never changes, so each (problem,
+    case) pair is mapped once per seed and its fragments are reused by every
+    cell whose library prefix holds that case.
+
+    cpu_millis is the cost of a standalone solve: the wall-clock ms of the
+    solve call (no parsing, no validation) plus the build time of the
+    fragments of every case in the row's prefix, each timed once, when built.
+    With ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     rows: list[ExperimentRow] = []
     details: list[RunDetail] = []
@@ -79,19 +90,28 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         if max(spec.case_counts) > len(library):
             raise ValueError(f"case count {max(spec.case_counts)} exceeds the library "
                              f"of {len(library)} cases")
+        # per problem, per library case in order: (its fragments, build seconds)
+        built: list[list[tuple[tuple[Fragment, ...], float]]] = [[] for _ in spec.problems]
         for completeness in spec.completeness_levels:
             model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))
             for num_cases in spec.case_counts:
                 subset = library[:num_cases]
                 for delta in spec.deltas:
                     for p_idx, problem in enumerate(spec.problems):
+                        per_case = built[p_idx]
+                        for case in library[len(per_case):num_cases]:
+                            start = time.perf_counter()
+                            case_fragments = tuple(build_fragments(problem, [case]))
+                            per_case.append((case_fragments, time.perf_counter() - start))
+                        prefix = per_case[:num_cases]
                         degraded_problem = replace(problem, domain=model)
                         start = time.perf_counter()
                         outcome = solve_with_library(
                             degraded_problem, subset, delta,
                             config=spec.search,
-                            assembly_budget=spec.assembly_budget)
-                        elapsed = int((time.perf_counter() - start) * 1000)
+                            assembly_budget=spec.assembly_budget,
+                            fragments=tuple(f for frags, _ in prefix for f in frags))
+                        elapsed = time.perf_counter() - start + sum(s for _, s in prefix)
                         solved = outcome.plan is not None and check_solution(
                             degraded_problem, outcome.plan, spec.domain)
                         row = ExperimentRow(
@@ -102,7 +122,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                             problem_id=f"seed{seed}-p{p_idx:03d}",
                             solved=solved,
                             plan_length=len(outcome.plan) if outcome.plan else 0,
-                            cpu_millis=elapsed if spec.timing else 0)
+                            cpu_millis=int(elapsed * 1000) if spec.timing else 0)
                         rows.append(row)
                         details.append(RunDetail(row=row, problem=degraded_problem,
                                                  plan=outcome.plan, route=outcome.route))

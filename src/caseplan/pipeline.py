@@ -53,7 +53,8 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
                        min_support: int, *,
                        config: SearchConfig | None = None,
                        assembly_budget: int = 20_000,
-                       search_fallback: bool = True) -> PipelineOutcome:
+                       search_fallback: bool = True,
+                       fragments: tuple[Fragment, ...] | None = None) -> PipelineOutcome:
     """Solve under the problem's (possibly incomplete) model using the case library.
 
     The primary route assembles mined frequent fragments along the causal
@@ -62,12 +63,18 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     run on the full goal; anything returned executes under the problem's own
     model, though only validation against the complete model can tell whether
     it is really correct.
+
+    ``fragments``, when given, are the fragments of ``cases`` on this problem,
+    already built (what ``build_fragments(problem, cases)`` returns). They do
+    not depend on the action model, so a caller solving one problem under
+    several models may build them once and pass them to every call.
     """
     config = config or SearchConfig()
     grounding = Grounding.for_problem(problem)
     goal_plans, pairs = skeleton(problem, config, grounding)
 
-    fragments = tuple(build_fragments(problem, cases))
+    if fragments is None:
+        fragments = tuple(build_fragments(problem, cases))
     db = SequenceDB.from_sequences([f.actions for f in fragments])
     frequent = mine_frequent(db, min_support)
 

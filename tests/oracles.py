@@ -8,9 +8,17 @@ beyond the basic data types.
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
+from dataclasses import replace
 
 from caseplan import Atom, CaseFile, DomainModel, PlanningProblem, grounded
+from caseplan.cases import ExperimentRow
+from caseplan.degrade import DegradeSpec, degrade
+from caseplan.evaluate import check_solution
+from caseplan.experiment import ExperimentSpec, RunDetail
+from caseplan.generators import generate_case_library
+from caseplan.pipeline import solve_with_library
 from caseplan.strips import ActionSchema, GroundAction, GroundedAction, StripsError, is_subtype
 
 
@@ -253,3 +261,59 @@ def instantiate(schema: ActionSchema, binding: dict[str, str], *,
 
     return GroundedAction(GroundAction(schema.name, tuple(args)),
                           ground(schema.pre), ground(schema.add), ground(schema.delete))
+
+
+# The earlier sweep loop, kept unchanged as the reference for
+# caseplan.experiment.run_experiment, which now maps each (problem, case)
+# pair once per seed instead of once per grid cell.
+
+def run_experiment_per_cell(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunDetail]]:
+    """Execute the sweep. Deterministic for fixed seeds (timing aside).
+
+    A row is marked solved only when the produced plan re-executes to the
+    goal under the complete model. cpu_millis is the wall-clock ms of the solve
+    call alone (no parsing, no validation); with ``timing=False`` it is
+    written as 0 so reruns are byte-identical.
+    """
+    rows: list[ExperimentRow] = []
+    details: list[RunDetail] = []
+
+    for seed in spec.seeds:
+        if spec.cases is not None:
+            library = spec.cases
+        else:
+            library = generate_case_library(
+                spec.domain, max(spec.case_counts), seed,
+                n_blocks=spec.case_blocks, config=spec.search)
+        if max(spec.case_counts) > len(library):
+            raise ValueError(f"case count {max(spec.case_counts)} exceeds the library "
+                             f"of {len(library)} cases")
+        for completeness in spec.completeness_levels:
+            model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))
+            for num_cases in spec.case_counts:
+                subset = library[:num_cases]
+                for delta in spec.deltas:
+                    for p_idx, problem in enumerate(spec.problems):
+                        degraded_problem = replace(problem, domain=model)
+                        start = time.perf_counter()
+                        outcome = solve_with_library(
+                            degraded_problem, subset, delta,
+                            config=spec.search,
+                            assembly_budget=spec.assembly_budget)
+                        elapsed = int((time.perf_counter() - start) * 1000)
+                        solved = outcome.plan is not None and check_solution(
+                            degraded_problem, outcome.plan, spec.domain)
+                        row = ExperimentRow(
+                            domain=spec.domain.name,
+                            num_cases=num_cases,
+                            completeness=completeness,
+                            delta=delta,
+                            problem_id=f"seed{seed}-p{p_idx:03d}",
+                            solved=solved,
+                            plan_length=len(outcome.plan) if outcome.plan else 0,
+                            cpu_millis=elapsed if spec.timing else 0)
+                        rows.append(row)
+                        details.append(RunDetail(row=row, problem=degraded_problem,
+                                                 plan=outcome.plan, route=outcome.route))
+    rows.sort(key=ExperimentRow.sort_key)
+    return rows, details

@@ -221,6 +221,7 @@ def test_mine_zero_delta_is_input_error_with_or_without_cases(tmp_path, capsys):
 @pytest.mark.parametrize("counts, message", [
     ("-1,2", "case count -1 must be >= 0"),
     ("1,3", "case count 3 exceeds the library of 2 cases"),
+    ("1,1", "case_counts repeats the value 1"),
 ])
 def test_experiment_bad_case_count_is_input_error(tmp_path, capsys, counts, message):
     code, _, stderr = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,

@@ -9,6 +9,8 @@ from caseplan.cases import read_rows, write_rows
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
 
+from .oracles import run_experiment_per_cell
+
 
 def small_spec(blocks, **overrides):
     defaults = dict(
@@ -29,6 +31,32 @@ def small_spec(blocks, **overrides):
 def test_negative_case_count_rejected(blocks):
     with pytest.raises(ValueError, match="case count -1"):
         small_spec(blocks, case_counts=(-1, 2))
+
+
+@pytest.mark.parametrize("group, values", [
+    ("case_counts", (2, 6, 2)),
+    ("completeness_levels", (1.0, 1.0)),
+    ("deltas", (2, 3, 3)),
+    ("seeds", (1, 1)),
+])
+def test_repeated_grid_value_rejected(blocks, group, values):
+    with pytest.raises(ValueError, match=f"{group} repeats the value {values[-1]}"):
+        small_spec(blocks, **{group: values})
+
+
+@pytest.mark.parametrize("fixed_library", [True, False])
+def test_matches_per_cell_reference(blocks, tower, p1, p2, fixed_library):
+    if fixed_library:
+        spec = small_spec(blocks, cases=[("p1", p1), ("p2", p2)], case_counts=(2, 1),
+                          problems=[tower] + make_problem_suite(blocks, 2, 0, n_blocks=4))
+    else:
+        spec = small_spec(blocks, case_counts=(10, 2), completeness_levels=(0.2, 1.0),
+                          deltas=(1, 5), seeds=(1, 2))
+    rows, details = run_experiment(spec)
+    ref_rows, ref_details = run_experiment_per_cell(spec)
+    assert rows == ref_rows
+    assert [(d.row, d.plan, d.route) for d in details] == \
+        [(d.row, d.plan, d.route) for d in ref_details]
 
 
 def test_case_count_above_library_size_rejected(blocks, p1, p2):

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import replace
+from importlib import resources
 
-from caseplan import execute_plan, random_blocks_problem, solve_with_library
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caseplan import (
+    Atom,
+    DegradeSpec,
+    SearchConfig,
+    build_fragments,
+    degrade,
+    execute_plan,
+    generate_case_library,
+    parse_domain,
+    random_blocks_problem,
+    solve_with_library,
+)
 from caseplan.evaluate import check_solution
+from caseplan.generators import random_walk_problem
 from caseplan.pipeline import (
     ROUTE_FRAGMENTS,
     ROUTE_SEARCH,
@@ -95,3 +113,89 @@ def test_concat_results_execute_under_incomplete_model(blocks, incomplete_blocks
         outcome = solve_with_library(problem, cases, 2, search_fallback=False)
         if outcome.plan is not None and outcome.route == ROUTE_FRAGMENTS:
             assert execute_plan(problem, outcome.plan).success
+
+
+# Typed instances for the properties below. A problem and its cases share one
+# seeded stream; typed problems come from a random walk over a valid start.
+
+SMALL_SEARCH = SearchConfig(max_expansions=300)
+
+
+def driverlog_start(rng):
+    locations = ["l0", "l1", "l2", "l3"]
+    objects = {loc: "location" for loc in locations}
+    init = set()
+    for here, there in zip(locations, locations[1:] + locations[:1]):
+        for pred in ("link", "path"):
+            init |= {Atom(pred, (here, there)), Atom(pred, (there, here))}
+    for kind, names in (("driver", ("d1",)), ("truck", ("t1",)), ("obj", ("p1", "p2"))):
+        for obj in names:
+            objects[obj] = kind
+            init.add(Atom("at", (obj, rng.choice(locations))))
+    init.add(Atom("empty", ("t1",)))
+    return objects, frozenset(init), frozenset({"at"})
+
+
+def depots_start(rng):
+    places = {"depot0": "depot", "distributor0": "distributor"}
+    objects = dict(places, truck0="truck")
+    init = {Atom("at", ("truck0", rng.choice(sorted(places))))}
+    tops = {}
+    for i, place in enumerate(places):
+        objects |= {f"hoist{i}": "hoist", f"pallet{i}": "pallet"}
+        init |= {Atom("at", (f"hoist{i}", place)), Atom("available", (f"hoist{i}",)),
+                 Atom("at", (f"pallet{i}", place))}
+        tops[place] = f"pallet{i}"
+    for j in range(3):
+        place = rng.choice(sorted(places))
+        objects[f"crate{j}"] = "crate"
+        init |= {Atom("on", (f"crate{j}", tops[place])), Atom("at", (f"crate{j}", place))}
+        tops[place] = f"crate{j}"
+    init |= {Atom("clear", (top,)) for top in tops.values()}
+    return objects, frozenset(init), frozenset({"on", "at"})
+
+
+@functools.cache
+def typed_instance(name: str, seed: int):
+    """A vendored domain's complete model, one problem and a library of up to
+    three cases solved under that model."""
+    domain = parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
+    rng = random.Random(seed)
+
+    def draw(label):
+        if name == "blocks":
+            return random_blocks_problem(domain, 4, rng, name=label)
+        start = driverlog_start if name == "driverlog" else depots_start
+        objects, init, goal_predicates = start(rng)
+        return random_walk_problem(domain, objects, init, rng, walk_length=40,
+                                   goal_predicates=goal_predicates, name=label)
+
+    problem = draw("target")
+    cases = generate_case_library(domain, 3, seed, config=SMALL_SEARCH,
+                                  problems=[draw(f"case{i}") for i in range(3)])
+    return domain, problem, cases
+
+
+instances = st.builds(typed_instance, st.sampled_from(["blocks", "driverlog", "depots"]),
+                      st.integers(0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances, st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_fragments_do_not_depend_on_the_model(instance, completeness, seed):
+    domain, problem, cases = instance
+    model = degrade(domain, DegradeSpec(completeness=completeness, seed=seed))
+    assert build_fragments(replace(problem, domain=model), cases) == \
+        build_fragments(problem, cases)
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances, st.sampled_from([0.4, 0.8, 1.0]), st.integers(0, 2**16), st.integers(1, 3))
+def test_given_fragments_solve_like_built_ones(instance, completeness, seed, delta):
+    domain, problem, cases = instance
+    problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
+    fragments = tuple(build_fragments(problem, cases))
+    assert solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
+                              fragments=fragments) == \
+        solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
+
