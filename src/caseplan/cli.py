@@ -29,6 +29,14 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, not exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _load_domain(path: str):
     try:
         return parse_domain(Path(path).read_text())
@@ -55,16 +63,15 @@ def _load_cases(path: str):
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(heuristic=getattr(args, "heuristic", "relaxed-add"),
-                        max_expansions=args.max_expansions)
+    return SearchConfig(max_expansions=args.max_expansions)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _comma_list(convert):
+    """An argparse type for a comma-separated list, named for its error message."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def _emit_plan(plan, out: str | None) -> int:
@@ -211,10 +218,10 @@ def cmd_experiment(args) -> int:
     spec = ExperimentSpec(
         domain=domain,
         problems=problems,
-        case_counts=_int_list(args.case_counts),
-        completeness_levels=_float_list(args.completeness),
-        deltas=_int_list(args.delta),
-        seeds=_int_list(args.seed),
+        case_counts=args.case_counts,
+        completeness_levels=args.completeness,
+        deltas=args.delta,
+        seeds=args.seed,
         search=_search_config(args),
         cases=cases,
         case_blocks=args.case_blocks,
@@ -242,7 +249,7 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="caseplan",
         description="Case-based STRIPS planning with incomplete action models.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -274,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("skeletal", cmd_skeletal, searches=True, help="print causal pairs for a problem")
     p.add_argument("--incomplete-domain", required=True)
     p.add_argument("--problem", required=True)
-    p.add_argument("--heuristic", default="relaxed-add",
-                   choices=["relaxed-add", "goal-count"])
 
     p = add("map", cmd_map, help="print the best object mapping per case")
     p.add_argument("--domain", required=True)
@@ -296,15 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="plan file to write")
     p.add_argument("--no-fallback", action="store_true",
                    help="disable the direct-search fallback")
-    p.add_argument("--heuristic", default="relaxed-add",
-                   choices=["relaxed-add", "goal-count"])
 
     p = add("solve-classical", cmd_solve_classical, searches=True, help="forward search only")
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--out")
-    p.add_argument("--heuristic", default="relaxed-add",
-                   choices=["relaxed-add", "goal-count"])
 
     p = add("evaluate", cmd_evaluate, help="validate plans under the complete model")
     p.add_argument("--domain", required=True)
@@ -320,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=5)
     p.add_argument("--cases", help="fixed case library (default: generate per seed)")
     p.add_argument("--case-blocks", type=int, default=5)
-    p.add_argument("--case-counts", default="40,80,120,160,200")
-    p.add_argument("--completeness", default="0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--delta", default="5,15,25")
-    p.add_argument("--seed", default="1")
+    p.add_argument("--case-counts", type=_comma_list(int), default="40,80,120,160,200")
+    p.add_argument("--completeness", type=_comma_list(float), default="0.2,0.4,0.6,0.8,1.0")
+    p.add_argument("--delta", type=_comma_list(int), default="5,15,25")
+    p.add_argument("--seed", type=_comma_list(int), default="1")
     p.add_argument("--no-timing", action="store_true",
                    help="write cpu_millis as 0 for byte-reproducible CSV")
     p.add_argument("--artifacts", help="directory for per-run plan files")
@@ -333,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, PddlError, StripsError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -47,6 +47,8 @@ def random_tower_goal(blocks: list[str], rng: random.Random) -> frozenset[Atom]:
 def random_blocks_problem(domain: DomainModel, n_blocks: int, rng: random.Random,
                           name: str = "random-blocks") -> PlanningProblem:
     """A random solvable blocks instance whose goal does not already hold."""
+    if n_blocks < 2:
+        raise ValueError(f"n_blocks must be at least 2 to stack a tower, got {n_blocks}")
     blocks = [f"b{i + 1}" for i in range(n_blocks)]
     objects = {b: "object" for b in blocks}
     while True:
@@ -71,13 +73,11 @@ def random_walk_problem(domain: DomainModel, objects: dict[str, str], init: Stat
     """
     grounding = Grounding(domain, objects)
     state_ids = grounding.encode(init)
-    ops = grounding.ops_ids
     for _ in range(walk_length):
-        applicable = [i for i, (pre, _, _) in enumerate(ops) if pre <= state_ids]
-        if not applicable:
+        successors = list(grounding.successors(state_ids))
+        if not successors:
             break
-        _, add, dele = ops[rng.choice(applicable)]
-        state_ids = (state_ids - dele) | add
+        _, state_ids = rng.choice(successors)
     final = {grounding.atoms[i] for i in state_ids}
     pool = sorted(a for a in final
                   if goal_predicates is None or a.predicate in goal_predicates)
@@ -100,6 +100,8 @@ def generate_case_library(domain: DomainModel, count: int, seed: int, *,
     are skipped; generation keeps drawing until ``count`` cases exist or the
     attempt budget runs dry, so the library can come up short.
     """
+    if count < 0:
+        raise ValueError(f"case count must be >= 0, got {count}")
     config = config or SearchConfig()
     rng = random.Random(seed)
     cases: list[tuple[str, CaseFile]] = []

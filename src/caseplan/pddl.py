@@ -95,7 +95,7 @@ def _read_sexpr(tokens: list[Token], pos: int) -> tuple[object, int]:
         pos += 1
         while True:
             if pos >= len(tokens):
-                raise PddlSyntaxError("unclosed parenthesis", tok.line, tok.col)
+                raise PddlSyntaxError("unbalanced '('", tok.line, tok.col)
             if tokens[pos].text == ")":
                 return node, pos + 1
             child, pos = _read_sexpr(tokens, pos)

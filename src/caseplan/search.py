@@ -23,18 +23,12 @@ SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
 BUDGET = "budget"
 
-RELAXED_ADD = "relaxed-add"
-GOAL_COUNT = "goal-count"
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    heuristic: str = RELAXED_ADD
     max_expansions: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.heuristic not in (RELAXED_ADD, GOAL_COUNT):
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
         if self.max_expansions <= 0:
             raise ValueError("max_expansions must be positive")
 
@@ -58,21 +52,14 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
     """
     n = len(grounding.atoms)
     cost = [math.inf] * n
-    waiting: dict[int, list[int]] = {}
-    remaining = []
-    acc = []
+    remaining = list(grounding.pre_counts)
+    acc = [1.0] * len(remaining)
     heap: list[tuple[float, int]] = []
 
     for a in state:
         cost[a] = 0.0
         heap.append((0.0, a))
     heapq.heapify(heap)
-
-    for op_idx, (pre, _, _) in enumerate(grounding.ops_ids):
-        remaining.append(len(pre))
-        acc.append(1.0)
-        for a in pre:
-            waiting.setdefault(a, []).append(op_idx)
 
     def fire(op_idx: int) -> None:
         c = acc[op_idx]
@@ -81,9 +68,8 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
                 cost[b] = c
                 heapq.heappush(heap, (c, b))
 
-    for op_idx, r in enumerate(remaining):
-        if r == 0:
-            fire(op_idx)
+    for op_idx in grounding.free_ops:
+        fire(op_idx)
 
     done = [False] * n
     while heap:
@@ -91,7 +77,7 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
         if done[a] or c > cost[a]:
             continue
         done[a] = True
-        for op_idx in waiting.get(a, ()):
+        for op_idx in grounding.waiting[a]:
             acc[op_idx] += c
             remaining[op_idx] -= 1
             if remaining[op_idx] == 0:
@@ -127,30 +113,22 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     goal = grounding.encode(problem.goal)
     goal_ids = tuple(sorted(goal))
 
-    if config.heuristic == RELAXED_ADD:
-        def h(state: frozenset[int]) -> float:
-            return _h_add(state, goal_ids, grounding)
-    else:
-        def h(state: frozenset[int]) -> float:
-            return float(len(goal - state))
-
     if goal <= init:
         return SolveResult(SOLVED, (), 0)
 
-    h0 = h(init)
+    h0 = _h_add(init, goal_ids, grounding)
     if h0 == math.inf:
         return SolveResult(UNSOLVABLE, None, 0)
 
+    # a state enters the heap only when it first enters ``parent``, so no
+    # popped state has been expanded before
     parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
     heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
-    closed: set[frozenset[int]] = set()
     counter = 1
     expansions = 0
 
     while heap:
         _, _, state = heapq.heappop(heap)
-        if state in closed:
-            continue
         if goal <= state:
             plan = _reconstruct(parent, state, grounding.actions)
             check = execute_plan(problem, plan)
@@ -159,18 +137,15 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
             return SolveResult(SOLVED, plan, expansions)
         if expansions >= config.max_expansions:
             return SolveResult(BUDGET, None, expansions)
-        closed.add(state)
         expansions += 1
-        for op_idx, (pre, add, dele) in enumerate(grounding.ops_ids):
-            if pre <= state:
-                succ = (state - dele) | add
-                if succ not in parent:
-                    hs = h(succ)
-                    if hs == math.inf:
-                        continue
-                    parent[succ] = (state, op_idx)
-                    heapq.heappush(heap, (hs, counter, succ))
-                    counter += 1
+        for op_idx, succ in grounding.successors(state):
+            if succ not in parent:
+                hs = _h_add(succ, goal_ids, grounding)
+                if hs == math.inf:
+                    continue
+                parent[succ] = (state, op_idx)
+                heapq.heappush(heap, (hs, counter, succ))
+                counter += 1
     return SolveResult(UNSOLVABLE, None, expansions)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, TypeAlias
+from typing import Iterable, Iterator, NamedTuple, TypeAlias
 
 
 class StripsError(Exception):
@@ -258,9 +258,11 @@ def execute_plan(problem: PlanningProblem, plan: Plan) -> ExecutionResult:
 class Grounding:
     """All well-typed ground atoms and actions over a (domain, objects) pair.
 
-    Also carries an integer encoding of the atom universe so search code can
-    work on frozensets of ints. Immutable after construction; safe to share
-    across the per-goal solver calls of one problem.
+    Also carries the integer encoding of the atom universe that search code
+    works in: each action's (pre, add, delete) atom ids, the successors of an
+    encoded state, and the index that h_add reads. Immutable after
+    construction; safe to share across the per-goal solver calls of one
+    problem.
     """
 
     def __init__(self, domain: DomainModel, objects: dict[str, str]):
@@ -287,6 +289,18 @@ class Grounding:
             (self.encode(ga.pre), self.encode(ga.add), self.encode(ga.delete))
             for ga in self.actions)
 
+        # the delete-relaxation index read by h_add: for each atom, the ops that
+        # have it as a precondition (ascending); each op's precondition count;
+        # and the ops with none, which fire from every state
+        waiting: list[list[int]] = [[] for _ in self.atoms]
+        for op_idx, (pre, _, _) in enumerate(self.ops_ids):
+            for a in pre:
+                waiting[a].append(op_idx)
+        self.waiting: tuple[tuple[int, ...], ...] = tuple(map(tuple, waiting))
+        self.pre_counts: tuple[int, ...] = tuple(len(pre) for pre, _, _ in self.ops_ids)
+        self.free_ops: tuple[int, ...] = tuple(
+            op_idx for op_idx, n in enumerate(self.pre_counts) if n == 0)
+
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":
         return cls(problem.domain, problem.objects)
@@ -296,3 +310,9 @@ class Grounding:
             return frozenset(self.atom_index[a] for a in atoms)
         except KeyError as err:
             raise StripsError(f"atom {err.args[0]} is outside the ground atom universe") from None
+
+    def successors(self, state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
+        """Each op applicable in an encoded state with the state it leads to, in op order."""
+        for op_idx, (pre, add, delete) in enumerate(self.ops_ids):
+            if pre <= state:
+                yield op_idx, (state - delete) | add

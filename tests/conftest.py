@@ -162,3 +162,41 @@ def p2():
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES
+
+
+# Valid typed starting states for random walks over the vendored driverlog and
+# depots domains: the objects, the initial state, and the predicates that make
+# sensible goals.
+
+def driverlog_start(rng):
+    locations = ["l0", "l1", "l2", "l3"]
+    objects = {loc: "location" for loc in locations}
+    init = set()
+    for here, there in zip(locations, locations[1:] + locations[:1]):
+        for pred in ("link", "path"):
+            init |= {Atom(pred, (here, there)), Atom(pred, (there, here))}
+    for kind, names in (("driver", ("d1",)), ("truck", ("t1",)), ("obj", ("p1", "p2"))):
+        for obj in names:
+            objects[obj] = kind
+            init.add(Atom("at", (obj, rng.choice(locations))))
+    init.add(Atom("empty", ("t1",)))
+    return objects, frozenset(init), frozenset({"at"})
+
+
+def depots_start(rng):
+    places = {"depot0": "depot", "distributor0": "distributor"}
+    objects = dict(places, truck0="truck")
+    init = {Atom("at", ("truck0", rng.choice(sorted(places))))}
+    tops = {}
+    for i, place in enumerate(places):
+        objects |= {f"hoist{i}": "hoist", f"pallet{i}": "pallet"}
+        init |= {Atom("at", (f"hoist{i}", place)), Atom("available", (f"hoist{i}",)),
+                 Atom("at", (f"pallet{i}", place))}
+        tops[place] = f"pallet{i}"
+    for j in range(3):
+        place = rng.choice(sorted(places))
+        objects[f"crate{j}"] = "crate"
+        init |= {Atom("on", (f"crate{j}", tops[place])), Atom("at", (f"crate{j}", place))}
+        tops[place] = f"crate{j}"
+    init |= {Atom("clear", (top,)) for top in tops.values()}
+    return objects, frozenset(init), frozenset({"on", "at"})

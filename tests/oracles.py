@@ -7,7 +7,9 @@ beyond the basic data types.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import replace
@@ -19,7 +21,14 @@ from caseplan.evaluate import check_solution
 from caseplan.experiment import ExperimentSpec, RunDetail
 from caseplan.generators import generate_case_library
 from caseplan.pipeline import solve_with_library
-from caseplan.strips import ActionSchema, GroundAction, GroundedAction, StripsError, is_subtype
+from caseplan.strips import (
+    ActionSchema,
+    GroundAction,
+    GroundedAction,
+    Grounding,
+    StripsError,
+    is_subtype,
+)
 
 
 def _ground_schema(schema, combo):
@@ -317,3 +326,63 @@ def run_experiment_per_cell(spec: ExperimentSpec) -> tuple[list[ExperimentRow], 
                                                  plan=outcome.plan, route=outcome.route))
     rows.sort(key=ExperimentRow.sort_key)
     return rows, details
+
+
+# The earlier h_add, kept unchanged as the reference for caseplan.search._h_add,
+# which now reads the precondition index that Grounding builds once instead of
+# rebuilding it from ops_ids on every call.
+
+def h_add_rebuilding_index(state: frozenset[int], goal_ids: tuple[int, ...],
+                           grounding: Grounding) -> float:
+    """Additive delete-relaxation cost of the goal set from a state.
+
+    Dijkstra over atoms: an action fires once all its preconditions have
+    final costs and charges 1 plus their sum to every atom it adds.
+    """
+    n = len(grounding.atoms)
+    cost = [math.inf] * n
+    waiting: dict[int, list[int]] = {}
+    remaining = []
+    acc = []
+    heap: list[tuple[float, int]] = []
+
+    for a in state:
+        cost[a] = 0.0
+        heap.append((0.0, a))
+    heapq.heapify(heap)
+
+    for op_idx, (pre, _, _) in enumerate(grounding.ops_ids):
+        remaining.append(len(pre))
+        acc.append(1.0)
+        for a in pre:
+            waiting.setdefault(a, []).append(op_idx)
+
+    def fire(op_idx: int) -> None:
+        c = acc[op_idx]
+        for b in grounding.ops_ids[op_idx][1]:
+            if c < cost[b]:
+                cost[b] = c
+                heapq.heappush(heap, (c, b))
+
+    for op_idx, r in enumerate(remaining):
+        if r == 0:
+            fire(op_idx)
+
+    done = [False] * n
+    while heap:
+        c, a = heapq.heappop(heap)
+        if done[a] or c > cost[a]:
+            continue
+        done[a] = True
+        for op_idx in waiting.get(a, ()):
+            acc[op_idx] += c
+            remaining[op_idx] -= 1
+            if remaining[op_idx] == 0:
+                fire(op_idx)
+
+    total = 0.0
+    for gid in goal_ids:
+        if cost[gid] == math.inf:
+            return math.inf
+        total += cost[gid]
+    return total

@@ -222,6 +222,7 @@ def test_mine_zero_delta_is_input_error_with_or_without_cases(tmp_path, capsys):
     ("-1,2", "case count -1 must be >= 0"),
     ("1,3", "case count 3 exceeds the library of 2 cases"),
     ("1,1", "case_counts repeats the value 1"),
+    ("a,b", "argument --case-counts: invalid comma-separated int value: 'a,b'"),
 ])
 def test_experiment_bad_case_count_is_input_error(tmp_path, capsys, counts, message):
     code, _, stderr = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,
@@ -234,11 +235,57 @@ def test_experiment_bad_case_count_is_input_error(tmp_path, capsys, counts, mess
 
 
 def test_max_expansions_is_rejected_where_nothing_searches(capsys):
+    code, _, stderr = run(capsys, "map", "--domain", DOMAIN, "--problem", TOWER,
+                          "--cases", CASES, "--max-expansions", 1)
+    assert code == INPUT_ERROR
+    assert "unrecognized arguments: --max-expansions" in stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("solve",), "the following arguments are required: --incomplete-domain, --problem"),
+    (("solve", "--incomplete-domain", INCOMPLETE, "--problem", TOWER,
+      "--heuristic", "goal-count"), "unrecognized arguments: --heuristic goal-count"),
+    (("solve-classical", "--domain", DOMAIN, "--problem", TOWER, "--max-expansions", "abc"),
+     "argument --max-expansions: invalid int value: 'abc'"),
+    (("experiment", "--domain", DOMAIN, "--seed", "1,x", "--out", "rows.csv"),
+     "argument --seed: invalid comma-separated int value: '1,x'"),
+    (("experiment", "--domain", DOMAIN, "--completeness", "0.5,high", "--out", "rows.csv"),
+     "argument --completeness: invalid comma-separated float value: '0.5,high'"),
+])
+def test_usage_error_is_input_error(capsys, args, message):
+    code, stdout, stderr = run(capsys, *args)
+    assert code == INPUT_ERROR
+    assert message in stderr
+    assert "usage: caseplan" in stderr
+    assert stdout == ""
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "map", "--domain", DOMAIN, "--problem", TOWER, "--cases", CASES,
-            "--max-expansions", 1)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-expansions" in capsys.readouterr().err
+        run(capsys, "solve", "--help")
+    assert exc.value.code == OK
+    assert "--incomplete-domain" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ("experiment", "--domain", DOMAIN, "--blocks", 1, "--num-problems", 1),
+    ("experiment", "--domain", DOMAIN, "--case-blocks", 1, "--num-problems", 1, "--blocks", 3,
+     "--case-counts", 1, "--completeness", "1.0", "--delta", 1),
+    ("gen-cases", "--domain", DOMAIN, "--blocks", 1),
+])
+def test_fewer_than_two_blocks_is_input_error(tmp_path, capsys, args):
+    code, _, stderr = run(capsys, *args, "--out", tmp_path / "out")
+    assert code == INPUT_ERROR
+    assert "n_blocks must be at least 2" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_case_count_is_input_error(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "gen-cases", "--domain", DOMAIN, "--count", -3,
+                               "--out", tmp_path / "lib")
+    assert code == INPUT_ERROR
+    assert "case count must be >= 0, got -3" in stderr
+    assert stdout == ""
 
 
 def test_missing_file_is_input_error(capsys):

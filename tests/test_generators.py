@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+import pytest
+
 from caseplan import (
     generate_case_library,
     parse_domain,
@@ -75,3 +77,11 @@ def test_generate_case_library_reports_short(blocks):
     problems = [random_blocks_problem(blocks, 3, rng) for _ in range(2)]
     library = generate_case_library(blocks, 4, 0, problems=problems)
     assert len(library) == 2
+
+
+def test_generator_bounds(blocks):
+    with pytest.raises(ValueError, match="n_blocks must be at least 2"):
+        random_blocks_problem(blocks, 1, random.Random(0))
+    with pytest.raises(ValueError, match="case count must be >= 0"):
+        generate_case_library(blocks, -1, 0)
+    assert generate_case_library(blocks, 0, 0) == []

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseplan import (
-    Atom,
     DegradeSpec,
     SearchConfig,
     build_fragments,
@@ -33,7 +32,14 @@ from caseplan.pipeline import (
 )
 from caseplan.strips import PlanningProblem
 
-from .conftest import GOLDEN_SOLUTION, atoms, make_p1, make_p2
+from .conftest import (
+    GOLDEN_SOLUTION,
+    atoms,
+    depots_start,
+    driverlog_start,
+    make_p1,
+    make_p2,
+)
 
 
 def library():
@@ -119,40 +125,6 @@ def test_concat_results_execute_under_incomplete_model(blocks, incomplete_blocks
 # seeded stream; typed problems come from a random walk over a valid start.
 
 SMALL_SEARCH = SearchConfig(max_expansions=300)
-
-
-def driverlog_start(rng):
-    locations = ["l0", "l1", "l2", "l3"]
-    objects = {loc: "location" for loc in locations}
-    init = set()
-    for here, there in zip(locations, locations[1:] + locations[:1]):
-        for pred in ("link", "path"):
-            init |= {Atom(pred, (here, there)), Atom(pred, (there, here))}
-    for kind, names in (("driver", ("d1",)), ("truck", ("t1",)), ("obj", ("p1", "p2"))):
-        for obj in names:
-            objects[obj] = kind
-            init.add(Atom("at", (obj, rng.choice(locations))))
-    init.add(Atom("empty", ("t1",)))
-    return objects, frozenset(init), frozenset({"at"})
-
-
-def depots_start(rng):
-    places = {"depot0": "depot", "distributor0": "distributor"}
-    objects = dict(places, truck0="truck")
-    init = {Atom("at", ("truck0", rng.choice(sorted(places))))}
-    tops = {}
-    for i, place in enumerate(places):
-        objects |= {f"hoist{i}": "hoist", f"pallet{i}": "pallet"}
-        init |= {Atom("at", (f"hoist{i}", place)), Atom("available", (f"hoist{i}",)),
-                 Atom("at", (f"pallet{i}", place))}
-        tops[place] = f"pallet{i}"
-    for j in range(3):
-        place = rng.choice(sorted(places))
-        objects[f"crate{j}"] = "crate"
-        init |= {Atom("on", (f"crate{j}", tops[place])), Atom("at", (f"crate{j}", place))}
-        tops[place] = f"crate{j}"
-    init |= {Atom("clear", (top,)) for top in tops.values()}
-    return objects, frozenset(init), frozenset({"on", "at"})
 
 
 @functools.cache
