@@ -13,8 +13,8 @@ from .degrade import DegradeSpec, degrade
 from .evaluate import EvalReport, evaluate
 from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import Fragment, best_mapping, build_fragments, extract_fragments, \
-    mapping_score, object_features
+from .mapping import Fragment, MappingIndex, best_mapping, build_fragments, \
+    extract_fragments, mapping_index, mapping_score, object_features
 from .mining import FrequentFragmentSet, SequenceDB, mine_frequent, support
 from .pddl import PddlError, UnsupportedFeatureError, domain_to_pddl, parse_domain, \
     parse_problem, problem_to_pddl
@@ -38,15 +38,15 @@ from .strips import (
 __all__ = [
     "ActionSchema", "Atom", "CaseFile", "CausalPair", "DegradeSpec", "DomainModel",
     "EvalReport", "ExecutionResult", "ExperimentRow", "ExperimentSpec", "Fragment",
-    "FrequentFragmentSet", "GroundAction", "Grounding", "PddlError",
+    "FrequentFragmentSet", "GroundAction", "Grounding", "MappingIndex", "PddlError",
     "PipelineOutcome", "PlanningProblem", "SearchConfig", "SequenceDB",
     "SolveResult", "StripsError", "UnsupportedFeatureError",
     "append", "applicable", "apply_action", "best_mapping", "build_fragments",
     "concat_frag", "degrade", "domain_to_pddl", "evaluate", "execute_plan",
     "extract_causal_pairs", "extract_fragments", "generate_case_library", "grounded",
-    "make_problem_suite", "mapping_score", "mine_frequent", "object_features",
-    "parse_case", "parse_domain", "parse_plan", "parse_problem", "problem_to_pddl",
-    "random_blocks_problem", "read_case_library", "relaxed_add_heuristic",
+    "make_problem_suite", "mapping_index", "mapping_score", "mine_frequent",
+    "object_features", "parse_case", "parse_domain", "parse_plan", "parse_problem",
+    "problem_to_pddl", "random_blocks_problem", "read_case_library", "relaxed_add_heuristic",
     "removelinks", "run_experiment", "share", "skeleton", "solve", "solve_with_library",
     "support", "trim",
 ]

@@ -15,7 +15,7 @@ from .degrade import SCOPE_ALL, DegradeSpec, degrade
 from .evaluate import evaluate
 from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library
-from .mapping import best_mapping, build_fragments, mapping_score
+from .mapping import best_mapping, build_fragments, mapping_index, mapping_score
 from .mining import SequenceDB, mine_frequent
 from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
 from .pipeline import skeleton, solve_with_library
@@ -127,8 +127,9 @@ def cmd_skeletal(args) -> int:
 def cmd_map(args) -> int:
     domain = _load_domain(args.domain)
     problem = _load_problem(args.problem, domain)
+    index = mapping_index(problem)
     for name, case in _load_cases(args.cases):
-        mapping = best_mapping(case, problem)
+        mapping = best_mapping(case, problem, index=index)
         score = mapping_score(case, mapping, problem)
         pairs = " ".join(f"{o}->{v}" for o, v in sorted(mapping.items()))
         print(f"{name}: score={score} {{{pairs}}}")

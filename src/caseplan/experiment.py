@@ -10,7 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import Fragment, build_fragments
+from .mapping import Fragment, build_fragments, mapping_index
 from .pipeline import solve_with_library
 from .search import SearchConfig
 from .strips import DomainModel, Plan, PlanningProblem
@@ -68,17 +68,25 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     A row is marked solved only when the produced plan re-executes to the
     goal under the complete model. A case's fragments on a problem depend
     only on the problem's objects, init and goal and on the domain's
-    signatures, which degrading the model never changes, so each (problem,
-    case) pair is mapped once per seed and its fragments are reused by every
-    cell whose library prefix holds that case.
+    signatures, which degrading the model never changes, so each problem's
+    mapping index is built once, each (problem, case) pair is mapped once per
+    seed, and its fragments are reused by every cell whose library prefix
+    holds that case.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
     solve call (no parsing, no validation) plus the build time of the
-    fragments of every case in the row's prefix, each timed once, when built.
+    fragments of every case in the row's prefix, each timed once, when built;
+    the first case's build time in each seed includes the problem's index.
     With ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     rows: list[ExperimentRow] = []
     details: list[RunDetail] = []
+
+    # per problem: its mapping index, which every case and seed reuse, and its build seconds
+    indexes = []
+    for problem in spec.problems:
+        start = time.perf_counter()
+        indexes.append((mapping_index(problem), time.perf_counter() - start))
 
     for seed in spec.seeds:
         if spec.cases is not None:
@@ -99,10 +107,13 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                 for delta in spec.deltas:
                     for p_idx, problem in enumerate(spec.problems):
                         per_case = built[p_idx]
+                        index, index_s = indexes[p_idx]
                         for case in library[len(per_case):num_cases]:
                             start = time.perf_counter()
-                            case_fragments = tuple(build_fragments(problem, [case]))
-                            per_case.append((case_fragments, time.perf_counter() - start))
+                            case_fragments = tuple(build_fragments(problem, [case], index=index))
+                            elapsed = time.perf_counter() - start
+                            per_case.append((case_fragments,
+                                             elapsed if per_case else elapsed + index_s))
                         prefix = per_case[:num_cases]
                         degraded_problem = replace(problem, domain=model)
                         start = time.perf_counter()

@@ -5,12 +5,23 @@ the number of initial-state plus goal propositions the renamed case shares
 with the problem. ``best_mapping`` maximizes that score exactly (within a
 node budget) over every injective, type-consistent mapping; matching unary
 "feature" predicates is used to order the search, not to exclude mappings.
+
+The search reads the problem through a :class:`MappingIndex` (objects,
+predicates, and the partial images of the init and goal atoms, as integers),
+built once per problem and shared by every case mapped onto it. Its bound
+drops a case atom as soon as the image of its mapped positions is part of no
+target atom, a look-ahead in the manner of VF2 (Cordella et al., 2004). That
+test only prunes subtrees that cannot beat the best mapping found, so the
+result is the one the search without it returns whenever the node budget
+suffices, and never scores lower when the budget runs out.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .cases import CaseFile
 from .strips import Atom, GroundAction, PlanningProblem, is_subtype
@@ -77,94 +88,141 @@ def _slot_constraints(case: CaseFile, problem: PlanningProblem) -> dict[str, set
     return req
 
 
+@dataclass(frozen=True)
+class MappingIndex:
+    """What :func:`best_mapping` reads of a problem, in integers.
+
+    Built by :func:`mapping_index`. It depends only on the problem's objects,
+    init and goal and on the domain's types, which ``degrade`` never changes,
+    so one index serves every case and every degraded model of the problem.
+    """
+
+    objects: tuple[str, ...]  # object id -> name, in sorted name order
+    features: tuple[frozenset[str], ...]  # object id -> its object_features
+    fitting: Mapping[str, frozenset[int]]  # type -> ids of the objects that fit it
+    predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
+    # per target (init, goal): every partial image of every atom, as
+    # (predicate id, *object ids) with any subset of the ids replaced by UNSET
+    images: tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]
+
+
+UNSET = -1  # no problem object (yet): never an object id
+
+
+def mapping_index(problem: PlanningProblem) -> MappingIndex:
+    """The problem's :class:`MappingIndex`."""
+    objects = tuple(sorted(problem.objects))
+    ids = {o: i for i, o in enumerate(objects)}
+    types = problem.domain.types
+    fitting = {t: frozenset(i for i, o in enumerate(objects)
+                            if is_subtype(types, problem.objects[o], t))
+               for t in types}
+    predicates: dict[tuple[str, int], int] = {}
+    images = []
+    for atoms in (problem.init, problem.goal):
+        keys = set()
+        for atom in atoms:
+            pid = predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+            args = [ids[a] for a in atom.args]
+            for kept in itertools.product((True, False), repeat=len(args)):
+                keys.add((pid, *[a if k else UNSET for a, k in zip(args, kept)]))
+        images.append(frozenset(keys))
+    return MappingIndex(objects, tuple(object_features(problem, o) for o in objects),
+                        MappingProxyType(fitting), MappingProxyType(predicates),
+                        (images[0], images[1]))
+
+
 _OPEN, _DEAD, _MATCHED = 0, 1, 2
 
 
 def best_mapping(case: CaseFile, problem: PlanningProblem, *,
-                 node_budget: int = 200_000) -> dict[str, str]:
+                 node_budget: int = 200_000,
+                 index: MappingIndex | None = None) -> dict[str, str]:
     """Exact branch-and-bound maximization of :func:`mapping_score`.
 
-    Case objects may also stay unmapped. The bound counts every undecided,
-    still-possible atom as a potential match, so pruning never loses the true
-    maximum; if the node budget runs out, the best mapping found so far is
-    returned. Deterministic: objects are visited most-involved first and
-    candidates feature-matched first, then lexicographically.
+    Case objects may also stay unmapped. Deterministic: objects are visited
+    most-involved first and candidates feature-matched first, then
+    lexicographically, and the best mapping changes only on a strict
+    improvement. The bound counts every undecided atom that can still match:
+    an atom dies as soon as one of its objects stays unmapped, or the image of
+    its mapped positions is part of no atom of its target (the init or the
+    goal), since then no completion can match. Pruning so never loses the true
+    maximum. If ``node_budget`` runs out, the best mapping found so far is
+    returned; the nodes are an in-order subsequence of those of the search
+    without the partial-image test, so the result is the same as without it
+    when the budget suffices and never scores lower when it runs out.
+
+    ``index``, when given, is ``mapping_index(problem)``, already built; a
+    caller mapping many cases onto one problem builds it once.
     """
-    targets = (problem.init, problem.goal)
-    target_preds = (frozenset(a.predicate for a in problem.init),
-                    frozenset(a.predicate for a in problem.goal))
-
+    if index is None:
+        index = mapping_index(problem)
     constraints = _slot_constraints(case, problem)
-    types = problem.domain.types
-    prob_feats = {o: object_features(problem, o) for o in problem.objects}
 
-    atoms: list[tuple[Atom, int]] = [(a, 0) for a in sorted(case.init)]
-    atoms += [(a, 1) for a in sorted(case.goal)]
-
-    atom_objs = [tuple(sorted(set(a.args))) for a, _ in atoms]
+    # each case atom with the image set of its target
+    atoms = [(a, index.images[0]) for a in sorted(case.init)]
+    atoms += [(a, index.images[1]) for a in sorted(case.goal)]
     obj_atoms: dict[str, list[int]] = {o: [] for o in constraints}
-    for ai, objs in enumerate(atom_objs):
-        for o in objs:
+    for ai, (atom, _) in enumerate(atoms):
+        for o in set(atom.args):
             obj_atoms[o].append(ai)
 
+    # depth d of the search decides case object case_objs[d], into assign[d]
     case_objs = sorted(constraints, key=lambda o: (-len(obj_atoms[o]), o))
+    depth_of = {o: d for d, o in enumerate(case_objs)}
+    rows = [(target, index.predicates.get((a.predicate, len(a.args)), UNSET),
+             tuple(depth_of[x] for x in a.args)) for a, target in atoms]
+    # per depth: (atom, target, predicate id, argument depths, whether it completes the atom)
+    depth_rows = [[(ai, *rows[ai], max(rows[ai][2]) == d) for ai in obj_atoms[o]]
+                  for d, o in enumerate(case_objs)]
 
-    candidates: dict[str, list[str]] = {}
+    everything = frozenset(range(len(index.objects)))
+    candidates: list[list[int]] = []
     for o in case_objs:
         feats = object_features(case, o)
-        ok = [p for p, ptype in sorted(problem.objects.items())
-              if all(is_subtype(types, ptype, t) for t in constraints[o])]
-        candidates[o] = sorted(ok, key=lambda p: (prob_feats[p] != feats, p))
+        ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
+        candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)) + [UNSET])
 
-    remaining = [len(objs) for objs in atom_objs]
     status = []
     matched = 0
     alive = 0
-    for ai, (atom, tset) in enumerate(atoms):
-        if remaining[ai] == 0:
-            status.append(_MATCHED if atom in targets[tset] else _DEAD)
-            matched += status[ai] == _MATCHED
-        elif atom.predicate not in target_preds[tset]:
+    for target, pid, slots in rows:
+        if (pid, *[UNSET] * len(slots)) not in target:
             status.append(_DEAD)
+        elif not slots:
+            status.append(_MATCHED)
+            matched += 1
         else:
             status.append(_OPEN)
             alive += 1
     max_possible = matched + alive
 
-    assign: dict[str, str | None] = {}
-    used: set[str] = set()
+    assign = [UNSET] * len(case_objs)
+    used = [False] * len(index.objects)
     best_assign: dict[str, str] = {}
     best_score = -1
     nodes = 0
     exhausted = False
 
-    def assign_obj(obj: str, val: str | None) -> tuple[list[int], int, int]:
+    def assign_obj(depth: int, val: int) -> list[int]:
         nonlocal matched, alive
         flipped = []
-        for ai in obj_atoms[obj]:
-            remaining[ai] -= 1
+        for ai, target, pid, slots, completes in depth_rows[depth]:
             if status[ai] != _OPEN:
                 continue
-            if val is None:
+            if val == UNSET or (pid, *[assign[s] for s in slots]) not in target:
                 status[ai] = _DEAD
-                alive -= 1
-                flipped.append(ai)
-            elif remaining[ai] == 0:
-                atom, tset = atoms[ai]
-                key = Atom(atom.predicate, tuple(assign[x] for x in atom.args))
-                if key in targets[tset]:
-                    status[ai] = _MATCHED
-                    matched += 1
-                else:
-                    status[ai] = _DEAD
-                alive -= 1
-                flipped.append(ai)
-        return flipped, matched, alive
+            elif not completes:
+                continue
+            else:
+                status[ai] = _MATCHED
+                matched += 1
+            alive -= 1
+            flipped.append(ai)
+        return flipped
 
-    def undo(obj: str, flipped: list[int]) -> None:
+    def undo(flipped: list[int]) -> None:
         nonlocal matched, alive
-        for ai in obj_atoms[obj]:
-            remaining[ai] += 1
         for ai in flipped:
             if status[ai] == _MATCHED:
                 matched -= 1
@@ -176,26 +234,26 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
         if depth == len(case_objs):
             if matched > best_score:
                 best_score = matched
-                best_assign = {o: v for o, v in assign.items() if v is not None}
+                best_assign = {o: index.objects[v] for o, v in zip(case_objs, assign)
+                               if v != UNSET}
             return
-        obj = case_objs[depth]
-        for val in candidates[obj] + [None]:
-            if val is not None and val in used:
+        for val in candidates[depth]:
+            if val != UNSET and used[val]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 exhausted = True
                 return
-            assign[obj] = val
-            if val is not None:
-                used.add(val)
-            flipped, _, _ = assign_obj(obj, val)
+            assign[depth] = val
+            if val != UNSET:
+                used[val] = True
+            flipped = assign_obj(depth, val)
             if matched + alive > best_score:
                 dfs(depth + 1)
-            undo(obj, flipped)
-            if val is not None:
-                used.discard(val)
-            del assign[obj]
+            undo(flipped)
+            if val != UNSET:
+                used[val] = False
+            assign[depth] = UNSET
             if exhausted or best_score == max_possible:
                 return
 
@@ -236,11 +294,17 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     return fragments
 
 
-def build_fragments(problem: PlanningProblem,
-                    cases: list[tuple[str, CaseFile]]) -> list[Fragment]:
-    """Best-map every case onto the problem and collect all plan fragments."""
+def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
+                    index: MappingIndex | None = None) -> list[Fragment]:
+    """Best-map every case onto the problem and collect all plan fragments.
+
+    ``index``, when given, is ``mapping_index(problem)``; otherwise it is built
+    once here for all the cases.
+    """
+    if index is None and cases:
+        index = mapping_index(problem)
     out: list[Fragment] = []
     for name, case in cases:
-        mapping = best_mapping(case, problem)
+        mapping = best_mapping(case, problem, index=index)
         out.extend(extract_fragments(case, mapping, problem, source=name))
     return out

@@ -7,11 +7,26 @@ file I/O.
 
 from __future__ import annotations
 
+import functools
+import random
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from caseplan import ActionSchema, Atom, CaseFile, DomainModel, GroundAction, PlanningProblem
+from caseplan import (
+    ActionSchema,
+    Atom,
+    CaseFile,
+    DomainModel,
+    GroundAction,
+    PlanningProblem,
+    SearchConfig,
+    generate_case_library,
+    parse_domain,
+    random_blocks_problem,
+)
+from caseplan.generators import random_walk_problem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "blocks"
 
@@ -200,3 +215,30 @@ def depots_start(rng):
         tops[place] = f"crate{j}"
     init |= {Atom("clear", (top,)) for top in tops.values()}
     return objects, frozenset(init), frozenset({"on", "at"})
+
+
+# Typed instances for property tests. A problem and its cases share one
+# seeded stream; typed problems come from a random walk over a valid start.
+
+SMALL_SEARCH = SearchConfig(max_expansions=300)
+
+
+@functools.cache
+def typed_instance(name: str, seed: int):
+    """A vendored domain's complete model, one problem and a library of up to
+    three cases solved under that model."""
+    domain = parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
+    rng = random.Random(seed)
+
+    def draw(label):
+        if name == "blocks":
+            return random_blocks_problem(domain, 4, rng, name=label)
+        start = driverlog_start if name == "driverlog" else depots_start
+        objects, init, goal_predicates = start(rng)
+        return random_walk_problem(domain, objects, init, rng, walk_length=40,
+                                   goal_predicates=goal_predicates, name=label)
+
+    problem = draw("target")
+    cases = generate_case_library(domain, 3, seed, config=SMALL_SEARCH,
+                                  problems=[draw(f"case{i}") for i in range(3)])
+    return domain, problem, cases

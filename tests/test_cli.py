@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import caseplan.cli
+import caseplan.mapping
 from caseplan import parse_domain, parse_problem, read_case_library
 from caseplan.cases import read_plan, read_rows
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
@@ -80,6 +82,23 @@ def test_map_reports_scores(capsys):
     lines = stdout.splitlines()
     assert lines[0] == "p1: score=10 {b1->c b2->a b3->b b4->d}"
     assert lines[1] == "p2: score=6 {b1->b b2->a b3->c}"
+
+
+def test_map_builds_one_index(capsys, monkeypatch):
+    calls = []
+    real = caseplan.cli.mapping_index
+
+    def counted(problem):
+        calls.append(problem.name)
+        return real(problem)
+
+    monkeypatch.setattr(caseplan.cli, "mapping_index", counted)
+    monkeypatch.setattr(caseplan.mapping, "mapping_index", counted)
+    code, stdout, _ = run(capsys, "map", "--domain", DOMAIN,
+                          "--problem", TOWER, "--cases", CASES)
+    assert code == OK
+    assert len(stdout.splitlines()) == 2
+    assert calls == ["tower"]
 
 
 def test_mine_golden_patterns(capsys):

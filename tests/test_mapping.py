@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import random
+from importlib import resources
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import caseplan.mapping
 from caseplan import (
     CaseFile,
     best_mapping,
+    build_fragments,
     extract_fragments,
+    mapping_index,
     mapping_score,
     object_features,
     parse_domain,
 )
-from caseplan.strips import PlanningProblem
+from caseplan.strips import PlanningProblem, is_subtype
 
-from .conftest import P1_FRAGMENT, P2_FRAGMENT, atoms, plan
-from .oracles import bruteforce_best_score
+from .conftest import P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
+from .oracles import _slot_constraints, best_mapping_unindexed, bruteforce_best_score
 
 P1_MAPPING = {"b4": "d", "b1": "c", "b3": "b", "b2": "a"}
 P2_MAPPING = {"b3": "c", "b1": "b", "b2": "a"}
@@ -143,8 +150,7 @@ def test_unknown_action_splits_fragments(tower, p1):
     assert len(frags) == 2
 
 
-def test_typed_mapping_respects_slots():
-    from importlib import resources
+def typed_driverlog():
     text = (resources.files("caseplan") / "domains" / "driverlog.pddl").read_text()
     domain = parse_domain(text)
     objects = {"t1": "truck", "d1": "driver", "p1": "obj",
@@ -158,6 +164,11 @@ def test_typed_mapping_respects_slots():
         init=atoms("at truck0 l0", "at drv0 l0", "empty truck0"),
         goal=atoms("at pkg0 l0"),
         plan=plan("board-truck drv0 truck0 l0"))
+    return case, problem
+
+
+def test_typed_mapping_respects_slots():
+    case, problem = typed_driverlog()
     mapping = best_mapping(case, problem)
     # each case object may only land on a problem object fitting its slots
     assert mapping.get("truck0") == "t1"
@@ -170,3 +181,60 @@ def test_budget_exhaustion_still_returns_a_mapping(tower, p1):
     assert isinstance(mapping, dict)
     score = mapping_score(p1, mapping, tower)
     assert 0 <= score <= 10
+    for case, problem in ((p1, tower), typed_driverlog()):
+        slots = _slot_constraints(case, problem)
+        types = problem.domain.types
+        for budget in range(1, 6):
+            mapping = best_mapping(case, problem, node_budget=budget)
+            assert len(set(mapping.values())) == len(mapping)
+            for obj, image in mapping.items():
+                assert all(is_subtype(types, problem.objects[image], t) for t in slots[obj])
+
+
+# Typed problems and case libraries on all three vendored domains, against the
+# earlier kernel kept in tests/oracles.py.
+
+instances = st.builds(typed_instance, st.sampled_from(["blocks", "driverlog", "depots"]),
+                      st.integers(0, 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances)
+def test_best_mapping_matches_unindexed_reference(instance):
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    for _, case in cases:
+        expected = best_mapping_unindexed(case, problem)
+        assert best_mapping(case, problem, index=index) == expected
+        assert best_mapping(case, problem) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances)
+def test_budget_never_scores_below_unindexed_reference(instance):
+    # the kernel's nodes are an in-order subsequence of the reference's, so at
+    # equal budget it gets at least as far
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    for _, case in cases:
+        for budget in range(1, 51):
+            found = best_mapping(case, problem, node_budget=budget, index=index)
+            expected = best_mapping_unindexed(case, problem, node_budget=budget)
+            assert mapping_score(case, found, problem) >= \
+                mapping_score(case, expected, problem)
+
+
+def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
+    calls = []
+    real = caseplan.mapping.mapping_index
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(caseplan.mapping, "mapping_index", counted)
+    fragments = build_fragments(tower, [("p1", p1), ("p2", p2)])
+    assert calls == [tower]
+    assert [f.actions for f in fragments] == [P1_FRAGMENT, P2_FRAGMENT]
+    assert build_fragments(tower, []) == []
+    assert calls == [tower]

@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import replace
-from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseplan import (
     DegradeSpec,
-    SearchConfig,
     build_fragments,
     degrade,
     execute_plan,
     generate_case_library,
-    parse_domain,
     random_blocks_problem,
     solve_with_library,
 )
 from caseplan.evaluate import check_solution
-from caseplan.generators import random_walk_problem
 from caseplan.pipeline import (
     ROUTE_FRAGMENTS,
     ROUTE_SEARCH,
@@ -32,14 +27,7 @@ from caseplan.pipeline import (
 )
 from caseplan.strips import PlanningProblem
 
-from .conftest import (
-    GOLDEN_SOLUTION,
-    atoms,
-    depots_start,
-    driverlog_start,
-    make_p1,
-    make_p2,
-)
+from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
 
 
 def library():
@@ -119,33 +107,6 @@ def test_concat_results_execute_under_incomplete_model(blocks, incomplete_blocks
         outcome = solve_with_library(problem, cases, 2, search_fallback=False)
         if outcome.plan is not None and outcome.route == ROUTE_FRAGMENTS:
             assert execute_plan(problem, outcome.plan).success
-
-
-# Typed instances for the properties below. A problem and its cases share one
-# seeded stream; typed problems come from a random walk over a valid start.
-
-SMALL_SEARCH = SearchConfig(max_expansions=300)
-
-
-@functools.cache
-def typed_instance(name: str, seed: int):
-    """A vendored domain's complete model, one problem and a library of up to
-    three cases solved under that model."""
-    domain = parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
-    rng = random.Random(seed)
-
-    def draw(label):
-        if name == "blocks":
-            return random_blocks_problem(domain, 4, rng, name=label)
-        start = driverlog_start if name == "driverlog" else depots_start
-        objects, init, goal_predicates = start(rng)
-        return random_walk_problem(domain, objects, init, rng, walk_length=40,
-                                   goal_predicates=goal_predicates, name=label)
-
-    problem = draw("target")
-    cases = generate_case_library(domain, 3, seed, config=SMALL_SEARCH,
-                                  problems=[draw(f"case{i}") for i in range(3)])
-    return domain, problem, cases
 
 
 instances = st.builds(typed_instance, st.sampled_from(["blocks", "driverlog", "depots"]),
