@@ -176,10 +176,16 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     depth_rows = [[(ai, *rows[ai], max(rows[ai][2]) == d) for ai in obj_atoms[o]]
                   for d, o in enumerate(case_objs)]
 
+    # object_features of every case object, from one pass over the case
+    case_features: dict[str, set[str]] = {o: set() for o in case_objs}
+    for atom in itertools.chain(case.init, case.goal):
+        if len(atom.args) == 1:
+            case_features[atom.args[0]].add(atom.predicate)
+
     everything = frozenset(range(len(index.objects)))
     candidates: list[list[int]] = []
     for o in case_objs:
-        feats = object_features(case, o)
+        feats = frozenset(case_features[o])
         ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
         candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)) + [UNSET])
 

@@ -47,48 +47,55 @@ class SolveResult:
 def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Grounding) -> float:
     """Additive delete-relaxation cost of the goal set from a state.
 
-    Dijkstra over atoms: an action fires once all its preconditions have
-    final costs and charges 1 plus their sum to every atom it adds.
+    An action fires once all its preconditions have final costs and charges 1
+    plus their sum to every atom it adds. Every action costs 1, so every cost
+    is an integer, and atoms are settled from a list of buckets indexed by
+    cost (Dial's algorithm) instead of a heap. Buckets are read in increasing
+    cost, the order in which Dijkstra's algorithm pops atoms up to ties. A
+    firing from bucket c charges at least c + 1, so no bucket grows while it
+    is read and an atom's cost is final when its bucket is reached; an entry
+    above that cost is stale and skipped. The order of the atoms within a
+    bucket changes only the order in which the same sums are added, so every
+    cost, and the value, is the one Dijkstra's algorithm gives.
     """
-    n = len(grounding.atoms)
-    cost = [math.inf] * n
+    adds = grounding.adds
+    waiting = grounding.waiting
+    cost = [math.inf] * len(grounding.atoms)
     remaining = list(grounding.pre_counts)
-    acc = [1.0] * len(remaining)
-    heap: list[tuple[float, int]] = []
-
+    acc = [1] * len(remaining)
     for a in state:
-        cost[a] = 0.0
-        heap.append((0.0, a))
-    heapq.heapify(heap)
-
-    def fire(op_idx: int) -> None:
-        c = acc[op_idx]
-        for b in grounding.ops_ids[op_idx][1]:
-            if c < cost[b]:
-                cost[b] = c
-                heapq.heappush(heap, (c, b))
-
+        cost[a] = 0
+    buckets: list[list[int]] = [list(state), []]
     for op_idx in grounding.free_ops:
-        fire(op_idx)
+        for b in adds[op_idx]:
+            if 1 < cost[b]:
+                cost[b] = 1
+                buckets[1].append(b)
 
-    done = [False] * n
-    while heap:
-        c, a = heapq.heappop(heap)
-        if done[a] or c > cost[a]:
-            continue
-        done[a] = True
-        for op_idx in grounding.waiting[a]:
-            acc[op_idx] += c
-            remaining[op_idx] -= 1
-            if remaining[op_idx] == 0:
-                fire(op_idx)
+    c = 0
+    while c < len(buckets):
+        for a in buckets[c]:
+            if cost[a] != c:  # settled from a cheaper bucket
+                continue
+            for op_idx in waiting[a]:
+                acc[op_idx] += c
+                remaining[op_idx] -= 1
+                if not remaining[op_idx]:
+                    k = acc[op_idx]
+                    for b in adds[op_idx]:
+                        if k < cost[b]:
+                            cost[b] = k
+                            while len(buckets) <= k:
+                                buckets.append([])
+                            buckets[k].append(b)
+        c += 1
 
-    total = 0.0
+    total = 0
     for gid in goal_ids:
         if cost[gid] == math.inf:
             return math.inf
         total += cost[gid]
-    return total
+    return float(total)
 
 
 def relaxed_add_heuristic(state, goal, grounding: Grounding) -> float:
@@ -130,7 +137,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     while heap:
         _, _, state = heapq.heappop(heap)
         if goal <= state:
-            plan = _reconstruct(parent, state, grounding.actions)
+            plan = _reconstruct(parent, state, grounding.ground_actions)
             check = execute_plan(problem, plan)
             if not check.success:
                 raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
@@ -154,7 +161,7 @@ def _reconstruct(parent, state, actions) -> Plan:
     cur = state
     while parent[cur] is not None:
         prev, op_idx = parent[cur]
-        steps.append(actions[op_idx].action)
+        steps.append(actions[op_idx])
         cur = prev
     steps.reverse()
     return tuple(steps)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, TypeAlias
 
@@ -258,9 +260,19 @@ def execute_plan(problem: PlanningProblem, plan: Plan) -> ExecutionResult:
 class Grounding:
     """All well-typed ground atoms and actions over a (domain, objects) pair.
 
-    Also carries the integer encoding of the atom universe that search code
-    works in: each action's (pre, add, delete) atom ids, the successors of an
-    encoded state, and the index that h_add reads. Immutable after
+    Predicates, schemas and the object pool of every type are taken in sorted
+    order, so atoms and actions come out sorted and duplicate-free, and the
+    atom whose arguments sit at positions k_1..k_m of their pools has id
+    ``base[pred] + Σ k_i × stride_i``. Each schema atom is compiled once into
+    a template of that arithmetic over the pools of the schema's parameters,
+    which gives its id under every ground action of the schema at once: no
+    action is grounded into :class:`Atom` values and no atom is looked up.
+
+    Carries the integer encoding of the atom universe that search code works
+    in: each action's (pre, add, delete) atom ids, the successors of an
+    encoded state, and the index that h_add reads. ``ground_actions`` names
+    the actions; the :class:`GroundedAction` table ``actions`` is built
+    through :func:`grounded` on first access only. Immutable after
     construction; safe to share across the per-goal solver calls of one
     problem.
     """
@@ -269,37 +281,82 @@ class Grounding:
         self.domain = domain
         self.objects = dict(objects)
 
-        by_type: dict[str, list[str]] = {}
-        for t in domain.types:
-            by_type[t] = sorted(o for o, ot in objects.items()
-                                if is_subtype(domain.types, ot, t))
+        pools: dict[str, list[str]] = {
+            t: sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t))
+            for t in domain.types}
+        where = {t: {o: k for k, o in enumerate(pool)} for t, pool in pools.items()}
 
-        # predicates, schemas and type pools are all iterated in sorted order,
-        # so atoms and actions come out sorted and duplicate-free
-        self.atoms: tuple[Atom, ...] = tuple(
-            Atom(pred, combo) for pred in sorted(domain.predicates)
-            for combo in itertools.product(*(by_type[t] for t in domain.predicates[pred])))
+        atoms: list[Atom] = []
+        layout: dict[str, tuple[int, list[int]]] = {}  # predicate -> (base, strides)
+        for pred in sorted(domain.predicates):
+            sig = domain.predicates[pred]
+            strides = [math.prod(len(pools[t]) for t in sig[i + 1:]) for i in range(len(sig))]
+            layout[pred] = (len(atoms), strides)
+            atoms.extend(Atom(pred, combo) for combo in itertools.product(*(pools[t] for t in sig)))
+        self.atoms: tuple[Atom, ...] = tuple(atoms)
         self.atom_index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
-        self.actions: tuple[GroundedAction, ...] = tuple(
-            grounded(domain, GroundAction(name, combo)) for name in sorted(domain.schemas)
-            for combo in itertools.product(*(by_type[t] for _, t in domain.schemas[name].params)))
 
-        # (pre, add, delete) atom ids of each ground action, aligned with ``actions``
+        names: list[GroundAction] = []
+        sets: tuple[list[frozenset[int]], ...] = ([], [], [])  # pre, add, delete of each op
+        for name in sorted(domain.schemas):
+            schema = domain.schemas[name]
+            params = [pools[t] for _, t in schema.params]
+            combos = list(itertools.product(*params))
+            names.extend(GroundAction(name, combo) for combo in combos)
+            for templates, out in zip((schema.pre, schema.add, schema.delete), sets):
+                columns = [self._compile(atom, schema, params, layout, where) for atom in templates]
+                out.extend(map(frozenset, zip(*columns)) if columns
+                           else [frozenset()] * len(combos))
+        self.ground_actions: tuple[GroundAction, ...] = tuple(names)
+
+        # (pre, add, delete) atom ids of each ground action, aligned with ``ground_actions``
         self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
-            (self.encode(ga.pre), self.encode(ga.add), self.encode(ga.delete))
-            for ga in self.actions)
+            zip(*sets))
 
-        # the delete-relaxation index read by h_add: for each atom, the ops that
-        # have it as a precondition (ascending); each op's precondition count;
-        # and the ops with none, which fire from every state
+        # the delete-relaxation index read by h_add: each op's add ids and, for
+        # each atom, the ops that have it as a precondition, both ascending; each
+        # op's precondition count; and the ops with none, which fire from every state
+        self.adds: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(add)) for add in sets[1])
         waiting: list[list[int]] = [[] for _ in self.atoms]
-        for op_idx, (pre, _, _) in enumerate(self.ops_ids):
+        for op_idx, pre in enumerate(sets[0]):
             for a in pre:
                 waiting[a].append(op_idx)
         self.waiting: tuple[tuple[int, ...], ...] = tuple(map(tuple, waiting))
-        self.pre_counts: tuple[int, ...] = tuple(len(pre) for pre, _, _ in self.ops_ids)
+        self.pre_counts: tuple[int, ...] = tuple(map(len, sets[0]))
         self.free_ops: tuple[int, ...] = tuple(
             op_idx for op_idx, n in enumerate(self.pre_counts) if n == 0)
+
+    def _compile(self, atom: Atom, schema: ActionSchema, params: list[list[str]],
+                 layout: dict[str, tuple[int, list[int]]],
+                 where: dict[str, dict[str, int]]) -> list[int]:
+        """The id of a schema atom under each ground action of the schema, in
+        action order: each parameter in turn adds its object's pool position
+        times the stride of every atom position it fills."""
+        base, strides = layout[atom.predicate]
+        sig = self.domain.predicates[atom.predicate]
+        ids = [base]
+        for (var, _), pool in zip(schema.params, params):
+            step = [0] * len(pool)
+            for arg, t, stride in zip(atom.args, sig, strides):
+                if arg != var:
+                    continue
+                for k, obj in enumerate(pool):
+                    pos = where[t].get(obj)
+                    if pos is None:
+                        if not all(params):  # the schema has no ground action
+                            return []
+                        binding = {v: p[0] for (v, _), p in zip(schema.params, params)}
+                        binding[var] = obj
+                        bad = Atom(atom.predicate, tuple(binding[x] for x in atom.args))
+                        raise StripsError(f"atom {bad} is outside the ground atom universe")
+                    step[k] += pos * stride
+            ids = [i + d for i in ids for d in step]
+        return ids
+
+    @functools.cached_property
+    def actions(self) -> tuple[GroundedAction, ...]:
+        """Every ground action with its atom sets, aligned with ``ops_ids``."""
+        return tuple(grounded(self.domain, action) for action in self.ground_actions)
 
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":

@@ -12,6 +12,7 @@ import itertools
 import math
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import replace
 
 from caseplan import Atom, CaseFile, DomainModel, PlanningProblem, grounded, object_features
@@ -386,6 +387,57 @@ def h_add_rebuilding_index(state: frozenset[int], goal_ids: tuple[int, ...],
             return math.inf
         total += cost[gid]
     return total
+
+
+# The earlier Grounding construction, kept unchanged as the reference for
+# caseplan.strips.Grounding, which now compiles each schema atom into index
+# arithmetic over the object pools instead of grounding every action through
+# grounded and encoding its Atom sets.
+
+class GroundingThroughGrounded:
+    """The atoms, actions and integer index of a (domain, objects) pair."""
+
+    def __init__(self, domain: DomainModel, objects: dict[str, str]):
+        self.domain = domain
+        self.objects = dict(objects)
+
+        by_type: dict[str, list[str]] = {}
+        for t in domain.types:
+            by_type[t] = sorted(o for o, ot in objects.items()
+                                if is_subtype(domain.types, ot, t))
+
+        # predicates, schemas and type pools are all iterated in sorted order,
+        # so atoms and actions come out sorted and duplicate-free
+        self.atoms: tuple[Atom, ...] = tuple(
+            Atom(pred, combo) for pred in sorted(domain.predicates)
+            for combo in itertools.product(*(by_type[t] for t in domain.predicates[pred])))
+        self.atom_index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.actions: tuple[GroundedAction, ...] = tuple(
+            grounded(domain, GroundAction(name, combo)) for name in sorted(domain.schemas)
+            for combo in itertools.product(*(by_type[t] for _, t in domain.schemas[name].params)))
+
+        # (pre, add, delete) atom ids of each ground action, aligned with ``actions``
+        self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
+            (self.encode(ga.pre), self.encode(ga.add), self.encode(ga.delete))
+            for ga in self.actions)
+
+        # the delete-relaxation index read by h_add: for each atom, the ops that
+        # have it as a precondition (ascending); each op's precondition count;
+        # and the ops with none, which fire from every state
+        waiting: list[list[int]] = [[] for _ in self.atoms]
+        for op_idx, (pre, _, _) in enumerate(self.ops_ids):
+            for a in pre:
+                waiting[a].append(op_idx)
+        self.waiting: tuple[tuple[int, ...], ...] = tuple(map(tuple, waiting))
+        self.pre_counts: tuple[int, ...] = tuple(len(pre) for pre, _, _ in self.ops_ids)
+        self.free_ops: tuple[int, ...] = tuple(
+            op_idx for op_idx, n in enumerate(self.pre_counts) if n == 0)
+
+    def encode(self, atoms: Iterable[Atom]) -> frozenset[int]:
+        try:
+            return frozenset(self.atom_index[a] for a in atoms)
+        except KeyError as err:
+            raise StripsError(f"atom {err.args[0]} is outside the ground atom universe") from None
 
 
 # The earlier best_mapping, kept unchanged as the reference for

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseplan import (
+    ActionSchema,
     DegradeSpec,
+    DomainModel,
     Grounding,
     PlanningProblem,
     SearchConfig,
@@ -96,6 +98,47 @@ def test_heuristic_infinite_when_unreachable(blocks):
     problem = make_tower_problem(model)
     grounding = Grounding.for_problem(problem)
     assert relaxed_add_heuristic(problem.init, problem.goal, grounding) == math.inf
+
+
+def test_heuristic_is_a_float(blocks):
+    problem = make_tower_problem(blocks)
+    grounding = Grounding.for_problem(problem)
+    held = relaxed_add_heuristic(problem.init, atoms("on c a"), grounding)
+    reachable = relaxed_add_heuristic(problem.init, problem.goal, grounding)
+    assert (held, type(held)) == (0.0, float)
+    assert type(reachable) is float and 0 < reachable < math.inf
+    model = degrade(blocks, DegradeSpec(completeness=0.0, seed=1, scope=("add",)))
+    problem = make_tower_problem(model)
+    unreachable = relaxed_add_heuristic(problem.init, problem.goal,
+                                        Grounding.for_problem(problem))
+    assert (unreachable, type(unreachable)) == (math.inf, float)
+
+
+def test_h_add_settles_each_atom_once_at_its_least_cost():
+    # Propositional ops (pre -> add). (t) is first charged 1 + 4 by `four`,
+    # then lowered to 1 + 2 by `late`; (u) is added by two free ops. An atom
+    # taken twice would fire `join_t` and `join_u` before (w6), at cost 6.
+    def op(name, pre, add):
+        return ActionSchema(name, (), pre=atoms(*pre), add=atoms(*add), delete=frozenset())
+
+    chain = [op(f"w{i}", [f"w{i - 1}" if i > 1 else "s"], [f"w{i}"]) for i in range(1, 7)]
+    ops = chain + [
+        op("xs", ["s"], ["x1", "x2", "x3", "x4"]), op("y", ["x1"], ["y"]),
+        op("four", ["x1", "x2", "x3", "x4"], ["t"]), op("late", ["y"], ["t"]),
+        op("free1", [], ["u"]), op("free2", [], ["u"]),
+        op("join_t", ["t", "w6"], ["g"]), op("join_u", ["u", "w6"], ["h"]),
+    ]
+    names = {a.predicate for o in ops for a in o.pre | o.add}
+    model = DomainModel(name="p", types={}, predicates={n: () for n in names},
+                        schemas={o.name: o for o in ops})
+    grounding = Grounding(model, {})
+    assert relaxed_add_heuristic(atoms("s"), atoms("t"), grounding) == 3
+    assert relaxed_add_heuristic(atoms("s"), atoms("g"), grounding) == 1 + 3 + 6
+    assert relaxed_add_heuristic(atoms("s"), atoms("h"), grounding) == 1 + 1 + 6
+    for goal in ("g", "h"):
+        state, goal_ids = grounding.encode(atoms("s")), tuple(grounding.encode(atoms(goal)))
+        assert _h_add(state, goal_ids, grounding) == h_add_rebuilding_index(
+            state, goal_ids, grounding)
 
 
 def test_heuristic_sanity_bound_against_optimal(blocks):

@@ -28,18 +28,56 @@ from caseplan import (
 from caseplan.strips import PlanningProblem
 
 from .conftest import A, GA, GOLDEN_SOLUTION, atoms, make_tower_problem
-from .oracles import instantiate, substitute
+from .oracles import GroundingThroughGrounded, instantiate, substitute
 
 DOMAIN_NAMES = ("blocks", "driverlog", "depots")
+
+
+@functools.cache
+def packaged_domain(name: str) -> DomainModel:
+    return parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
 
 
 @functools.cache
 def typed_grounding(name: str, completeness: float) -> Grounding:
     """A packaged domain, degraded with a fixed seed, grounded over two objects
     of every declared type."""
-    model = parse_domain((resources.files("caseplan") / "domains" / f"{name}.pddl").read_text())
-    model = degrade(model, DegradeSpec(completeness=completeness, seed=3))
+    model = degrade(packaged_domain(name), DegradeSpec(completeness=completeness, seed=3))
     return Grounding(model, {f"{t}{i}": t for t in model.types for i in (1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DOMAIN_NAMES), st.sampled_from([1.0, 0.5, 0.2]), st.integers(0, 5),
+       st.data())
+def test_grounding_matches_grounding_through_grounded(name, completeness, seed, data):
+    model = degrade(packaged_domain(name), DegradeSpec(completeness=completeness, seed=seed))
+    objects = {f"{t}{i}": t for t in sorted(model.types)
+               for i in range(data.draw(st.integers(0, 2), label=t))}
+    reference = GroundingThroughGrounded(model, objects)
+    grounding = Grounding(model, objects)
+    assert grounding.atoms == reference.atoms
+    assert grounding.ops_ids == reference.ops_ids
+    assert grounding.waiting == reference.waiting
+    assert grounding.pre_counts == reference.pre_counts
+    assert grounding.free_ops == reference.free_ops
+    assert grounding.adds == tuple(tuple(sorted(add)) for _, add, _ in reference.ops_ids)
+    assert grounding.ground_actions == tuple(ga.action for ga in reference.actions)
+    assert grounding.actions == reference.actions
+
+
+def test_grounding_rejects_schema_broader_than_its_predicate():
+    # ?x ranges over every object, but (clear ?x) only takes blocks, so
+    # (pickup t1 h1) would need (clear t1), which is no ground atom; with no
+    # hand there is no ground pickup, and nothing to reject
+    schema = ActionSchema("pickup", (("?x", "object"), ("?h", "hand")),
+                          pre=frozenset({A("clear ?x")}), add=frozenset(),
+                          delete=frozenset({A("clear ?x")}))
+    model = DomainModel(name="d", types={"block": "object", "hand": "object"},
+                        predicates={"clear": ("block",)}, schemas={"pickup": schema})
+    for build in (Grounding, GroundingThroughGrounded):
+        with pytest.raises(StripsError, match="outside the ground atom universe"):
+            build(model, {"b1": "block", "t1": "object", "h1": "hand"})
+        assert build(model, {"b1": "block", "t1": "object"}).ops_ids == ()
 
 
 def test_grounded_pickup(blocks):
