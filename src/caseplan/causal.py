@@ -73,9 +73,7 @@ def single_goal_plans(problem: PlanningProblem, config: SearchConfig | None = No
     grounding = grounding or Grounding.for_problem(problem)
     out = []
     for atom in sorted(problem.goal):
-        sub = PlanningProblem(name=f"{problem.name}/{atom.pddl()}", domain=problem.domain,
-                              objects=problem.objects, init=problem.init,
-                              goal=frozenset({atom}))
+        sub = problem._with_own_goal(f"{problem.name}/{atom.pddl()}", frozenset({atom}))
         out.append((atom, solve(sub, config, grounding)))
     return out
 

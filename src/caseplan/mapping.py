@@ -14,6 +14,17 @@ target atom, a look-ahead in the manner of VF2 (Cordella et al., 2004). That
 test only prunes subtrees that cannot beat the best mapping found, so the
 result is the one the search without it returns whenever the node budget
 suffices, and never scores lower when the budget runs out.
+
+A partial image is one int, ``pid + P * sum((obj_j + 1) * R**j)``: ``pid`` is
+the id of the atom's (predicate, arity), ``P`` the number of such ids, ``R``
+the number of objects plus one, and an unmapped position adds 0. The key is
+linear in each position, so the search keeps one running key per case atom,
+starting at its ``pid``: mapping a case object to ``obj`` adds
+``(obj + 1) * mult`` to the key of each undecided atom it occurs in, where
+``mult`` sums ``P * R**j`` over the object's positions j in the atom, and
+backtracking subtracts it again. Checking an atom is then one set lookup of
+an int, and a node whose value cannot beat the bound is rejected after one
+pass over its atoms, before any state changes.
 """
 
 from __future__ import annotations
@@ -101,12 +112,21 @@ class MappingIndex:
     features: tuple[frozenset[str], ...]  # object id -> its object_features
     fitting: Mapping[str, frozenset[int]]  # type -> ids of the objects that fit it
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
-    # per target (init, goal): every partial image of every atom, as
-    # (predicate id, *object ids) with any subset of the ids replaced by UNSET
-    images: tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]
+    # per target (init, goal): the _image_key of every partial image of every atom
+    images: tuple[frozenset[int], frozenset[int]]
 
 
 UNSET = -1  # no problem object (yet): never an object id
+
+
+def _image_key(pid: int, args: list[int], predicates: int, radix: int) -> int:
+    """A partial image's key: ``pid + predicates * sum((a + 1) * radix**j)``.
+
+    ``predicates`` is the number of predicate ids and ``radix`` the number of
+    objects plus one, so each position is one base-``radix`` digit, 0 where
+    the argument is UNSET; distinct images get distinct keys.
+    """
+    return pid + predicates * sum((a + 1) * radix ** j for j, a in enumerate(args))
 
 
 def mapping_index(problem: PlanningProblem) -> MappingIndex:
@@ -118,21 +138,22 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
                             if is_subtype(types, problem.objects[o], t))
                for t in types}
     predicates: dict[tuple[str, int], int] = {}
+    for atom in itertools.chain(problem.init, problem.goal):
+        predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+    radix = len(objects) + 1
     images = []
     for atoms in (problem.init, problem.goal):
         keys = set()
         for atom in atoms:
-            pid = predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+            pid = predicates[(atom.predicate, len(atom.args))]
             args = [ids[a] for a in atom.args]
             for kept in itertools.product((True, False), repeat=len(args)):
-                keys.add((pid, *[a if k else UNSET for a, k in zip(args, kept)]))
+                keys.add(_image_key(pid, [a if k else UNSET for a, k in zip(args, kept)],
+                                    len(predicates), radix))
         images.append(frozenset(keys))
     return MappingIndex(objects, tuple(object_features(problem, o) for o in objects),
                         MappingProxyType(fitting), MappingProxyType(predicates),
                         (images[0], images[1]))
-
-
-_OPEN, _DEAD, _MATCHED = 0, 1, 2
 
 
 def best_mapping(case: CaseFile, problem: PlanningProblem, *,
@@ -170,10 +191,18 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     # depth d of the search decides case object case_objs[d], into assign[d]
     case_objs = sorted(constraints, key=lambda o: (-len(obj_atoms[o]), o))
     depth_of = {o: d for d, o in enumerate(case_objs)}
-    rows = [(target, index.predicates.get((a.predicate, len(a.args)), UNSET),
-             tuple(depth_of[x] for x in a.args)) for a, target in atoms]
-    # per depth: (atom, target, predicate id, argument depths, whether it completes the atom)
-    depth_rows = [[(ai, *rows[ai], max(rows[ai][2]) == d) for ai in obj_atoms[o]]
+    # keys[ai] is the _image_key of case atom ai's mapped positions, kept as
+    # they are assigned; an UNSET predicate id is in no image set
+    keys = [index.predicates.get((a.predicate, len(a.args)), UNSET) for a, _ in atoms]
+    slots = [[depth_of[x] for x in a.args] for a, _ in atoms]
+    radix = len(index.objects) + 1
+    # per depth: (atom, target, what each step of the depth's object id adds to
+    # the atom's key, whether the depth completes the atom)
+    depth_rows = [[(ai, atoms[ai][1],
+                    sum(len(index.predicates) * radix ** j
+                        for j, s in enumerate(slots[ai]) if s == d),
+                    max(slots[ai]) == d)
+                   for ai in obj_atoms[o]]
                   for d, o in enumerate(case_objs)]
 
     # object_features of every case object, from one pass over the case
@@ -187,19 +216,22 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     for o in case_objs:
         feats = frozenset(case_features[o])
         ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
-        candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)) + [UNSET])
+        candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)))
 
-    status = []
+    # shut[ai] is OPEN while case atom ai is undecided, else the depth that
+    # decided it (-1: decided before the search, by its predicate alone)
+    OPEN = len(case_objs)
+    shut = []
     matched = 0
     alive = 0
-    for target, pid, slots in rows:
-        if (pid, *[UNSET] * len(slots)) not in target:
-            status.append(_DEAD)
-        elif not slots:
-            status.append(_MATCHED)
+    for ai, (_, target) in enumerate(atoms):
+        if keys[ai] not in target:
+            shut.append(-1)
+        elif not slots[ai]:
+            shut.append(-1)
             matched += 1
         else:
-            status.append(_OPEN)
+            shut.append(OPEN)
             alive += 1
     max_possible = matched + alive
 
@@ -210,58 +242,83 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     nodes = 0
     exhausted = False
 
-    def assign_obj(depth: int, val: int) -> list[int]:
-        nonlocal matched, alive
-        flipped = []
-        for ai, target, pid, slots, completes in depth_rows[depth]:
-            if status[ai] != _OPEN:
-                continue
-            if val == UNSET or (pid, *[assign[s] for s in slots]) not in target:
-                status[ai] = _DEAD
-            elif not completes:
-                continue
-            else:
-                status[ai] = _MATCHED
-                matched += 1
-            alive -= 1
-            flipped.append(ai)
-        return flipped
-
-    def undo(flipped: list[int]) -> None:
-        nonlocal matched, alive
-        for ai in flipped:
-            if status[ai] == _MATCHED:
-                matched -= 1
-            status[ai] = _OPEN
-            alive += 1
-
+    # A node first counts the open rows of its depth that its value kills and
+    # touches no state unless the bound then passes. If it does, the node
+    # decides those rows, stores the keys of the rows left open, recurses and
+    # undoes: the rows it decided reopen, and the open rows take its step
+    # back out of their keys.
     def dfs(depth: int) -> None:
-        nonlocal best_score, best_assign, nodes, exhausted
+        nonlocal best_score, best_assign, nodes, exhausted, matched, alive
         if depth == len(case_objs):
             if matched > best_score:
                 best_score = matched
                 best_assign = {o: index.objects[v] for o, v in zip(case_objs, assign)
                                if v != UNSET}
             return
+        rows = depth_rows[depth]
         for val in candidates[depth]:
-            if val != UNSET and used[val]:
+            if used[val]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 exhausted = True
                 return
+            step = val + 1
+            dying = 0
+            for ai, target, mult, _ in rows:
+                if shut[ai] == OPEN and keys[ai] + step * mult not in target:
+                    dying += 1
+            if matched + alive - dying <= best_score:
+                continue
             assign[depth] = val
-            if val != UNSET:
-                used[val] = True
-            flipped = assign_obj(depth, val)
-            if matched + alive > best_score:
-                dfs(depth + 1)
-            undo(flipped)
-            if val != UNSET:
-                used[val] = False
+            used[val] = True
+            gained = 0
+            for ai, target, mult, completes in rows:
+                if shut[ai] != OPEN:
+                    continue
+                key = keys[ai] + step * mult
+                if key not in target:
+                    shut[ai] = depth
+                elif completes:
+                    shut[ai] = depth
+                    gained += 1
+                else:
+                    keys[ai] = key
+            matched += gained
+            alive -= dying + gained
+            dfs(depth + 1)
+            matched -= gained
+            alive += dying + gained
+            for ai, _, mult, _ in rows:
+                if shut[ai] == depth:
+                    shut[ai] = OPEN
+                elif shut[ai] == OPEN:
+                    keys[ai] -= step * mult
+            used[val] = False
             assign[depth] = UNSET
             if exhausted or best_score == max_possible:
                 return
+
+        # the last choice leaves the depth's object unmapped: its open rows die
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        dying = 0
+        for ai, _, _, _ in rows:
+            if shut[ai] == OPEN:
+                dying += 1
+        if matched + alive - dying <= best_score:
+            return
+        for ai, _, _, _ in rows:
+            if shut[ai] == OPEN:
+                shut[ai] = depth
+        alive -= dying
+        dfs(depth + 1)
+        alive += dying
+        for ai, _, _, _ in rows:
+            if shut[ai] == depth:
+                shut[ai] = OPEN
 
     dfs(0)
     return best_assign

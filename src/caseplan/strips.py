@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, TypeAlias
 
 
@@ -85,7 +87,7 @@ class ActionSchema:
         return len(self.pre) + len(self.add) + len(self.delete)
 
 
-def is_subtype(types: dict[str, str | None], t: str, ancestor: str) -> bool:
+def is_subtype(types: Mapping[str, str | None], t: str, ancestor: str) -> bool:
     """True when ``t`` equals ``ancestor`` or is below it in the hierarchy."""
     cur: str | None = t
     seen = set()
@@ -107,14 +109,18 @@ class DomainModel:
     """
 
     name: str
-    types: dict[str, str | None]  # type name -> parent (None for the root)
-    predicates: dict[str, tuple[str, ...]]  # predicate -> parameter types
-    schemas: dict[str, ActionSchema]
+    types: Mapping[str, str | None]  # type name -> parent (None for the root)
+    predicates: Mapping[str, tuple[str, ...]]  # predicate -> parameter types
+    schemas: Mapping[str, ActionSchema]
     completeness: float = 1.0
 
     def __post_init__(self) -> None:
-        if "object" not in self.types:
-            object.__setattr__(self, "types", {**self.types, "object": None})
+        # read-only copies: the caller's dicts can change neither this model nor its hash
+        types = dict(self.types)
+        types.setdefault("object", None)
+        object.__setattr__(self, "types", MappingProxyType(types))
+        object.__setattr__(self, "predicates", MappingProxyType(dict(self.predicates)))
+        object.__setattr__(self, "schemas", MappingProxyType(dict(self.schemas)))
         for t, parent in self.types.items():
             if parent is not None and parent not in self.types:
                 raise StripsError(f"type {t} has undeclared parent {parent}")
@@ -138,12 +144,17 @@ class DomainModel:
                         f"action {schema.name}: {atom.pddl()} has arity {len(atom.args)}, "
                         f"declared {len(sig)}")
 
+    def __hash__(self) -> int:
+        return hash((self.name, frozenset(self.types.items()),
+                     frozenset(self.predicates.items()), frozenset(self.schemas.items()),
+                     self.completeness))
+
     def atom_count(self) -> int:
         return sum(s.atom_count() for s in self.schemas.values())
 
 
 def _check_ground_atoms(atoms: Iterable[Atom], domain: DomainModel,
-                        objects: dict[str, str], where: str) -> None:
+                        objects: Mapping[str, str], where: str) -> None:
     for atom in atoms:
         sig = domain.predicates.get(atom.predicate)
         if sig is None:
@@ -168,16 +179,33 @@ class PlanningProblem:
 
     name: str
     domain: DomainModel
-    objects: dict[str, str]
+    objects: Mapping[str, str]  # object -> type
     init: State
     goal: frozenset[Atom]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "objects", MappingProxyType(dict(self.objects)))
         for obj, t in self.objects.items():
             if t not in self.domain.types:
                 raise StripsError(f"object {obj} has undeclared type {t}")
         _check_ground_atoms(self.init, self.domain, self.objects, "init")
         _check_ground_atoms(self.goal, self.domain, self.objects, "goal")
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.domain, frozenset(self.objects.items()),
+                     self.init, self.goal))
+
+    def _with_own_goal(self, name: str, goal: frozenset[Atom]) -> PlanningProblem:
+        """This problem under another name, with part of its goal as the goal.
+
+        Nothing is checked again: every atom of it was checked when this
+        problem was built, and nothing of it can have changed since.
+        """
+        if not goal <= self.goal:
+            raise StripsError(f"{name}: goal is not part of the goal of {self.name}")
+        sub = object.__new__(PlanningProblem)
+        sub.__dict__.update(vars(self), name=name, goal=goal)
+        return sub
 
 
 class GroundedAction(NamedTuple):
@@ -277,7 +305,7 @@ class Grounding:
     problem.
     """
 
-    def __init__(self, domain: DomainModel, objects: dict[str, str]):
+    def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
         self.domain = domain
         self.objects = dict(objects)
 

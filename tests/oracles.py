@@ -14,8 +14,17 @@ import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import replace
+from types import MappingProxyType
 
-from caseplan import Atom, CaseFile, DomainModel, PlanningProblem, grounded, object_features
+from caseplan import (
+    Atom,
+    CaseFile,
+    DomainModel,
+    MappingIndex,
+    PlanningProblem,
+    grounded,
+    object_features,
+)
 from caseplan.cases import ExperimentRow
 from caseplan.degrade import DegradeSpec, degrade
 from caseplan.evaluate import check_solution
@@ -582,6 +591,155 @@ def best_mapping_unindexed(case: CaseFile, problem: PlanningProblem, *,
             if val is not None:
                 used.discard(val)
             del assign[obj]
+            if exhausted or best_score == max_possible:
+                return
+
+    dfs(0)
+    return best_assign
+
+
+# The tuple-key best_mapping and the index it reads, kept unchanged as the
+# reference for caseplan.mapping.best_mapping, which now encodes every partial
+# image as one int and keeps a running key per case atom. The search order,
+# the bound and the node count are the same, so the two agree at every budget.
+
+UNSET = -1  # no problem object (yet): never an object id
+
+
+def mapping_index_tuple_images(problem: PlanningProblem) -> MappingIndex:
+    """The problem's :class:`MappingIndex`, with every partial image a tuple
+    (predicate id, *object ids) with any subset of the ids replaced by UNSET."""
+    objects = tuple(sorted(problem.objects))
+    ids = {o: i for i, o in enumerate(objects)}
+    types = problem.domain.types
+    fitting = {t: frozenset(i for i, o in enumerate(objects)
+                            if is_subtype(types, problem.objects[o], t))
+               for t in types}
+    predicates: dict[tuple[str, int], int] = {}
+    images = []
+    for atoms in (problem.init, problem.goal):
+        keys = set()
+        for atom in atoms:
+            pid = predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+            args = [ids[a] for a in atom.args]
+            for kept in itertools.product((True, False), repeat=len(args)):
+                keys.add((pid, *[a if k else UNSET for a, k in zip(args, kept)]))
+        images.append(frozenset(keys))
+    return MappingIndex(objects, tuple(object_features(problem, o) for o in objects),
+                        MappingProxyType(fitting), MappingProxyType(predicates),
+                        (images[0], images[1]))
+
+
+def best_mapping_tuple_keys(case: CaseFile, problem: PlanningProblem, *,
+                            node_budget: int = 200_000,
+                            index: MappingIndex | None = None) -> dict[str, str]:
+    """Exact branch-and-bound maximization of ``mapping_score`` that checks
+    each row by building the tuple of its partial image."""
+    if index is None:
+        index = mapping_index_tuple_images(problem)
+    constraints = _slot_constraints(case, problem)
+
+    # each case atom with the image set of its target
+    atoms = [(a, index.images[0]) for a in sorted(case.init)]
+    atoms += [(a, index.images[1]) for a in sorted(case.goal)]
+    obj_atoms: dict[str, list[int]] = {o: [] for o in constraints}
+    for ai, (atom, _) in enumerate(atoms):
+        for o in set(atom.args):
+            obj_atoms[o].append(ai)
+
+    # depth d of the search decides case object case_objs[d], into assign[d]
+    case_objs = sorted(constraints, key=lambda o: (-len(obj_atoms[o]), o))
+    depth_of = {o: d for d, o in enumerate(case_objs)}
+    rows = [(target, index.predicates.get((a.predicate, len(a.args)), UNSET),
+             tuple(depth_of[x] for x in a.args)) for a, target in atoms]
+    # per depth: (atom, target, predicate id, argument depths, whether it completes the atom)
+    depth_rows = [[(ai, *rows[ai], max(rows[ai][2]) == d) for ai in obj_atoms[o]]
+                  for d, o in enumerate(case_objs)]
+
+    # object_features of every case object, from one pass over the case
+    case_features: dict[str, set[str]] = {o: set() for o in case_objs}
+    for atom in itertools.chain(case.init, case.goal):
+        if len(atom.args) == 1:
+            case_features[atom.args[0]].add(atom.predicate)
+
+    everything = frozenset(range(len(index.objects)))
+    candidates: list[list[int]] = []
+    for o in case_objs:
+        feats = frozenset(case_features[o])
+        ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
+        candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)) + [UNSET])
+
+    status = []
+    matched = 0
+    alive = 0
+    for target, pid, slots in rows:
+        if (pid, *[UNSET] * len(slots)) not in target:
+            status.append(_DEAD)
+        elif not slots:
+            status.append(_MATCHED)
+            matched += 1
+        else:
+            status.append(_OPEN)
+            alive += 1
+    max_possible = matched + alive
+
+    assign = [UNSET] * len(case_objs)
+    used = [False] * len(index.objects)
+    best_assign: dict[str, str] = {}
+    best_score = -1
+    nodes = 0
+    exhausted = False
+
+    def assign_obj(depth: int, val: int) -> list[int]:
+        nonlocal matched, alive
+        flipped = []
+        for ai, target, pid, slots, completes in depth_rows[depth]:
+            if status[ai] != _OPEN:
+                continue
+            if val == UNSET or (pid, *[assign[s] for s in slots]) not in target:
+                status[ai] = _DEAD
+            elif not completes:
+                continue
+            else:
+                status[ai] = _MATCHED
+                matched += 1
+            alive -= 1
+            flipped.append(ai)
+        return flipped
+
+    def undo(flipped: list[int]) -> None:
+        nonlocal matched, alive
+        for ai in flipped:
+            if status[ai] == _MATCHED:
+                matched -= 1
+            status[ai] = _OPEN
+            alive += 1
+
+    def dfs(depth: int) -> None:
+        nonlocal best_score, best_assign, nodes, exhausted
+        if depth == len(case_objs):
+            if matched > best_score:
+                best_score = matched
+                best_assign = {o: index.objects[v] for o, v in zip(case_objs, assign)
+                               if v != UNSET}
+            return
+        for val in candidates[depth]:
+            if val != UNSET and used[val]:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                exhausted = True
+                return
+            assign[depth] = val
+            if val != UNSET:
+                used[val] = True
+            flipped = assign_obj(depth, val)
+            if matched + alive > best_score:
+                dfs(depth + 1)
+            undo(flipped)
+            if val != UNSET:
+                used[val] = False
+            assign[depth] = UNSET
             if exhausted or best_score == max_possible:
                 return
 

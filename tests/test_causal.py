@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import caseplan.strips
 from caseplan import (
     CausalPair,
     DegradeSpec,
@@ -16,6 +17,8 @@ from caseplan import (
     skeleton,
 )
 from caseplan.causal import single_goal_plans
+from caseplan.search import solve
+from caseplan.strips import PlanningProblem
 
 from .conftest import GA, make_tower_problem, plan
 from .oracles import causal_pairs_by_triples
@@ -112,3 +115,46 @@ def test_random_plans_match_triple_oracle(blocks):
 def test_determinism(tower_incomplete):
     assert skeleton(tower_incomplete)[1] == \
         skeleton(tower_incomplete)[1]
+
+
+def test_skeleton_checks_the_problem_once(monkeypatch, blocks):
+    # building the problem checks its init and its goal; the per-goal
+    # subproblems of skeleton are not checked again
+    tower = make_tower_problem(blocks)
+    assert len(tower.goal) > 1
+    calls = []
+    real = caseplan.strips._check_ground_atoms
+
+    def counted(atoms, domain, objects, where):
+        calls.append(where)
+        return real(atoms, domain, objects, where)
+
+    monkeypatch.setattr(caseplan.strips, "_check_ground_atoms", counted)
+    problem = PlanningProblem(name=tower.name, domain=tower.domain, objects=tower.objects,
+                              init=tower.init, goal=tower.goal)
+    skeleton(problem)
+    assert calls == ["init", "goal"]
+
+
+@pytest.mark.parametrize("completeness", [0.6, 1.0])
+def test_single_goal_plans_match_checked_subproblems(blocks, completeness):
+    model = degrade(blocks, DegradeSpec(completeness=completeness, seed=2))
+    problem = make_tower_problem(model)
+    grounding = Grounding.for_problem(problem)
+    expected = []
+    for atom in sorted(problem.goal):
+        sub = PlanningProblem(name=f"{problem.name}/{atom.pddl()}", domain=model,
+                              objects=problem.objects, init=problem.init,
+                              goal=frozenset({atom}))
+        expected.append((atom, solve(sub, None, grounding)))
+    assert single_goal_plans(problem, None, grounding) == expected
+
+
+def test_subproblem_goal_must_come_from_the_problem(blocks):
+    problem = make_tower_problem(blocks)
+    atom = sorted(problem.goal)[0]
+    sub = problem._with_own_goal("sub", frozenset({atom}))
+    assert (sub.name, sub.goal, sub.init, sub.objects) == \
+        ("sub", frozenset({atom}), problem.init, problem.objects)
+    with pytest.raises(StripsError):
+        problem._with_own_goal("sub", frozenset(problem.init))

@@ -22,7 +22,13 @@ from caseplan import (
 from caseplan.strips import PlanningProblem, is_subtype
 
 from .conftest import P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
-from .oracles import _slot_constraints, best_mapping_unindexed, bruteforce_best_score
+from .oracles import (
+    _slot_constraints,
+    best_mapping_tuple_keys,
+    best_mapping_unindexed,
+    bruteforce_best_score,
+    mapping_index_tuple_images,
+)
 
 P1_MAPPING = {"b4": "d", "b1": "c", "b3": "b", "b2": "a"}
 P2_MAPPING = {"b3": "c", "b1": "b", "b2": "a"}
@@ -222,6 +228,54 @@ def test_budget_never_scores_below_unindexed_reference(instance):
             expected = best_mapping_unindexed(case, problem, node_budget=budget)
             assert mapping_score(case, found, problem) >= \
                 mapping_score(case, expected, problem)
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances)
+def test_best_mapping_equals_tuple_key_reference_at_every_budget(instance):
+    # the running integer keys change how a row is checked, not which nodes
+    # are visited, so even a budget that runs out gives the same mapping
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    reference_index = mapping_index_tuple_images(problem)
+    for _, case in cases:
+        for budget in [*range(1, 51), 200_000]:
+            assert best_mapping(case, problem, node_budget=budget, index=index) == \
+                best_mapping_tuple_keys(case, problem, node_budget=budget,
+                                        index=reference_index)
+
+
+def decoded_images(index) -> tuple[frozenset[tuple[int, ...]], ...]:
+    """The integer images of a MappingIndex as (predicate id, *object ids)
+    tuples, read digit by digit from the key encoding."""
+    count = len(index.predicates)
+    radix = len(index.objects) + 1
+    arity = {pid: n for (_, n), pid in index.predicates.items()}
+    out = []
+    for keys in index.images:
+        images = set()
+        for key in keys:
+            pid, rest = key % count, key // count
+            args = []
+            for _ in range(arity[pid]):
+                rest, digit = divmod(rest, radix)
+                args.append(digit - 1)
+            assert rest == 0
+            images.add((pid, *args))
+        out.append(frozenset(images))
+    return tuple(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances)
+def test_integer_images_decode_to_tuple_images(instance):
+    _, problem, _ = instance
+    index = mapping_index(problem)
+    reference = mapping_index_tuple_images(problem)
+    assert index.predicates == reference.predicates
+    assert decoded_images(index) == reference.images
+    # as many keys as tuples: no two images share a key
+    assert [len(keys) for keys in index.images] == [len(images) for images in reference.images]
 
 
 def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from caseplan import (
     execute_plan,
     grounded,
     parse_domain,
+    parse_problem,
 )
 from caseplan.strips import PlanningProblem
 
@@ -269,6 +272,55 @@ def test_domain_leaves_callers_types_untouched():
     model = DomainModel(name="d", types=types, predicates={}, schemas={})
     assert types == {"block": None}
     assert model.types == {"block": None, "object": None}
+
+
+@pytest.mark.parametrize("name", DOMAIN_NAMES)
+def test_domain_mappings_are_read_only(name):
+    model = packaged_domain(name)
+    for mapping in (model.types, model.predicates, model.schemas):
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):  # a read-only mapping has no pop
+            mapping.pop(key)
+
+
+def test_problem_objects_are_read_only(blocks):
+    objects = {"a": "object", "b": "object"}
+    problem = PlanningProblem(name="p", domain=blocks, objects=objects,
+                              init=atoms("ontable a"), goal=atoms("ontable b"))
+    objects["c"] = "object"  # the caller's dict is copied, not shared
+    assert dict(problem.objects) == {"a": "object", "b": "object"}
+    with pytest.raises(TypeError):
+        problem.objects["c"] = "object"
+    with pytest.raises(AttributeError):
+        problem.objects.pop("a")
+
+
+def test_two_parses_are_equal_and_hash_equal():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures" / "blocks"
+    domain_text = (fixtures / "domain.pddl").read_text()
+    problem_text = (fixtures / "tower.pddl").read_text()
+    first, second = parse_domain(domain_text), parse_domain(domain_text)
+    assert first == second and hash(first) == hash(second)
+    p1, p2 = parse_problem(problem_text, first), parse_problem(problem_text, second)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert len({first, second}) == 1 and len({p1, p2}) == 1
+
+
+def test_degraded_models_are_new_hashable_values(blocks):
+    spec = DegradeSpec(completeness=0.5, seed=4)
+    model = degrade(blocks, spec)
+    assert model == degrade(blocks, spec) and hash(model) == hash(degrade(blocks, spec))
+    assert model != blocks
+    with pytest.raises(TypeError):
+        model.schemas["pickup"] = blocks.schemas["pickup"]
+    problem = make_tower_problem(blocks)
+    moved = replace(problem, domain=model)
+    assert moved.domain is model and moved.objects == problem.objects
+    assert moved != problem
 
 
 def test_problem_rejects_unknown_object(blocks):
