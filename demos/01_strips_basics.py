@@ -1,13 +1,13 @@
 """States, actions, and plan execution on the blocks world.
 
-Parses the complete blocks domain and the four-block tower problem, pokes at
-applicability, and executes a full plan step by step.
+Parses the complete blocks domain and the four-block tower problem, grounds
+two actions to test their preconditions, and executes a full plan step by
+step.
 """
 
 from pathlib import Path
 
-from caseplan import GroundAction, applicable, apply_action, execute_plan, \
-    parse_domain, parse_problem
+from caseplan import GroundAction, execute_plan, grounded, parse_domain, parse_problem
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
 
@@ -19,11 +19,12 @@ for atom in sorted(problem.init):
     print("  ", atom.pddl())
 print("goal:", " ".join(a.pddl() for a in sorted(problem.goal)))
 
-pickup_b = GroundAction("pickup", ("b",))
-pickup_c = GroundAction("pickup", ("c",))
+pickup_b = grounded(domain, GroundAction("pickup", ("b",)))
+pickup_c = grounded(domain, GroundAction("pickup", ("c",)))
 print()
-print("pickup b applicable?", applicable(problem.init, pickup_b, domain))
-print("pickup c applicable?", applicable(problem.init, pickup_c, domain),
+print("pickup b needs", " ".join(a.pddl() for a in sorted(pickup_b.pre)))
+print("pickup b applicable?", pickup_b.pre <= problem.init)
+print("pickup c applicable?", pickup_c.pre <= problem.init,
       " (c sits on a, not on the table)")
 
 plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
@@ -33,9 +34,8 @@ plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
 
 print()
 print("executing an eight-step plan:")
-state = problem.init
-for action in plan:
-    state = apply_action(state, action, domain)
+for k, action in enumerate(plan, start=1):
+    state = execute_plan(problem, tuple(plan[:k])).state
     holding = [a for a in state if a.predicate == "holding"]
     print(f"  after {action.pddl():18s} holding={holding[0].pddl() if holding else '-'}")
 

@@ -14,7 +14,6 @@ from caseplan import (
     parse_domain,
     parse_problem,
     read_case_library,
-    support,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
@@ -26,17 +25,17 @@ cases = read_case_library(FIXTURES / "cases")
 fragments = build_fragments(problem, cases)
 db = SequenceDB.from_sequences([f.actions for f in fragments])
 print("fragment database:")
-for sid, seq in db.entries:
+for sid, seq in enumerate(db.sequences):
     print(f"  #{sid}: " + " ".join(a.pddl() for a in seq))
 
-for threshold in (2, 1):
-    result = mine_frequent(db, threshold)
+results = {threshold: mine_frequent(db, threshold) for threshold in (2, 1)}
+for threshold, result in results.items():
     print()
     print(f"maximal frequent patterns at support >= {threshold}:")
     for pattern in result.patterns:
         print(f"  [{result.supports[pattern]}x] " +
               " ".join(a.pddl() for a in pattern))
 
-shared = result.patterns[-1][:2]
+shared = results[2].patterns[0]
 print()
-print(f"support of {' '.join(a.pddl() for a in shared)}:", support(db, shared))
+print("support of the shared run:", results[2].supports[shared])

@@ -6,7 +6,7 @@ out plan fragments, mines the frequent contiguous fragments, and stitches
 them into a solution that the landmarks and the incomplete model both accept.
 """
 
-from .assemble import append, concat_frag, removelinks, share, trim
+from .assemble import concat_frag, merge, removelinks, trim
 from .cases import CaseFile, ExperimentRow, parse_case, parse_plan, read_case_library
 from .causal import CausalPair, extract_causal_pairs
 from .degrade import DegradeSpec, degrade
@@ -15,7 +15,7 @@ from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library, random_blocks_problem
 from .mapping import Fragment, MappingIndex, best_mapping, build_fragments, \
     extract_fragments, mapping_index, mapping_score, object_features
-from .mining import FrequentFragmentSet, SequenceDB, mine_frequent, support
+from .mining import FrequentFragmentSet, SequenceDB, mine_frequent
 from .pddl import PddlError, UnsupportedFeatureError, domain_to_pddl, parse_domain, \
     parse_problem, problem_to_pddl
 from .pipeline import PipelineOutcome, skeleton, solve_with_library
@@ -29,8 +29,6 @@ from .strips import (
     Grounding,
     PlanningProblem,
     StripsError,
-    applicable,
-    apply_action,
     execute_plan,
     grounded,
 )
@@ -41,12 +39,11 @@ __all__ = [
     "FrequentFragmentSet", "GroundAction", "Grounding", "MappingIndex", "PddlError",
     "PipelineOutcome", "PlanningProblem", "SearchConfig", "SequenceDB",
     "SolveResult", "StripsError", "UnsupportedFeatureError",
-    "append", "applicable", "apply_action", "best_mapping", "build_fragments",
-    "concat_frag", "degrade", "domain_to_pddl", "evaluate", "execute_plan",
-    "extract_causal_pairs", "extract_fragments", "generate_case_library", "grounded",
-    "make_problem_suite", "mapping_index", "mapping_score", "mine_frequent",
-    "object_features", "parse_case", "parse_domain", "parse_plan", "parse_problem",
-    "problem_to_pddl", "random_blocks_problem", "read_case_library", "relaxed_add_heuristic",
-    "removelinks", "run_experiment", "share", "skeleton", "solve", "solve_with_library",
-    "support", "trim",
+    "best_mapping", "build_fragments", "concat_frag", "degrade", "domain_to_pddl",
+    "evaluate", "execute_plan", "extract_causal_pairs", "extract_fragments",
+    "generate_case_library", "grounded", "make_problem_suite", "mapping_index",
+    "mapping_score", "merge", "mine_frequent", "object_features", "parse_case",
+    "parse_domain", "parse_plan", "parse_problem", "problem_to_pddl",
+    "random_blocks_problem", "read_case_library", "relaxed_add_heuristic", "removelinks",
+    "run_experiment", "skeleton", "solve", "solve_with_library", "trim",
 ]

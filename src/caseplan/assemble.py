@@ -1,7 +1,8 @@
 """Concatenate frequent fragments into a plan, guided by causal pairs.
 
 Fragments may only be joined where they overlap on a common contiguous run
-at one end. Once every causal pair is satisfied, the draft plan is trimmed
+at one end; :func:`merge` is that join, the paper's ``share`` and ``append``
+in one. Once every causal pair is satisfied, the draft plan is trimmed
 (inapplicable actions from the front, goal-deleting actions from the back)
 and must execute to the goal under the problem's own model.
 """
@@ -13,8 +14,15 @@ from .mining import ActionSeq, FrequentFragmentSet
 from .strips import GroundAction, Plan, PlanningProblem, execute_plan, grounded
 
 
-def _merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
-    """What :func:`append` returns, or None where :func:`share` is false."""
+def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
+    """Merge the fragment into the partial plan on their longest end overlap,
+    or return None where the two share no end (an empty plan shares one).
+
+    An overlap is a run of one or more actions that ends one sequence and
+    starts the other; it appears once in the result. When both directions
+    overlap, the longer one wins; ties attach the fragment at the end. These
+    are the paper's ``share`` (the result is not None) and ``append``.
+    """
     fragment = tuple(fragment)
     if not partial:
         return fragment
@@ -29,28 +37,6 @@ def _merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
     if at_end >= at_front:
         return partial + fragment[at_end:]
     return fragment + partial[at_front:]
-
-
-def share(partial: Plan, fragment: ActionSeq) -> bool:
-    """True if the partial plan is empty or overlaps the fragment at an end.
-
-    An overlap is a contiguous run of equal actions that is both a suffix of
-    one sequence and a prefix of the other, of length at least one.
-    """
-    return _merge(partial, fragment) is not None
-
-
-def append(partial: Plan, fragment: ActionSeq) -> Plan:
-    """Merge the fragment into the partial plan on their longest end overlap.
-
-    The overlap appears once in the result. When both directions overlap, the
-    longer one wins; ties attach the fragment at the end. Raises ValueError
-    unless the two :func:`share` an end.
-    """
-    merged = _merge(partial, fragment)
-    if merged is None:
-        raise ValueError("append requires share(partial, fragment)")
-    return merged
 
 
 def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPair]:
@@ -115,7 +101,7 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
             for idx, frag in enumerate(available):
                 if pair.provider not in frag and pair.consumer not in frag:
                     continue
-                merged = _merge(partial, frag)
+                merged = merge(partial, frag)
                 if merged is not None:
                     nodes += 1
                     if nodes > node_budget:

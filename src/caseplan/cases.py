@@ -85,7 +85,10 @@ def read_case_library(directory: Path | str) -> list[tuple[str, CaseFile]]:
         raise PddlError(f"case library {directory} is not a directory")
     out = []
     for path in sorted(directory.glob("*.case")):
-        out.append((path.stem, read_case(path)))
+        try:
+            out.append((path.stem, read_case(path)))
+        except PddlError as err:
+            raise PddlError(f"{path}: {err}") from err
     return out
 
 

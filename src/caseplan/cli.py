@@ -191,7 +191,10 @@ def cmd_evaluate(args) -> int:
         problems.append(_load_problem(str(path), domain))
         ids.append(path.stem)
         plan_path = Path(args.plans) / f"{path.stem}.plan"
-        solutions.append(caseio.read_plan(plan_path) if plan_path.exists() else None)
+        try:
+            solutions.append(caseio.read_plan(plan_path) if plan_path.exists() else None)
+        except (OSError, PddlError) as err:
+            raise InputError(f"in plan {plan_path}: {err}") from err
     report = evaluate(problems, solutions, domain, ids=ids)
     print(f"accuracy: {report.accuracy:.4f} ({report.n_correct}/{report.n_total})")
     if report.mean_plan_length is not None:

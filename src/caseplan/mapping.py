@@ -54,13 +54,18 @@ class Fragment:
         return len(self.actions)
 
 
+def _features(source: CaseFile | PlanningProblem) -> dict[str, frozenset[str]]:
+    """:func:`object_features` of every object that has any, from one pass."""
+    feats: dict[str, set[str]] = {}
+    for atom in itertools.chain(source.init, source.goal):
+        if len(atom.args) == 1:
+            feats.setdefault(atom.args[0], set()).add(atom.predicate)
+    return {o: frozenset(f) for o, f in feats.items()}
+
+
 def object_features(source: CaseFile | PlanningProblem, obj: str) -> frozenset[str]:
     """Unary predicates true of the object in the initial state or the goal."""
-    feats = set()
-    for atom in itertools.chain(source.init, source.goal):
-        if len(atom.args) == 1 and atom.args[0] == obj:
-            feats.add(atom.predicate)
-    return frozenset(feats)
+    return _features(source).get(obj, frozenset())
 
 
 def _mapped_atoms(atoms, mapping: dict[str, str]) -> set[Atom]:
@@ -151,7 +156,8 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
                 keys.add(_image_key(pid, [a if k else UNSET for a, k in zip(args, kept)],
                                     len(predicates), radix))
         images.append(frozenset(keys))
-    return MappingIndex(objects, tuple(object_features(problem, o) for o in objects),
+    features = _features(problem)
+    return MappingIndex(objects, tuple(features.get(o, frozenset()) for o in objects),
                         MappingProxyType(fitting), MappingProxyType(predicates),
                         (images[0], images[1]))
 
@@ -205,16 +211,11 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
                    for ai in obj_atoms[o]]
                   for d, o in enumerate(case_objs)]
 
-    # object_features of every case object, from one pass over the case
-    case_features: dict[str, set[str]] = {o: set() for o in case_objs}
-    for atom in itertools.chain(case.init, case.goal):
-        if len(atom.args) == 1:
-            case_features[atom.args[0]].add(atom.predicate)
-
+    case_features = _features(case)
     everything = frozenset(range(len(index.objects)))
     candidates: list[list[int]] = []
     for o in case_objs:
-        feats = frozenset(case_features[o])
+        feats = case_features.get(o, frozenset())
         ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
         candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)))
 

@@ -8,7 +8,9 @@ Support counts database entries containing a pattern, not occurrences.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 from .strips import GroundAction
@@ -18,34 +20,16 @@ ActionSeq = tuple[GroundAction, ...]
 
 @dataclass(frozen=True)
 class SequenceDB:
-    """Tuples of (sequence id, action sequence); ids must be unique."""
+    """The action sequences to mine; an entry's id is its position."""
 
-    entries: tuple[tuple[int, ActionSeq], ...]
-
-    def __post_init__(self) -> None:
-        sids = [sid for sid, _ in self.entries]
-        if len(sids) != len(set(sids)):
-            raise ValueError("sequence ids are not unique")
+    sequences: tuple[ActionSeq, ...]
 
     @classmethod
     def from_sequences(cls, sequences: Sequence[Sequence[GroundAction]]) -> "SequenceDB":
-        return cls(tuple((i, tuple(seq)) for i, seq in enumerate(sequences)))
+        return cls(tuple(map(tuple, sequences)))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-def support(db: SequenceDB, pattern: Sequence[GroundAction]) -> int:
-    """Number of entries containing the pattern contiguously (each counted once)."""
-    pat = tuple(pattern)
-    if not pat:
-        raise ValueError("pattern must be nonempty")
-    k = len(pat)
-    count = 0
-    for _, seq in db.entries:
-        if any(seq[i:i + k] == pat for i in range(len(seq) - k + 1)):
-            count += 1
-    return count
+        return len(self.sequences)
 
 
 @dataclass(frozen=True)
@@ -53,8 +37,11 @@ class FrequentFragmentSet:
     """Maximal frequent patterns, ordered longest first then lexicographically."""
 
     patterns: tuple[ActionSeq, ...]
-    supports: dict[ActionSeq, int]
+    supports: Mapping[ActionSeq, int]  # read-only copy
     min_support: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "supports", MappingProxyType(dict(self.supports)))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -72,11 +59,9 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
 
     # Occurrence lists for single actions: (sid, position) pairs.
     occ: dict[ActionSeq, list[tuple[int, int]]] = {}
-    for sid, seq in db.entries:
+    for sid, seq in enumerate(db.sequences):
         for pos, action in enumerate(seq):
             occ.setdefault((action,), []).append((sid, pos))
-
-    seq_by_sid = dict(db.entries)
 
     def entry_count(positions: list[tuple[int, int]]) -> int:
         return len({sid for sid, _ in positions})
@@ -92,7 +77,7 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
         for pattern, positions in level.items():
             ext: dict[GroundAction, list[tuple[int, int]]] = {}
             for sid, pos in positions:
-                seq = seq_by_sid[sid]
+                seq = db.sequences[sid]
                 nxt = pos + 1
                 if nxt < len(seq):
                     ext.setdefault(seq[nxt], []).append((sid, nxt))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -78,10 +77,6 @@ class ActionSchema:
         if overlap:
             raise StripsError(
                 f"action {self.name}: add and delete lists overlap on {sorted(overlap)[0].pddl()}")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.params)
 
     def atom_count(self) -> int:
         return len(self.pre) + len(self.add) + len(self.delete)
@@ -233,21 +228,6 @@ def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
     return GroundedAction(action, ground(schema.pre), ground(schema.add), ground(schema.delete))
 
 
-def applicable(state: State, action: GroundAction, model: DomainModel) -> bool:
-    """True iff the action's instantiated precondition holds in the state."""
-    return grounded(model, action).pre <= state
-
-
-def apply_action(state: State, action: GroundAction, model: DomainModel) -> State:
-    """Apply one action: remove its delete list, then add its add list."""
-    ga = grounded(model, action)
-    if not ga.pre <= state:
-        missing = sorted(ga.pre - state)
-        raise StripsError(f"action {action.pddl()} is not applicable: "
-                          f"missing {missing[0].pddl()}")
-    return (state - ga.delete) | ga.add
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     """Outcome of running a plan: the reached state, and where it broke if it did."""
@@ -299,15 +279,12 @@ class Grounding:
     Carries the integer encoding of the atom universe that search code works
     in: each action's (pre, add, delete) atom ids, the successors of an
     encoded state, and the index that h_add reads. ``ground_actions`` names
-    the actions; the :class:`GroundedAction` table ``actions`` is built
-    through :func:`grounded` on first access only. Immutable after
-    construction; safe to share across the per-goal solver calls of one
-    problem.
+    the actions. Immutable after construction; safe to share across the
+    per-goal solver calls of one problem.
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
         self.domain = domain
-        self.objects = dict(objects)
 
         pools: dict[str, list[str]] = {
             t: sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t))
@@ -380,11 +357,6 @@ class Grounding:
                     step[k] += pos * stride
             ids = [i + d for i in ids for d in step]
         return ids
-
-    @functools.cached_property
-    def actions(self) -> tuple[GroundedAction, ...]:
-        """Every ground action with its atom sets, aligned with ``ops_ids``."""
-        return tuple(grounded(self.domain, action) for action in self.ground_actions)
 
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":

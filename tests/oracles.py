@@ -22,6 +22,7 @@ from caseplan import (
     DomainModel,
     MappingIndex,
     PlanningProblem,
+    SequenceDB,
     grounded,
     object_features,
 )
@@ -42,7 +43,7 @@ from caseplan.strips import (
 
 
 def _ground_schema(schema, combo):
-    binding = dict(zip(schema.variables, combo))
+    binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
     sub = lambda atoms: frozenset(  # noqa: E731
         Atom(a.predicate, tuple(binding.get(x, x) for x in a.args)) for a in atoms)
     return sub(schema.pre), sub(schema.add), sub(schema.delete)
@@ -92,11 +93,11 @@ def bfs_plan(problem: PlanningProblem, max_states: int = 200_000):
     return None
 
 
-def window_support(db_entries, pattern) -> int:
+def window_support(sequences, pattern) -> int:
     """Entries containing the pattern, via explicit window enumeration."""
     pattern = tuple(pattern)
     count = 0
-    for _, seq in db_entries:
+    for seq in sequences:
         windows = {tuple(seq[i:i + len(pattern)])
                    for i in range(len(seq) - len(pattern) + 1)}
         if pattern in windows:
@@ -104,14 +105,14 @@ def window_support(db_entries, pattern) -> int:
     return count
 
 
-def bruteforce_mine(db_entries, min_support):
+def bruteforce_mine(sequences, min_support):
     """All maximal frequent contiguous patterns, by enumerating every window.
 
     Maximality is decided by marking every proper window of every frequent
     pattern as covered, with no reliance on one-step extensions.
     """
     counts = {}
-    for sid, seq in db_entries:
+    for seq in sequences:
         windows = set()
         for length in range(1, len(seq) + 1):
             for i in range(len(seq) - length + 1):
@@ -125,6 +126,22 @@ def bruteforce_mine(db_entries, min_support):
             for i in range(len(pattern) - length + 1):
                 covered.add(pattern[i:i + length])
     return {p for p in frequent if p not in covered}
+
+
+# The support count that caseplan.mining once exported, kept as the reference
+# for FrequentFragmentSet.supports: mine_frequent counts entries itself.
+
+def support(db: SequenceDB, pattern) -> int:
+    """Number of entries containing the pattern contiguously (each counted once)."""
+    pat = tuple(pattern)
+    if not pat:
+        raise ValueError("pattern must be nonempty")
+    k = len(pat)
+    count = 0
+    for seq in db.sequences:
+        if any(seq[i:i + k] == pat for i in range(len(seq) - k + 1)):
+            count += 1
+    return count
 
 
 def bruteforce_best_score(case: CaseFile, problem: PlanningProblem) -> int:

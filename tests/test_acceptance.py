@@ -120,10 +120,8 @@ def test_criterion_5_miner_matches_oracle():
     start = time.perf_counter()
     mismatches = 0
     for _ in range(1000):
-        entries = tuple(
-            (sid, tuple(rng.choice(alphabet)
-                        for _ in range(rng.randint(1, 12))))
-            for sid in range(rng.randint(1, 12)))
+        entries = tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+                        for _ in range(rng.randint(1, 12)))
         db = SequenceDB(entries)
         for delta in (1, 2, 3):
             got = set(mine_frequent(db, delta).patterns)
@@ -171,7 +169,7 @@ def test_criterion_7_causal_links_match_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.actions[k].action)
+            steps.append(grounding.ground_actions[k])
         if not steps:
             continue
         checked += 1

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +13,12 @@ from caseplan import (
     FrequentFragmentSet,
     Grounding,
     SequenceDB,
-    append,
     concat_frag,
     degrade,
+    merge,
     mine_frequent,
     random_blocks_problem,
     removelinks,
-    share,
     trim,
 )
 
@@ -46,49 +44,51 @@ GOLDEN_PAIRS = frozenset({
 })
 
 
+# The paper's share (two plans overlap at an end) is merge(...) is not None,
+# and its append is the merged plan.
+
 def test_share_with_empty_partial():
-    assert share((), P1_FRAGMENT)
+    assert merge((), P1_FRAGMENT) is not None
 
 
 def test_share_golden_fragments():
-    assert share(P1_FRAGMENT, P2_FRAGMENT)
-    assert share(P2_FRAGMENT, P1_FRAGMENT)
+    assert merge(P1_FRAGMENT, P2_FRAGMENT) is not None
+    assert merge(P2_FRAGMENT, P1_FRAGMENT) is not None
 
 
 def test_share_no_overlap():
-    assert not share(plan("pickup b,stack b a"), plan("pickup d,stack d c"))
+    assert merge(plan("pickup b,stack b a"), plan("pickup d,stack d c")) is None
 
 
 def test_append_golden_merge():
-    assert append(P2_FRAGMENT, P1_FRAGMENT) == MERGED
+    assert merge(P2_FRAGMENT, P1_FRAGMENT) == MERGED
     assert len(MERGED) == 10
 
 
 def test_append_other_direction_prepends():
-    assert append(P1_FRAGMENT, P2_FRAGMENT) == MERGED
+    assert merge(P1_FRAGMENT, P2_FRAGMENT) == MERGED
 
 
 def test_append_to_empty():
-    assert append((), P1_FRAGMENT) == P1_FRAGMENT
+    assert merge((), P1_FRAGMENT) == P1_FRAGMENT
 
 
 def test_append_contained_suffix_is_idempotent():
     suffix = P1_FRAGMENT[3:]
-    assert append(P1_FRAGMENT, suffix) == P1_FRAGMENT
+    assert merge(P1_FRAGMENT, suffix) == P1_FRAGMENT
 
 
 def test_append_contained_prefix_is_idempotent():
     prefix = P1_FRAGMENT[:3]
-    assert append(P1_FRAGMENT, prefix) == P1_FRAGMENT
+    assert merge(P1_FRAGMENT, prefix) == P1_FRAGMENT
 
 
 def test_append_requires_share():
-    with pytest.raises(ValueError):
-        append(plan("pickup b"), plan("pickup d"))
+    assert merge(plan("pickup b"), plan("pickup d")) is None
 
 
 def test_append_result_contains_both_inputs():
-    merged = append(P2_FRAGMENT, P1_FRAGMENT)
+    merged = merge(P2_FRAGMENT, P1_FRAGMENT)
     def contains(seq, sub):
         return any(seq[i:i + len(sub)] == sub for i in range(len(seq) - len(sub) + 1))
     assert contains(merged, P1_FRAGMENT)
@@ -148,7 +148,7 @@ def problem_and_actions(draw):
     """A random 3-block problem under a complete or degraded model, with its ground actions."""
     model = draw(st.sampled_from(MODELS))
     problem = random_blocks_problem(model, 3, random.Random(draw(st.integers(0, 9999))))
-    return problem, tuple(ga.action for ga in Grounding.for_problem(problem).actions)
+    return problem, Grounding.for_problem(problem).ground_actions
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,13 +167,10 @@ def test_share_and_append_match_scanning_reference(data):
     alphabet = actions[:data.draw(st.integers(1, 4))]
     seqs = st.lists(st.sampled_from(alphabet), max_size=6).map(tuple)
     partial, fragment = data.draw(seqs), data.draw(seqs)
-    shared = share_by_scan(partial, fragment)
-    assert share(partial, fragment) == shared
-    if shared:
-        assert append(partial, fragment) == append_by_overlaps(partial, fragment)
+    if share_by_scan(partial, fragment):
+        assert merge(partial, fragment) == append_by_overlaps(partial, fragment)
     else:
-        with pytest.raises(ValueError):
-            append(partial, fragment)
+        assert merge(partial, fragment) is None
 
 
 def golden_fragments(min_support=1):

@@ -104,7 +104,7 @@ def test_random_plans_match_triple_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.actions[k].action)
+            steps.append(grounding.ground_actions[k])
         p = tuple(steps)
         if not p:
             continue

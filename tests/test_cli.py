@@ -186,7 +186,7 @@ def test_evaluate_variable_in_plan_is_input_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "evaluate", "--domain", DOMAIN,
                           "--problems", problems, "--plans", plans)
     assert code == INPUT_ERROR
-    assert "line 1, col 12: variable ?x not allowed in a ground atom" in stderr
+    assert "tower.plan: line 1, col 12: variable ?x not allowed in a ground atom" in stderr
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -321,3 +321,16 @@ def test_bad_pddl_is_input_error(tmp_path, capsys):
                           "--problem", TOWER)
     assert code == INPUT_ERROR
     assert ":adl" in stderr
+
+
+def test_bad_case_in_library_names_its_file(tmp_path, capsys):
+    library = tmp_path / "lib"
+    library.mkdir()
+    (library / "p1.case").write_text((CASES / "p1.case").read_text())
+    (library / "p4.case").write_text("(:init (clear a))\n(:goal (clear a))\n"
+                                     "(:plan (pickup ?x))\n")
+    code, _, stderr = run(capsys, "solve", "--incomplete-domain", INCOMPLETE,
+                          "--problem", TOWER, "--cases", library)
+    assert code == INPUT_ERROR
+    assert (f"{library / 'p4.case'}: line 3, col 16: variable ?x not allowed "
+            "in a ground atom") in stderr

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseplan import GroundAction, SequenceDB, mine_frequent, support
+from caseplan import GroundAction, SequenceDB, mine_frequent
 
 from .conftest import P1_FRAGMENT, P2_FRAGMENT, plan
-from .oracles import bruteforce_mine, window_support
+from .oracles import bruteforce_mine, support, window_support
 
 COMMON_RUN = plan("pickup b,stack b a,pickup c,stack c b")
 
@@ -32,6 +32,7 @@ def golden_db():
 
 def test_support_of_shared_run(golden_db):
     assert support(golden_db, COMMON_RUN) == 2
+    assert mine_frequent(golden_db, 2).supports == {COMMON_RUN: 2}
 
 
 def test_support_absent_pattern(golden_db):
@@ -42,15 +43,16 @@ def test_support_counts_entries_not_occurrences():
     seq = plan("pickup b,pickup b,pickup b")
     db = SequenceDB.from_sequences([seq])
     assert support(db, plan("pickup b")) == 1
+    assert mine_frequent(db, 1).supports == {seq: 1}
+    assert mine_frequent(db, 2).patterns == ()
 
 
 def test_support_random_matches_window_oracle():
     rng = random.Random(13)
     alphabet = [GroundAction("a", (str(i),)) for i in range(5)]
     for _ in range(50):
-        entries = tuple((i, tuple(rng.choice(alphabet)
-                                  for _ in range(rng.randint(1, 10))))
-                        for i in range(rng.randint(1, 8)))
+        entries = tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+                        for _ in range(rng.randint(1, 8)))
         db = SequenceDB(entries)
         pattern = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
         assert support(db, pattern) == window_support(entries, pattern)
@@ -88,9 +90,8 @@ def test_mine_random_matches_bruteforce():
     rng = random.Random(99)
     alphabet = [GroundAction("op", (str(i),)) for i in range(6)]
     for _ in range(100):
-        entries = tuple((i, tuple(rng.choice(alphabet)
-                                  for _ in range(rng.randint(1, 12))))
-                        for i in range(rng.randint(1, 10)))
+        entries = tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+                        for _ in range(rng.randint(1, 10)))
         db = SequenceDB(entries)
         for delta in (1, 2, 3):
             got = set(mine_frequent(db, delta).patterns)
@@ -101,9 +102,8 @@ def test_no_pattern_contains_another():
     rng = random.Random(123)
     alphabet = [GroundAction("op", (str(i),)) for i in range(4)]
     for _ in range(30):
-        entries = tuple((i, tuple(rng.choice(alphabet)
-                                  for _ in range(rng.randint(1, 10))))
-                        for i in range(rng.randint(1, 6)))
+        entries = tuple(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+                        for _ in range(rng.randint(1, 6)))
         patterns = mine_frequent(SequenceDB(entries), 2).patterns
         for p in patterns:
             for q in patterns:
@@ -143,5 +143,10 @@ def test_invalid_inputs(golden_db):
         mine_frequent(golden_db, 0)
     with pytest.raises(ValueError):
         support(golden_db, ())
-    with pytest.raises(ValueError):
-        SequenceDB(((1, ()), (1, ())))
+
+
+def test_supports_are_read_only(golden_db):
+    result = mine_frequent(golden_db, 2)
+    with pytest.raises(TypeError):
+        result.supports[COMMON_RUN] = 99
+    assert result.supports[COMMON_RUN] == 2

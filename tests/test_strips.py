@@ -20,8 +20,6 @@ from caseplan import (
     GroundAction,
     Grounding,
     StripsError,
-    applicable,
-    apply_action,
     degrade,
     execute_plan,
     grounded,
@@ -65,7 +63,6 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
     assert grounding.free_ops == reference.free_ops
     assert grounding.adds == tuple(tuple(sorted(add)) for _, add, _ in reference.ops_ids)
     assert grounding.ground_actions == tuple(ga.action for ga in reference.actions)
-    assert grounding.actions == reference.actions
 
 
 def test_grounding_rejects_schema_broader_than_its_predicate():
@@ -114,9 +111,9 @@ def test_grounded_wrong_arity(blocks):
 def test_grounded_matches_instantiate_reference(data):
     name = data.draw(st.sampled_from(DOMAIN_NAMES))
     grounding = typed_grounding(name, data.draw(st.sampled_from([1.0, 0.5])))
-    action = data.draw(st.sampled_from(grounding.actions)).action
+    action = data.draw(st.sampled_from(grounding.ground_actions))
     schema = grounding.domain.schemas[action.name]
-    reference = instantiate(schema, dict(zip(schema.variables, action.args)))
+    reference = instantiate(schema, {var: obj for (var, _), obj in zip(schema.params, action.args)})
     assert grounded(grounding.domain, action) == reference
 
 
@@ -124,30 +121,32 @@ def test_grounded_matches_instantiate_reference(data):
 def test_grounding_is_sorted_without_duplicates(name):
     grounding = typed_grounding(name, 1.0)
     assert list(grounding.atoms) == sorted(set(grounding.atoms))
-    names = [ga.action for ga in grounding.actions]
+    names = list(grounding.ground_actions)
     assert names == sorted(set(names))
 
 
 def test_applicable_pickup_b(blocks, tower):
-    assert applicable(tower.init, GA("pickup b"), blocks)
+    assert grounded(blocks, GA("pickup b")).pre <= tower.init
 
 
 def test_applicable_empty_state(blocks):
-    assert not applicable(frozenset(), GA("pickup b"), blocks)
+    assert not grounded(blocks, GA("pickup b")).pre <= frozenset()
 
 
 def test_applicable_pickup_c_blocked(blocks, tower):
     # c sits on a, so it is not on the table
-    assert not applicable(tower.init, GA("pickup c"), blocks)
+    assert not grounded(blocks, GA("pickup c")).pre <= tower.init
 
 
 def test_applicable_unknown_schema(blocks, tower):
     with pytest.raises(StripsError, match="unknown action schema"):
-        applicable(tower.init, GA("teleport c"), blocks)
+        grounded(blocks, GA("teleport c"))
+    result = execute_plan(tower, (GA("teleport c"),))
+    assert (result.failed_step, result.reason) == (0, "unknown action schema: teleport")
 
 
 def test_apply_unstack(blocks, tower):
-    state = apply_action(tower.init, GA("unstack c a"), blocks)
+    state = execute_plan(tower, (GA("unstack c a"),)).state
     assert A("clear a") in state
     assert A("holding c") in state
     assert A("on c a") not in state
@@ -159,17 +158,19 @@ def test_apply_empty_effects(blocks, tower):
     model = DomainModel(name="blocks", types=dict(blocks.types),
                         predicates=dict(blocks.predicates),
                         schemas={**blocks.schemas, "observe": schema})
-    assert apply_action(tower.init, GA("observe"), model) == tower.init
+    result = execute_plan(replace(tower, domain=model), (GA("observe"),))
+    assert result.failed_step == 1 and result.state == tower.init
 
 
 def test_apply_checks_precondition(blocks, tower):
-    with pytest.raises(StripsError, match="not applicable"):
-        apply_action(tower.init, GA("putdown c"), blocks)
+    result = execute_plan(tower, (GA("putdown c"),))
+    assert (result.success, result.failed_step, result.state) == (False, 0, tower.init)
+    assert result.reason == "unsatisfied precondition (holding c) for (putdown c)"
 
 
 def test_apply_is_deterministic(blocks, tower):
-    s1 = apply_action(tower.init, GA("unstack c a"), blocks)
-    s2 = apply_action(tower.init, GA("unstack c a"), blocks)
+    s1 = execute_plan(tower, (GA("unstack c a"),)).state
+    s2 = execute_plan(tower, (GA("unstack c a"),)).state
     assert s1 == s2
 
 
@@ -201,22 +202,21 @@ def test_inapplicable_step_reports_index(tower):
 
 
 def test_success_implies_all_prefixes_execute(tower):
+    # every step of every prefix applies: only the goal check may fail
     for k in range(len(GOLDEN_SOLUTION)):
-        prefix = GOLDEN_SOLUTION[:k]
-        state = tower.init
-        for action in prefix:
-            assert applicable(state, action, tower.domain)
-            state = apply_action(state, action, tower.domain)
+        assert execute_plan(tower, GOLDEN_SOLUTION[:k]).failed_step == k
 
 
 def test_frame_property(blocks, tower):
     rng = random.Random(7)
+    actions = GroundingThroughGrounded(blocks, dict(tower.objects)).actions
+    steps = ()
     state = tower.init
     for _ in range(30):
-        options = [ga for ga in Grounding.for_problem(tower).actions
-                   if ga.pre <= state]
+        options = [ga for ga in actions if ga.pre <= state]
         ga = rng.choice(options)
-        succ = apply_action(state, ga.action, blocks)
+        steps += (ga.action,)
+        succ = execute_plan(tower, steps).state
         untouched = ga.add | ga.delete
         for atom in state - untouched:
             assert atom in succ
@@ -236,11 +236,11 @@ def test_grounding_matches_lifted_check(blocks):
         goal=frozenset())
     for schema in blocks.schemas.values():
         for combo in itertools.product(objects, repeat=len(schema.params)):
-            binding = dict(zip(schema.variables, combo))
+            binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
             action = GroundAction(schema.name, combo)
             lifted_holds = all(substitute(a, binding) in problem.init
                                for a in schema.pre)
-            assert applicable(problem.init, action, blocks) == lifted_holds
+            assert (grounded(blocks, action).pre <= problem.init) == lifted_holds
 
 
 def test_schema_rejects_add_delete_overlap():
@@ -333,8 +333,8 @@ def test_grounding_enumerates_all_blocks_actions(blocks):
     problem = make_tower_problem(blocks)
     grounding = Grounding.for_problem(problem)
     # 4 objects: pickup/putdown 4 each, stack/unstack 16 each
-    assert len(grounding.actions) == 4 + 4 + 16 + 16
-    names = [ga.action for ga in grounding.actions]
+    assert len(grounding.ground_actions) == 4 + 4 + 16 + 16
+    names = list(grounding.ground_actions)
     assert names == sorted(names)
     assert grounded(blocks, GA("pickup b")).pre == atoms(
         "clear b", "ontable b", "handempty")
