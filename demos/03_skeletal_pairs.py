@@ -22,7 +22,7 @@ for atom, result in single_goal_plans(problem):
 
 print()
 print("causal pairs (the skeletal plan):")
-for pair in sorted(skeleton(problem)[1]):
+for pair in sorted(skeleton(problem).pairs):
     print("  ", pair.pddl())
 
 print()

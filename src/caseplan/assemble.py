@@ -26,6 +26,9 @@ def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
     fragment = tuple(fragment)
     if not partial:
         return fragment
+    # every end overlap holds partial[-1] (at the end) or partial[0] (at the front)
+    if partial[-1] not in fragment and partial[0] not in fragment:
+        return None
     at_end = at_front = 0
     for k in range(1, min(len(partial), len(fragment)) + 1):
         if partial[-k:] == fragment[:k]:
@@ -87,29 +90,41 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
     it executes to the goal under the problem's model. Branches are explored
     pairs-sorted and fragments longest-first, so results are deterministic;
     the node budget caps backtracking on adversarial inputs.
+
+    A fragment that mentions several remaining pairs is a branch under each of
+    them; its merge with the draft, and the pairs that merge leaves, are
+    computed once per step and shared by those branches.
     """
+    patterns = fragments.patterns
+    mentions = [frozenset(pattern) for pattern in patterns]
     nodes = 0
 
     def rec(partial: Plan, remaining: frozenset[CausalPair],
-            available: tuple[ActionSeq, ...]) -> Plan | None:
+            available: tuple[int, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
             candidate = trim(partial, problem)
             result = execute_plan(problem, candidate)
             return candidate if result.success else None
+        # per available pattern index: (merged draft, pairs it leaves), or None if no overlap
+        children: dict[int, tuple[Plan, frozenset[CausalPair]] | None] = {}
         for pair in sorted(remaining):
-            for idx, frag in enumerate(available):
-                if pair.provider not in frag and pair.consumer not in frag:
+            for pos, idx in enumerate(available):
+                if pair.provider not in mentions[idx] and pair.consumer not in mentions[idx]:
                     continue
-                merged = merge(partial, frag)
-                if merged is not None:
+                if idx in children:
+                    child = children[idx]
+                else:
+                    merged = merge(partial, patterns[idx])
+                    child = children[idx] = None if merged is None else \
+                        (merged, removelinks(merged, remaining))
+                if child is not None:
                     nodes += 1
                     if nodes > node_budget:
                         return None
-                    rest = available[:idx] + available[idx + 1:]
-                    found = rec(merged, removelinks(merged, remaining), rest)
+                    found = rec(*child, available[:pos] + available[pos + 1:])
                     if found is not None:
                         return found
         return None
 
-    return rec((), pairs, fragments.patterns)
+    return rec((), pairs, tuple(range(len(patterns))))

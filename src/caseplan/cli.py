@@ -118,7 +118,7 @@ def cmd_degrade(args) -> int:
 def cmd_skeletal(args) -> int:
     domain = _load_domain(args.incomplete_domain)
     problem = _load_problem(args.problem, domain)
-    _, pairs = skeleton(problem, _search_config(args))
+    pairs = skeleton(problem, _search_config(args)).pairs
     for pair in sorted(pairs):
         print(pair.pddl())
     return OK

@@ -11,7 +11,8 @@ from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
 from .mapping import Fragment, build_fragments, mapping_index
-from .pipeline import solve_with_library
+from .mining import FrequentFragmentSet
+from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
 from .strips import DomainModel, Plan, PlanningProblem
 
@@ -66,27 +67,30 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     """Execute the sweep. Deterministic for fixed seeds (timing aside).
 
     A row is marked solved only when the produced plan re-executes to the
-    goal under the complete model. A case's fragments on a problem depend
-    only on the problem's objects, init and goal and on the domain's
-    signatures, which degrading the model never changes, so each problem's
-    mapping index is built once, each (problem, case) pair is mapped once per
-    seed, and its fragments are reused by every cell whose library prefix
-    holds that case.
+    goal under the complete model. Each stage of a solve is computed once, at
+    the level of the grid it depends on, and passed to the
+    ``solve_with_library`` call of every row at that level:
+
+    - per problem: its mapping index, for every seed;
+    - per (problem, case), once per seed: the case's fragments. They read only
+      the problem's objects, init and goal and the domain's signatures, which
+      degrading the model never changes;
+    - per (problem, model), that is per (problem, seed, completeness): the
+      grounding and the skeleton (per-goal plans and causal pairs);
+    - per (problem, case count, delta), once per seed: the prefix's fragments
+      and the patterns mined from them;
+    - per row: assembly and the fallbacks, inside the solve call.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
-    solve call (no parsing, no validation) plus the build time of the
-    fragments of every case in the row's prefix, each timed once, when built;
-    the first case's build time in each seed includes the problem's index.
-    With ``timing=False`` it is written as 0 so reruns are byte-identical.
+    solve call (no parsing, no validation) plus the time of every stage it was
+    given, each timed once, when built: the row's skeleton, its mining, and
+    the fragments of every case in its prefix. The first case's build time in
+    each seed includes the problem's index. With ``timing=False`` it is
+    written as 0 so reruns are byte-identical.
     """
     rows: list[ExperimentRow] = []
     details: list[RunDetail] = []
-
-    # per problem: its mapping index, which every case and seed reuse, and its build seconds
-    indexes = []
-    for problem in spec.problems:
-        start = time.perf_counter()
-        indexes.append((mapping_index(problem), time.perf_counter() - start))
+    indexes = [_timed(mapping_index, problem) for problem in spec.problems]
 
     for seed in spec.seeds:
         if spec.cases is not None:
@@ -98,31 +102,46 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         if max(spec.case_counts) > len(library):
             raise ValueError(f"case count {max(spec.case_counts)} exceeds the library "
                              f"of {len(library)} cases")
+
         # per problem, per library case in order: (its fragments, build seconds)
         built: list[list[tuple[tuple[Fragment, ...], float]]] = [[] for _ in spec.problems]
+        # per (case count, delta, problem): (the prefix's fragments, their
+        # patterns, the build seconds of both)
+        mined: dict[tuple[int, int, int],
+                    tuple[tuple[Fragment, ...], FrequentFragmentSet, float]] = {}
+        for num_cases in spec.case_counts:
+            for p_idx, problem in enumerate(spec.problems):
+                per_case = built[p_idx]
+                index, index_s = indexes[p_idx]
+                for case in library[len(per_case):num_cases]:
+                    case_fragments, elapsed = _timed(build_fragments, problem, [case],
+                                                     index=index)
+                    per_case.append((tuple(case_fragments),
+                                     elapsed if per_case else elapsed + index_s))
+                prefix = per_case[:num_cases]
+                fragments = tuple(f for frags, _ in prefix for f in frags)
+                prefix_s = sum(s for _, s in prefix)
+                for delta in spec.deltas:
+                    frequent, elapsed = _timed(mine_fragments, fragments, delta)
+                    mined[num_cases, delta, p_idx] = fragments, frequent, elapsed + prefix_s
+
         for completeness in spec.completeness_levels:
             model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))
+            degraded = [replace(problem, domain=model) for problem in spec.problems]
+            # per problem under this model: (its skeleton, build seconds)
+            skeletons = [_timed(skeleton, problem, spec.search) for problem in degraded]
             for num_cases in spec.case_counts:
                 subset = library[:num_cases]
                 for delta in spec.deltas:
-                    for p_idx, problem in enumerate(spec.problems):
-                        per_case = built[p_idx]
-                        index, index_s = indexes[p_idx]
-                        for case in library[len(per_case):num_cases]:
-                            start = time.perf_counter()
-                            case_fragments = tuple(build_fragments(problem, [case], index=index))
-                            elapsed = time.perf_counter() - start
-                            per_case.append((case_fragments,
-                                             elapsed if per_case else elapsed + index_s))
-                        prefix = per_case[:num_cases]
-                        degraded_problem = replace(problem, domain=model)
-                        start = time.perf_counter()
-                        outcome = solve_with_library(
-                            degraded_problem, subset, delta,
+                    for p_idx, degraded_problem in enumerate(degraded):
+                        skeletal, skeleton_s = skeletons[p_idx]
+                        fragments, frequent, mined_s = mined[num_cases, delta, p_idx]
+                        outcome, elapsed = _timed(
+                            solve_with_library, degraded_problem, subset, delta,
                             config=spec.search,
                             assembly_budget=spec.assembly_budget,
-                            fragments=tuple(f for frags, _ in prefix for f in frags))
-                        elapsed = time.perf_counter() - start + sum(s for _, s in prefix)
+                            fragments=fragments, skeletal=skeletal, frequent=frequent)
+                        elapsed += skeleton_s + mined_s
                         solved = outcome.plan is not None and check_solution(
                             degraded_problem, outcome.plan, spec.domain)
                         row = ExperimentRow(
@@ -139,6 +158,13 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                                                  plan=outcome.plan, route=outcome.route))
     rows.sort(key=ExperimentRow.sort_key)
     return rows, details
+
+
+def _timed(fn, *args, **kwargs):
+    """``fn``'s result and the wall-clock seconds the call took."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
 
 
 def accuracy_of(rows: list[ExperimentRow], **filters) -> float:

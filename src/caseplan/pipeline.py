@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assemble import concat_frag, trim
 from .causal import CausalPair, extract_causal_pairs, single_goal_plans
@@ -37,16 +39,32 @@ class PipelineOutcome:
         return self.plan is not None
 
 
-def skeleton(problem: PlanningProblem, config: SearchConfig | None = None,
-             grounding: Grounding | None = None) -> tuple[list[Plan], frozenset[CausalPair]]:
-    """The skeletal plan: the solved per-goal plans, in sorted goal order, and the
-    union of their causal pairs. Goals the solver cannot reach contribute nothing."""
-    goal_plans = [result.plan for _, result in single_goal_plans(problem, config, grounding)
-                  if result.solved and result.plan]
+class Skeleton(NamedTuple):
+    """The stage that depends only on the problem and its (possibly incomplete)
+    model: the solved per-goal plans, in sorted goal order, the union of their
+    causal pairs, and the grounding they were searched on."""
+
+    goal_plans: tuple[Plan, ...]
+    pairs: frozenset[CausalPair]
+    grounding: Grounding
+
+
+def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Skeleton:
+    """The skeletal plan of the problem under its own model. Goals the solver
+    cannot reach contribute nothing."""
+    grounding = Grounding.for_problem(problem)
+    goal_plans = tuple(result.plan for _, result in single_goal_plans(problem, config, grounding)
+                       if result.solved and result.plan)
     pairs: frozenset[CausalPair] = frozenset()
     for goal_plan in goal_plans:
         pairs |= extract_causal_pairs(goal_plan, problem.domain, problem.init)
-    return goal_plans, pairs
+    return Skeleton(goal_plans, pairs, grounding)
+
+
+def mine_fragments(fragments: Sequence[Fragment], min_support: int) -> FrequentFragmentSet:
+    """The stage that depends only on the fragments of a library prefix and
+    the support threshold: the maximal frequent runs of their actions."""
+    return mine_frequent(SequenceDB.from_sequences([f.actions for f in fragments]), min_support)
 
 
 def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
@@ -54,7 +72,9 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
                        config: SearchConfig | None = None,
                        assembly_budget: int = 20_000,
                        search_fallback: bool = True,
-                       fragments: tuple[Fragment, ...] | None = None) -> PipelineOutcome:
+                       fragments: tuple[Fragment, ...] | None = None,
+                       skeletal: Skeleton | None = None,
+                       frequent: FrequentFragmentSet | None = None) -> PipelineOutcome:
     """Solve under the problem's (possibly incomplete) model using the case library.
 
     The primary route assembles mined frequent fragments along the causal
@@ -68,23 +88,29 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     already built (what ``build_fragments(problem, cases)`` returns). They do
     not depend on the action model, so a caller solving one problem under
     several models may build them once and pass them to every call.
+
+    The other stages can be passed in the same way. ``skeletal``, when given,
+    is what ``skeleton(problem, config)`` returns; it depends only on the
+    problem and its model. ``frequent``, when given, is what
+    ``mine_fragments(fragments, min_support)`` returns; it does not depend on
+    the model.
     """
     config = config or SearchConfig()
-    grounding = Grounding.for_problem(problem)
-    goal_plans, pairs = skeleton(problem, config, grounding)
-
+    if skeletal is None:
+        skeletal = skeleton(problem, config)
+    goal_plans, pairs, grounding = skeletal
     if fragments is None:
         fragments = tuple(build_fragments(problem, cases))
-    db = SequenceDB.from_sequences([f.actions for f in fragments])
-    frequent = mine_frequent(db, min_support)
+    if frequent is None:
+        frequent = mine_fragments(fragments, min_support)
 
     plan = concat_frag(problem, pairs, frequent, node_budget=assembly_budget)
     if plan is not None:
         return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
 
-    skeletal = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem)
-    if execute_plan(problem, skeletal).success:
-        return PipelineOutcome(skeletal, ROUTE_SKELETAL, None, pairs, fragments, frequent)
+    skeletal_plan = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem)
+    if execute_plan(problem, skeletal_plan).success:
+        return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)
 
     if search_fallback:
         direct = solve(problem, config, grounding)

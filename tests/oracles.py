@@ -19,24 +19,32 @@ from types import MappingProxyType
 from caseplan import (
     Atom,
     CaseFile,
+    CausalPair,
     DomainModel,
+    FrequentFragmentSet,
     MappingIndex,
     PlanningProblem,
     SequenceDB,
+    execute_plan,
     grounded,
+    merge,
     object_features,
+    removelinks,
+    trim,
 )
 from caseplan.cases import ExperimentRow
 from caseplan.degrade import DegradeSpec, degrade
 from caseplan.evaluate import check_solution
 from caseplan.experiment import ExperimentSpec, RunDetail
 from caseplan.generators import generate_case_library
+from caseplan.mining import ActionSeq
 from caseplan.pipeline import solve_with_library
 from caseplan.strips import (
     ActionSchema,
     GroundAction,
     GroundedAction,
     Grounding,
+    Plan,
     StripsError,
     is_subtype,
 )
@@ -261,6 +269,49 @@ def trim_by_restarts(plan, problem: PlanningProblem):
     while actions and grounded(model, actions[-1]).delete & problem.goal:
         actions.pop()
     return tuple(actions)
+
+
+# The earlier assembly search, kept unchanged as the reference for
+# caseplan.assemble.concat_frag, which now merges each fragment at most once
+# per node instead of once per pair that names it.
+
+def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair],
+                           fragments: FrequentFragmentSet, *,
+                           node_budget: int = 20_000) -> Plan | None:
+    """Depth-first assembly of fragments until all causal pairs are satisfied.
+
+    At each step, pick a remaining pair and an unused fragment that mentions
+    one of the pair's actions and shares an end overlap with the draft; merge
+    and recurse. When no pairs remain the draft is trimmed and accepted iff
+    it executes to the goal under the problem's model. Branches are explored
+    pairs-sorted and fragments longest-first, so results are deterministic;
+    the node budget caps backtracking on adversarial inputs.
+    """
+    nodes = 0
+
+    def rec(partial: Plan, remaining: frozenset[CausalPair],
+            available: tuple[ActionSeq, ...]) -> Plan | None:
+        nonlocal nodes
+        if not remaining:
+            candidate = trim(partial, problem)
+            result = execute_plan(problem, candidate)
+            return candidate if result.success else None
+        for pair in sorted(remaining):
+            for idx, frag in enumerate(available):
+                if pair.provider not in frag and pair.consumer not in frag:
+                    continue
+                merged = merge(partial, frag)
+                if merged is not None:
+                    nodes += 1
+                    if nodes > node_budget:
+                        return None
+                    rest = available[:idx] + available[idx + 1:]
+                    found = rec(merged, removelinks(merged, remaining), rest)
+                    if found is not None:
+                        return found
+        return None
+
+    return rec((), pairs, fragments.patterns)
 
 
 # The earlier schema instantiation, kept unchanged as the reference for

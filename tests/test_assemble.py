@@ -12,6 +12,7 @@ from caseplan import (
     DegradeSpec,
     FrequentFragmentSet,
     Grounding,
+    PlanningProblem,
     SequenceDB,
     concat_frag,
     degrade,
@@ -19,6 +20,8 @@ from caseplan import (
     mine_frequent,
     random_blocks_problem,
     removelinks,
+    skeleton,
+    solve,
     trim,
 )
 
@@ -33,7 +36,12 @@ from .conftest import (
     make_tower_problem,
     plan,
 )
-from .oracles import append_by_overlaps, share_by_scan, trim_by_restarts
+from .oracles import (
+    append_by_overlaps,
+    concat_frag_rescanning,
+    share_by_scan,
+    trim_by_restarts,
+)
 
 MERGED = P2_FRAGMENT + P1_FRAGMENT[4:]  # the ten-action concatenation
 
@@ -173,6 +181,22 @@ def test_share_and_append_match_scanning_reference(data):
         assert merge(partial, fragment) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_rejects_only_where_no_end_is_shared(data):
+    # merge rejects at once when neither end action of the draft occurs in
+    # the fragment; every overlap would hold one of them, so nothing is lost
+    _, actions = data.draw(problem_and_actions())
+    alphabet = actions[:data.draw(st.integers(2, 5))]
+    seqs = st.lists(st.sampled_from(alphabet), min_size=1, max_size=6).map(tuple)
+    partial, fragment = data.draw(seqs), data.draw(seqs)
+    if partial[-1] not in fragment and partial[0] not in fragment:
+        assert not share_by_scan(partial, fragment)
+        assert merge(partial, fragment) is None
+    else:
+        assert (merge(partial, fragment) is not None) == share_by_scan(partial, fragment)
+
+
 def golden_fragments(min_support=1):
     db = SequenceDB.from_sequences([P1_FRAGMENT, P2_FRAGMENT])
     return mine_frequent(db, min_support)
@@ -206,3 +230,63 @@ def test_concat_respects_budget(tower_incomplete):
 def test_concat_pairs_remaining_and_no_fragments_fails(tower_incomplete):
     empty = FrequentFragmentSet(patterns=(), supports={}, min_support=1)
     assert concat_frag(tower_incomplete, GOLDEN_PAIRS, empty) is None
+
+
+def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
+    # two fragments name both pairs, so each is a branch under both; the node
+    # budget counts those branches under each pair, as the rescanning search
+    # did: the plan takes 12 nodes here, and would take 7 if repeats went
+    # uncounted
+    problem = PlanningProblem(name="t", domain=blocks,
+                              objects={b: "object" for b in ("b1", "b2", "b3")},
+                              init=atoms("ontable b1", "on b2 b1", "ontable b3", "clear b2",
+                                         "clear b3", "handempty"),
+                              goal=atoms("on b2 b3"))
+    pairs = frozenset({CausalPair(GA("pickup b3"), GA("stack b2 b3")),
+                       CausalPair(GA("unstack b2 b1"), GA("stack b2 b3"))})
+    patterns = (plan("pickup b1,pickup b3"), plan("pickup b3,unstack b2 b1"),
+                plan("unstack b2 b1,pickup b1"), plan("unstack b2 b1,stack b2 b3"))
+    fragments = FrequentFragmentSet(patterns=patterns, supports=dict.fromkeys(patterns, 1),
+                                    min_support=1)
+    for budget, expected in ((11, None), (12, plan("unstack b2 b1,stack b2 b3"))):
+        assert concat_frag(problem, pairs, fragments, node_budget=budget) == expected
+        assert concat_frag_rescanning(problem, pairs, fragments, node_budget=budget) == expected
+
+
+@st.composite
+def assembly_inputs(draw):
+    """A 3-block problem, causal pairs and fragments over a few of its actions.
+
+    The pairs are some of the problem's skeletal pairs and some drawn at
+    random; the fragments are slices of a plan that solves the problem under
+    its model, where there is one, and random runs, so that some assemblies
+    succeed and some fail.
+    """
+    problem, actions = draw(problem_and_actions())
+    solution = solve(problem).plan or ()
+    alphabet = list(dict.fromkeys(solution + actions[:draw(st.integers(1, 3))]))
+    skeletal = sorted(skeleton(problem).pairs)
+    pairs = set(draw(st.lists(st.sampled_from(skeletal), min_size=1, max_size=4))) \
+        if skeletal else set()
+    pairs |= set(draw(st.lists(st.builds(CausalPair, st.sampled_from(alphabet),
+                                         st.sampled_from(alphabet)), max_size=1)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        if solution and draw(st.integers(0, 3)):
+            i = draw(st.integers(0, len(solution) - 1))
+            pieces.append(solution[i:draw(st.integers(i + 1, len(solution)))])
+        else:
+            pieces.append(tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                                              max_size=4))))
+    patterns = sorted(set(pieces), key=lambda p: (-len(p), p))
+    return problem, frozenset(pairs), FrequentFragmentSet(
+        patterns=tuple(patterns), supports={p: 1 for p in patterns}, min_support=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assembly_inputs())
+def test_concat_matches_rescanning_reference(inputs):
+    problem, pairs, fragments = inputs
+    for budget in (*range(1, 51), 20_000):
+        assert concat_frag(problem, pairs, fragments, node_budget=budget) == \
+            concat_frag_rescanning(problem, pairs, fragments, node_budget=budget)

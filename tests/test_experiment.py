@@ -9,6 +9,7 @@ from caseplan.cases import read_rows, write_rows
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
 
+from .conftest import SMALL_SEARCH, typed_instance
 from .oracles import run_experiment_per_cell
 
 
@@ -52,6 +53,30 @@ def test_matches_per_cell_reference(blocks, tower, p1, p2, fixed_library):
     else:
         spec = small_spec(blocks, case_counts=(10, 2), completeness_levels=(0.2, 1.0),
                           deltas=(1, 5), seeds=(1, 2))
+    rows, details = run_experiment(spec)
+    ref_rows, ref_details = run_experiment_per_cell(spec)
+    assert rows == ref_rows
+    assert [(d.row, d.plan, d.route) for d in details] == \
+        [(d.row, d.plan, d.route) for d in ref_details]
+
+
+@pytest.mark.parametrize("domain_name", ["blocks", "driverlog"])
+def test_matches_per_cell_reference_reusing_every_level(blocks, domain_name):
+    # a fixed library and a grid where every stage is reused: each skeleton by
+    # 2 case counts x 2 deltas, each mining by 3 models, and each case's
+    # fragments by every cell whose prefix holds it; both grids reach the
+    # fragments, skeletal and no-plan routes
+    if domain_name == "blocks":
+        from caseplan import generate_case_library
+        spec = small_spec(blocks, cases=generate_case_library(blocks, 8, 3, n_blocks=4),
+                          problems=make_problem_suite(blocks, 2, 0, n_blocks=4),
+                          case_counts=(8, 3), completeness_levels=(0.2, 0.6, 1.0),
+                          deltas=(1, 3))
+    else:
+        domain, problem, cases = typed_instance(domain_name, 0)
+        spec = ExperimentSpec(domain=domain, problems=[problem], cases=cases,
+                              case_counts=(3, 1), completeness_levels=(0.4, 0.8, 1.0),
+                              deltas=(1, 2), seeds=(1, 2), search=SMALL_SEARCH, timing=False)
     rows, details = run_experiment(spec)
     ref_rows, ref_details = run_experiment_per_cell(spec)
     assert rows == ref_rows

@@ -24,6 +24,8 @@ from caseplan.pipeline import (
     ROUTE_SKELETAL,
     STAGE_MINING,
     STAGE_SKELETAL,
+    mine_fragments,
+    skeleton,
 )
 from caseplan.strips import PlanningProblem
 
@@ -125,10 +127,16 @@ def test_fragments_do_not_depend_on_the_model(instance, completeness, seed):
 @settings(max_examples=25, deadline=None)
 @given(instances, st.sampled_from([0.4, 0.8, 1.0]), st.integers(0, 2**16), st.integers(1, 3))
 def test_given_fragments_solve_like_built_ones(instance, completeness, seed, delta):
+    # each stage passed in, as run_experiment passes it, solves like the stage
+    # the call computes itself: the fragments, the skeleton of (problem,
+    # model) and the patterns of (fragments, delta)
     domain, problem, cases = instance
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
     fragments = tuple(build_fragments(problem, cases))
+    computed = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
     assert solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
-                              fragments=fragments) == \
-        solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
-
+                              fragments=fragments) == computed
+    assert solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
+                              fragments=fragments,
+                              skeletal=skeleton(problem, SMALL_SEARCH),
+                              frequent=mine_fragments(fragments, delta)) == computed
