@@ -93,7 +93,10 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
 
     A fragment that mentions several remaining pairs is a branch under each of
     them; its merge with the draft, and the pairs that merge leaves, are
-    computed once per step and shared by those branches.
+    computed once per step and shared by those branches. A branch whose
+    subtree has already failed under an earlier pair is not walked again: the
+    budget is charged its node count, which is what a second walk would take,
+    and a charge past the budget stops the search where that walk would have.
     """
     patterns = fragments.patterns
     mentions = [frozenset(pattern) for pattern in patterns]
@@ -108,9 +111,16 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
             return candidate if result.success else None
         # per available pattern index: (merged draft, pairs it leaves), or None if no overlap
         children: dict[int, tuple[Plan, frozenset[CausalPair]] | None] = {}
+        # per pattern index whose subtree was walked and failed: the nodes it took
+        failed: dict[int, int] = {}
         for pair in sorted(remaining):
             for pos, idx in enumerate(available):
                 if pair.provider not in mentions[idx] and pair.consumer not in mentions[idx]:
+                    continue
+                if idx in failed:
+                    nodes += 1 + failed[idx]
+                    if nodes > node_budget:
+                        return None
                     continue
                 if idx in children:
                     child = children[idx]
@@ -122,9 +132,11 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
                     nodes += 1
                     if nodes > node_budget:
                         return None
+                    before = nodes
                     found = rec(*child, available[:pos] + available[pos + 1:])
                     if found is not None:
                         return found
+                    failed[idx] = nodes - before
         return None
 
     return rec((), pairs, tuple(range(len(patterns))))

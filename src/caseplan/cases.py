@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .pddl import PddlError, PddlSyntaxError, SList, _as_list, _as_symbol, _parse_atom, \
     read_sexprs
 from .strips import Atom, GroundAction, Plan
+
+if TYPE_CHECKING:
+    from .mapping import CaseIndex
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,15 @@ class CaseFile:
         for action in self.plan:
             seen.update(action.args)
         return tuple(sorted(seen))
+
+    @cached_property
+    def mapping_rows(self) -> CaseIndex:
+        """What case mapping reads of this case (a :class:`caseplan.mapping.CaseIndex`),
+        built on first use and kept. It depends on the case alone, so it is
+        built once however many problems the case is mapped onto; it is no
+        field, so equality, hashing and ``repr`` ignore it."""
+        from .mapping import case_index  # mapping imports this module
+        return case_index(self)
 
 
 def _parse_actions(nodes: list[object]) -> Plan:

@@ -71,6 +71,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     the level of the grid it depends on, and passed to the
     ``solve_with_library`` call of every row at that level:
 
+    - per library case, across calls: its mapping rows (``case.mapping_rows``),
+      which read the case alone and are kept on it, so a fixed library
+      (``spec.cases``) builds them once for every problem, seed and call;
     - per problem: its mapping index, for every seed;
     - per (problem, case), once per seed: the case's fragments. They read only
       the problem's objects, init and goal and the domain's signatures, which

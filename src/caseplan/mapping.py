@@ -25,6 +25,18 @@ starting at its ``pid``: mapping a case object to ``obj`` adds
 backtracking subtracts it again. Checking an atom is then one set lookup of
 an int, and a node whose value cannot beat the bound is rejected after one
 pass over its atoms, before any state changes.
+
+The set-up of a mapping is split by what each part depends on:
+
+- per case, and no domain: a :class:`CaseIndex` (the depth order of the
+  case objects, the atom rows and depth rows, each object's features and
+  usages, and the plan rows), which ``case.mapping_rows`` builds on first use
+  and keeps on the case, so a library mapped onto many problems builds it
+  once per case;
+- per problem: the :class:`MappingIndex`, shared by every case mapped onto
+  the problem and by every degraded model of it;
+- per (case, problem), in :func:`best_mapping`: the atoms' keys, the depth
+  multipliers and the sorted candidate lists.
 """
 
 from __future__ import annotations
@@ -85,23 +97,67 @@ def mapping_score(case: CaseFile, mapping: dict[str, str], problem: PlanningProb
             + len(_mapped_atoms(case.goal, mapping) & problem.goal))
 
 
-def _slot_constraints(case: CaseFile, problem: PlanningProblem) -> dict[str, set[str]]:
-    """Types each case object must fit, inferred from where it is used."""
-    domain = problem.domain
-    req: dict[str, set[str]] = {o: set() for o in case.objects()}
-    for atom in itertools.chain(case.init, case.goal):
-        sig = domain.predicates.get(atom.predicate)
-        if sig is None or len(sig) != len(atom.args):
-            continue
-        for arg, t in zip(atom.args, sig):
-            req[arg].add(t)
+# A signature, the key of MappingIndex.fits: (PREDICATE or ACTION, name, arity).
+PREDICATE, ACTION = "predicate", "action"
+Signature = tuple[str, str, int]
+
+
+@dataclass(frozen=True)
+class CaseIndex:
+    """What :func:`best_mapping` and :func:`extract_fragments` read of a case,
+    with each case object named by its depth in the search.
+
+    Built by :func:`case_index`, through ``case.mapping_rows``. It reads the
+    case alone, no domain or problem, so one serves every problem and every
+    model the case is mapped onto.
+    """
+
+    case_objs: tuple[str, ...]  # depth -> case object, most atoms first, then by name
+    # per atom, sorted init atoms then sorted goal atoms: ((predicate, arity),
+    # target (0 init, 1 goal), the depth of each argument)
+    atoms: tuple[tuple[tuple[str, int], int, tuple[int, ...]], ...]
+    # per depth, per atom its object occurs in: (atom, the object's positions
+    # in it, whether the depth is the atom's last)
+    depth_rows: tuple[tuple[tuple[int, tuple[int, ...], bool], ...], ...]
+    features: tuple[frozenset[str], ...]  # per depth: the object's object_features
+    # per depth: the object's usages, as (signature, position)
+    usages: tuple[tuple[tuple[Signature, int], ...], ...]
+    plan: tuple[tuple[Signature, tuple[int, ...]], ...]  # per action: (signature, arg depths)
+
+
+def case_index(case: CaseFile) -> CaseIndex:
+    """The case's :class:`CaseIndex`; ``case.mapping_rows`` builds it once and keeps it."""
+    atoms = [(a, 0) for a in sorted(case.init)] + [(a, 1) for a in sorted(case.goal)]
+    obj_atoms: dict[str, list[int]] = {o: [] for o in case.objects()}
+    for ai, (atom, _) in enumerate(atoms):
+        for o in set(atom.args):
+            obj_atoms[o].append(ai)
+    case_objs = tuple(sorted(obj_atoms, key=lambda o: (-len(obj_atoms[o]), o)))
+    depth_of = {o: d for d, o in enumerate(case_objs)}
+    slots = [tuple(depth_of[x] for x in atom.args) for atom, _ in atoms]
+    depth_rows = tuple(
+        tuple((ai, tuple(j for j, s in enumerate(slots[ai]) if s == d), max(slots[ai]) == d)
+              for ai in obj_atoms[o])
+        for d, o in enumerate(case_objs))
+    usages: dict[str, set[tuple[Signature, int]]] = {o: set() for o in case_objs}
+    for atom, _ in atoms:
+        sig = (PREDICATE, atom.predicate, len(atom.args))
+        for j, o in enumerate(atom.args):
+            usages[o].add((sig, j))
+    plan = []
     for action in case.plan:
-        schema = domain.schemas.get(action.name)
-        if schema is None or len(schema.params) != len(action.args):
-            continue
-        for arg, (_, t) in zip(action.args, schema.params):
-            req[arg].add(t)
-    return req
+        sig = (ACTION, action.name, len(action.args))
+        for j, o in enumerate(action.args):
+            usages[o].add((sig, j))
+        plan.append((sig, tuple(depth_of[o] for o in action.args)))
+    features = _features(case)
+    return CaseIndex(
+        case_objs,
+        tuple(((a.predicate, len(a.args)), target, s) for (a, target), s in zip(atoms, slots)),
+        depth_rows,
+        tuple(features.get(o, frozenset()) for o in case_objs),
+        tuple(tuple(sorted(usages[o])) for o in case_objs),
+        tuple(plan))
 
 
 @dataclass(frozen=True)
@@ -109,13 +165,16 @@ class MappingIndex:
     """What :func:`best_mapping` reads of a problem, in integers.
 
     Built by :func:`mapping_index`. It depends only on the problem's objects,
-    init and goal and on the domain's types, which ``degrade`` never changes,
-    so one index serves every case and every degraded model of the problem.
+    init and goal and on the domain's types, predicate signatures and schema
+    parameters, which ``degrade`` never changes, so one index serves every
+    case and every degraded model of the problem.
     """
 
     objects: tuple[str, ...]  # object id -> name, in sorted name order
     features: tuple[frozenset[str], ...]  # object id -> its object_features
-    fitting: Mapping[str, frozenset[int]]  # type -> ids of the objects that fit it
+    # signature of a declared predicate or schema -> per position, the ids of
+    # the objects that fit its type
+    fits: Mapping[Signature, tuple[frozenset[int], ...]]
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
     # per target (init, goal): the _image_key of every partial image of every atom
     images: tuple[frozenset[int], frozenset[int]]
@@ -138,10 +197,14 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
     """The problem's :class:`MappingIndex`."""
     objects = tuple(sorted(problem.objects))
     ids = {o: i for i, o in enumerate(objects)}
-    types = problem.domain.types
+    domain = problem.domain
     fitting = {t: frozenset(i for i, o in enumerate(objects)
-                            if is_subtype(types, problem.objects[o], t))
-               for t in types}
+                            if is_subtype(domain.types, problem.objects[o], t))
+               for t in domain.types}
+    fits = {(PREDICATE, name, len(sig)): tuple(fitting[t] for t in sig)
+            for name, sig in domain.predicates.items()}
+    fits.update({(ACTION, name, len(schema.params)): tuple(fitting[t] for _, t in schema.params)
+                 for name, schema in domain.schemas.items()})
     predicates: dict[tuple[str, int], int] = {}
     for atom in itertools.chain(problem.init, problem.goal):
         predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
@@ -158,7 +221,7 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
         images.append(frozenset(keys))
     features = _features(problem)
     return MappingIndex(objects, tuple(features.get(o, frozenset()) for o in objects),
-                        MappingProxyType(fitting), MappingProxyType(predicates),
+                        MappingProxyType(fits), MappingProxyType(predicates),
                         (images[0], images[1]))
 
 
@@ -184,39 +247,29 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     """
     if index is None:
         index = mapping_index(problem)
-    constraints = _slot_constraints(case, problem)
-
-    # each case atom with the image set of its target
-    atoms = [(a, index.images[0]) for a in sorted(case.init)]
-    atoms += [(a, index.images[1]) for a in sorted(case.goal)]
-    obj_atoms: dict[str, list[int]] = {o: [] for o in constraints}
-    for ai, (atom, _) in enumerate(atoms):
-        for o in set(atom.args):
-            obj_atoms[o].append(ai)
-
+    rows = case.mapping_rows
     # depth d of the search decides case object case_objs[d], into assign[d]
-    case_objs = sorted(constraints, key=lambda o: (-len(obj_atoms[o]), o))
-    depth_of = {o: d for d, o in enumerate(case_objs)}
+    case_objs = rows.case_objs
     # keys[ai] is the _image_key of case atom ai's mapped positions, kept as
     # they are assigned; an UNSET predicate id is in no image set
-    keys = [index.predicates.get((a.predicate, len(a.args)), UNSET) for a, _ in atoms]
-    slots = [[depth_of[x] for x in a.args] for a, _ in atoms]
+    keys = [index.predicates.get(pred, UNSET) for pred, _, _ in rows.atoms]
+    targets = [index.images[target] for _, target, _ in rows.atoms]
+    count = len(index.predicates)
     radix = len(index.objects) + 1
     # per depth: (atom, target, what each step of the depth's object id adds to
     # the atom's key, whether the depth completes the atom)
-    depth_rows = [[(ai, atoms[ai][1],
-                    sum(len(index.predicates) * radix ** j
-                        for j, s in enumerate(slots[ai]) if s == d),
-                    max(slots[ai]) == d)
-                   for ai in obj_atoms[o]]
-                  for d, o in enumerate(case_objs)]
+    depth_rows = [[(ai, targets[ai], sum(count * radix ** j for j in positions), completes)
+                   for ai, positions, completes in depth]
+                  for depth in rows.depth_rows]
 
-    case_features = _features(case)
     everything = frozenset(range(len(index.objects)))
     candidates: list[list[int]] = []
-    for o in case_objs:
-        feats = case_features.get(o, frozenset())
-        ok = everything.intersection(*[index.fitting[t] for t in constraints[o]])
+    for feats, usages in zip(rows.features, rows.usages):
+        ok = everything
+        for sig, j in usages:
+            fit = index.fits.get(sig)
+            if fit is not None:
+                ok = ok & fit[j]
         candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)))
 
     # shut[ai] is OPEN while case atom ai is undecided, else the depth that
@@ -225,10 +278,10 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     shut = []
     matched = 0
     alive = 0
-    for ai, (_, target) in enumerate(atoms):
-        if keys[ai] not in target:
+    for ai, (_, _, slots) in enumerate(rows.atoms):
+        if keys[ai] not in targets[ai]:
             shut.append(-1)
-        elif not slots[ai]:
+        elif not slots:
             shut.append(-1)
             matched += 1
         else:
@@ -326,35 +379,32 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
 
 
 def extract_fragments(case: CaseFile, mapping: dict[str, str],
-                      problem: PlanningProblem, source: str = "") -> list[Fragment]:
+                      problem: PlanningProblem, source: str = "", *,
+                      index: MappingIndex | None = None) -> list[Fragment]:
     """Rename the case plan and return its maximal runs of usable actions.
 
     An action is usable when its schema exists in the problem's domain and
     every argument is mapped to a type-compatible problem object; anything
-    else splits the plan at that point.
+    else splits the plan at that point. ``index``, when given, is
+    ``mapping_index(problem)``, already built.
     """
-    domain = problem.domain
+    if index is None:
+        index = mapping_index(problem)
+    rows = case.mapping_rows
+    ids = {o: i for i, o in enumerate(index.objects)}
+    names = [mapping.get(o) for o in rows.case_objs]
+    image = [UNSET if name is None else ids[name] for name in names]
     fragments: list[Fragment] = []
     current: list[GroundAction] = []
-
-    def flush() -> None:
-        if current:
+    for sig, slots in rows.plan:
+        fit = index.fits.get(sig)
+        if fit is not None and all(image[s] in f for s, f in zip(slots, fit)):
+            current.append(GroundAction(sig[1], tuple(names[s] for s in slots)))
+        elif current:
             fragments.append(Fragment(tuple(current), source))
-            current.clear()
-
-    for action in case.plan:
-        schema = domain.schemas.get(action.name)
-        usable = schema is not None and len(schema.params) == len(action.args) \
-            and all(a in mapping for a in action.args)
-        if usable:
-            args = tuple(mapping[a] for a in action.args)
-            usable = all(is_subtype(domain.types, problem.objects[o], t)
-                         for o, (_, t) in zip(args, schema.params))
-        if usable:
-            current.append(GroundAction(action.name, args))
-        else:
-            flush()
-    flush()
+            current = []
+    if current:
+        fragments.append(Fragment(tuple(current), source))
     return fragments
 
 
@@ -370,5 +420,5 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     out: list[Fragment] = []
     for name, case in cases:
         mapping = best_mapping(case, problem, index=index)
-        out.extend(extract_fragments(case, mapping, problem, source=name))
+        out.extend(extract_fragments(case, mapping, problem, source=name, index=index))
     return out

@@ -57,22 +57,31 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
 
-    # Occurrence lists for single actions: (sid, position) pairs.
+    # Occurrence lists for single actions: (sid, position) pairs, in that
+    # order; every list grown from one keeps it.
     occ: dict[ActionSeq, list[tuple[int, int]]] = {}
     for sid, seq in enumerate(db.sequences):
         for pos, action in enumerate(seq):
             occ.setdefault((action,), []).append((sid, pos))
 
     def entry_count(positions: list[tuple[int, int]]) -> int:
-        return len({sid for sid, _ in positions})
+        # the distinct sids of a list in (sid, position) order
+        count, last = 0, -1
+        for sid, _ in positions:
+            if sid != last:
+                count += 1
+                last = sid
+        return count
 
     frequent: dict[ActionSeq, int] = {}
-    level = {p: positions for p, positions in occ.items()
-             if entry_count(positions) >= min_support}
+    level: dict[ActionSeq, list[tuple[int, int]]] = {}
+    for pattern, positions in occ.items():
+        support = entry_count(positions)
+        if support >= min_support:
+            level[pattern] = positions
+            frequent[pattern] = support
 
     while level:
-        for pattern, positions in level.items():
-            frequent[pattern] = entry_count(positions)
         grown: dict[ActionSeq, list[tuple[int, int]]] = {}
         for pattern, positions in level.items():
             ext: dict[GroundAction, list[tuple[int, int]]] = {}
@@ -82,8 +91,10 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
                 if nxt < len(seq):
                     ext.setdefault(seq[nxt], []).append((sid, nxt))
             for action, next_positions in ext.items():
-                if entry_count(next_positions) >= min_support:
+                support = entry_count(next_positions)
+                if support >= min_support:
                     grown[pattern + (action,)] = next_positions
+                    frequent[pattern + (action,)] = support
         level = grown
 
     # A frequent pattern is non-maximal exactly when some frequent pattern one

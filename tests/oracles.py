@@ -12,17 +12,18 @@ import itertools
 import math
 import time
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 from caseplan import (
     Atom,
     CaseFile,
     CausalPair,
     DomainModel,
+    Fragment,
     FrequentFragmentSet,
-    MappingIndex,
     PlanningProblem,
     SequenceDB,
     execute_plan,
@@ -674,8 +675,18 @@ def best_mapping_unindexed(case: CaseFile, problem: PlanningProblem, *,
 UNSET = -1  # no problem object (yet): never an object id
 
 
-def mapping_index_tuple_images(problem: PlanningProblem) -> MappingIndex:
-    """The problem's :class:`MappingIndex`, with every partial image a tuple
+class TupleImageIndex(NamedTuple):
+    """The earlier MappingIndex: object fit by type instead of by signature."""
+
+    objects: tuple[str, ...]
+    features: tuple[frozenset[str], ...]
+    fitting: Mapping[str, frozenset[int]]  # type -> ids of the objects that fit it
+    predicates: Mapping[tuple[str, int], int]
+    images: tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]
+
+
+def mapping_index_tuple_images(problem: PlanningProblem) -> TupleImageIndex:
+    """The problem's index, with every partial image a tuple
     (predicate id, *object ids) with any subset of the ids replaced by UNSET."""
     objects = tuple(sorted(problem.objects))
     ids = {o: i for i, o in enumerate(objects)}
@@ -693,14 +704,14 @@ def mapping_index_tuple_images(problem: PlanningProblem) -> MappingIndex:
             for kept in itertools.product((True, False), repeat=len(args)):
                 keys.add((pid, *[a if k else UNSET for a, k in zip(args, kept)]))
         images.append(frozenset(keys))
-    return MappingIndex(objects, tuple(object_features(problem, o) for o in objects),
-                        MappingProxyType(fitting), MappingProxyType(predicates),
-                        (images[0], images[1]))
+    return TupleImageIndex(objects, tuple(object_features(problem, o) for o in objects),
+                           MappingProxyType(fitting), MappingProxyType(predicates),
+                           (images[0], images[1]))
 
 
 def best_mapping_tuple_keys(case: CaseFile, problem: PlanningProblem, *,
                             node_budget: int = 200_000,
-                            index: MappingIndex | None = None) -> dict[str, str]:
+                            index: TupleImageIndex | None = None) -> dict[str, str]:
     """Exact branch-and-bound maximization of ``mapping_score`` that checks
     each row by building the tuple of its partial image."""
     if index is None:
@@ -813,3 +824,40 @@ def best_mapping_tuple_keys(case: CaseFile, problem: PlanningProblem, *,
 
     dfs(0)
     return best_assign
+
+
+# The name-based extract_fragments, kept unchanged as the reference for
+# caseplan.mapping.extract_fragments, which now reads the case's plan rows and
+# checks each argument against the index's fitting object ids.
+
+def extract_fragments_by_name(case: CaseFile, mapping: dict[str, str],
+                              problem: PlanningProblem, source: str = "") -> list[Fragment]:
+    """Rename the case plan and return its maximal runs of usable actions.
+
+    An action is usable when its schema exists in the problem's domain and
+    every argument is mapped to a type-compatible problem object; anything
+    else splits the plan at that point.
+    """
+    domain = problem.domain
+    fragments: list[Fragment] = []
+    current: list[GroundAction] = []
+
+    def flush() -> None:
+        if current:
+            fragments.append(Fragment(tuple(current), source))
+            current.clear()
+
+    for action in case.plan:
+        schema = domain.schemas.get(action.name)
+        usable = schema is not None and len(schema.params) == len(action.args) \
+            and all(a in mapping for a in action.args)
+        if usable:
+            args = tuple(mapping[a] for a in action.args)
+            usable = all(is_subtype(domain.types, problem.objects[o], t)
+                         for o, (_, t) in zip(args, schema.params))
+        if usable:
+            current.append(GroundAction(action.name, args))
+        else:
+            flush()
+    flush()
+    return fragments

@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caseplan.assemble
 from caseplan import (
     CausalPair,
     DegradeSpec,
@@ -36,6 +37,7 @@ from .conftest import (
     make_tower_problem,
     plan,
 )
+from . import oracles
 from .oracles import (
     append_by_overlaps,
     concat_frag_rescanning,
@@ -251,6 +253,39 @@ def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
     for budget, expected in ((11, None), (12, plan("unstack b2 b1,stack b2 b3"))):
         assert concat_frag(problem, pairs, fragments, node_budget=budget) == expected
         assert concat_frag_rescanning(problem, pairs, fragments, node_budget=budget) == expected
+
+
+def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
+    # the example above: a subtree that failed under the first pair is charged
+    # its nodes under the second instead of being walked again, so fewer
+    # drafts reach trim, and the budget still runs out at the same node
+    problem = PlanningProblem(name="t", domain=blocks,
+                              objects={b: "object" for b in ("b1", "b2", "b3")},
+                              init=atoms("ontable b1", "on b2 b1", "ontable b3", "clear b2",
+                                         "clear b3", "handempty"),
+                              goal=atoms("on b2 b3"))
+    pairs = frozenset({CausalPair(GA("pickup b3"), GA("stack b2 b3")),
+                       CausalPair(GA("unstack b2 b1"), GA("stack b2 b3"))})
+    patterns = (plan("pickup b1,pickup b3"), plan("pickup b3,unstack b2 b1"),
+                plan("unstack b2 b1,pickup b1"), plan("unstack b2 b1,stack b2 b3"))
+    fragments = FrequentFragmentSet(patterns=patterns, supports=dict.fromkeys(patterns, 1),
+                                    min_support=1)
+    calls = {"concat_frag": 0, "concat_frag_rescanning": 0}
+
+    def counted(name, real):
+        def trim_counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return trim_counted
+
+    monkeypatch.setattr(caseplan.assemble, "trim", counted("concat_frag", trim))
+    monkeypatch.setattr(oracles, "trim", counted("concat_frag_rescanning", trim))
+    expected = plan("unstack b2 b1,stack b2 b3")
+    assert concat_frag(problem, pairs, fragments, node_budget=12) == expected
+    assert concat_frag_rescanning(problem, pairs, fragments, node_budget=12) == expected
+    assert 0 < calls["concat_frag"] < calls["concat_frag_rescanning"]
+    assert concat_frag(problem, pairs, fragments, node_budget=11) is None
+    assert concat_frag_rescanning(problem, pairs, fragments, node_budget=11) is None
 
 
 @st.composite

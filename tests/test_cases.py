@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caseplan import CaseFile, ExperimentRow, GroundAction, parse_case, parse_plan
+from caseplan import (
+    CaseFile,
+    ExperimentRow,
+    GroundAction,
+    best_mapping,
+    build_fragments,
+    parse_case,
+    parse_plan,
+)
 from caseplan.cases import (
     CSV_HEADER,
     case_to_text,
@@ -66,6 +76,24 @@ def _random_case(rng: random.Random) -> CaseFile:
                                     for _ in range(rng.randint(0, 2))))
                  for _ in range(rng.randint(1, 5)))
     return CaseFile(init=init, goal=goal, plan=plan)
+
+
+def test_mapped_case_is_the_value_a_fresh_parse_is(fixture_dir, tower):
+    # mapping keeps the case's rows on it, which must not show in its value
+    text = (fixture_dir / "cases" / "p1.case").read_text()
+    case, fresh = parse_case(text), parse_case(text)
+    build_fragments(tower, [("p1", case)])
+    assert dataclasses.fields(case) == dataclasses.fields(fresh)
+    assert case == fresh
+    assert hash(case) == hash(fresh)
+    assert repr(case) == repr(fresh)
+    assert case_to_text(case) == case_to_text(fresh)
+    for name in ("plan", "mapping_rows"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(case, name, ())
+    restored = pickle.loads(pickle.dumps(case))
+    assert restored == fresh
+    assert best_mapping(restored, tower) == best_mapping(fresh, tower)
 
 
 def test_library_round_trip_byte_identical(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from importlib import resources
 
 from hypothesis import given, settings
@@ -11,14 +12,18 @@ from hypothesis import strategies as st
 import caseplan.mapping
 from caseplan import (
     CaseFile,
+    DegradeSpec,
     best_mapping,
     build_fragments,
+    degrade,
     extract_fragments,
     mapping_index,
     mapping_score,
     object_features,
+    parse_case,
     parse_domain,
 )
+from caseplan.cases import case_to_text
 from caseplan.strips import PlanningProblem, is_subtype
 
 from .conftest import P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
@@ -27,6 +32,7 @@ from .oracles import (
     best_mapping_tuple_keys,
     best_mapping_unindexed,
     bruteforce_best_score,
+    extract_fragments_by_name,
     mapping_index_tuple_images,
 )
 
@@ -243,6 +249,38 @@ def test_best_mapping_equals_tuple_key_reference_at_every_budget(instance):
             assert best_mapping(case, problem, node_budget=budget, index=index) == \
                 best_mapping_tuple_keys(case, problem, node_budget=budget,
                                         index=reference_index)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances, st.integers(1, 2), st.integers(0, 30), st.sampled_from([1.0, 0.4]))
+def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, other_seed,
+                                                            completeness):
+    # a case's rows are built on first use and kept; they read no domain, so
+    # rows first built while mapping onto another domain's problem give the
+    # reference mapping and fragments on the target, under any model of it
+    domain, problem, library = instance
+    names = ["blocks", "driverlog", "depots"]
+    other = typed_instance(names[(names.index(domain.name) + shift) % 3], other_seed)[1]
+    cases = [parse_case(case_to_text(case)) for _, case in library]
+    rows = []
+    for case in cases:
+        mapping = best_mapping(case, other)
+        assert extract_fragments(case, mapping, other) == \
+            extract_fragments_by_name(case, mapping, other)
+        rows.append(case.mapping_rows)
+    model = degrade(domain, DegradeSpec(completeness=completeness, seed=other_seed))
+    target = replace(problem, domain=model)
+    index = mapping_index(target)
+    reference_index = mapping_index_tuple_images(target)
+    for case, case_rows in zip(cases, rows):
+        fresh = parse_case(case_to_text(case))
+        for budget in [*range(1, 51), 200_000]:
+            mapping = best_mapping(case, target, node_budget=budget, index=index)
+            assert mapping == best_mapping_tuple_keys(fresh, target, node_budget=budget,
+                                                      index=reference_index)
+            assert extract_fragments(case, mapping, target, source="c", index=index) == \
+                extract_fragments_by_name(fresh, mapping, target, source="c")
+        assert case.mapping_rows is case_rows
 
 
 def decoded_images(index) -> tuple[frozenset[tuple[int, ...]], ...]:
