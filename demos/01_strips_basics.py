@@ -1,13 +1,13 @@
 """States, actions, and plan execution on the blocks world.
 
 Parses the complete blocks domain and the four-block tower problem, grounds
-two actions to test their preconditions, and executes a full plan step by
-step.
+it, steps two actions from the initial state to test their preconditions,
+and executes a full plan step by step.
 """
 
 from pathlib import Path
 
-from caseplan import GroundAction, execute_plan, grounded, parse_domain, parse_problem
+from caseplan import GroundAction, Grounding, execute_plan, parse_domain, parse_problem
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
 
@@ -19,12 +19,14 @@ for atom in sorted(problem.init):
     print("  ", atom.pddl())
 print("goal:", " ".join(a.pddl() for a in sorted(problem.goal)))
 
-pickup_b = grounded(domain, GroundAction("pickup", ("b",)))
-pickup_c = grounded(domain, GroundAction("pickup", ("c",)))
+grounding = Grounding.for_problem(problem)
+init = grounding.encode(problem.init)
+(pre_b, _, _), after_b = grounding.step(init, GroundAction("pickup", ("b",)))
+_, after_c = grounding.step(init, GroundAction("pickup", ("c",)))
 print()
-print("pickup b needs", " ".join(a.pddl() for a in sorted(pickup_b.pre)))
-print("pickup b applicable?", pickup_b.pre <= problem.init)
-print("pickup c applicable?", pickup_c.pre <= problem.init,
+print("pickup b needs", " ".join(a.pddl() for a in sorted(grounding.decode(pre_b))))
+print("pickup b applicable?", after_b is not None)
+print("pickup c applicable?", after_c is not None,
       " (c sits on a, not on the table)")
 
 plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
@@ -35,10 +37,10 @@ plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
 print()
 print("executing an eight-step plan:")
 for k, action in enumerate(plan, start=1):
-    state = execute_plan(problem, tuple(plan[:k])).state
+    state = execute_plan(problem, tuple(plan[:k]), grounding=grounding).state
     holding = [a for a in state if a.predicate == "holding"]
     print(f"  after {action.pddl():18s} holding={holding[0].pddl() if holding else '-'}")
 
-result = execute_plan(problem, tuple(plan))
+result = execute_plan(problem, tuple(plan), grounding=grounding)
 print()
 print("plan succeeds:", result.success)

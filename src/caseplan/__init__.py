@@ -30,7 +30,6 @@ from .strips import (
     PlanningProblem,
     StripsError,
     execute_plan,
-    grounded,
 )
 
 __all__ = [
@@ -41,7 +40,7 @@ __all__ = [
     "SolveResult", "StripsError", "UnsupportedFeatureError",
     "best_mapping", "build_fragments", "concat_frag", "degrade", "domain_to_pddl",
     "evaluate", "execute_plan", "extract_causal_pairs", "extract_fragments",
-    "generate_case_library", "grounded", "make_problem_suite", "mapping_index",
+    "generate_case_library", "make_problem_suite", "mapping_index",
     "mapping_score", "merge", "mine_frequent", "object_features", "parse_case",
     "parse_domain", "parse_plan", "parse_problem", "problem_to_pddl",
     "random_blocks_problem", "read_case_library", "relaxed_add_heuristic", "removelinks",

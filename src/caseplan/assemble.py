@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .causal import CausalPair
 from .mining import ActionSeq, FrequentFragmentSet
-from .strips import GroundAction, Plan, PlanningProblem, execute_plan, grounded
+from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
 
 
 def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
@@ -58,30 +58,34 @@ def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPai
     return frozenset(kept)
 
 
-def trim(plan: Plan, problem: PlanningProblem) -> Plan:
+def trim(plan: Plan, problem: PlanningProblem, *,
+         grounding: Grounding | None = None) -> Plan:
     """Remove inapplicable actions, then goal-deleting trailing actions.
 
     Front: one forward pass from the initial state under the problem's model
     keeps each action whose precondition holds in the state reached by the
     kept actions before it; a skipped action leaves that state unchanged.
     Back: while the last kept action's delete list touches a goal atom, drop
-    it.
+    it. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
     """
-    state = problem.init
-    kept = []
+    grounding = grounding or Grounding.for_problem(problem)
+    goal = grounding.encode(problem.goal)
+    state = grounding.encode(problem.init)
+    kept = []  # (action, its delete ids)
     for action in plan:
-        ga = grounded(problem.domain, action)
-        if ga.pre <= state:
-            state = (state - ga.delete) | ga.add
-            kept.append(ga)
-    while kept and kept[-1].delete & problem.goal:
+        (_, _, delete), after = grounding.step(state, action)
+        if after is not None:
+            state = after
+            kept.append((action, delete))
+    while kept and kept[-1][1] & goal:
         kept.pop()
-    return tuple(ga.action for ga in kept)
+    return tuple(action for action, _ in kept)
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
                 fragments: FrequentFragmentSet, *,
-                node_budget: int = 20_000) -> Plan | None:
+                node_budget: int = 20_000,
+                grounding: Grounding | None = None) -> Plan | None:
     """Depth-first assembly of fragments until all causal pairs are satisfied.
 
     At each step, pick a remaining pair and an unused fragment that mentions
@@ -89,7 +93,9 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
     and recurse. When no pairs remain the draft is trimmed and accepted iff
     it executes to the goal under the problem's model. Branches are explored
     pairs-sorted and fragments longest-first, so results are deterministic;
-    the node budget caps backtracking on adversarial inputs.
+    the node budget caps backtracking on adversarial inputs. ``grounding``
+    is as for :func:`~caseplan.strips.execute_plan`; drafts are trimmed and
+    checked on it.
 
     A fragment that mentions several remaining pairs is a branch under each of
     them; its merge with the draft, and the pairs that merge leaves, are
@@ -98,6 +104,7 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
     budget is charged its node count, which is what a second walk would take,
     and a charge past the budget stops the search where that walk would have.
     """
+    grounding = grounding or Grounding.for_problem(problem)
     patterns = fragments.patterns
     mentions = [frozenset(pattern) for pattern in patterns]
     nodes = 0
@@ -106,8 +113,8 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
             available: tuple[int, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
-            candidate = trim(partial, problem)
-            result = execute_plan(problem, candidate)
+            candidate = trim(partial, problem, grounding=grounding)
+            result = execute_plan(problem, candidate, grounding=grounding)
             return candidate if result.success else None
         # per available pattern index: (merged draft, pairs it leaves), or None if no overlap
         children: dict[int, tuple[Plan, frozenset[CausalPair]] | None] = {}

@@ -11,17 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .search import SearchConfig, SolveResult, solve
-from .strips import (
-    Atom,
-    DomainModel,
-    GroundAction,
-    Grounding,
-    Plan,
-    PlanningProblem,
-    State,
-    StripsError,
-    grounded,
-)
+from .strips import Atom, GroundAction, Grounding, Plan, PlanningProblem, StripsError
 
 
 class CausalPair(NamedTuple):
@@ -32,32 +22,37 @@ class CausalPair(NamedTuple):
         return f"{self.provider.pddl()} -> {self.consumer.pddl()}"
 
 
-def extract_causal_pairs(plan: Plan, model: DomainModel, init: State) -> frozenset[CausalPair]:
+def extract_causal_pairs(plan: Plan, problem: PlanningProblem, *,
+                         grounding: Grounding | None = None) -> frozenset[CausalPair]:
     """All pairs (a_i, a_j), i < j, where a_i adds some precondition atom of a_j
     and no action strictly between them deletes that atom.
 
-    The plan must execute under the model from ``init``; self-pairs (the same
-    ground action at both ends) are dropped.
+    The plan must execute under the problem's model from its initial state;
+    self-pairs (the same ground action at both ends) are dropped.
+    ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
     """
-    state = init
-    steps = []
+    grounding = grounding or Grounding.for_problem(problem)
+    state = grounding.encode(problem.init)
+    steps = []  # (pre, add, delete) ids of each step
     for i, action in enumerate(plan):
-        ga = grounded(model, action)
-        if not ga.pre <= state:
-            missing = sorted(ga.pre - state)[0]
+        op, after = grounding.step(state, action)
+        if after is None:
+            missing = min(grounding.decode(op[0] - state))
             raise StripsError(f"plan step {i} {action.pddl()} is not executable: "
                               f"missing {missing.pddl()}")
-        state = (state - ga.delete) | ga.add
-        steps.append(ga)
+        state = after
+        steps.append(op)
 
     pairs = set()
-    for j, consumer in enumerate(steps):
-        for atom in consumer.pre:
+    for j, (pre, _, _) in enumerate(steps):
+        consumer = plan[j]
+        for atom in pre:
             for i in range(j - 1, -1, -1):
-                if atom in steps[i].delete:
+                _, add, delete = steps[i]
+                if atom in delete:
                     break
-                if atom in steps[i].add and steps[i].action != consumer.action:
-                    pairs.add(CausalPair(steps[i].action, consumer.action))
+                if atom in add and plan[i] != consumer:
+                    pairs.add(CausalPair(plan[i], consumer))
     return frozenset(pairs)
 
 

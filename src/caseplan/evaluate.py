@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .strips import DomainModel, Plan, PlanningProblem, execute_plan
+from .strips import DomainModel, Grounding, Plan, PlanningProblem, execute_plan
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,16 @@ class EvalReport:
     per_problem: tuple[ProblemResult, ...]
 
 
-def check_solution(problem: PlanningProblem, plan: Plan,
-                   complete_model: DomainModel) -> bool:
-    """Does the plan execute to the goal when the complete model replaces Ã?"""
-    return execute_plan(replace(problem, domain=complete_model), plan).success
+def check_solution(problem: PlanningProblem, plan: Plan, complete_model: DomainModel, *,
+                   grounding: Grounding | None = None) -> bool:
+    """Does the plan execute to the goal when the complete model replaces Ã?
+
+    ``grounding``, when given, must be ``Grounding(complete_model,
+    problem.objects)``; a caller checking several plans on one problem builds
+    it once.
+    """
+    grounding = grounding or Grounding(complete_model, problem.objects)
+    return execute_plan(problem, plan, grounding=grounding).success
 
 
 def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],

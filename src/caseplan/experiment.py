@@ -14,7 +14,7 @@ from .mapping import Fragment, build_fragments, mapping_index
 from .mining import FrequentFragmentSet
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
-from .strips import DomainModel, Plan, PlanningProblem
+from .strips import DomainModel, Grounding, Plan, PlanningProblem
 
 DEFAULT_CASE_COUNTS = (40, 80, 120, 160, 200)
 DEFAULT_COMPLETENESS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -74,7 +74,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     - per library case, across calls: its mapping rows (``case.mapping_rows``),
       which read the case alone and are kept on it, so a fixed library
       (``spec.cases``) builds them once for every problem, seed and call;
-    - per problem: its mapping index, for every seed;
+    - per problem: its mapping index and the complete model's grounding,
+      for every seed;
     - per (problem, case), once per seed: the case's fragments. They read only
       the problem's objects, init and goal and the domain's signatures, which
       degrading the model never changes;
@@ -94,6 +95,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     rows: list[ExperimentRow] = []
     details: list[RunDetail] = []
     indexes = [_timed(mapping_index, problem) for problem in spec.problems]
+    # per problem: the complete model's grounding, on which its plans are validated
+    complete = [Grounding(spec.domain, problem.objects) for problem in spec.problems]
 
     for seed in spec.seeds:
         if spec.cases is not None:
@@ -146,7 +149,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                             fragments=fragments, skeletal=skeletal, frequent=frequent)
                         elapsed += skeleton_s + mined_s
                         solved = outcome.plan is not None and check_solution(
-                            degraded_problem, outcome.plan, spec.domain)
+                            degraded_problem, outcome.plan, spec.domain,
+                            grounding=complete[p_idx])
                         row = ExperimentRow(
                             domain=spec.domain.name,
                             num_cases=num_cases,

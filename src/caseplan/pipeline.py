@@ -42,7 +42,8 @@ class PipelineOutcome:
 class Skeleton(NamedTuple):
     """The stage that depends only on the problem and its (possibly incomplete)
     model: the solved per-goal plans, in sorted goal order, the union of their
-    causal pairs, and the grounding they were searched on."""
+    causal pairs, and the grounding they were searched on, on which the later
+    stages of a solve also walk their plans."""
 
     goal_plans: tuple[Plan, ...]
     pairs: frozenset[CausalPair]
@@ -57,7 +58,7 @@ def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Sk
                        if result.solved and result.plan)
     pairs: frozenset[CausalPair] = frozenset()
     for goal_plan in goal_plans:
-        pairs |= extract_causal_pairs(goal_plan, problem.domain, problem.init)
+        pairs |= extract_causal_pairs(goal_plan, problem, grounding=grounding)
     return Skeleton(goal_plans, pairs, grounding)
 
 
@@ -104,12 +105,14 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     if frequent is None:
         frequent = mine_fragments(fragments, min_support)
 
-    plan = concat_frag(problem, pairs, frequent, node_budget=assembly_budget)
+    plan = concat_frag(problem, pairs, frequent, node_budget=assembly_budget,
+                       grounding=grounding)
     if plan is not None:
         return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
 
-    skeletal_plan = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem)
-    if execute_plan(problem, skeletal_plan).success:
+    skeletal_plan = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem,
+                         grounding=grounding)
+    if execute_plan(problem, skeletal_plan, grounding=grounding).success:
         return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)
 
     if search_fallback:

@@ -57,6 +57,11 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
     above that cost is stale and skipped. The order of the atoms within a
     bucket changes only the order in which the same sums are added, so every
     cost, and the value, is the one Dijkstra's algorithm gives.
+
+    The relaxation stops before bucket c once every goal atom's cost is at
+    most c + 1: buckets below c are done and a firing from bucket c or a later
+    one charges at least c + 1, so no goal cost can fall any more, and the
+    value is the one the full relaxation gives, ``inf`` included.
     """
     adds = grounding.adds
     waiting = grounding.waiting
@@ -72,8 +77,13 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
                 cost[b] = 1
                 buckets[1].append(b)
 
+    pending = list(goal_ids)  # goal atoms whose cost may still fall
     c = 0
     while c < len(buckets):
+        while pending and cost[pending[-1]] <= c + 1:
+            pending.pop()
+        if not pending:
+            break
         for a in buckets[c]:
             if cost[a] != c:  # settled from a cheaper bucket
                 continue
@@ -138,7 +148,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
         _, _, state = heapq.heappop(heap)
         if goal <= state:
             plan = _reconstruct(parent, state, grounding.ground_actions)
-            check = execute_plan(problem, plan)
+            check = execute_plan(problem, plan, grounding=grounding)
             if not check.success:
                 raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
             return SolveResult(SOLVED, plan, expansions)

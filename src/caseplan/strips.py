@@ -45,6 +45,7 @@ class GroundAction(NamedTuple):
 
 State: TypeAlias = frozenset[Atom]
 Plan: TypeAlias = tuple[GroundAction, ...]
+OpSets: TypeAlias = tuple[frozenset, frozenset, frozenset]  # an op's (pre, add, delete) ids
 
 
 @dataclass(frozen=True)
@@ -203,31 +204,6 @@ class PlanningProblem:
         return sub
 
 
-class GroundedAction(NamedTuple):
-    """A ground action together with its instantiated condition and effect sets."""
-
-    action: GroundAction
-    pre: frozenset[Atom]
-    add: frozenset[Atom]
-    delete: frozenset[Atom]
-
-
-def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
-    """Instantiate the schema named by a ground action."""
-    schema = model.schemas.get(action.name)
-    if schema is None:
-        raise StripsError(f"unknown action schema: {action.name}")
-    if len(action.args) != len(schema.params):
-        raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} arguments, "
-                          f"got {len(action.args)}")
-    binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
-
-    def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
-        return frozenset([Atom(a.predicate, tuple([binding[x] for x in a.args])) for a in atoms])
-
-    return GroundedAction(action, ground(schema.pre), ground(schema.add), ground(schema.delete))
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     """Outcome of running a plan: the reached state, and where it broke if it did."""
@@ -236,33 +212,6 @@ class ExecutionResult:
     state: State
     failed_step: int | None = None
     reason: str | None = None
-
-
-def execute_plan(problem: PlanningProblem, plan: Plan) -> ExecutionResult:
-    """Run a plan from the initial state.
-
-    Succeeds iff every step is applicable in sequence and the goal holds in
-    the final state. Failures are reported as a value, never raised:
-    ``failed_step`` is the offending step index, or ``len(plan)`` when all
-    steps applied but the goal is unmet.
-    """
-    state = problem.init
-    for i, action in enumerate(plan):
-        try:
-            ga = grounded(problem.domain, action)
-        except StripsError as err:
-            return ExecutionResult(False, state, i, str(err))
-        if not ga.pre <= state:
-            missing = sorted(ga.pre - state)
-            return ExecutionResult(False, state, i,
-                                   f"unsatisfied precondition {missing[0].pddl()} "
-                                   f"for {action.pddl()}")
-        state = (state - ga.delete) | ga.add
-    unmet = problem.goal - state
-    if unmet:
-        return ExecutionResult(False, state, len(plan),
-                               f"goal atom {sorted(unmet)[0].pddl()} not achieved")
-    return ExecutionResult(True, state)
 
 
 class Grounding:
@@ -279,7 +228,9 @@ class Grounding:
     Carries the integer encoding of the atom universe that search code works
     in: each action's (pre, add, delete) atom ids, the successors of an
     encoded state, and the index that h_add reads. ``ground_actions`` names
-    the actions. Immutable after construction; safe to share across the
+    the actions and ``op_index`` gives each its op id. :meth:`step` is the one
+    plan simulator: execution, trimming and causal-pair extraction all walk
+    plans through it. Immutable after construction; safe to share across the
     per-goal solver calls of one problem.
     """
 
@@ -313,6 +264,8 @@ class Grounding:
                 out.extend(map(frozenset, zip(*columns)) if columns
                            else [frozenset()] * len(combos))
         self.ground_actions: tuple[GroundAction, ...] = tuple(names)
+        self.op_index: Mapping[GroundAction, int] = MappingProxyType(
+            {action: op_idx for op_idx, action in enumerate(names)})
 
         # (pre, add, delete) atom ids of each ground action, aligned with ``ground_actions``
         self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
@@ -368,8 +321,81 @@ class Grounding:
         except KeyError as err:
             raise StripsError(f"atom {err.args[0]} is outside the ground atom universe") from None
 
+    def decode(self, ids: Iterable) -> State:
+        """The atoms of an encoded set; an atom outside the universe stands for itself."""
+        atoms = self.atoms
+        return frozenset([atoms[x] if type(x) is int else x for x in ids])
+
+    def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
+        """The (pre, add, delete) ids of a ground action, and the encoded state
+        it leads to from ``state``, or None there when its precondition fails.
+
+        An action missing from the op table is instantiated from its schema.
+        An unknown schema or a wrong arity raises :class:`StripsError`; any
+        other such action has an argument that is ill-typed or no object, and
+        each of its atoms outside the universe stands for itself, in its sets
+        and in the states it reaches.
+        """
+        op_idx = self.op_index.get(action)
+        op = self._instantiate(action) if op_idx is None else self.ops_ids[op_idx]
+        pre, add, delete = op
+        return op, ((state - delete) | add if pre <= state else None)
+
+    def _instantiate(self, action: GroundAction) -> OpSets:
+        schema = self.domain.schemas.get(action.name)
+        if schema is None:
+            raise StripsError(f"unknown action schema: {action.name}")
+        if len(action.args) != len(schema.params):
+            raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} "
+                              f"arguments, got {len(action.args)}")
+        binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
+        index = self.atom_index
+
+        def ids(atoms: frozenset[Atom]) -> frozenset:
+            ground = (Atom(a.predicate, tuple([binding[x] for x in a.args])) for a in atoms)
+            return frozenset([index.get(atom, atom) for atom in ground])
+
+        return ids(schema.pre), ids(schema.add), ids(schema.delete)
+
     def successors(self, state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
         """Each op applicable in an encoded state with the state it leads to, in op order."""
         for op_idx, (pre, add, delete) in enumerate(self.ops_ids):
             if pre <= state:
                 yield op_idx, (state - delete) | add
+
+
+def execute_plan(problem: PlanningProblem, plan: Plan, *,
+                 grounding: Grounding | None = None) -> ExecutionResult:
+    """Run a plan from the problem's initial state.
+
+    Succeeds iff every step is applicable in sequence and the goal holds in
+    the final state. Failures are reported as a value, never raised:
+    ``failed_step`` is the offending step index, or ``len(plan)`` when all
+    steps applied but the goal is unmet.
+
+    The steps run under the model of ``grounding``, which must be a grounding
+    of the problem's objects; by default it is the problem's own,
+    ``Grounding.for_problem(problem)``, whose construction raises
+    :class:`StripsError` where the problem cannot be grounded. A caller that
+    runs several plans on one problem builds it once and passes it to every
+    call.
+    """
+    grounding = grounding or Grounding.for_problem(problem)
+    state = grounding.encode(problem.init)
+    for i, action in enumerate(plan):
+        try:
+            (pre, _, _), after = grounding.step(state, action)
+        except StripsError as err:
+            return ExecutionResult(False, grounding.decode(state), i, str(err))
+        if after is None:
+            missing = min(grounding.decode(pre - state))
+            return ExecutionResult(False, grounding.decode(state), i,
+                                   f"unsatisfied precondition {missing.pddl()} "
+                                   f"for {action.pddl()}")
+        state = after
+    reached = grounding.decode(state)
+    unmet = problem.goal - reached
+    if unmet:
+        return ExecutionResult(False, reached, len(plan),
+                               f"goal atom {min(unmet).pddl()} not achieved")
+    return ExecutionResult(True, reached)

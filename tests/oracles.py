@@ -26,12 +26,9 @@ from caseplan import (
     FrequentFragmentSet,
     PlanningProblem,
     SequenceDB,
-    execute_plan,
-    grounded,
     merge,
     object_features,
     removelinks,
-    trim,
 )
 from caseplan.cases import ExperimentRow
 from caseplan.degrade import DegradeSpec, degrade
@@ -42,13 +39,121 @@ from caseplan.mining import ActionSeq
 from caseplan.pipeline import solve_with_library
 from caseplan.strips import (
     ActionSchema,
+    ExecutionResult,
     GroundAction,
-    GroundedAction,
     Grounding,
     Plan,
+    State,
     StripsError,
     is_subtype,
 )
+
+
+# The earlier plan simulator, kept unchanged as the reference for
+# caseplan.strips.Grounding.step and the execute_plan, trim and
+# extract_causal_pairs that now walk plans on its op ids: each step is
+# instantiated from its schema into Atom sets.
+
+class GroundedAction(NamedTuple):
+    """A ground action together with its instantiated condition and effect sets."""
+
+    action: GroundAction
+    pre: frozenset[Atom]
+    add: frozenset[Atom]
+    delete: frozenset[Atom]
+
+
+def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
+    """Instantiate the schema named by a ground action."""
+    schema = model.schemas.get(action.name)
+    if schema is None:
+        raise StripsError(f"unknown action schema: {action.name}")
+    if len(action.args) != len(schema.params):
+        raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} arguments, "
+                          f"got {len(action.args)}")
+    binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
+
+    def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
+        return frozenset([Atom(a.predicate, tuple([binding[x] for x in a.args])) for a in atoms])
+
+    return GroundedAction(action, ground(schema.pre), ground(schema.add), ground(schema.delete))
+
+
+def execute_plan_on_atoms(problem: PlanningProblem, plan: Plan) -> ExecutionResult:
+    """Run a plan from the initial state.
+
+    Succeeds iff every step is applicable in sequence and the goal holds in
+    the final state. Failures are reported as a value, never raised:
+    ``failed_step`` is the offending step index, or ``len(plan)`` when all
+    steps applied but the goal is unmet.
+    """
+    state = problem.init
+    for i, action in enumerate(plan):
+        try:
+            ga = grounded(problem.domain, action)
+        except StripsError as err:
+            return ExecutionResult(False, state, i, str(err))
+        if not ga.pre <= state:
+            missing = sorted(ga.pre - state)
+            return ExecutionResult(False, state, i,
+                                   f"unsatisfied precondition {missing[0].pddl()} "
+                                   f"for {action.pddl()}")
+        state = (state - ga.delete) | ga.add
+    unmet = problem.goal - state
+    if unmet:
+        return ExecutionResult(False, state, len(plan),
+                               f"goal atom {sorted(unmet)[0].pddl()} not achieved")
+    return ExecutionResult(True, state)
+
+
+def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
+    """Remove inapplicable actions, then goal-deleting trailing actions.
+
+    Front: one forward pass from the initial state under the problem's model
+    keeps each action whose precondition holds in the state reached by the
+    kept actions before it; a skipped action leaves that state unchanged.
+    Back: while the last kept action's delete list touches a goal atom, drop
+    it.
+    """
+    state = problem.init
+    kept = []
+    for action in plan:
+        ga = grounded(problem.domain, action)
+        if ga.pre <= state:
+            state = (state - ga.delete) | ga.add
+            kept.append(ga)
+    while kept and kept[-1].delete & problem.goal:
+        kept.pop()
+    return tuple(ga.action for ga in kept)
+
+
+def causal_pairs_on_atoms(plan: Plan, model: DomainModel, init: State) -> frozenset[CausalPair]:
+    """All pairs (a_i, a_j), i < j, where a_i adds some precondition atom of a_j
+    and no action strictly between them deletes that atom.
+
+    The plan must execute under the model from ``init``; self-pairs (the same
+    ground action at both ends) are dropped.
+    """
+    state = init
+    steps = []
+    for i, action in enumerate(plan):
+        ga = grounded(model, action)
+        if not ga.pre <= state:
+            missing = sorted(ga.pre - state)[0]
+            raise StripsError(f"plan step {i} {action.pddl()} is not executable: "
+                              f"missing {missing.pddl()}")
+        state = (state - ga.delete) | ga.add
+        steps.append(ga)
+
+    pairs = set()
+    for j, consumer in enumerate(steps):
+        for atom in consumer.pre:
+            for i in range(j - 1, -1, -1):
+                if atom in steps[i].delete:
+                    break
+                if atom in steps[i].add and steps[i].action != consumer.action:
+                    pairs.add(CausalPair(steps[i].action, consumer.action))
+    return frozenset(pairs)
 
 
 def _ground_schema(schema, combo):
@@ -294,8 +399,8 @@ def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair
             available: tuple[ActionSeq, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
-            candidate = trim(partial, problem)
-            result = execute_plan(problem, candidate)
+            candidate = trim_on_atoms(partial, problem)
+            result = execute_plan_on_atoms(problem, candidate)
             return candidate if result.success else None
         for pair in sorted(remaining):
             for idx, frag in enumerate(available):
@@ -316,7 +421,7 @@ def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair
 
 
 # The earlier schema instantiation, kept unchanged as the reference for
-# caseplan.strips.grounded, which now grounds a schema by itself.
+# grounded above, which grounds a schema by itself.
 
 def substitute(atom: Atom, binding: dict[str, str]) -> Atom:
     return Atom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))

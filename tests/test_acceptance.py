@@ -175,7 +175,7 @@ def test_criterion_7_causal_links_match_oracle(blocks):
         checked += 1
         p = tuple(steps)
         got = {(c.provider, c.consumer)
-               for c in extract_causal_pairs(p, blocks, problem.init)}
+               for c in extract_causal_pairs(p, problem, grounding=grounding)}
         mismatches += got != causal_pairs_by_triples(p, blocks, problem.init)
     report(7, mismatches == 0)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import caseplan.assemble
@@ -273,13 +273,14 @@ def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
     calls = {"concat_frag": 0, "concat_frag_rescanning": 0}
 
     def counted(name, real):
-        def trim_counted(*args):
+        def trim_counted(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return trim_counted
 
     monkeypatch.setattr(caseplan.assemble, "trim", counted("concat_frag", trim))
-    monkeypatch.setattr(oracles, "trim", counted("concat_frag_rescanning", trim))
+    monkeypatch.setattr(oracles, "trim_on_atoms",
+                        counted("concat_frag_rescanning", oracles.trim_on_atoms))
     expected = plan("unstack b2 b1,stack b2 b3")
     assert concat_frag(problem, pairs, fragments, node_budget=12) == expected
     assert concat_frag_rescanning(problem, pairs, fragments, node_budget=12) == expected
@@ -322,6 +323,56 @@ def assembly_inputs(draw):
 @given(assembly_inputs())
 def test_concat_matches_rescanning_reference(inputs):
     problem, pairs, fragments = inputs
+    grounding = Grounding.for_problem(problem)
     for budget in (*range(1, 51), 20_000):
-        assert concat_frag(problem, pairs, fragments, node_budget=budget) == \
+        assert concat_frag(problem, pairs, fragments, node_budget=budget,
+                           grounding=grounding) == \
+            concat_frag_rescanning(problem, pairs, fragments, node_budget=budget)
+
+
+@st.composite
+def dead_end_inputs(draw):
+    """A 2- or 3-block problem with a 3- to 5-step solution, two causal pairs
+    of that solution, the solution as a fragment, and dead-end fragments.
+
+    A dead end holds the consumers of both pairs, so it names both, and it
+    starts and ends with actions outside the solution, so it merges with other
+    dead ends but never with the solution. Dead ends are longer than the
+    solution, so they are tried first. One merged under another then mostly
+    fails under the first pair and is charged under the second, and the
+    search goes on to the solution, so node counts decide the result at cut
+    budgets.
+    """
+    model = draw(st.sampled_from(MODELS))
+    problem = random_blocks_problem(model, draw(st.integers(2, 3)),
+                                    random.Random(draw(st.integers(0, 9999))))
+    solution = solve(problem).plan
+    assume(solution and 3 <= len(solution) <= 5)
+    actions = Grounding.for_problem(problem).ground_actions
+    junk = draw(st.lists(st.sampled_from([a for a in actions if a not in solution]),
+                         min_size=1, max_size=2, unique=True))
+    links = [(i, j) for j in range(len(solution)) for i in range(j)]
+    ordered = draw(st.lists(st.sampled_from(links), min_size=2, max_size=2, unique=True))
+    pairs = frozenset(CausalPair(solution[i], solution[j]) for i, j in ordered)
+    consumers = [solution[j] for _, j in ordered]
+    pieces = {solution}
+    for _ in range(draw(st.integers(2, 3))):
+        inner = draw(st.lists(st.sampled_from(junk + consumers), min_size=len(solution) - 3,
+                              max_size=len(solution) - 2))
+        for c in consumers:
+            inner.insert(draw(st.integers(0, len(inner))), c)
+        pieces.add((draw(st.sampled_from(junk)), *inner, draw(st.sampled_from(junk))))
+    patterns = sorted(pieces, key=lambda p: (-len(p), p))
+    return problem, pairs, FrequentFragmentSet(
+        patterns=tuple(patterns), supports={p: 1 for p in patterns}, min_support=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dead_end_inputs())
+def test_concat_charges_a_failed_fragment_under_every_pair_it_names(inputs):
+    problem, pairs, fragments = inputs
+    grounding = Grounding.for_problem(problem)
+    for budget in range(1, 51):
+        assert concat_frag(problem, pairs, fragments, node_budget=budget,
+                           grounding=grounding) == \
             concat_frag_rescanning(problem, pairs, fragments, node_budget=budget)

@@ -28,26 +28,25 @@ def as_tuples(pairs):
     return {(p.provider, p.consumer) for p in pairs}
 
 
-def test_two_action_plan(incomplete_blocks, tower_incomplete):
+def test_two_action_plan(tower_incomplete):
     # the degraded stack has no (clear ?y) precondition, so this executes
-    pairs = extract_causal_pairs(plan("pickup b,stack b a"), incomplete_blocks,
-                                 tower_incomplete.init)
+    pairs = extract_causal_pairs(plan("pickup b,stack b a"), tower_incomplete)
     assert pairs == frozenset({CausalPair(GA("pickup b"), GA("stack b a"))})
 
 
-def test_single_action_plan(blocks, tower):
-    assert extract_causal_pairs(plan("pickup b"), blocks, tower.init) == frozenset()
+def test_single_action_plan(tower):
+    assert extract_causal_pairs(plan("pickup b"), tower) == frozenset()
 
 
 def test_three_action_plan_matches_triple_oracle(blocks, tower):
     p = plan("unstack c a,putdown c,pickup b")
-    pairs = extract_causal_pairs(p, blocks, tower.init)
+    pairs = extract_causal_pairs(p, tower)
     assert as_tuples(pairs) == causal_pairs_by_triples(p, blocks, tower.init)
 
 
-def test_rejects_non_executable_plan(blocks, tower):
+def test_rejects_non_executable_plan(tower):
     with pytest.raises(StripsError, match="not executable"):
-        extract_causal_pairs(plan("pickup a"), blocks, tower.init)
+        extract_causal_pairs(plan("pickup a"), tower)
 
 
 def test_golden_pairs(tower_incomplete):
@@ -108,7 +107,7 @@ def test_random_plans_match_triple_oracle(blocks):
         p = tuple(steps)
         if not p:
             continue
-        pairs = extract_causal_pairs(p, blocks, problem.init)
+        pairs = extract_causal_pairs(p, problem, grounding=grounding)
         assert as_tuples(pairs) == causal_pairs_by_triples(p, blocks, problem.init)
 
 

@@ -197,14 +197,64 @@ def reachable_states(draw):
     return grounding, actions, state
 
 
+def relaxed_reachable(grounding: Grounding, state: frozenset[int]) -> frozenset[int]:
+    """The atoms some sequence of ops reaches from ``state`` when deletes are ignored."""
+    reached = set(state)
+    grown = True
+    while grown:
+        grown = False
+        for pre, add, _ in grounding.ops_ids:
+            if pre <= reached and not add <= reached:
+                reached |= add
+                grown = True
+    return frozenset(reached)
+
+
 @settings(max_examples=200, deadline=None)
 @given(reachable_states(), st.data())
 def test_h_add_matches_rebuilding_reference(reached, data):
+    # goals mix atoms of the state (cost 0), atoms no relaxed plan reaches
+    # (cost inf) and any others, and may be empty
     grounding, _, state = reached
-    goal = data.draw(st.lists(st.integers(0, len(grounding.atoms) - 1),
-                              min_size=1, max_size=4, unique=True))
-    ids, goal_ids = grounding.encode(state), tuple(sorted(goal))
+    ids = grounding.encode(state)
+    unreachable = sorted(frozenset(range(len(grounding.atoms)))
+                         - relaxed_reachable(grounding, ids))
+    goal = set()
+    for pool, most in ((sorted(ids), 2), (unreachable, 1), (range(len(grounding.atoms)), 3)):
+        if pool:
+            goal.update(data.draw(st.lists(st.sampled_from(pool), max_size=most)))
+    goal_ids = tuple(sorted(goal))
     assert _h_add(ids, goal_ids, grounding) == h_add_rebuilding_index(ids, goal_ids, grounding)
+
+
+def test_h_add_stops_once_the_goal_is_settled():
+    # (g) costs 1, and a chain (c1), ..., (c40) costs 1, ..., 40. Once (g) is
+    # settled no waiting list of the chain is read.
+    def op(name, pre, add):
+        return ActionSchema(name, (), pre=atoms(pre), add=atoms(add), delete=frozenset())
+
+    ops = [op("reach_g", "s", "g"), op("c1", "s", "c1")]
+    ops += [op(f"c{i}", f"c{i - 1}", f"c{i}") for i in range(2, 41)]
+    names = {a.predicate for o in ops for a in o.pre | o.add}
+    model = DomainModel(name="chain", types={}, predicates={n: () for n in names},
+                        schemas={o.name: o for o in ops})
+    grounding = Grounding(model, {})
+    reads = []
+
+    class CountedReads(tuple):
+        def __getitem__(self, atom_id):
+            reads.append(grounding.atoms[atom_id].predicate)
+            return tuple.__getitem__(self, atom_id)
+
+    grounding.waiting = CountedReads(grounding.waiting)
+    state = grounding.encode(atoms("s"))
+    for goal, value, read in (("g", 1, {"s"}),
+                              ("c40", 40, {"s", "g"} | {f"c{i}" for i in range(1, 40)})):
+        reads.clear()
+        goal_ids = tuple(grounding.encode(atoms(goal)))
+        assert _h_add(state, goal_ids, grounding) == value
+        assert sorted(reads) == sorted(read)
+        assert h_add_rebuilding_index(state, goal_ids, grounding) == value
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,14 +22,37 @@ from caseplan import (
     StripsError,
     degrade,
     execute_plan,
-    grounded,
+    extract_causal_pairs,
     parse_domain,
     parse_problem,
+    trim,
 )
+from caseplan.generators import random_blocks_state
 from caseplan.strips import PlanningProblem
 
-from .conftest import A, GA, GOLDEN_SOLUTION, atoms, make_tower_problem
-from .oracles import GroundingThroughGrounded, instantiate, substitute
+from .conftest import A, GA, GOLDEN_SOLUTION, atoms, depots_start, driverlog_start, \
+    make_tower_problem
+from .oracles import (
+    GroundingThroughGrounded,
+    causal_pairs_on_atoms,
+    execute_plan_on_atoms,
+    instantiate,
+    substitute,
+    trim_on_atoms,
+)
+
+
+def op_atoms(grounding: Grounding, action: GroundAction):
+    """The (pre, add, delete) atoms of a ground action, through Grounding.step."""
+    op, _ = grounding.step(frozenset(), action)
+    return tuple(map(grounding.decode, op))
+
+
+def applies(problem: PlanningProblem, action: GroundAction, state=None) -> bool:
+    """Does the action apply in ``state`` (by default the problem's initial state)?"""
+    grounding = Grounding.for_problem(problem)
+    state = problem.init if state is None else state
+    return grounding.step(grounding.encode(state), action)[1] is not None
 
 DOMAIN_NAMES = ("blocks", "driverlog", "depots")
 
@@ -80,30 +103,29 @@ def test_grounding_rejects_schema_broader_than_its_predicate():
         assert build(model, {"b1": "block", "t1": "object"}).ops_ids == ()
 
 
-def test_grounded_pickup(blocks):
-    ga = grounded(blocks, GA("pickup b"))
-    assert ga.action == GA("pickup b")
-    assert ga.pre == atoms("clear b", "ontable b", "handempty")
-    assert ga.add == atoms("holding b")
-    assert ga.delete == atoms("ontable b", "clear b", "handempty")
+def test_grounded_pickup(tower):
+    pre, add, delete = op_atoms(Grounding.for_problem(tower), GA("pickup b"))
+    assert pre == atoms("clear b", "ontable b", "handempty")
+    assert add == atoms("holding b")
+    assert delete == atoms("ontable b", "clear b", "handempty")
 
 
 def test_grounded_no_params():
     schema = ActionSchema("noop", (), pre=frozenset(), add=frozenset(),
                           delete=frozenset())
     model = DomainModel(name="d", types={}, predicates={}, schemas={"noop": schema})
-    ga = grounded(model, GA("noop"))
-    assert ga.action == GA("noop")
-    assert ga.pre == frozenset()
+    grounding = Grounding(model, {})
+    assert grounding.ground_actions == (GA("noop"),)
+    assert grounding.step(frozenset(), GA("noop")) == ((frozenset(),) * 3, frozenset())
 
 
-def test_grounded_stack_add(blocks):
-    assert A("on b a") in grounded(blocks, GA("stack b a")).add
+def test_grounded_stack_add(tower):
+    assert A("on b a") in op_atoms(Grounding.for_problem(tower), GA("stack b a"))[1]
 
 
-def test_grounded_wrong_arity(blocks):
+def test_grounded_wrong_arity(tower):
     with pytest.raises(StripsError, match="expected 2 arguments, got 1"):
-        grounded(blocks, GA("stack b"))
+        Grounding.for_problem(tower).step(frozenset(), GA("stack b"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,7 +136,7 @@ def test_grounded_matches_instantiate_reference(data):
     action = data.draw(st.sampled_from(grounding.ground_actions))
     schema = grounding.domain.schemas[action.name]
     reference = instantiate(schema, {var: obj for (var, _), obj in zip(schema.params, action.args)})
-    assert grounded(grounding.domain, action) == reference
+    assert op_atoms(grounding, action) == (reference.pre, reference.add, reference.delete)
 
 
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
@@ -125,22 +147,22 @@ def test_grounding_is_sorted_without_duplicates(name):
     assert names == sorted(set(names))
 
 
-def test_applicable_pickup_b(blocks, tower):
-    assert grounded(blocks, GA("pickup b")).pre <= tower.init
+def test_applicable_pickup_b(tower):
+    assert applies(tower, GA("pickup b"))
 
 
-def test_applicable_empty_state(blocks):
-    assert not grounded(blocks, GA("pickup b")).pre <= frozenset()
+def test_applicable_empty_state(tower):
+    assert not applies(tower, GA("pickup b"), frozenset())
 
 
-def test_applicable_pickup_c_blocked(blocks, tower):
+def test_applicable_pickup_c_blocked(tower):
     # c sits on a, so it is not on the table
-    assert not grounded(blocks, GA("pickup c")).pre <= tower.init
+    assert not applies(tower, GA("pickup c"))
 
 
-def test_applicable_unknown_schema(blocks, tower):
+def test_applicable_unknown_schema(tower):
     with pytest.raises(StripsError, match="unknown action schema"):
-        grounded(blocks, GA("teleport c"))
+        applies(tower, GA("teleport c"))
     result = execute_plan(tower, (GA("teleport c"),))
     assert (result.failed_step, result.reason) == (0, "unknown action schema: teleport")
 
@@ -240,7 +262,7 @@ def test_grounding_matches_lifted_check(blocks):
             action = GroundAction(schema.name, combo)
             lifted_holds = all(substitute(a, binding) in problem.init
                                for a in schema.pre)
-            assert (grounded(blocks, action).pre <= problem.init) == lifted_holds
+            assert applies(problem, action) == lifted_holds
 
 
 def test_schema_rejects_add_delete_overlap():
@@ -336,5 +358,79 @@ def test_grounding_enumerates_all_blocks_actions(blocks):
     assert len(grounding.ground_actions) == 4 + 4 + 16 + 16
     names = list(grounding.ground_actions)
     assert names == sorted(names)
-    assert grounded(blocks, GA("pickup b")).pre == atoms(
+    assert op_atoms(grounding, GA("pickup b"))[0] == atoms(
         "clear b", "ontable b", "handempty")
+
+
+# The op-id simulator against the earlier one on Atom sets, on random action
+# sequences over the vendored domains. Besides applicable and inapplicable
+# well-typed actions, the sequences hold actions missing from the op table:
+# an unknown schema, a wrong arity, and arguments of any type or no object at
+# all. Under a degraded model some of those apply and add atoms outside the
+# universe, which later steps then read.
+
+@functools.cache
+def simulator_start(name: str, completeness: float, seed: int):
+    model = degrade(packaged_domain(name), DegradeSpec(completeness=completeness, seed=3))
+    rng = random.Random(seed)
+    if name == "blocks":
+        objects = {f"b{i}": "object" for i in range(1, 5)}
+        init = random_blocks_state(sorted(objects), rng)
+    else:
+        objects, init, _ = (driverlog_start if name == "driverlog" else depots_start)(rng)
+    return model, objects, init, GroundingThroughGrounded(model, objects).actions
+
+
+@st.composite
+def off_table_actions(draw, model: DomainModel, objects):
+    name = draw(st.sampled_from(sorted(model.schemas) + ["teleport"]))
+    arity = len(model.schemas[name].params) if name in model.schemas else 1
+    arity = draw(st.sampled_from([arity, arity, arity + 1, max(arity - 1, 0)]))
+    symbols = st.sampled_from(sorted(objects) + ["nowhere"])
+    return GroundAction(name, tuple(draw(st.lists(symbols, min_size=arity, max_size=arity))))
+
+
+@st.composite
+def plans_on_problems(draw):
+    model, objects, init, actions = simulator_start(
+        draw(st.sampled_from(DOMAIN_NAMES)), draw(st.sampled_from([1.0, 0.5])),
+        draw(st.integers(0, 3)))
+    state = init  # reached by the applicable steps drawn so far
+    steps = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["applicable", "applicable", "any", "off-table"]))
+        usable = [ga for ga in actions if ga.pre <= state]
+        if kind == "applicable" and usable:
+            ga = draw(st.sampled_from(usable))
+            state = (state - ga.delete) | ga.add
+            steps.append(ga.action)
+        elif kind == "any" and actions:
+            steps.append(draw(st.sampled_from(actions)).action)
+        else:
+            steps.append(draw(off_table_actions(model, objects)))
+    goal = draw(st.sets(st.sampled_from(sorted(state | init)), max_size=3))
+    problem = PlanningProblem(name="walk", domain=model, objects=objects, init=init,
+                              goal=frozenset(goal))
+    return problem, tuple(steps)
+
+
+def raised(fn, *args, **kwargs):
+    """``fn``'s result, or the message of the StripsError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except StripsError as err:
+        return f"raised: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans_on_problems())
+def test_op_id_simulator_matches_atom_simulator(drawn):
+    problem, steps = drawn
+    grounding = Grounding.for_problem(problem)
+    assert execute_plan(problem, steps, grounding=grounding) == \
+        execute_plan_on_atoms(problem, steps)
+    trimmed = raised(trim, steps, problem, grounding=grounding)
+    assert trimmed == raised(trim_on_atoms, steps, problem)
+    for walked in (steps, trimmed) if isinstance(trimmed, tuple) else (steps,):
+        assert raised(extract_causal_pairs, walked, problem, grounding=grounding) == \
+            raised(causal_pairs_on_atoms, walked, problem.domain, problem.init)
