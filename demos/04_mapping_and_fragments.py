@@ -34,5 +34,5 @@ for name, case in cases:
     score = mapping_score(case, mapping, problem)
     print(f"  best mapping (score {score}):",
           " ".join(f"{o}->{v}" for o, v in sorted(mapping.items())))
-    for fragment in extract_fragments(case, mapping, problem, source=name):
-        print("  fragment:", " ".join(a.pddl() for a in fragment.actions))
+    for fragment in extract_fragments(case, mapping, problem):
+        print("  fragment:", " ".join(a.pddl() for a in fragment))

@@ -23,7 +23,7 @@ problem = parse_problem((FIXTURES / "tower.pddl").read_text(), domain)
 cases = read_case_library(FIXTURES / "cases")
 
 fragments = build_fragments(problem, cases)
-db = SequenceDB.from_sequences([f.actions for f in fragments])
+db = SequenceDB.from_sequences(fragments)
 print("fragment database:")
 for sid, seq in enumerate(db.sequences):
     print(f"  #{sid}: " + " ".join(a.pddl() for a in seq))

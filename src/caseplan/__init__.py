@@ -13,7 +13,7 @@ from .degrade import DegradeSpec, degrade
 from .evaluate import EvalReport, evaluate
 from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import Fragment, MappingIndex, best_mapping, build_fragments, \
+from .mapping import MappingIndex, best_mapping, build_fragments, \
     extract_fragments, mapping_index, mapping_score, object_features
 from .mining import FrequentFragmentSet, SequenceDB, mine_frequent
 from .pddl import PddlError, UnsupportedFeatureError, domain_to_pddl, parse_domain, \
@@ -34,7 +34,7 @@ from .strips import (
 
 __all__ = [
     "ActionSchema", "Atom", "CaseFile", "CausalPair", "DegradeSpec", "DomainModel",
-    "EvalReport", "ExecutionResult", "ExperimentRow", "ExperimentSpec", "Fragment",
+    "EvalReport", "ExecutionResult", "ExperimentRow", "ExperimentSpec",
     "FrequentFragmentSet", "GroundAction", "Grounding", "MappingIndex", "PddlError",
     "PipelineOutcome", "PlanningProblem", "SearchConfig", "SequenceDB",
     "SolveResult", "StripsError", "UnsupportedFeatureError",

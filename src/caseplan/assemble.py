@@ -10,7 +10,7 @@ and must execute to the goal under the problem's own model.
 from __future__ import annotations
 
 from .causal import CausalPair
-from .mining import ActionSeq, FrequentFragmentSet
+from .mining import ActionSeq
 from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
 
 
@@ -83,19 +83,20 @@ def trim(plan: Plan, problem: PlanningProblem, *,
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
-                fragments: FrequentFragmentSet, *,
+                patterns: tuple[ActionSeq, ...], *,
                 node_budget: int = 20_000,
                 grounding: Grounding | None = None) -> Plan | None:
-    """Depth-first assembly of fragments until all causal pairs are satisfied.
+    """Depth-first assembly of the fragments ``patterns`` (the ``patterns`` of
+    :func:`~caseplan.mining.mine_frequent`) until all causal pairs are satisfied.
 
     At each step, pick a remaining pair and an unused fragment that mentions
     one of the pair's actions and shares an end overlap with the draft; merge
     and recurse. When no pairs remain the draft is trimmed and accepted iff
     it executes to the goal under the problem's model. Branches are explored
-    pairs-sorted and fragments longest-first, so results are deterministic;
-    the node budget caps backtracking on adversarial inputs. ``grounding``
-    is as for :func:`~caseplan.strips.execute_plan`; drafts are trimmed and
-    checked on it.
+    pairs-sorted and fragments in their order (mined: longest first), so
+    results are deterministic; the node budget caps backtracking on
+    adversarial inputs. ``grounding`` is as for
+    :func:`~caseplan.strips.execute_plan`; drafts are trimmed and checked on it.
 
     A fragment that mentions several remaining pairs is a branch under each of
     them; its merge with the draft, and the pairs that merge leaves, are
@@ -105,7 +106,6 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
     and a charge past the budget stops the search where that walk would have.
     """
     grounding = grounding or Grounding.for_problem(problem)
-    patterns = fragments.patterns
     mentions = [frozenset(pattern) for pattern in patterns]
     nodes = 0
 

@@ -16,9 +16,8 @@ from .evaluate import evaluate
 from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library
 from .mapping import best_mapping, build_fragments, mapping_index, mapping_score
-from .mining import SequenceDB, mine_frequent
 from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
-from .pipeline import skeleton, solve_with_library
+from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig, solve
 from .strips import StripsError
 
@@ -55,6 +54,15 @@ def _load_problem(path: str, domain):
         raise InputError(f"in problem {path}: {err}") from err
 
 
+def _load_problems(directory: str, domain):
+    """The problem of every ``*.pddl`` file in the directory, by file stem,
+    in file-name order; a directory with none is an input error."""
+    paths = sorted(Path(directory).glob("*.pddl"))
+    if not paths:
+        raise InputError(f"no problems in {directory}")
+    return {path.stem: _load_problem(str(path), domain) for path in paths}
+
+
 def _load_cases(path: str):
     try:
         return caseio.read_case_library(path)
@@ -87,10 +95,7 @@ def _emit_plan(plan, out: str | None) -> int:
 
 def cmd_gen_cases(args) -> int:
     domain = _load_domain(args.domain)
-    problems = None
-    if args.problems:
-        problems = [_load_problem(str(p), domain)
-                    for p in sorted(Path(args.problems).glob("*.pddl"))]
+    problems = list(_load_problems(args.problems, domain).values()) if args.problems else None
     library = generate_case_library(domain, args.count, args.seed,
                                     n_blocks=args.blocks,
                                     config=_search_config(args),
@@ -140,8 +145,7 @@ def cmd_mine(args) -> int:
     domain = _load_domain(args.domain)
     problem = _load_problem(args.problem, domain)
     fragments = build_fragments(problem, _load_cases(args.cases))
-    result = mine_frequent(SequenceDB.from_sequences([f.actions for f in fragments]),
-                           args.delta)
+    result = mine_fragments(fragments, args.delta)
     if not fragments:
         print("no fragments")
         return OK
@@ -183,19 +187,17 @@ def cmd_solve_classical(args) -> int:
 
 def cmd_evaluate(args) -> int:
     domain = _load_domain(args.domain)
-    paths = sorted(Path(args.problems).glob("*.pddl"))
-    if not paths:
-        raise InputError(f"no problems in {args.problems}")
-    problems, solutions, ids = [], [], []
-    for path in paths:
-        problems.append(_load_problem(str(path), domain))
-        ids.append(path.stem)
-        plan_path = Path(args.plans) / f"{path.stem}.plan"
+    problems = _load_problems(args.problems, domain)
+    if not Path(args.plans).is_dir():
+        raise InputError(f"no plans directory {args.plans}")
+    solutions = []
+    for stem in problems:
+        plan_path = Path(args.plans) / f"{stem}.plan"
         try:
             solutions.append(caseio.read_plan(plan_path) if plan_path.exists() else None)
         except (OSError, PddlError) as err:
             raise InputError(f"in plan {plan_path}: {err}") from err
-    report = evaluate(problems, solutions, domain, ids=ids)
+    report = evaluate(list(problems.values()), solutions, domain, ids=list(problems))
     print(f"accuracy: {report.accuracy:.4f} ({report.n_correct}/{report.n_total})")
     if report.mean_plan_length is not None:
         print(f"mean-plan-length: {report.mean_plan_length:.2f}")
@@ -211,10 +213,7 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     domain = _load_domain(args.domain)
     if args.problems:
-        problems = [_load_problem(str(p), domain)
-                    for p in sorted(Path(args.problems).glob("*.pddl"))]
-        if not problems:
-            raise InputError(f"no problems in {args.problems}")
+        problems = list(_load_problems(args.problems, domain).values())
     else:
         problems = make_problem_suite(domain, args.num_problems, args.problem_seed,
                                       n_blocks=args.blocks)

@@ -10,7 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import Fragment, build_fragments, mapping_index
+from .mapping import build_fragments, mapping_index
 from .mining import FrequentFragmentSet
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
@@ -80,17 +80,18 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
       the problem's objects, init and goal and the domain's signatures, which
       degrading the model never changes;
     - per (problem, model), that is per (problem, seed, completeness): the
-      grounding and the skeleton (per-goal plans and causal pairs);
+      grounding and the skeleton (the skeletal plan, trimmed and checked,
+      and the causal pairs);
     - per (problem, case count, delta), once per seed: the prefix's fragments
       and the patterns mined from them;
     - per row: assembly and the fallbacks, inside the solve call.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
     solve call (no parsing, no validation) plus the time of every stage it was
-    given, each timed once, when built: the row's skeleton, its mining, and
-    the fragments of every case in its prefix. The first case's build time in
-    each seed includes the problem's index. With ``timing=False`` it is
-    written as 0 so reruns are byte-identical.
+    given, each timed once, when built: the row's skeleton (skeletal plan
+    included), its mining, and the fragments of every case in its prefix. The
+    first case's build time in each seed includes the problem's index. With
+    ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     rows: list[ExperimentRow] = []
     details: list[RunDetail] = []
@@ -110,11 +111,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                              f"of {len(library)} cases")
 
         # per problem, per library case in order: (its fragments, build seconds)
-        built: list[list[tuple[tuple[Fragment, ...], float]]] = [[] for _ in spec.problems]
+        built: list[list[tuple[tuple[Plan, ...], float]]] = [[] for _ in spec.problems]
         # per (case count, delta, problem): (the prefix's fragments, their
         # patterns, the build seconds of both)
         mined: dict[tuple[int, int, int],
-                    tuple[tuple[Fragment, ...], FrequentFragmentSet, float]] = {}
+                    tuple[tuple[Plan, ...], FrequentFragmentSet, float]] = {}
         for num_cases in spec.case_counts:
             for p_idx, problem in enumerate(spec.problems):
                 per_case = built[p_idx]

@@ -47,23 +47,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .cases import CaseFile
-from .strips import Atom, GroundAction, PlanningProblem, is_subtype
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A contiguous slice of a mapped case plan, every object of which exists
-    in the target problem."""
-
-    actions: tuple[GroundAction, ...]
-    source_case: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.actions:
-            raise ValueError("a fragment cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.actions)
+from .strips import Atom, GroundAction, Plan, PlanningProblem, is_subtype
 
 
 def _features(source: CaseFile | PlanningProblem) -> dict[str, frozenset[str]]:
@@ -379,9 +363,10 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
 
 
 def extract_fragments(case: CaseFile, mapping: dict[str, str],
-                      problem: PlanningProblem, source: str = "", *,
-                      index: MappingIndex | None = None) -> list[Fragment]:
-    """Rename the case plan and return its maximal runs of usable actions.
+                      problem: PlanningProblem, *,
+                      index: MappingIndex | None = None) -> list[Plan]:
+    """Rename the case plan and return its maximal runs of usable actions,
+    each a nonempty plan.
 
     An action is usable when its schema exists in the problem's domain and
     every argument is mapped to a type-compatible problem object; anything
@@ -394,22 +379,22 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     ids = {o: i for i, o in enumerate(index.objects)}
     names = [mapping.get(o) for o in rows.case_objs]
     image = [UNSET if name is None else ids[name] for name in names]
-    fragments: list[Fragment] = []
+    fragments: list[Plan] = []
     current: list[GroundAction] = []
     for sig, slots in rows.plan:
         fit = index.fits.get(sig)
         if fit is not None and all(image[s] in f for s, f in zip(slots, fit)):
             current.append(GroundAction(sig[1], tuple(names[s] for s in slots)))
         elif current:
-            fragments.append(Fragment(tuple(current), source))
+            fragments.append(tuple(current))
             current = []
     if current:
-        fragments.append(Fragment(tuple(current), source))
+        fragments.append(tuple(current))
     return fragments
 
 
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
-                    index: MappingIndex | None = None) -> list[Fragment]:
+                    index: MappingIndex | None = None) -> list[Plan]:
     """Best-map every case onto the problem and collect all plan fragments.
 
     ``index``, when given, is ``mapping_index(problem)``; otherwise it is built
@@ -417,8 +402,8 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     """
     if index is None and cases:
         index = mapping_index(problem)
-    out: list[Fragment] = []
-    for name, case in cases:
+    out: list[Plan] = []
+    for _, case in cases:
         mapping = best_mapping(case, problem, index=index)
-        out.extend(extract_fragments(case, mapping, problem, source=name, index=index))
+        out.extend(extract_fragments(case, mapping, problem, index=index))
     return out

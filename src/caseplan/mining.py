@@ -38,7 +38,6 @@ class FrequentFragmentSet:
 
     patterns: tuple[ActionSeq, ...]
     supports: Mapping[ActionSeq, int]  # read-only copy
-    min_support: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "supports", MappingProxyType(dict(self.supports)))
@@ -107,5 +106,4 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
     maximal = sorted((p for p in frequent if p not in non_maximal),
                      key=lambda p: (-len(p), p))
     return FrequentFragmentSet(patterns=tuple(maximal),
-                               supports={p: frequent[p] for p in maximal},
-                               min_support=min_support)
+                               supports={p: frequent[p] for p in maximal})

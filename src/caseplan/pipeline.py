@@ -9,10 +9,10 @@ from typing import NamedTuple
 from .assemble import concat_frag, trim
 from .causal import CausalPair, extract_causal_pairs, single_goal_plans
 from .cases import CaseFile
-from .mapping import Fragment, build_fragments
+from .mapping import build_fragments
 from .mining import FrequentFragmentSet, SequenceDB, mine_frequent
 from .search import SearchConfig, solve
-from .strips import Grounding, Plan, PlanningProblem, execute_plan
+from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
 
 ROUTE_FRAGMENTS = "fragments"
 ROUTE_SKELETAL = "skeletal"
@@ -31,7 +31,7 @@ class PipelineOutcome:
     route: str | None
     failed_stage: str | None
     pairs: frozenset[CausalPair]
-    fragments: tuple[Fragment, ...]
+    fragments: tuple[Plan, ...]
     frequent: FrequentFragmentSet
 
     @property
@@ -41,31 +41,34 @@ class PipelineOutcome:
 
 class Skeleton(NamedTuple):
     """The stage that depends only on the problem and its (possibly incomplete)
-    model: the solved per-goal plans, in sorted goal order, the union of their
-    causal pairs, and the grounding they were searched on, on which the later
-    stages of a solve also walk their plans."""
+    model: the skeletal plan, or None where it does not execute to the goal,
+    the causal pairs of the per-goal plans, and the grounding they were
+    searched on, on which the later stages of a solve also walk their plans."""
 
-    goal_plans: tuple[Plan, ...]
+    plan: Plan | None
     pairs: frozenset[CausalPair]
     grounding: Grounding
 
 
 def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Skeleton:
-    """The skeletal plan of the problem under its own model. Goals the solver
-    cannot reach contribute nothing."""
+    """The skeleton of the problem under its own model. The skeletal plan is the
+    solved per-goal plans joined in sorted goal order and trimmed."""
     grounding = Grounding.for_problem(problem)
-    goal_plans = tuple(result.plan for _, result in single_goal_plans(problem, config, grounding)
-                       if result.solved and result.plan)
+    steps: list[GroundAction] = []
     pairs: frozenset[CausalPair] = frozenset()
-    for goal_plan in goal_plans:
-        pairs |= extract_causal_pairs(goal_plan, problem, grounding=grounding)
-    return Skeleton(goal_plans, pairs, grounding)
+    for _, result in single_goal_plans(problem, config, grounding):
+        if result.solved and result.plan:
+            steps += result.plan
+            pairs |= extract_causal_pairs(result.plan, problem, grounding=grounding)
+    plan = trim(tuple(steps), problem, grounding=grounding)
+    executes = execute_plan(problem, plan, grounding=grounding).success
+    return Skeleton(plan if executes else None, pairs, grounding)
 
 
-def mine_fragments(fragments: Sequence[Fragment], min_support: int) -> FrequentFragmentSet:
+def mine_fragments(fragments: Sequence[Plan], min_support: int) -> FrequentFragmentSet:
     """The stage that depends only on the fragments of a library prefix and
     the support threshold: the maximal frequent runs of their actions."""
-    return mine_frequent(SequenceDB.from_sequences([f.actions for f in fragments]), min_support)
+    return mine_frequent(SequenceDB.from_sequences(fragments), min_support)
 
 
 def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
@@ -73,17 +76,17 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
                        config: SearchConfig | None = None,
                        assembly_budget: int = 20_000,
                        search_fallback: bool = True,
-                       fragments: tuple[Fragment, ...] | None = None,
+                       fragments: tuple[Plan, ...] | None = None,
                        skeletal: Skeleton | None = None,
                        frequent: FrequentFragmentSet | None = None) -> PipelineOutcome:
     """Solve under the problem's (possibly incomplete) model using the case library.
 
     The primary route assembles mined frequent fragments along the causal
-    pairs. If that fails, the per-goal skeletal plans are concatenated in
-    sorted goal order and trimmed. As a last resort the forward planner is
-    run on the full goal; anything returned executes under the problem's own
-    model, though only validation against the complete model can tell whether
-    it is really correct.
+    pairs. If that fails, the skeletal plan is taken where it executes (see
+    :func:`skeleton`). As a last resort the forward planner is run on the full
+    goal; anything returned executes under the problem's own model, though
+    only validation against the complete model can tell whether it is really
+    correct.
 
     ``fragments``, when given, are the fragments of ``cases`` on this problem,
     already built (what ``build_fragments(problem, cases)`` returns). They do
@@ -99,20 +102,18 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     config = config or SearchConfig()
     if skeletal is None:
         skeletal = skeleton(problem, config)
-    goal_plans, pairs, grounding = skeletal
+    skeletal_plan, pairs, grounding = skeletal
     if fragments is None:
         fragments = tuple(build_fragments(problem, cases))
     if frequent is None:
         frequent = mine_fragments(fragments, min_support)
 
-    plan = concat_frag(problem, pairs, frequent, node_budget=assembly_budget,
+    plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
                        grounding=grounding)
     if plan is not None:
         return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
 
-    skeletal_plan = trim(tuple(a for goal_plan in goal_plans for a in goal_plan), problem,
-                         grounding=grounding)
-    if execute_plan(problem, skeletal_plan, grounding=grounding).success:
+    if skeletal_plan is not None:
         return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)
 
     if search_fallback:

@@ -22,8 +22,6 @@ from caseplan import (
     CaseFile,
     CausalPair,
     DomainModel,
-    Fragment,
-    FrequentFragmentSet,
     PlanningProblem,
     SequenceDB,
     merge,
@@ -382,7 +380,7 @@ def trim_by_restarts(plan, problem: PlanningProblem):
 # per node instead of once per pair that names it.
 
 def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair],
-                           fragments: FrequentFragmentSet, *,
+                           patterns: tuple[ActionSeq, ...], *,
                            node_budget: int = 20_000) -> Plan | None:
     """Depth-first assembly of fragments until all causal pairs are satisfied.
 
@@ -417,7 +415,7 @@ def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair
                         return found
         return None
 
-    return rec((), pairs, fragments.patterns)
+    return rec((), pairs, patterns)
 
 
 # The earlier schema instantiation, kept unchanged as the reference for
@@ -936,7 +934,7 @@ def best_mapping_tuple_keys(case: CaseFile, problem: PlanningProblem, *,
 # checks each argument against the index's fitting object ids.
 
 def extract_fragments_by_name(case: CaseFile, mapping: dict[str, str],
-                              problem: PlanningProblem, source: str = "") -> list[Fragment]:
+                              problem: PlanningProblem) -> list[Plan]:
     """Rename the case plan and return its maximal runs of usable actions.
 
     An action is usable when its schema exists in the problem's domain and
@@ -944,12 +942,12 @@ def extract_fragments_by_name(case: CaseFile, mapping: dict[str, str],
     else splits the plan at that point.
     """
     domain = problem.domain
-    fragments: list[Fragment] = []
+    fragments: list[Plan] = []
     current: list[GroundAction] = []
 
     def flush() -> None:
         if current:
-            fragments.append(Fragment(tuple(current), source))
+            fragments.append(tuple(current))
             current.clear()
 
     for action in case.plan:

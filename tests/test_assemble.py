@@ -11,7 +11,6 @@ import caseplan.assemble
 from caseplan import (
     CausalPair,
     DegradeSpec,
-    FrequentFragmentSet,
     Grounding,
     PlanningProblem,
     SequenceDB,
@@ -201,7 +200,7 @@ def test_merge_rejects_only_where_no_end_is_shared(data):
 
 def golden_fragments(min_support=1):
     db = SequenceDB.from_sequences([P1_FRAGMENT, P2_FRAGMENT])
-    return mine_frequent(db, min_support)
+    return mine_frequent(db, min_support).patterns
 
 
 def test_concat_golden(tower_incomplete):
@@ -214,14 +213,11 @@ def test_concat_trivial_empty(blocks):
         name="t", domain=blocks, objects={"a": "object"},
         init=atoms("ontable a", "clear a", "handempty"),
         goal=atoms("clear a"))
-    empty = FrequentFragmentSet(patterns=(), supports={}, min_support=1)
-    assert concat_frag(problem, frozenset(), empty) == ()
+    assert concat_frag(problem, frozenset(), ()) == ()
 
 
 def test_concat_fails_without_p2_fragment(tower_incomplete):
-    only_p1 = FrequentFragmentSet(patterns=(P1_FRAGMENT,),
-                                  supports={P1_FRAGMENT: 1}, min_support=1)
-    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, only_p1) is None
+    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, (P1_FRAGMENT,)) is None
 
 
 def test_concat_respects_budget(tower_incomplete):
@@ -230,8 +226,7 @@ def test_concat_respects_budget(tower_incomplete):
 
 
 def test_concat_pairs_remaining_and_no_fragments_fails(tower_incomplete):
-    empty = FrequentFragmentSet(patterns=(), supports={}, min_support=1)
-    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, empty) is None
+    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, ()) is None
 
 
 def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
@@ -248,11 +243,9 @@ def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
                        CausalPair(GA("unstack b2 b1"), GA("stack b2 b3"))})
     patterns = (plan("pickup b1,pickup b3"), plan("pickup b3,unstack b2 b1"),
                 plan("unstack b2 b1,pickup b1"), plan("unstack b2 b1,stack b2 b3"))
-    fragments = FrequentFragmentSet(patterns=patterns, supports=dict.fromkeys(patterns, 1),
-                                    min_support=1)
     for budget, expected in ((11, None), (12, plan("unstack b2 b1,stack b2 b3"))):
-        assert concat_frag(problem, pairs, fragments, node_budget=budget) == expected
-        assert concat_frag_rescanning(problem, pairs, fragments, node_budget=budget) == expected
+        assert concat_frag(problem, pairs, patterns, node_budget=budget) == expected
+        assert concat_frag_rescanning(problem, pairs, patterns, node_budget=budget) == expected
 
 
 def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
@@ -268,8 +261,6 @@ def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
                        CausalPair(GA("unstack b2 b1"), GA("stack b2 b3"))})
     patterns = (plan("pickup b1,pickup b3"), plan("pickup b3,unstack b2 b1"),
                 plan("unstack b2 b1,pickup b1"), plan("unstack b2 b1,stack b2 b3"))
-    fragments = FrequentFragmentSet(patterns=patterns, supports=dict.fromkeys(patterns, 1),
-                                    min_support=1)
     calls = {"concat_frag": 0, "concat_frag_rescanning": 0}
 
     def counted(name, real):
@@ -282,11 +273,11 @@ def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
     monkeypatch.setattr(oracles, "trim_on_atoms",
                         counted("concat_frag_rescanning", oracles.trim_on_atoms))
     expected = plan("unstack b2 b1,stack b2 b3")
-    assert concat_frag(problem, pairs, fragments, node_budget=12) == expected
-    assert concat_frag_rescanning(problem, pairs, fragments, node_budget=12) == expected
+    assert concat_frag(problem, pairs, patterns, node_budget=12) == expected
+    assert concat_frag_rescanning(problem, pairs, patterns, node_budget=12) == expected
     assert 0 < calls["concat_frag"] < calls["concat_frag_rescanning"]
-    assert concat_frag(problem, pairs, fragments, node_budget=11) is None
-    assert concat_frag_rescanning(problem, pairs, fragments, node_budget=11) is None
+    assert concat_frag(problem, pairs, patterns, node_budget=11) is None
+    assert concat_frag_rescanning(problem, pairs, patterns, node_budget=11) is None
 
 
 @st.composite
@@ -314,20 +305,18 @@ def assembly_inputs(draw):
         else:
             pieces.append(tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1,
                                               max_size=4))))
-    patterns = sorted(set(pieces), key=lambda p: (-len(p), p))
-    return problem, frozenset(pairs), FrequentFragmentSet(
-        patterns=tuple(patterns), supports={p: 1 for p in patterns}, min_support=1)
+    return problem, frozenset(pairs), tuple(sorted(set(pieces), key=lambda p: (-len(p), p)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(assembly_inputs())
 def test_concat_matches_rescanning_reference(inputs):
-    problem, pairs, fragments = inputs
+    problem, pairs, patterns = inputs
     grounding = Grounding.for_problem(problem)
     for budget in (*range(1, 51), 20_000):
-        assert concat_frag(problem, pairs, fragments, node_budget=budget,
+        assert concat_frag(problem, pairs, patterns, node_budget=budget,
                            grounding=grounding) == \
-            concat_frag_rescanning(problem, pairs, fragments, node_budget=budget)
+            concat_frag_rescanning(problem, pairs, patterns, node_budget=budget)
 
 
 @st.composite
@@ -362,17 +351,15 @@ def dead_end_inputs(draw):
         for c in consumers:
             inner.insert(draw(st.integers(0, len(inner))), c)
         pieces.add((draw(st.sampled_from(junk)), *inner, draw(st.sampled_from(junk))))
-    patterns = sorted(pieces, key=lambda p: (-len(p), p))
-    return problem, pairs, FrequentFragmentSet(
-        patterns=tuple(patterns), supports={p: 1 for p in patterns}, min_support=1)
+    return problem, pairs, tuple(sorted(pieces, key=lambda p: (-len(p), p)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(dead_end_inputs())
 def test_concat_charges_a_failed_fragment_under_every_pair_it_names(inputs):
-    problem, pairs, fragments = inputs
+    problem, pairs, patterns = inputs
     grounding = Grounding.for_problem(problem)
     for budget in range(1, 51):
-        assert concat_frag(problem, pairs, fragments, node_budget=budget,
+        assert concat_frag(problem, pairs, patterns, node_budget=budget,
                            grounding=grounding) == \
-            concat_frag_rescanning(problem, pairs, fragments, node_budget=budget)
+            concat_frag_rescanning(problem, pairs, patterns, node_budget=budget)

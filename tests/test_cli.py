@@ -176,6 +176,41 @@ def test_evaluate_missing_plan_counts_unsolved(tmp_path, capsys):
     assert "accuracy: 0.0000 (0/1)" in stdout
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("gen-cases", ("--count", 2)),
+    ("evaluate", ("--plans", FIXTURES)),
+    ("experiment", ()),
+], ids=["gen-cases", "evaluate", "experiment"])
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "empty"])
+def test_problem_directory_without_problems_is_input_error(tmp_path, capsys, command,
+                                                           extra, exists):
+    # a missing directory, or one with no *.pddl in it, is an input error for
+    # every command that reads one, and nothing is written
+    problems = tmp_path / "problems"
+    if exists:
+        problems.mkdir()
+        (problems / "tower.txt").write_text(TOWER.read_text())
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, command, "--domain", DOMAIN, "--problems", problems,
+                               *extra, "--out", out)
+    assert code == INPUT_ERROR
+    assert f"no problems in {problems}" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_evaluate_missing_plans_directory_is_input_error(tmp_path, capsys):
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    (problems / "tower.pddl").write_text(TOWER.read_text())
+    plans = tmp_path / "plans"
+    code, stdout, stderr = run(capsys, "evaluate", "--domain", DOMAIN,
+                               "--problems", problems, "--plans", plans)
+    assert code == INPUT_ERROR
+    assert f"no plans directory {plans}" in stderr
+    assert stdout == ""
+
+
 def test_evaluate_variable_in_plan_is_input_error(tmp_path, capsys):
     problems = tmp_path / "problems"
     plans = tmp_path / "plans"

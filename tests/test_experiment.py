@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import caseplan.pipeline
 from caseplan import ExperimentSpec, SearchConfig, make_problem_suite, run_experiment
 from caseplan.cases import read_rows, write_rows
 from caseplan.evaluate import check_solution
@@ -82,6 +83,25 @@ def test_matches_per_cell_reference_reusing_every_level(blocks, domain_name):
     assert rows == ref_rows
     assert [(d.row, d.plan, d.route) for d in details] == \
         [(d.row, d.plan, d.route) for d in ref_details]
+
+
+def test_sweep_builds_each_skeletal_plan_once(blocks, monkeypatch):
+    # the skeletal plan is part of the skeleton of (problem, model): 3
+    # problems under 2 models make 12 rows over 2 deltas, and 6 trims
+    calls = []
+    real = caseplan.pipeline.trim
+
+    def counted(plan, problem, **kwargs):
+        calls.append((problem.name, problem.domain))
+        return real(plan, problem, **kwargs)
+
+    monkeypatch.setattr(caseplan.pipeline, "trim", counted)
+    spec = small_spec(blocks, cases=[], case_counts=(0,), seeds=(1,),
+                      problems=make_problem_suite(blocks, 3, 0, n_blocks=4),
+                      completeness_levels=(0.4, 1.0), deltas=(1, 2))
+    rows, _ = run_experiment(spec)
+    assert len(rows) == 12
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_case_count_above_library_size_rejected(blocks, p1, p2):

@@ -131,16 +131,15 @@ def test_score_invariant_under_problem_renaming(blocks, tower, p1):
 
 
 def test_extract_fragments_p1(tower, p1):
-    frags = extract_fragments(p1, best_mapping(p1, tower), tower, source="p1")
+    frags = extract_fragments(p1, best_mapping(p1, tower), tower)
     assert len(frags) == 1
-    assert frags[0].actions == P1_FRAGMENT
-    assert frags[0].source_case == "p1"
+    assert frags[0] == P1_FRAGMENT
 
 
 def test_extract_fragments_p2(tower, p2):
     frags = extract_fragments(p2, best_mapping(p2, tower), tower)
     assert len(frags) == 1
-    assert frags[0].actions == P2_FRAGMENT
+    assert frags[0] == P2_FRAGMENT
 
 
 def test_foreign_object_splits_fragments(tower, p1):
@@ -151,8 +150,8 @@ def test_foreign_object_splits_fragments(tower, p1):
     assert "b9" not in mapping  # no free problem object remains for it
     frags = extract_fragments(case, mapping, tower)
     assert len(frags) == 2
-    assert frags[0].actions == tuple(a._replace(args=tuple(mapping[x] for x in a.args))
-                                     for a in p1.plan[:3])
+    assert frags[0] == tuple(a._replace(args=tuple(mapping[x] for x in a.args))
+                             for a in p1.plan[:3])
 
 
 def test_unknown_action_splits_fragments(tower, p1):
@@ -278,8 +277,8 @@ def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, oth
             mapping = best_mapping(case, target, node_budget=budget, index=index)
             assert mapping == best_mapping_tuple_keys(fresh, target, node_budget=budget,
                                                       index=reference_index)
-            assert extract_fragments(case, mapping, target, source="c", index=index) == \
-                extract_fragments_by_name(fresh, mapping, target, source="c")
+            assert extract_fragments(case, mapping, target, index=index) == \
+                extract_fragments_by_name(fresh, mapping, target)
         assert case.mapping_rows is case_rows
 
 
@@ -327,6 +326,6 @@ def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
     monkeypatch.setattr(caseplan.mapping, "mapping_index", counted)
     fragments = build_fragments(tower, [("p1", p1), ("p2", p2)])
     assert calls == [tower]
-    assert [f.actions for f in fragments] == [P1_FRAGMENT, P2_FRAGMENT]
+    assert fragments == [P1_FRAGMENT, P2_FRAGMENT]
     assert build_fragments(tower, []) == []
     assert calls == [tower]

@@ -17,6 +17,7 @@ from caseplan import (
     random_blocks_problem,
     solve_with_library,
 )
+from caseplan.causal import single_goal_plans
 from caseplan.evaluate import check_solution
 from caseplan.pipeline import (
     ROUTE_FRAGMENTS,
@@ -30,6 +31,7 @@ from caseplan.pipeline import (
 from caseplan.strips import PlanningProblem
 
 from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
+from .oracles import execute_plan_on_atoms, trim_on_atoms
 
 
 def library():
@@ -65,6 +67,7 @@ def test_goal_already_satisfied(blocks):
                               goal=atoms("clear a"))
     outcome = solve_with_library(problem, [], 1)
     assert outcome.plan == ()
+    assert skeleton(problem).plan == ()  # a skeletal plan, not None
 
 
 def test_failure_stage_skeletal(blocks, tower):
@@ -140,3 +143,17 @@ def test_given_fragments_solve_like_built_ones(instance, completeness, seed, del
                               fragments=fragments,
                               skeletal=skeleton(problem, SMALL_SEARCH),
                               frequent=mine_fragments(fragments, delta)) == computed
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances, st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2**16))
+def test_skeletal_plan_matches_reference(instance, completeness, seed):
+    # the solved per-goal plans joined in sorted goal order and trimmed, kept
+    # iff it executes: () is a skeletal plan, None is none
+    domain, problem, _ = instance
+    problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
+    joined = tuple(action for _, result in single_goal_plans(problem, SMALL_SEARCH)
+                   if result.solved for action in result.plan)
+    trimmed = trim_on_atoms(joined, problem)
+    expected = trimmed if execute_plan_on_atoms(problem, trimmed).success else None
+    assert skeleton(problem, SMALL_SEARCH).plan == expected
