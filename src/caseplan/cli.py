@@ -64,10 +64,11 @@ def _load_problems(directory: str, domain):
 
 
 def _load_cases(path: str):
+    """The case library; its errors already name the directory or the file."""
     try:
         return caseio.read_case_library(path)
     except (OSError, PddlError) as err:
-        raise InputError(f"in case library {path}: {err}") from err
+        raise InputError(str(err)) from err
 
 
 def _search_config(args) -> SearchConfig:

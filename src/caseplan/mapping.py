@@ -7,42 +7,64 @@ node budget) over every injective, type-consistent mapping; matching unary
 "feature" predicates is used to order the search, not to exclude mappings.
 
 The search reads the problem through a :class:`MappingIndex` (objects,
-predicates, and the partial images of the init and goal atoms, as integers),
-built once per problem and shared by every case mapped onto it. Its bound
-drops a case atom as soon as the image of its mapped positions is part of no
-target atom, a look-ahead in the manner of VF2 (Cordella et al., 2004). That
-test only prunes subtrees that cannot beat the best mapping found, so the
-result is the one the search without it returns whenever the node budget
-suffices, and never scores lower when the budget runs out.
+predicates, type classes, and the partial images of the init and goal atoms,
+as integers), built once per problem and shared by every case mapped onto
+it. Its bound drops a case atom as soon as the image of its positions is
+part of no target atom, a look-ahead in the manner of VF2 (Cordella et al.,
+2004). A position whose object is still unmapped is not a wildcard: it reads
+as the smallest *type class* (a set of problem objects that fit one of the
+domain's types, short of all objects) holding every candidate of the object,
+so on driverlog ``(at p1 l4)`` dies unless some package is at the image of
+``l4``. No completion of a dropped atom can match, so the test only prunes
+subtrees that cannot beat the best mapping found.
 
-A partial image is one int, ``pid + P * sum((obj_j + 1) * R**j)``: ``pid`` is
+A partial image is one int, ``pid + P * sum(digit_j * R**j)``: ``pid`` is
 the id of the atom's (predicate, arity), ``P`` the number of such ids, ``R``
-the number of objects plus one, and an unmapped position adds 0. The key is
-linear in each position, so the search keeps one running key per case atom,
-starting at its ``pid``: mapping a case object to ``obj`` adds
-``(obj + 1) * mult`` to the key of each undecided atom it occurs in, where
-``mult`` sums ``P * R**j`` over the object's positions j in the atom, and
-backtracking subtracts it again. Checking an atom is then one set lookup of
-an int, and a node whose value cannot beat the bound is rejected after one
-pass over its atoms, before any state changes.
+the number of objects plus the number of classes plus one, and a position's
+digit is ``obj + 1`` where it is mapped to ``obj``, and else ``n + 1 + c``
+for the class ``c`` of its object, or 0 where no class holds all its
+candidates. The key is linear in each position, so the search keeps one
+running key per case atom, starting with every position at its class digit:
+mapping a case object to ``obj`` adds ``(obj + 1 - digit) * mult`` to the key
+of each undecided atom it occurs in, where ``mult`` sums ``P * R**j`` over
+the object's positions j in the atom, and backtracking subtracts it again.
+Checking an atom is then one set lookup of an int, and a node whose value
+cannot beat the bound is rejected after one pass over its atoms, before any
+state changes.
+
+Before the search, a greedy descent maps the objects in a connected order
+(next the object sharing the most atoms with those placed), each to the
+unused candidate that kills the fewest of its open atoms; it spends none of
+the node budget, and its cost is bounded by objects x candidates x rows.
+The search starts with its incumbent at one below the greedy score ``s``,
+not at ``s``: a leaf scoring ``s`` still becomes the search's best, so the
+search records the same first best leaf as without the seed, and only
+subtrees that cannot reach ``s`` are cut. Neither the classes nor the seed change which leaf is
+found first, so the result is the unseeded, classless search's whenever the
+node budget suffices. When the budget runs out first, the nodes visited are
+an in-order subsequence of that search's, and the greedy mapping is
+returned if no leaf reached ``s``, so the score is never lower.
 
 The set-up of a mapping is split by what each part depends on:
 
 - per case, and no domain: a :class:`CaseIndex` (the depth order of the
   case objects, the atom rows and depth rows, each object's features and
-  usages, and the plan rows), which ``case.mapping_rows`` builds on first use
-  and keeps on the case, so a library mapped onto many problems builds it
-  once per case;
-- per problem: the :class:`MappingIndex`, shared by every case mapped onto
-  the problem and by every degraded model of it;
-- per (case, problem), in :func:`best_mapping`: the atoms' keys, the depth
-  multipliers and the sorted candidate lists.
+  usages, the plan rows, and the greedy descent's order and rows), which
+  ``case.mapping_rows`` builds on first use and keeps on the case, so a
+  library mapped onto many problems builds it once per case;
+- per problem: the :class:`MappingIndex`, with the type classes, the
+  usages that narrow a case object's candidates, the candidate order of each
+  feature set and the key weight of each set of positions, shared by every
+  case mapped onto the problem and by every degraded model of it;
+- per (case, problem), in :func:`best_mapping`: the atoms' start keys, the
+  depth rows' weights, each object's candidates and class digit, and the
+  greedy descent.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -107,6 +129,30 @@ class CaseIndex:
     # per depth: the object's usages, as (signature, position)
     usages: tuple[tuple[tuple[Signature, int], ...], ...]
     plan: tuple[tuple[Signature, tuple[int, ...]], ...]  # per action: (signature, arg depths)
+    # per step of the greedy descent, in its connected order: (depth, per row
+    # of depth_rows[depth] whether the step is the atom's last in that order)
+    greedy: tuple[tuple[int, tuple[bool, ...]], ...]
+
+
+def _connected_order(depth_rows, slots) -> list[int]:
+    """The depths in the greedy descent's order: next the object sharing the
+    most atoms with the objects already placed, ties to the lower depth."""
+    placed = [False] * len(depth_rows)
+    shared = [0] * len(depth_rows)  # per depth: its atoms that hold a placed object
+    touched = [False] * len(slots)
+    order = []
+    for _ in depth_rows:
+        depth = max((d for d, done in enumerate(placed) if not done),
+                    key=lambda d: (shared[d], -d))
+        placed[depth] = True
+        order.append(depth)
+        for ai, _, _ in depth_rows[depth]:
+            if not touched[ai]:
+                touched[ai] = True
+                for other in set(slots[ai]):
+                    if not placed[other]:
+                        shared[other] += 1
+    return order
 
 
 def case_index(case: CaseFile) -> CaseIndex:
@@ -123,6 +169,12 @@ def case_index(case: CaseFile) -> CaseIndex:
         tuple((ai, tuple(j for j, s in enumerate(slots[ai]) if s == d), max(slots[ai]) == d)
               for ai in obj_atoms[o])
         for d, o in enumerate(case_objs))
+    order = _connected_order(depth_rows, slots)
+    step_of = {d: k for k, d in enumerate(order)}
+    greedy = tuple(
+        (d, tuple(max(step_of[s] for s in slots[ai]) == step_of[d]
+                  for ai, _, _ in depth_rows[d]))
+        for d in order)
     usages: dict[str, set[tuple[Signature, int]]] = {o: set() for o in case_objs}
     for atom, _ in atoms:
         sig = (PREDICATE, atom.predicate, len(atom.args))
@@ -141,7 +193,8 @@ def case_index(case: CaseFile) -> CaseIndex:
         depth_rows,
         tuple(features.get(o, frozenset()) for o in case_objs),
         tuple(tuple(sorted(usages[o])) for o in case_objs),
-        tuple(plan))
+        tuple(plan),
+        greedy)
 
 
 @dataclass(frozen=True)
@@ -155,26 +208,42 @@ class MappingIndex:
     """
 
     objects: tuple[str, ...]  # object id -> name, in sorted name order
-    features: tuple[frozenset[str], ...]  # object id -> its object_features
     # signature of a declared predicate or schema -> per position, the ids of
     # the objects that fit its type
     fits: Mapping[Signature, tuple[frozenset[int], ...]]
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
-    # per target (init, goal): the _image_key of every partial image of every atom
+    # (signature, position) -> the ids of the objects that fit it, where
+    # fewer than all objects do: the candidates of a case object are those
+    # of every usage it has here
+    narrowing: Mapping[tuple[Signature, int], frozenset[int]]
+    # the type classes: the distinct nonempty sets of objects fitting a type,
+    # short of all objects, smallest first; class c is digit n + 1 + c of a key
+    classes: tuple[frozenset[int], ...]
+    # the object_features of a problem object -> every object id, those with
+    # exactly these features first, each part in id order: the candidate
+    # order of a case object with these features
+    orders: Mapping[frozenset[str], tuple[int, ...]]
+    # the positions of an object in an atom -> what each step of its digit
+    # adds to the atom's key, for every nonempty set of positions that an
+    # atom of the largest arity among the init and goal atoms has
+    weights: Mapping[tuple[int, ...], int]
+    # per target (init, goal): the _image_key of every partial image of every
+    # atom, each position the object, 0, or the digit of a class holding it
     images: tuple[frozenset[int], frozenset[int]]
 
 
 UNSET = -1  # no problem object (yet): never an object id
 
 
-def _image_key(pid: int, args: list[int], predicates: int, radix: int) -> int:
-    """A partial image's key: ``pid + predicates * sum((a + 1) * radix**j)``.
+def _image_key(pid: int, digits, predicates: int, radix: int) -> int:
+    """A partial image's key: ``pid + predicates * sum(digit_j * radix**j)``.
 
     ``predicates`` is the number of predicate ids and ``radix`` the number of
-    objects plus one, so each position is one base-``radix`` digit, 0 where
-    the argument is UNSET; distinct images get distinct keys.
+    objects plus classes plus one. A position's digit is ``obj + 1`` where the
+    object is mapped, else 0, or ``n + 1 + c`` where it is known to lie in
+    class ``c``; distinct images get distinct keys.
     """
-    return pid + predicates * sum((a + 1) * radix ** j for j, a in enumerate(args))
+    return pid + predicates * sum(d * radix ** j for j, d in enumerate(digits))
 
 
 def mapping_index(problem: PlanningProblem) -> MappingIndex:
@@ -189,23 +258,38 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
             for name, sig in domain.predicates.items()}
     fits.update({(ACTION, name, len(schema.params)): tuple(fitting[t] for _, t in schema.params)
                  for name, schema in domain.schemas.items()})
+    narrowing = {(sig, j): fit for sig, fit_row in fits.items()
+                 for j, fit in enumerate(fit_row) if len(fit) < len(objects)}
+    classes = tuple(sorted({fit for fit in fitting.values() if 0 < len(fit) < len(objects)},
+                           key=lambda fit: (len(fit), sorted(fit))))
     predicates: dict[tuple[str, int], int] = {}
     for atom in itertools.chain(problem.init, problem.goal):
         predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
-    radix = len(objects) + 1
+    radix = len(objects) + 1 + len(classes)
+    # per object id: the digits a position holding it may have in an image
+    digits = [(i + 1, 0, *(len(objects) + 1 + c for c, cls in enumerate(classes) if i in cls))
+              for i in range(len(objects))]
     images = []
     for atoms in (problem.init, problem.goal):
         keys = set()
         for atom in atoms:
             pid = predicates[(atom.predicate, len(atom.args))]
-            args = [ids[a] for a in atom.args]
-            for kept in itertools.product((True, False), repeat=len(args)):
-                keys.add(_image_key(pid, [a if k else UNSET for a, k in zip(args, kept)],
-                                    len(predicates), radix))
+            for image in itertools.product(*(digits[ids[a]] for a in atom.args)):
+                keys.add(_image_key(pid, image, len(predicates), radix))
         images.append(frozenset(keys))
+    arity = max((len(atom.args) for atom in itertools.chain(problem.init, problem.goal)),
+                default=0)
+    weights = {positions: len(predicates) * sum(radix ** j for j in positions)
+               for size in range(1, arity + 1)
+               for positions in itertools.combinations(range(arity), size)}
     features = _features(problem)
-    return MappingIndex(objects, tuple(features.get(o, frozenset()) for o in objects),
-                        MappingProxyType(fits), MappingProxyType(predicates),
+    object_feats = tuple(features.get(o, frozenset()) for o in objects)
+    orders = {feats: tuple(sorted(range(len(objects)),
+                                  key=lambda i: (object_feats[i] != feats, i)))
+              for feats in set(object_feats)}
+    return MappingIndex(objects, MappingProxyType(fits),
+                        MappingProxyType(predicates), MappingProxyType(narrowing), classes,
+                        MappingProxyType(orders), MappingProxyType(weights),
                         (images[0], images[1]))
 
 
@@ -219,12 +303,16 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     lexicographically, and the best mapping changes only on a strict
     improvement. The bound counts every undecided atom that can still match:
     an atom dies as soon as one of its objects stays unmapped, or the image of
-    its mapped positions is part of no atom of its target (the init or the
-    goal), since then no completion can match. Pruning so never loses the true
-    maximum. If ``node_budget`` runs out, the best mapping found so far is
-    returned; the nodes are an in-order subsequence of those of the search
-    without the partial-image test, so the result is the same as without it
-    when the budget suffices and never scores lower when it runs out.
+    its mapped positions, with each unmapped position read as the smallest
+    type class that holds all candidates of its object, is part of no atom of
+    its target (the init or the goal), since then no completion can match.
+    Pruning so never loses the true maximum. Before the search, a greedy
+    descent maps the objects one by one and seeds the incumbent one below
+    its score, so the search still records its own first best leaf. The
+    result is the same as without the class digits and the seed when the
+    budget suffices. If ``node_budget`` runs out, the result is the search's
+    best mapping if one reached the greedy score, else the greedy mapping;
+    either way it never scores lower than the search without them.
 
     ``index``, when given, is ``mapping_index(problem)``, already built; a
     caller mapping many cases onto one problem builds it once.
@@ -234,30 +322,49 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     rows = case.mapping_rows
     # depth d of the search decides case object case_objs[d], into assign[d]
     case_objs = rows.case_objs
-    # keys[ai] is the _image_key of case atom ai's mapped positions, kept as
-    # they are assigned; an UNSET predicate id is in no image set
+    # keys[ai] is the _image_key of case atom ai, kept as its objects are
+    # assigned; an UNSET predicate id is in no image set
     keys = [index.predicates.get(pred, UNSET) for pred, _, _ in rows.atoms]
     targets = [index.images[target] for _, target, _ in rows.atoms]
-    count = len(index.predicates)
-    radix = len(index.objects) + 1
-    # per depth: (atom, target, what each step of the depth's object id adds to
-    # the atom's key, whether the depth completes the atom)
-    depth_rows = [[(ai, targets[ai], sum(count * radix ** j for j in positions), completes)
+    n = len(index.objects)
+    # per depth: (atom, target, what each step of the depth's digit adds to
+    # the atom's key, whether the depth completes the atom); an atom of an
+    # arity no problem atom has gets weight 0, as its predicate has no id
+    weights = index.weights
+    depth_rows = [[(ai, targets[ai], weights.get(positions, 0), completes)
                    for ai, positions, completes in depth]
                   for depth in rows.depth_rows]
 
-    everything = frozenset(range(len(index.objects)))
-    candidates: list[list[int]] = []
-    for feats, usages in zip(rows.features, rows.usages):
+    # per depth: the candidates in order, and the base of a step: a key
+    # position of the depth's object starts at the digit of the smallest
+    # class holding every candidate (0 where no class does), and mapping the
+    # object to val moves it by val + 1 - that digit
+    everything = frozenset(range(n))
+    narrowing = index.narrowing
+    candidates: list[Sequence[int]] = []
+    bases: list[int] = []
+    for feats, usages, depth in zip(rows.features, rows.usages, depth_rows):
         ok = everything
-        for sig, j in usages:
-            fit = index.fits.get(sig)
-            if fit is not None:
-                ok = ok & fit[j]
-        candidates.append(sorted(ok, key=lambda i: (index.features[i] != feats, i)))
+        if narrowing:
+            for usage in usages:
+                fit = narrowing.get(usage)
+                if fit is not None:
+                    ok = ok & fit
+        order = index.orders.get(feats, range(n))
+        candidates.append(order if len(ok) == n else [i for i in order if i in ok])
+        digit = 0
+        for c, cls in enumerate(index.classes):
+            if ok <= cls:
+                digit = n + 1 + c
+                for ai, _, mult, _ in depth:
+                    if keys[ai] != UNSET:
+                        keys[ai] += digit * mult
+                break
+        bases.append(1 - digit)
 
     # shut[ai] is OPEN while case atom ai is undecided, else the depth that
-    # decided it (-1: decided before the search, by its predicate alone)
+    # decided it (-1: decided before the search, by its predicate and the
+    # classes of its objects)
     OPEN = len(case_objs)
     shut = []
     matched = 0
@@ -273,20 +380,29 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
             alive += 1
     max_possible = matched + alive
 
+    greedy_gain, greedy = _greedy_descent(rows.greedy, depth_rows, candidates, bases, keys[:],
+                                          [state == OPEN for state in shut], n)
+
     assign = [UNSET] * len(case_objs)
-    used = [False] * len(index.objects)
-    best_assign: dict[str, str] = {}
-    best_score = -1
+    used = [False] * n
+    best_assign: dict[str, str] | None = None
+    # one below the greedy score: the search records its own first leaf that
+    # reaches it, so the greedy seed changes which subtrees are cut, not the
+    # mapping returned when the budget suffices
+    best_score = matched + greedy_gain - 1
     nodes = 0
     exhausted = False
 
-    # A node first counts the open rows of its depth that its value kills and
-    # touches no state unless the bound then passes. If it does, the node
-    # decides those rows, stores the keys of the rows left open, recurses and
-    # undoes: the rows it decided reopen, and the open rows take its step
-    # back out of their keys.
-    def dfs(depth: int) -> None:
-        nonlocal best_score, best_assign, nodes, exhausted, matched, alive
+    # A value kills at most the open rows of its depth, and each value leaves
+    # them open again for the next. So a node passes the bound outright when
+    # it would pass with all of them dead; else it first counts the rows its
+    # value kills and touches no state unless the bound then passes. A node
+    # that passes decides its rows, stores the keys of the rows left open,
+    # recurses and undoes: the rows it decided reopen, and the open rows take
+    # its step back out of their keys. ``matched`` and ``alive`` count the
+    # matched and the open atoms at the node.
+    def dfs(depth: int, matched: int, alive: int) -> None:
+        nonlocal best_score, best_assign, nodes, exhausted
         if depth == len(case_objs):
             if matched > best_score:
                 best_score = matched
@@ -294,6 +410,11 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
                                if v != UNSET}
             return
         rows = depth_rows[depth]
+        base = bases[depth]
+        open_rows = 0
+        for ai, _, _, _ in rows:
+            if shut[ai] == OPEN:
+                open_rows += 1
         for val in candidates[depth]:
             if used[val]:
                 continue
@@ -301,32 +422,30 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
             if nodes > node_budget:
                 exhausted = True
                 return
-            step = val + 1
-            dying = 0
-            for ai, target, mult, _ in rows:
-                if shut[ai] == OPEN and keys[ai] + step * mult not in target:
-                    dying += 1
-            if matched + alive - dying <= best_score:
-                continue
+            step = val + base
+            if matched + alive - open_rows <= best_score:
+                dying = 0
+                for ai, target, mult, _ in rows:
+                    if shut[ai] == OPEN and keys[ai] + step * mult not in target:
+                        dying += 1
+                if matched + alive - dying <= best_score:
+                    continue
             assign[depth] = val
             used[val] = True
-            gained = 0
+            dying = gained = 0
             for ai, target, mult, completes in rows:
                 if shut[ai] != OPEN:
                     continue
                 key = keys[ai] + step * mult
                 if key not in target:
                     shut[ai] = depth
+                    dying += 1
                 elif completes:
                     shut[ai] = depth
                     gained += 1
                 else:
                     keys[ai] = key
-            matched += gained
-            alive -= dying + gained
-            dfs(depth + 1)
-            matched -= gained
-            alive += dying + gained
+            dfs(depth + 1, matched + gained, alive - dying - gained)
             for ai, _, mult, _ in rows:
                 if shut[ai] == depth:
                     shut[ai] = OPEN
@@ -342,24 +461,81 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
         if nodes > node_budget:
             exhausted = True
             return
-        dying = 0
-        for ai, _, _, _ in rows:
-            if shut[ai] == OPEN:
-                dying += 1
-        if matched + alive - dying <= best_score:
+        if matched + alive - open_rows <= best_score:
             return
         for ai, _, _, _ in rows:
             if shut[ai] == OPEN:
                 shut[ai] = depth
-        alive -= dying
-        dfs(depth + 1)
-        alive += dying
+        dfs(depth + 1, matched, alive - open_rows)
         for ai, _, _, _ in rows:
             if shut[ai] == depth:
                 shut[ai] = OPEN
 
-    dfs(0)
+    dfs(0, matched, alive)
+    if best_assign is None:  # no leaf reached the greedy score: the budget ran out
+        return {o: index.objects[v] for o, v in zip(case_objs, greedy) if v != UNSET}
     return best_assign
+
+
+def _greedy_descent(steps, depth_rows, candidates, bases, keys: list[int],
+                    is_open: list[bool], n: int) -> tuple[int, list[int]]:
+    """One greedy pass over :func:`best_mapping`'s rows, updating ``keys`` and
+    ``is_open`` (copies of the search's) as it goes.
+
+    Each object, in the connected order of ``steps`` (``CaseIndex.greedy``),
+    takes the unused candidate that kills the fewest of its open atoms, ties
+    to the one that completes the most, then to the earlier candidate; it
+    stays unmapped if every candidate kills them all. An object with no open
+    atom takes its first unused candidate. Returns the atoms matched and the
+    object id chosen per depth, UNSET where none.
+    """
+    chosen = [UNSET] * len(depth_rows)
+    taken = [False] * n
+    gained = 0
+    for depth, last in steps:
+        row = []
+        can_complete = 0
+        for (ai, target, mult, _), completes in zip(depth_rows[depth], last):
+            if is_open[ai]:
+                row.append((ai, target, mult, completes))
+                can_complete += completes
+        base = bases[depth]
+        best_val = UNSET
+        fewest, most = len(row), 0  # the kills and completions to beat
+        for val in candidates[depth]:
+            if taken[val]:
+                continue
+            if not row:
+                best_val = val
+                break
+            step = val + base
+            kills = completes = 0
+            for ai, target, mult, completes_it in row:
+                if keys[ai] + step * mult not in target:
+                    kills += 1
+                elif completes_it:
+                    completes += 1
+            if kills < fewest or kills == fewest and completes > most:
+                best_val, fewest, most = val, kills, completes
+                if not kills and completes == can_complete:
+                    break
+        if best_val == UNSET:
+            for ai, _, _, _ in row:
+                is_open[ai] = False
+            continue
+        step = best_val + base
+        for ai, target, mult, completes_it in row:
+            key = keys[ai] + step * mult
+            if key not in target:
+                is_open[ai] = False
+            elif completes_it:
+                is_open[ai] = False
+                gained += 1
+            else:
+                keys[ai] = key
+        taken[best_val] = True
+        chosen[depth] = best_val
+    return gained, chosen
 
 
 def extract_fragments(case: CaseFile, mapping: dict[str, str],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -47,6 +48,7 @@ DOMAIN = FIXTURES / "domain.pddl"
 INCOMPLETE = FIXTURES / "incomplete.pddl"
 TOWER = FIXTURES / "tower.pddl"
 CASES = FIXTURES / "cases"
+DRIVERLOG = FIXTURES.parent / "driverlog"
 
 
 def report(n, ok):
@@ -261,3 +263,24 @@ def test_criterion_11_determinism(tmp_path, capsys):
     capsys.readouterr()
     with capsys.disabled():
         report(11, csvs[0] == csvs[1] and len(csvs[0]) > 0)
+
+
+# `caseplan map` on fixtures/driverlog (fixtures/driverlog/generate.py wrote
+# the problem and cases), as recorded before the mapping search gained its
+# type classes and greedy incumbent; CI checks the same output's md5.
+DRIVERLOG_MAPPINGS = [
+    "case_0000: score=30 {d1->d2 l0->l4 l1->l3 l2->l2 l3->l1 l4->l0 l5->l5 "
+    "p1->d1 p2->p3 p3->p1 t1->t1 t2->t2}",
+    "case_0001: score=31 {d1->d1 d2->d2 l0->l4 l1->l5 l2->l0 l3->l1 l4->l2 l5->l3 "
+    "p1->p2 p2->p1 p3->p3 t1->t1 t2->t2}",
+    "case_0002: score=31 {d1->d1 d2->d2 l0->l4 l1->l5 l2->l0 l3->l1 l4->l2 l5->l3 "
+    "p1->p2 p2->p3 p3->p1 t1->t1 t2->t2}",
+]
+
+
+def test_driverlog_golden_mapping(capsys):
+    domain = resources.files("caseplan") / "domains" / "driverlog.pddl"
+    code = main(["map", "--domain", str(domain), "--problem", str(DRIVERLOG / "problem.pddl"),
+                 "--cases", str(DRIVERLOG / "cases")])
+    assert code == OK
+    assert capsys.readouterr().out.splitlines() == DRIVERLOG_MAPPINGS

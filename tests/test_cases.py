@@ -28,6 +28,7 @@ from caseplan.cases import (
     write_case_library,
     write_rows,
 )
+from caseplan.mapping import case_index
 from caseplan.pddl import PddlError
 
 from .conftest import GOLDEN_SOLUTION, atoms, make_p1
@@ -83,6 +84,13 @@ def test_mapped_case_is_the_value_a_fresh_parse_is(fixture_dir, tower):
     text = (fixture_dir / "cases" / "p1.case").read_text()
     case, fresh = parse_case(text), parse_case(text)
     build_fragments(tower, [("p1", case)])
+    rows = case.mapping_rows
+    # the kept rows, the greedy order among them, are tuples and frozensets
+    # all the way down: they hash, and equal a fresh build
+    assert isinstance(rows.greedy, tuple)
+    assert all(isinstance(step, tuple) and isinstance(step[1], tuple) for step in rows.greedy)
+    assert hash(rows) == hash(case_index(fresh))
+    assert rows == case_index(fresh)
     assert dataclasses.fields(case) == dataclasses.fields(fresh)
     assert case == fresh
     assert hash(case) == hash(fresh)
@@ -93,6 +101,8 @@ def test_mapped_case_is_the_value_a_fresh_parse_is(fixture_dir, tower):
             setattr(case, name, ())
     restored = pickle.loads(pickle.dumps(case))
     assert restored == fresh
+    assert hash(restored) == hash(fresh)
+    assert restored.mapping_rows == rows
     assert best_mapping(restored, tower) == best_mapping(fresh, tower)
 
 

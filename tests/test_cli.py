@@ -199,6 +199,20 @@ def test_problem_directory_without_problems_is_input_error(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("solve", ("--incomplete-domain", INCOMPLETE, "--problem", TOWER)),
+    ("mine", ("--domain", DOMAIN, "--problem", TOWER)),
+    ("map", ("--domain", DOMAIN, "--problem", TOWER)),
+], ids=["solve", "mine", "map"])
+def test_missing_case_library_is_named_once(tmp_path, capsys, command, args):
+    library = tmp_path / "no-such-library"
+    code, stdout, stderr = run(capsys, command, *args, "--cases", library)
+    assert code == INPUT_ERROR
+    assert stderr.count(str(library)) == 1
+    assert f"case library {library} is not a directory" in stderr
+    assert stdout == ""
+
+
 def test_evaluate_missing_plans_directory_is_input_error(tmp_path, capsys):
     problems = tmp_path / "problems"
     problems.mkdir()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +180,14 @@ def typed_driverlog():
     return case, problem
 
 
+def assert_injective_and_typed(case, problem, mapping):
+    slots = _slot_constraints(case, problem)
+    assert len(set(mapping.values())) == len(mapping)
+    for obj, image in mapping.items():
+        assert all(is_subtype(problem.domain.types, problem.objects[image], t)
+                   for t in slots[obj])
+
+
 def test_typed_mapping_respects_slots():
     case, problem = typed_driverlog()
     mapping = best_mapping(case, problem)
@@ -193,13 +203,9 @@ def test_budget_exhaustion_still_returns_a_mapping(tower, p1):
     score = mapping_score(p1, mapping, tower)
     assert 0 <= score <= 10
     for case, problem in ((p1, tower), typed_driverlog()):
-        slots = _slot_constraints(case, problem)
-        types = problem.domain.types
         for budget in range(1, 6):
-            mapping = best_mapping(case, problem, node_budget=budget)
-            assert len(set(mapping.values())) == len(mapping)
-            for obj, image in mapping.items():
-                assert all(is_subtype(types, problem.objects[image], t) for t in slots[obj])
+            assert_injective_and_typed(case, problem,
+                                       best_mapping(case, problem, node_budget=budget))
 
 
 # Typed problems and case libraries on all three vendored domains, against the
@@ -237,17 +243,87 @@ def test_budget_never_scores_below_unindexed_reference(instance):
 
 @settings(max_examples=25, deadline=None)
 @given(instances)
-def test_best_mapping_equals_tuple_key_reference_at_every_budget(instance):
-    # the running integer keys change how a row is checked, not which nodes
-    # are visited, so even a budget that runs out gives the same mapping
+def test_best_mapping_equals_tuple_key_reference_at_full_budget(instance):
+    # the class digits and the greedy seed only cut subtrees that cannot beat
+    # the best leaf, so the search's first best leaf is the reference's
     _, problem, cases = instance
     index = mapping_index(problem)
     reference_index = mapping_index_tuple_images(problem)
     for _, case in cases:
-        for budget in [*range(1, 51), 200_000]:
-            assert best_mapping(case, problem, node_budget=budget, index=index) == \
-                best_mapping_tuple_keys(case, problem, node_budget=budget,
-                                        index=reference_index)
+        assert best_mapping(case, problem, index=index) == \
+            best_mapping_tuple_keys(case, problem, index=reference_index)
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances)
+def test_budget_never_scores_below_tuple_key_reference(instance):
+    # a cut budget may end on another mapping, never on a lower score: the
+    # kernel's nodes are an in-order subsequence of the reference's, and the
+    # greedy mapping stands in when the search reaches nothing as good
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    reference_index = mapping_index_tuple_images(problem)
+    for _, case in cases:
+        for budget in range(51):
+            found = best_mapping(case, problem, node_budget=budget, index=index)
+            expected = best_mapping_tuple_keys(case, problem, node_budget=budget,
+                                               index=reference_index)
+            assert mapping_score(case, found, problem) >= \
+                mapping_score(case, expected, problem)
+            assert_injective_and_typed(case, problem, found)
+
+
+def killed_at_root(case, problem, index) -> set:
+    """The case atoms, as (target, atom), whose root key is in no image of
+    their target: each object stands for the digit of the smallest class of
+    the index that holds every object fitting its slots, or 0."""
+    ids = {o: i for i, o in enumerate(index.objects)}
+    n = len(index.objects)
+    radix = n + 1 + len(index.classes)
+    types = problem.domain.types
+    digit = {}
+    for obj, required in _slot_constraints(case, problem).items():
+        fit = {ids[o] for o, t in problem.objects.items()
+               if all(is_subtype(types, t, r) for r in required)}
+        digit[obj] = next((n + 1 + c for c, cls in enumerate(index.classes) if fit <= cls), 0)
+    killed = set()
+    for target, atoms_ in enumerate((case.init, case.goal)):
+        for atom in atoms_:
+            pid = index.predicates.get((atom.predicate, len(atom.args)))
+            if pid is None:
+                continue
+            key = pid + len(index.predicates) * sum(digit[a] * radix ** j
+                                                    for j, a in enumerate(atom.args))
+            if key not in index.images[target]:
+                killed.add((target, atom))
+    return killed
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances)
+def test_typed_root_kills_are_admissible(instance):
+    # an atom the class digits kill before the search is matched by none of
+    # the reference's mappings, whatever its budget
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    for _, case in cases:
+        killed = killed_at_root(case, problem, index)
+        for budget in (1, 5, 20, 200_000):
+            mapping = best_mapping_unindexed(case, problem, node_budget=budget)
+            for target, atom in killed:
+                if all(a in mapping for a in atom.args):
+                    image = atom._replace(args=tuple(mapping[a] for a in atom.args))
+                    assert image not in (problem.init, problem.goal)[target]
+
+
+def test_zero_budget_returns_the_greedy_mapping():
+    # no search node is spent, yet the greedy descent has mapped the case
+    case, problem = typed_driverlog()
+    mapping = best_mapping(case, problem, node_budget=0)
+    assert mapping
+    assert_injective_and_typed(case, problem, mapping)
+    assert mapping_score(case, mapping, problem) >= 1
+    assert best_mapping_tuple_keys(case, problem, node_budget=0) == {}
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,19 +351,26 @@ def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, oth
         fresh = parse_case(case_to_text(case))
         for budget in [*range(1, 51), 200_000]:
             mapping = best_mapping(case, target, node_budget=budget, index=index)
-            assert mapping == best_mapping_tuple_keys(fresh, target, node_budget=budget,
-                                                      index=reference_index)
+            expected = best_mapping_tuple_keys(fresh, target, node_budget=budget,
+                                               index=reference_index)
+            if budget == 200_000:
+                assert mapping == expected
+            else:
+                assert mapping_score(case, mapping, target) >= \
+                    mapping_score(fresh, expected, target)
             assert extract_fragments(case, mapping, target, index=index) == \
                 extract_fragments_by_name(fresh, mapping, target)
         assert case.mapping_rows is case_rows
 
 
-def decoded_images(index) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """The integer images of a MappingIndex as (predicate id, *object ids)
-    tuples, read digit by digit from the key encoding."""
+def decoded_images(index) -> tuple[frozenset[tuple], ...]:
+    """The integer images of a MappingIndex as (predicate id, *positions)
+    tuples, read digit by digit from the key encoding: a position is an
+    object id, UNSET, or ("class", c) for the digit of type class c."""
     count = len(index.predicates)
-    radix = len(index.objects) + 1
-    arity = {pid: n for (_, n), pid in index.predicates.items()}
+    n = len(index.objects)
+    radix = n + 1 + len(index.classes)
+    arity = {pid: k for (_, k), pid in index.predicates.items()}
     out = []
     for keys in index.images:
         images = set()
@@ -296,11 +379,22 @@ def decoded_images(index) -> tuple[frozenset[tuple[int, ...]], ...]:
             args = []
             for _ in range(arity[pid]):
                 rest, digit = divmod(rest, radix)
-                args.append(digit - 1)
+                args.append(digit - 1 if digit <= n else ("class", digit - n - 1))
             assert rest == 0
             images.add((pid, *args))
         out.append(frozenset(images))
     return tuple(out)
+
+
+def with_classes(images, classes) -> frozenset[tuple]:
+    """Every tuple image, and each variant of it with objects replaced by a
+    class that holds them."""
+    out = set()
+    for pid, *args in images:
+        options = [[a, *(("class", c) for c, cls in enumerate(classes) if a in cls)]
+                   for a in args]
+        out.update((pid, *choice) for choice in itertools.product(*options))
+    return frozenset(out)
 
 
 @settings(max_examples=30, deadline=None)
@@ -310,9 +404,41 @@ def test_integer_images_decode_to_tuple_images(instance):
     index = mapping_index(problem)
     reference = mapping_index_tuple_images(problem)
     assert index.predicates == reference.predicates
-    assert decoded_images(index) == reference.images
+    # the classes: distinct fitting sets of types, short of all objects, smallest first
+    fitting = set(reference.fitting.values())
+    assert all(cls in fitting and 0 < len(cls) < len(index.objects) for cls in index.classes)
+    assert len(set(index.classes)) == len(index.classes)
+    assert [len(cls) for cls in index.classes] == sorted(len(cls) for cls in index.classes)
+    expected = tuple(with_classes(images, index.classes) for images in reference.images)
+    assert decoded_images(index) == expected
     # as many keys as tuples: no two images share a key
-    assert [len(keys) for keys in index.images] == [len(images) for images in reference.images]
+    assert [len(keys) for keys in index.images] == [len(images) for images in expected]
+
+
+@pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])
+def test_index_data_is_read_only(name):
+    # the type classes, the narrowing usages, the candidate orders and the
+    # position weights are tuples, frozensets and read-only mappings, as the
+    # README promises
+    _, problem, _ = typed_instance(name, 0)
+    index = mapping_index(problem)
+    assert isinstance(index.classes, tuple)
+    assert all(isinstance(cls, frozenset) for cls in index.classes)
+    assert all(isinstance(order, tuple) for order in index.orders.values())
+    assert all(sorted(order) == list(range(len(index.objects)))
+               for order in index.orders.values())
+    assert all(isinstance(fit, frozenset) and len(fit) < len(index.objects)
+               for fit in index.narrowing.values())
+    for mapping in (index.narrowing, index.orders, index.weights):
+        if not mapping:
+            continue
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(AttributeError):
+            mapping.pop(key)
+    # driverlog: location, locatable, driver, truck, obj; blocks: none
+    assert len(index.classes) == {"blocks": 0, "driverlog": 5, "depots": 9}[name]
 
 
 def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
