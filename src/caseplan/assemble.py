@@ -66,7 +66,8 @@ def trim(plan: Plan, problem: PlanningProblem, *,
     keeps each action whose precondition holds in the state reached by the
     kept actions before it; a skipped action leaves that state unchanged.
     Back: while the last kept action's delete list touches a goal atom, drop
-    it. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
+    it. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`; a step
+    that is no action of it raises :class:`~caseplan.strips.StripsError`.
     """
     grounding = grounding or Grounding.for_problem(problem)
     goal = grounding.encode(problem.goal)

@@ -101,7 +101,7 @@ def read_case_library(directory: Path | str) -> list[tuple[str, CaseFile]]:
     for path in sorted(directory.glob("*.case")):
         try:
             out.append((path.stem, read_case(path)))
-        except PddlError as err:
+        except (PddlError, UnicodeDecodeError) as err:
             raise PddlError(f"{path}: {err}") from err
     return out
 
@@ -145,8 +145,9 @@ class ExperimentRow:
     problem_id: str
     solved: bool
     plan_length: int
-    # wall-clock ms, despite the name: the solve call plus the fragment build
-    # time of every case in the row's library prefix, as a standalone solve
+    # wall-clock ms, despite the name, of a standalone solve: the solve call
+    # plus the row's skeleton, its mining and the fragment build of every case
+    # in its library prefix (see caseplan.experiment.run_experiment)
     cpu_millis: int
 
     def __post_init__(self) -> None:

@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_domain(path: str):
     try:
         return parse_domain(Path(path).read_text())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read domain {path}: {err}") from err
     except PddlError as err:
         raise InputError(f"in domain {path}: {err}") from err
@@ -48,7 +48,7 @@ def _load_domain(path: str):
 def _load_problem(path: str, domain):
     try:
         return parse_problem(Path(path).read_text(), domain)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read problem {path}: {err}") from err
     except PddlError as err:
         raise InputError(f"in problem {path}: {err}") from err
@@ -196,7 +196,7 @@ def cmd_evaluate(args) -> int:
         plan_path = Path(args.plans) / f"{stem}.plan"
         try:
             solutions.append(caseio.read_plan(plan_path) if plan_path.exists() else None)
-        except (OSError, PddlError) as err:
+        except (OSError, UnicodeDecodeError, PddlError) as err:
             raise InputError(f"in plan {plan_path}: {err}") from err
     report = evaluate(list(problems.values()), solutions, domain, ids=list(problems))
     print(f"accuracy: {report.accuracy:.4f} ({report.n_correct}/{report.n_total})")

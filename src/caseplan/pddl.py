@@ -85,33 +85,26 @@ class SList(list):
     col: int = 0
 
 
-def _read_sexpr(tokens: list[Token], pos: int) -> tuple[object, int]:
-    if pos >= len(tokens):
-        raise PddlSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.text == "(":
-        node = SList()
-        node.line, node.col = tok.line, tok.col
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise PddlSyntaxError("unbalanced '('", tok.line, tok.col)
-            if tokens[pos].text == ")":
-                return node, pos + 1
-            child, pos = _read_sexpr(tokens, pos)
-            node.append(child)
-    if tok.text == ")":
-        raise PddlSyntaxError("unbalanced ')'", tok.line, tok.col)
-    return tok, pos + 1
-
-
 def read_sexprs(text: str) -> list[object]:
-    tokens = tokenize(text)
-    out = []
-    pos = 0
-    while pos < len(tokens):
-        node, pos = _read_sexpr(tokens, pos)
-        out.append(node)
+    """The s-expressions of a text, in order. Open lists are kept on a stack,
+    not in Python frames, so any depth of nesting is read."""
+    out: list[object] = []
+    stack: list[SList] = []  # the open lists, innermost last
+    for tok in tokenize(text):
+        parent = stack[-1] if stack else out
+        if tok.text == "(":
+            node = SList()
+            node.line, node.col = tok.line, tok.col
+            parent.append(node)
+            stack.append(node)
+        elif tok.text == ")":
+            if not stack:
+                raise PddlSyntaxError("unbalanced ')'", tok.line, tok.col)
+            stack.pop()
+        else:
+            parent.append(tok)
+    if stack:
+        raise PddlSyntaxError("unbalanced '('", stack[-1].line, stack[-1].col)
     return out
 
 
@@ -175,29 +168,32 @@ def _parse_atom(node: object, *, variables_ok: bool) -> Atom:
 
 def _parse_conjunction(node: object, *, variables_ok: bool,
                        allow_not: bool) -> tuple[list[Atom], list[Atom]]:
-    """Parse ``(and ...)`` or a bare atom into (positive, negative) atom lists."""
-    lst = _as_list(node, "a formula")
-    if not lst:
-        return [], []  # () is an empty conjunction
-    head = lst[0]
-    if isinstance(head, Token) and head.text == "and":
-        positive: list[Atom] = []
-        negative: list[Atom] = []
-        for child in lst[1:]:
-            p, n = _parse_conjunction(child, variables_ok=variables_ok, allow_not=allow_not)
-            positive.extend(p)
-            negative.extend(n)
-        return positive, negative
-    if isinstance(head, Token) and head.text == "not":
-        if not allow_not:
-            raise UnsupportedFeatureError("negative conditions are not supported",
+    """Parse ``(and ...)`` or a bare atom into (positive, negative) atom lists,
+    in document order. Nested ``and`` are flattened on a stack, not in Python
+    frames, so any depth of nesting is read."""
+    positive: list[Atom] = []
+    negative: list[Atom] = []
+    stack = [node]  # formulas still to read, the next one last
+    while stack:
+        lst = _as_list(stack.pop(), "a formula")
+        if not lst:
+            continue  # () is an empty conjunction
+        head = lst[0]
+        if isinstance(head, Token) and head.text == "and":
+            stack.extend(reversed(lst[1:]))
+        elif isinstance(head, Token) and head.text == "not":
+            if not allow_not:
+                raise UnsupportedFeatureError("negative conditions are not supported",
+                                              head.line, head.col)
+            if len(lst) != 2:
+                raise PddlSyntaxError("'not' takes exactly one atom", head.line, head.col)
+            negative.append(_parse_atom(lst[1], variables_ok=variables_ok))
+        elif isinstance(head, Token) and head.text in _REJECTED_HEADS:
+            raise UnsupportedFeatureError(f"'{head.text}' is not supported",
                                           head.line, head.col)
-        if len(lst) != 2:
-            raise PddlSyntaxError("'not' takes exactly one atom", head.line, head.col)
-        return [], [_parse_atom(lst[1], variables_ok=variables_ok)]
-    if isinstance(head, Token) and head.text in _REJECTED_HEADS:
-        raise UnsupportedFeatureError(f"'{head.text}' is not supported", head.line, head.col)
-    return [_parse_atom(lst, variables_ok=variables_ok)], []
+        else:
+            positive.append(_parse_atom(lst, variables_ok=variables_ok))
+    return positive, negative
 
 
 def _sections(body: list[object], what: str) -> list[tuple[str, SList]]:
@@ -331,6 +327,8 @@ def parse_problem(text: str, domain: DomainModel) -> PlanningProblem:
 
     for kind, section in _sections(tree[2:], "problem"):
         if kind == ":domain":
+            if len(section) != 2:
+                raise PddlSyntaxError("expected (:domain NAME)", section.line, section.col)
             dname = _as_symbol(section[1], "a domain name").text
             if dname != domain.name:
                 raise PddlError(f"problem requires domain {dname}, got {domain.name}",

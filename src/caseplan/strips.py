@@ -236,6 +236,7 @@ class Grounding:
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
         self.domain = domain
+        self.objects: Mapping[str, str] = MappingProxyType(dict(objects))
 
         pools: dict[str, list[str]] = {
             t: sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t))
@@ -250,7 +251,8 @@ class Grounding:
             layout[pred] = (len(atoms), strides)
             atoms.extend(Atom(pred, combo) for combo in itertools.product(*(pools[t] for t in sig)))
         self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.atom_index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
+        self.atom_index: Mapping[Atom, int] = MappingProxyType(
+            {a: i for i, a in enumerate(self.atoms)})
 
         names: list[GroundAction] = []
         sets: tuple[list[frozenset[int]], ...] = ([], [], [])  # pre, add, delete of each op
@@ -321,41 +323,36 @@ class Grounding:
         except KeyError as err:
             raise StripsError(f"atom {err.args[0]} is outside the ground atom universe") from None
 
-    def decode(self, ids: Iterable) -> State:
-        """The atoms of an encoded set; an atom outside the universe stands for itself."""
-        atoms = self.atoms
-        return frozenset([atoms[x] if type(x) is int else x for x in ids])
+    def decode(self, ids: Iterable[int]) -> State:
+        return frozenset(map(self.atoms.__getitem__, ids))
 
     def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
         """The (pre, add, delete) ids of a ground action, and the encoded state
         it leads to from ``state``, or None there when its precondition fails.
 
-        An action missing from the op table is instantiated from its schema.
-        An unknown schema or a wrong arity raises :class:`StripsError`; any
-        other such action has an argument that is ill-typed or no object, and
-        each of its atoms outside the universe stands for itself, in its sets
-        and in the states it reaches.
+        An action outside the op table is no action of the problem: it raises
+        :class:`StripsError` naming an unknown schema, a wrong arity, or the
+        first argument that is no object of its parameter's type.
         """
         op_idx = self.op_index.get(action)
-        op = self._instantiate(action) if op_idx is None else self.ops_ids[op_idx]
-        pre, add, delete = op
+        if op_idx is None:
+            raise StripsError(self._why_off_table(action))
+        pre, add, delete = op = self.ops_ids[op_idx]
         return op, ((state - delete) | add if pre <= state else None)
 
-    def _instantiate(self, action: GroundAction) -> OpSets:
+    def _why_off_table(self, action: GroundAction) -> str:
         schema = self.domain.schemas.get(action.name)
         if schema is None:
-            raise StripsError(f"unknown action schema: {action.name}")
+            return f"unknown action schema: {action.name}"
         if len(action.args) != len(schema.params):
-            raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} "
-                              f"arguments, got {len(action.args)}")
-        binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
-        index = self.atom_index
-
-        def ids(atoms: frozenset[Atom]) -> frozenset:
-            ground = (Atom(a.predicate, tuple([binding[x] for x in a.args])) for a in atoms)
-            return frozenset([index.get(atom, atom) for atom in ground])
-
-        return ids(schema.pre), ids(schema.add), ids(schema.delete)
+            return (f"action {action.pddl()}: expected {len(schema.params)} "
+                    f"arguments, got {len(action.args)}")
+        # the table holds every well-typed binding, so some argument is ill-typed
+        types, objects = self.domain.types, self.objects
+        arg, var, ptype = next(
+            (arg, var, ptype) for arg, (var, ptype) in zip(action.args, schema.params)
+            if arg not in objects or not is_subtype(types, objects[arg], ptype))
+        return f"action {action.pddl()}: {arg} is no object of type {ptype} for {var}"
 
     def successors(self, state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:
         """Each op applicable in an encoded state with the state it leads to, in op order."""
@@ -371,7 +368,8 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
     Succeeds iff every step is applicable in sequence and the goal holds in
     the final state. Failures are reported as a value, never raised:
     ``failed_step`` is the offending step index, or ``len(plan)`` when all
-    steps applied but the goal is unmet.
+    steps applied but the goal is unmet. A step that is no action of the
+    grounding fails with the reason :meth:`Grounding.step` gives.
 
     The steps run under the model of ``grounding``, which must be a grounding
     of the problem's objects; by default it is the problem's own,

@@ -41,16 +41,16 @@ from caseplan.strips import (
     GroundAction,
     Grounding,
     Plan,
-    State,
     StripsError,
     is_subtype,
 )
 
 
-# The earlier plan simulator, kept unchanged as the reference for
-# caseplan.strips.Grounding.step and the execute_plan, trim and
-# extract_causal_pairs that now walk plans on its op ids: each step is
-# instantiated from its schema into Atom sets.
+# The earlier plan simulator, the reference for caseplan.strips.Grounding.step
+# and the execute_plan, trim and extract_causal_pairs that now walk plans on
+# its op ids: each step is instantiated from its schema into Atom sets. A step
+# whose arguments are no objects of its parameters' types is no action of the
+# problem and raises, as it does there.
 
 class GroundedAction(NamedTuple):
     """A ground action together with its instantiated condition and effect sets."""
@@ -61,14 +61,19 @@ class GroundedAction(NamedTuple):
     delete: frozenset[Atom]
 
 
-def grounded(model: DomainModel, action: GroundAction) -> GroundedAction:
-    """Instantiate the schema named by a ground action."""
+def grounded(model: DomainModel, objects: Mapping[str, str],
+             action: GroundAction) -> GroundedAction:
+    """Instantiate the schema named by a ground action over typed objects."""
     schema = model.schemas.get(action.name)
     if schema is None:
         raise StripsError(f"unknown action schema: {action.name}")
     if len(action.args) != len(schema.params):
         raise StripsError(f"action {action.pddl()}: expected {len(schema.params)} arguments, "
                           f"got {len(action.args)}")
+    for (var, ptype), obj in zip(schema.params, action.args):
+        if obj not in objects or not is_subtype(model.types, objects[obj], ptype):
+            raise StripsError(f"action {action.pddl()}: {obj} is no object of type {ptype} "
+                              f"for {var}")
     binding = {var: obj for (var, _), obj in zip(schema.params, action.args)}
 
     def ground(atoms: frozenset[Atom]) -> frozenset[Atom]:
@@ -88,7 +93,7 @@ def execute_plan_on_atoms(problem: PlanningProblem, plan: Plan) -> ExecutionResu
     state = problem.init
     for i, action in enumerate(plan):
         try:
-            ga = grounded(problem.domain, action)
+            ga = grounded(problem.domain, problem.objects, action)
         except StripsError as err:
             return ExecutionResult(False, state, i, str(err))
         if not ga.pre <= state:
@@ -116,7 +121,7 @@ def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
     state = problem.init
     kept = []
     for action in plan:
-        ga = grounded(problem.domain, action)
+        ga = grounded(problem.domain, problem.objects, action)
         if ga.pre <= state:
             state = (state - ga.delete) | ga.add
             kept.append(ga)
@@ -125,17 +130,17 @@ def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
     return tuple(ga.action for ga in kept)
 
 
-def causal_pairs_on_atoms(plan: Plan, model: DomainModel, init: State) -> frozenset[CausalPair]:
+def causal_pairs_on_atoms(plan: Plan, problem: PlanningProblem) -> frozenset[CausalPair]:
     """All pairs (a_i, a_j), i < j, where a_i adds some precondition atom of a_j
     and no action strictly between them deletes that atom.
 
-    The plan must execute under the model from ``init``; self-pairs (the same
-    ground action at both ends) are dropped.
+    The plan must execute under the problem's model from its initial state;
+    self-pairs (the same ground action at both ends) are dropped.
     """
-    state = init
+    state = problem.init
     steps = []
     for i, action in enumerate(plan):
-        ga = grounded(model, action)
+        ga = grounded(problem.domain, problem.objects, action)
         if not ga.pre <= state:
             missing = sorted(ga.pre - state)[0]
             raise StripsError(f"plan step {i} {action.pddl()} is not executable: "
@@ -356,13 +361,13 @@ def trim_by_restarts(plan, problem: PlanningProblem):
     remainder executes. Back: while the last action's delete list touches a
     goal atom, drop it.
     """
-    model = problem.domain
+    model, objects = problem.domain, problem.objects
     actions = list(plan)
     while actions:
         state = problem.init
         failed = None
         for i, action in enumerate(actions):
-            ga = grounded(model, action)
+            ga = grounded(model, objects, action)
             if not ga.pre <= state:
                 failed = i
                 break
@@ -370,7 +375,7 @@ def trim_by_restarts(plan, problem: PlanningProblem):
         if failed is None:
             break
         del actions[failed]
-    while actions and grounded(model, actions[-1]).delete & problem.goal:
+    while actions and grounded(model, objects, actions[-1]).delete & problem.goal:
         actions.pop()
     return tuple(actions)
 
@@ -594,7 +599,8 @@ class GroundingThroughGrounded:
             for combo in itertools.product(*(by_type[t] for t in domain.predicates[pred])))
         self.atom_index: dict[Atom, int] = {a: i for i, a in enumerate(self.atoms)}
         self.actions: tuple[GroundedAction, ...] = tuple(
-            grounded(domain, GroundAction(name, combo)) for name in sorted(domain.schemas)
+            grounded(domain, objects, GroundAction(name, combo))
+            for name in sorted(domain.schemas)
             for combo in itertools.product(*(by_type[t] for _, t in domain.schemas[name].params)))
 
         # (pre, add, delete) atom ids of each ground action, aligned with ``actions``

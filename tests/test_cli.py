@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 import caseplan.cli
 import caseplan.mapping
 from caseplan import parse_domain, parse_problem, read_case_library
-from caseplan.cases import read_plan, read_rows
+from caseplan.cases import read_plan, read_rows, write_plan
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
 from caseplan.evaluate import check_solution
+from caseplan.strips import execute_plan
 
 from .conftest import FIXTURES, GOLDEN_SOLUTION
 
@@ -225,6 +228,32 @@ def test_evaluate_missing_plans_directory_is_input_error(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_walking_package_plan_is_rejected(tmp_path, capsys):
+    # under :typing only a driver walks; a package walking to its goal is no plan
+    domain_path = resources.files("caseplan") / "domains" / "driverlog.pddl"
+    problems = tmp_path / "problems"
+    plans = tmp_path / "plans"
+    problems.mkdir()
+    plans.mkdir()
+    (problems / "walk.pddl").write_text(
+        "(define (problem walk) (:domain driverlog)\n"
+        "  (:objects p1 - obj d1 - driver l1 l2 - location)\n"
+        "  (:init (at p1 l1) (at d1 l1) (path l1 l2))\n"
+        "  (:goal (at p1 l2)))\n")
+    (plans / "walk.plan").write_text("(walk p1 l1 l2)\n")
+    domain = parse_domain(domain_path.read_text())
+    problem = parse_problem((problems / "walk.pddl").read_text(), domain)
+    plan = read_plan(plans / "walk.plan")
+    result = execute_plan(problem, plan)
+    assert (result.success, result.failed_step) == (False, 0)
+    assert result.reason == "action (walk p1 l1 l2): p1 is no object of type driver for ?d"
+    assert not check_solution(problem, plan, domain)
+    code, stdout, _ = run(capsys, "evaluate", "--domain", domain_path,
+                          "--problems", problems, "--plans", plans)
+    assert code == OK
+    assert "accuracy: 0.0000 (0/1)" in stdout
+
+
 def test_evaluate_variable_in_plan_is_input_error(tmp_path, capsys):
     problems = tmp_path / "problems"
     plans = tmp_path / "plans"
@@ -383,3 +412,42 @@ def test_bad_case_in_library_names_its_file(tmp_path, capsys):
     assert code == INPUT_ERROR
     assert (f"{library / 'p4.case'}: line 3, col 16: variable ?x not allowed "
             "in a ground atom") in stderr
+
+
+@pytest.mark.parametrize("nested, exit_code, expected", [
+    ("(" * 5000 + ")" * 5000, INPUT_ERROR,
+     "line 2, col 2: expected a section keyword, found a list"),
+    ("(:action a :parameters (?x) :precondition " + "(and " * 2000 + "(clear ?x)"
+     + ")" * 2000 + " :effect (and))", OK, "removed 0 of 1 schema atoms"),
+], ids=["parens", "conjunctions"])
+def test_deeply_nested_domain_is_parsed_or_input_error(tmp_path, capsys, nested, exit_code,
+                                                        expected):
+    domain = tmp_path / "deep.pddl"
+    domain.write_text(f"(define (domain deep) (:predicates (clear ?x))\n{nested})")
+    code, stdout, stderr = run(capsys, "degrade", "--domain", domain, "--completeness", 1.0,
+                               "--seed", 1, "--out", tmp_path / "out.pddl")
+    assert code == exit_code
+    assert expected in stdout + stderr
+
+
+@pytest.mark.parametrize("kind", ["domain", "problem", "case", "plan"])
+def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, kind):
+    files = {"domain": tmp_path / "domain.pddl", "problem": tmp_path / "problems" / "tower.pddl",
+             "case": tmp_path / "cases" / "p1.case", "plan": tmp_path / "plans" / "tower.plan"}
+    for path, source in zip(files.values(), (DOMAIN, TOWER, CASES / "p1.case")):
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(source.read_bytes())
+    files["plan"].parent.mkdir()
+    write_plan(files["plan"], GOLDEN_SOLUTION)
+    files[kind].write_bytes(b"\xff" + files[kind].read_bytes())
+    if kind == "plan":
+        args = ("evaluate", "--domain", files["domain"], "--problems", files["problem"].parent,
+                "--plans", files["plan"].parent)
+    else:
+        args = ("solve", "--incomplete-domain", files["domain"], "--problem", files["problem"],
+                "--cases", files["case"].parent)
+    code, stdout, stderr = run(capsys, *args)
+    assert code == INPUT_ERROR
+    assert str(files[kind]) in stderr
+    assert "can't decode byte 0xff in position 0" in stderr
+    assert stdout == ""

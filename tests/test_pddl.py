@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 import pytest
@@ -16,9 +17,10 @@ from caseplan import (
     parse_problem,
     problem_to_pddl,
 )
+from caseplan.cases import parse_case, parse_plan, plan_to_text
 from caseplan.pddl import PddlSyntaxError
 
-from .conftest import TOWER_GOAL, TOWER_INIT
+from .conftest import FIXTURES, GOLDEN_SOLUTION, TOWER_GOAL, TOWER_INIT, atoms
 
 
 def packaged(name: str) -> str:
@@ -165,5 +167,102 @@ def test_parser_never_panics(data):
 def test_parser_structured_errors_on_paren_soup(text):
     try:
         parse_domain(text)
+    except PddlError:
+        pass
+
+
+# Hostile input: deep nesting, a nameless (:domain), and token-level
+# mutations of the fixture texts end in a parse or a PddlError, never in
+# another exception.
+
+DEPTH = 5000
+NESTED = "(" * DEPTH + ")" * DEPTH
+
+
+def parse_as(kind: str, text: str):
+    """Parse text as a domain, a blocks problem, a case or a plan."""
+    if kind == "domain":
+        return parse_domain(text)
+    if kind == "problem":
+        return parse_problem(text, parse_domain((FIXTURES / "domain.pddl").read_text()))
+    return parse_case(text) if kind == "case" else parse_plan(text)
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("domain", f"(define (domain d) {NESTED})",
+     "line 1, col 21: expected a section keyword, found a list"),
+    ("problem", f"(define (problem p) {NESTED})",
+     "line 1, col 22: expected a section keyword, found a list"),
+    ("case", f"(:init (clear a)) {NESTED}",
+     "line 1, col 20: expected a section keyword, found a list"),
+    ("plan", f"(pickup a)\n{NESTED}", "line 2, col 2: expected a predicate name, found a list"),
+], ids=["domain", "problem", "case", "plan"])
+def test_deep_nesting_ends_in_a_located_error(kind, text, message):
+    with pytest.raises(PddlError) as err:
+        parse_as(kind, text)
+    assert str(err.value) == message
+    with pytest.raises(PddlSyntaxError, match=rf"^line 1, col {DEPTH}: unbalanced '\('$"):
+        parse_as(kind, "(" * DEPTH)
+
+
+def test_deeply_nested_conjunctions_are_flattened():
+    def nest(body: str) -> str:
+        return "(and " * 2000 + body + ")" * 2000
+
+    model = parse_domain(
+        "(define (domain d) (:predicates (p ?x) (q ?x) (r ?x))\n"
+        f"  (:action a :parameters (?x) :precondition {nest('(p ?x) (and) (q ?x)')}\n"
+        f"    :effect {nest('(r ?x) (not (q ?x))')}))")
+    schema = model.schemas["a"]
+    assert (schema.pre, schema.add, schema.delete) == (
+        atoms("p ?x", "q ?x"), atoms("r ?x"), atoms("q ?x"))
+    problem = parse_problem(
+        "(define (problem p) (:domain blocks) (:objects a)\n"
+        f"  (:init (ontable a)) (:goal {nest('(clear a) (ontable a)')}))",
+        parse_domain((FIXTURES / "domain.pddl").read_text()))
+    assert problem.goal == atoms("clear a", "ontable a")
+
+
+def test_domain_section_without_a_name_is_a_syntax_error(fixture_dir):
+    domain = parse_domain((fixture_dir / "domain.pddl").read_text())
+    text = "(define (problem p) (:domain) (:objects a) (:init) (:goal (and)))"
+    with pytest.raises(PddlSyntaxError, match=r"^line 1, col 21: expected \(:domain NAME\)$"):
+        parse_problem(text, domain)
+
+
+MUTATION_SOURCES = {
+    "domain": (FIXTURES / "domain.pddl").read_text(),
+    "problem": (FIXTURES / "tower.pddl").read_text(),
+    "case": (FIXTURES / "cases" / "p1.case").read_text(),
+    "plan": plan_to_text(GOLDEN_SOLUTION),
+}
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+
+
+def source_tokens(text: str) -> list[str]:
+    """The parens and symbols of a text, comments dropped."""
+    return _TOKEN.findall(re.sub(r";[^\n]*", "", text))
+
+
+MUTATION_VOCABULARY = sorted({tok for text in MUTATION_SOURCES.values()
+                              for tok in source_tokens(text)})
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(MUTATION_SOURCES)), st.data())
+def test_mutated_fixture_text_raises_only_pddl_errors(kind, data):
+    # one to three tokens deleted, inserted or replaced, drawn from every
+    # fixture's tokens
+    tokens = source_tokens(MUTATION_SOURCES[kind])
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(tokens) - 1), label="at")
+        edit = data.draw(st.sampled_from(["delete", "insert", "replace"]), label="edit")
+        if edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i:i + (edit == "replace")] = [data.draw(st.sampled_from(MUTATION_VOCABULARY),
+                                                           label="token")]
+    try:
+        parse_as(kind, " ".join(tokens))
     except PddlError:
         pass

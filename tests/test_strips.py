@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -126,6 +127,46 @@ def test_grounded_stack_add(tower):
 def test_grounded_wrong_arity(tower):
     with pytest.raises(StripsError, match="expected 2 arguments, got 1"):
         Grounding.for_problem(tower).step(frozenset(), GA("stack b"))
+
+
+def walking_package_problem() -> PlanningProblem:
+    """A driverlog problem whose goal a package walking from l1 to l2 would reach."""
+    return PlanningProblem(
+        name="walk", domain=packaged_domain("driverlog"),
+        objects={"p1": "obj", "d1": "driver", "l1": "location", "l2": "location"},
+        init=atoms("at p1 l1", "at d1 l1", "path l1 l2"), goal=atoms("at p1 l2"))
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("walk p1 l1 l2", "p1 is no object of type driver for ?d"),
+    ("walk d1 l1 nowhere", "nowhere is no object of type location for ?to"),
+    ("walk d1 d1 p1", "d1 is no object of type location for ?from"),
+])
+def test_step_names_the_first_ill_typed_argument(text, reason):
+    problem = walking_package_problem()
+    action = GA(text)
+    message = f"action {action.pddl()}: {reason}"
+    grounding = Grounding.for_problem(problem)
+    with pytest.raises(StripsError) as err:
+        grounding.step(grounding.encode(problem.init), action)
+    assert str(err.value) == message
+    plan = (GA("walk d1 l1 l2"), action)
+    result = execute_plan(problem, plan)
+    assert (result.success, result.failed_step, result.reason) == (False, 1, message)
+    assert result.state == atoms("at p1 l1", "at d1 l2", "path l1 l2")
+    for walk in (trim, extract_causal_pairs):
+        with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
+            walk(plan, problem)
+    assert execute_plan_on_atoms(problem, plan) == result
+
+
+def test_atom_index_is_read_only(tower):
+    index = Grounding.for_problem(tower).atom_index
+    atom = next(iter(index))
+    with pytest.raises(TypeError):
+        index[atom] = 0
+    with pytest.raises(AttributeError):  # a read-only mapping has no pop
+        index.pop(atom)
 
 
 @settings(max_examples=300, deadline=None)
@@ -366,8 +407,8 @@ def test_grounding_enumerates_all_blocks_actions(blocks):
 # sequences over the vendored domains. Besides applicable and inapplicable
 # well-typed actions, the sequences hold actions missing from the op table:
 # an unknown schema, a wrong arity, and arguments of any type or no object at
-# all. Under a degraded model some of those apply and add atoms outside the
-# universe, which later steps then read.
+# all. Each of those is no action of the problem: both simulators fail its
+# step, and trim and causal-pair extraction raise, with the same message.
 
 @functools.cache
 def simulator_start(name: str, completeness: float, seed: int):
@@ -433,4 +474,4 @@ def test_op_id_simulator_matches_atom_simulator(drawn):
     assert trimmed == raised(trim_on_atoms, steps, problem)
     for walked in (steps, trimmed) if isinstance(trimmed, tuple) else (steps,):
         assert raised(extract_causal_pairs, walked, problem, grounding=grounding) == \
-            raised(causal_pairs_on_atoms, walked, problem.domain, problem.init)
+            raised(causal_pairs_on_atoms, walked, problem)
