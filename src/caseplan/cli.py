@@ -200,6 +200,10 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"in plan {plan_path}: {err}") from err
     report = evaluate(list(problems.values()), solutions, domain, ids=list(problems))
     print(f"accuracy: {report.accuracy:.4f} ({report.n_correct}/{report.n_total})")
+    for r in report.per_problem:
+        if not r.solved:
+            where = "" if r.failed_step is None else f"step {r.failed_step}: "
+            print(f"unsolved {r.problem_id}: {where}{r.reason}")
     if report.mean_plan_length is not None:
         print(f"mean-plan-length: {report.mean_plan_length:.2f}")
     if args.out:

@@ -9,9 +9,14 @@ from .strips import DomainModel, Grounding, Plan, PlanningProblem, execute_plan
 
 @dataclass(frozen=True)
 class ProblemResult:
+    """One problem's verdict; an unsolved one says where its plan failed and why."""
+
     problem_id: str
     solved: bool
     plan_length: int
+    # as ExecutionResult reports them; no step where there is no plan
+    failed_step: int | None = None
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,9 @@ def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
              complete_model: DomainModel, *,
              ids: list[str] | None = None) -> EvalReport:
     """A problem counts as correct iff it has a solution that executes to the
-    goal under the complete model."""
+    goal under the complete model. An unsolved problem's result carries the
+    step its plan failed at and the reason, as :func:`execute_plan` reports
+    them, or the reason ``no plan``."""
     if not problems:
         raise ValueError("cannot evaluate an empty problem set")
     if len(problems) != len(solutions):
@@ -52,13 +59,18 @@ def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
     per = []
     lengths = []
     for i, (problem, plan) in enumerate(zip(problems, solutions)):
-        solved = plan is not None and check_solution(problem, plan, complete_model)
-        if solved:
+        problem_id = ids[i] if ids else problem.name
+        if plan is None:
+            per.append(ProblemResult(problem_id, False, 0, reason="no plan"))
+            continue
+        result = execute_plan(problem, plan,
+                              grounding=Grounding(complete_model, problem.objects))
+        if result.success:
             lengths.append(len(plan))
-        per.append(ProblemResult(
-            problem_id=ids[i] if ids else problem.name,
-            solved=solved,
-            plan_length=len(plan) if plan is not None else 0))
+            per.append(ProblemResult(problem_id, True, len(plan)))
+        else:
+            per.append(ProblemResult(problem_id, False, len(plan),
+                                     result.failed_step, result.reason))
     n_correct = sum(r.solved for r in per)
     return EvalReport(
         n_total=len(problems),

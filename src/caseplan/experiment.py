@@ -11,7 +11,7 @@ from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
 from .mapping import build_fragments, mapping_index
-from .mining import FrequentFragmentSet
+from .mining import FrequentFragmentSet, SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
 from .strips import DomainModel, Grounding, Plan, PlanningProblem
@@ -82,15 +82,21 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     - per (problem, model), that is per (problem, seed, completeness): the
       grounding and the skeleton (the skeletal plan, trimmed and checked,
       and the causal pairs);
-    - per (problem, case count, delta), once per seed: the prefix's fragments
-      and the patterns mined from them;
+    - per (problem, case count), once per seed: the prefix's fragments and
+      one growth pass over them at the smallest delta of the grid
+      (``grow_frequent``), whatever order the deltas are listed in;
+    - per (problem, case count, delta), once per seed: the patterns mined
+      from the prefix, which only filter that growth to the delta and keep
+      the maximal runs;
     - per row: assembly and the fallbacks, inside the solve call.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
     solve call (no parsing, no validation) plus the time of every stage it was
     given, each timed once, when built: the row's skeleton (skeletal plan
-    included), its mining, and the fragments of every case in its prefix. The
-    first case's build time in each seed includes the problem's index. With
+    included), its mining, and the fragments of every case in its prefix. Its
+    mining is the prefix's growth pass, charged in full to each row of the
+    prefix, plus the row's own filter at its delta. The first case's build
+    time in each seed includes the problem's index. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     rows: list[ExperimentRow] = []
@@ -128,9 +134,13 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                 prefix = per_case[:num_cases]
                 fragments = tuple(f for frags, _ in prefix for f in frags)
                 prefix_s = sum(s for _, s in prefix)
+                # one growth pass at the smallest delta; each delta filters it
+                grown, grown_s = _timed(grow_frequent, SequenceDB.from_sequences(fragments),
+                                        min(spec.deltas))
                 for delta in spec.deltas:
-                    frequent, elapsed = _timed(mine_fragments, fragments, delta)
-                    mined[num_cases, delta, p_idx] = fragments, frequent, elapsed + prefix_s
+                    frequent, elapsed = _timed(mine_fragments, fragments, delta, grown=grown)
+                    mined[num_cases, delta, p_idx] = \
+                        fragments, frequent, elapsed + grown_s + prefix_s
 
         for completeness in spec.completeness_levels:
             model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))

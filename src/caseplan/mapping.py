@@ -32,18 +32,23 @@ Checking an atom is then one set lookup of an int, and a node whose value
 cannot beat the bound is rejected after one pass over its atoms, before any
 state changes.
 
-Before the search, a greedy descent maps the objects in a connected order
-(next the object sharing the most atoms with those placed), each to the
-unused candidate that kills the fewest of its open atoms; it spends none of
-the node budget, and its cost is bounded by objects x candidates x rows.
-The search starts with its incumbent at one below the greedy score ``s``,
-not at ``s``: a leaf scoring ``s`` still becomes the search's best, so the
-search records the same first best leaf as without the seed, and only
-subtrees that cannot reach ``s`` are cut. Neither the classes nor the seed change which leaf is
-found first, so the result is the unseeded, classless search's whenever the
-node budget suffices. When the budget runs out first, the nodes visited are
-an in-order subsequence of that search's, and the greedy mapping is
-returned if no leaf reached ``s``, so the score is never lower.
+Where the problem has type classes (driverlog, depots), a greedy descent
+runs before the search: it maps the objects in a connected order (next the
+object sharing the most atoms with those placed), each to the unused
+candidate that kills the fewest of its open atoms; it spends none of the
+node budget, and its cost is bounded by objects x candidates x rows. Where
+there are none (blocks), every object is a candidate of every case object,
+the seed cut almost no nodes (0.96x) yet cost a quarter of the call, so it
+is skipped and the search is the classless one, node for node, at every
+budget. The search starts with its incumbent at one below the greedy score
+``s``, not at ``s``: a leaf scoring ``s`` still becomes the search's best, so
+the search records the same first best leaf as without the seed, and only
+subtrees that cannot reach ``s`` are cut. Neither the classes nor the seed
+change which leaf is found first, so the result is the unseeded, classless
+search's whenever the node budget suffices. When the budget runs out first,
+the nodes visited are an in-order subsequence of that search's, and the
+greedy mapping is returned if no leaf reached ``s``, so the score is never
+lower.
 
 The set-up of a mapping is split by what each part depends on:
 
@@ -52,13 +57,14 @@ The set-up of a mapping is split by what each part depends on:
   usages, the plan rows, and the greedy descent's order and rows), which
   ``case.mapping_rows`` builds on first use and keeps on the case, so a
   library mapped onto many problems builds it once per case;
-- per problem: the :class:`MappingIndex`, with the type classes, the
-  usages that narrow a case object's candidates, the candidate order of each
-  feature set and the key weight of each set of positions, shared by every
-  case mapped onto the problem and by every degraded model of it;
+- per problem: the :class:`MappingIndex`, with the object ids, the type
+  classes, the usages that narrow a case object's candidates, the positions
+  of each schema that :func:`extract_fragments` checks, the candidate order
+  of each feature set and the key weight of each set of positions, shared by
+  every case mapped onto the problem and by every degraded model of it;
 - per (case, problem), in :func:`best_mapping`: the atoms' start keys, the
   depth rows' weights, each object's candidates and class digit, and the
-  greedy descent.
+  greedy descent where the problem has type classes.
 """
 
 from __future__ import annotations
@@ -103,7 +109,8 @@ def mapping_score(case: CaseFile, mapping: dict[str, str], problem: PlanningProb
             + len(_mapped_atoms(case.goal, mapping) & problem.goal))
 
 
-# A signature, the key of MappingIndex.fits: (PREDICATE or ACTION, name, arity).
+# A signature, the first part of a MappingIndex.narrowing key: (PREDICATE or
+# ACTION, name, arity).
 PREDICATE, ACTION = "predicate", "action"
 Signature = tuple[str, str, int]
 
@@ -208,9 +215,11 @@ class MappingIndex:
     """
 
     objects: tuple[str, ...]  # object id -> name, in sorted name order
-    # signature of a declared predicate or schema -> per position, the ids of
-    # the objects that fit its type
-    fits: Mapping[Signature, tuple[frozenset[int], ...]]
+    ids: Mapping[str, int]  # object name -> id
+    # signature of a schema -> its positions that fewer than all objects fit,
+    # each with the ids of the objects that do: an action of the schema is
+    # usable when every argument is mapped and each of these positions fits
+    schemas: Mapping[Signature, tuple[tuple[int, frozenset[int]], ...]]
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
     # (signature, position) -> the ids of the objects that fit it, where
     # fewer than all objects do: the candidates of a case object are those
@@ -260,6 +269,8 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
                  for name, schema in domain.schemas.items()})
     narrowing = {(sig, j): fit for sig, fit_row in fits.items()
                  for j, fit in enumerate(fit_row) if len(fit) < len(objects)}
+    schemas = {sig: tuple((j, fit) for j, fit in enumerate(fit_row) if len(fit) < len(objects))
+               for sig, fit_row in fits.items() if sig[0] == ACTION}
     classes = tuple(sorted({fit for fit in fitting.values() if 0 < len(fit) < len(objects)},
                            key=lambda fit: (len(fit), sorted(fit))))
     predicates: dict[tuple[str, int], int] = {}
@@ -287,7 +298,7 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
     orders = {feats: tuple(sorted(range(len(objects)),
                                   key=lambda i: (object_feats[i] != feats, i)))
               for feats in set(object_feats)}
-    return MappingIndex(objects, MappingProxyType(fits),
+    return MappingIndex(objects, MappingProxyType(ids), MappingProxyType(schemas),
                         MappingProxyType(predicates), MappingProxyType(narrowing), classes,
                         MappingProxyType(orders), MappingProxyType(weights),
                         (images[0], images[1]))
@@ -306,13 +317,16 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     its mapped positions, with each unmapped position read as the smallest
     type class that holds all candidates of its object, is part of no atom of
     its target (the init or the goal), since then no completion can match.
-    Pruning so never loses the true maximum. Before the search, a greedy
-    descent maps the objects one by one and seeds the incumbent one below
-    its score, so the search still records its own first best leaf. The
-    result is the same as without the class digits and the seed when the
-    budget suffices. If ``node_budget`` runs out, the result is the search's
-    best mapping if one reached the greedy score, else the greedy mapping;
-    either way it never scores lower than the search without them.
+    Pruning so never loses the true maximum. Where the problem has type
+    classes, a greedy descent maps the objects one by one before the search
+    and seeds the incumbent one below its score, so the search still records
+    its own first best leaf; without classes the seed cuts almost nothing
+    and is skipped. The result is the same as without the class digits and
+    the seed when the budget suffices. If ``node_budget`` runs out, the
+    result is the search's best mapping if one reached the greedy score,
+    else the greedy mapping; either way it never scores lower than the
+    search without them. Without classes there is neither, and the result
+    at every budget is that search's.
 
     ``index``, when given, is ``mapping_index(problem)``, already built; a
     caller mapping many cases onto one problem builds it once.
@@ -380,8 +394,13 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
             alive += 1
     max_possible = matched + alive
 
-    greedy_gain, greedy = _greedy_descent(rows.greedy, depth_rows, candidates, bases, keys[:],
-                                          [state == OPEN for state in shut], n)
+    # the greedy seed pays only where type classes narrow the candidates;
+    # without them it saves almost no nodes, and the search is the classless
+    # one as it stands, which returns {} if the budget runs out before a leaf
+    greedy_gain, greedy = 0, [UNSET] * len(case_objs)
+    if index.classes:
+        greedy_gain, greedy = _greedy_descent(rows.greedy, depth_rows, candidates, bases,
+                                              keys[:], [state == OPEN for state in shut], n)
 
     assign = [UNSET] * len(case_objs)
     used = [False] * n
@@ -472,7 +491,7 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
                 shut[ai] = OPEN
 
     dfs(0, matched, alive)
-    if best_assign is None:  # no leaf reached the greedy score: the budget ran out
+    if best_assign is None:  # the budget ran out before a leaf reached the greedy score
         return {o: index.objects[v] for o, v in zip(case_objs, greedy) if v != UNSET}
     return best_assign
 
@@ -552,16 +571,20 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     if index is None:
         index = mapping_index(problem)
     rows = case.mapping_rows
-    ids = {o: i for i, o in enumerate(index.objects)}
-    names = [mapping.get(o) for o in rows.case_objs]
-    image = [UNSET if name is None else ids[name] for name in names]
+    ids = index.ids
+    # per depth: the problem object the case object is mapped to, else None
+    names = [name if name in ids else None for name in map(mapping.get, rows.case_objs)]
+    schemas = index.schemas
     fragments: list[Plan] = []
     current: list[GroundAction] = []
     for sig, slots in rows.plan:
-        fit = index.fits.get(sig)
-        if fit is not None and all(image[s] in f for s, f in zip(slots, fit)):
-            current.append(GroundAction(sig[1], tuple(names[s] for s in slots)))
-        elif current:
+        narrow = schemas.get(sig)
+        if narrow is not None:
+            args = tuple([names[s] for s in slots])
+            if None not in args and all(ids[args[j]] in fit for j, fit in narrow):
+                current.append(GroundAction(sig[1], args))
+                continue
+        if current:
             fragments.append(tuple(current))
             current = []
     if current:

@@ -3,7 +3,9 @@
 Because every item here is a single action and occurrences must be
 contiguous, sequential pattern mining collapses to frequent substring
 mining; patterns are grown by occurrence-list joins on adjacent positions.
-Support counts database entries containing a pattern, not occurrences.
+Support counts database entries containing a pattern, not occurrences. One
+growth pass (:func:`grow_frequent`) serves every higher threshold, which only
+filters it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .strips import GroundAction
 
@@ -46,12 +48,21 @@ class FrequentFragmentSet:
         return len(self.patterns)
 
 
-def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
-    """All maximal contiguous patterns whose support is at least ``min_support``.
+class GrownPatterns(NamedTuple):
+    """What :func:`grow_frequent` returns: every contiguous pattern whose
+    support is at least ``min_support``, with its support."""
 
-    Maximal means not contained contiguously in any other frequent pattern;
-    every frequent pattern of the database is a contiguous subsequence of
-    some returned pattern.
+    min_support: int
+    supports: Mapping[ActionSeq, int]  # read-only
+
+
+def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
+    """The growth pass of :func:`mine_frequent`: every frequent contiguous
+    pattern, grown by occurrence-list joins.
+
+    A pattern's support is at most its prefix's, so growing patterns only
+    from frequent ones finds them all, and the patterns frequent at a higher
+    threshold are exactly these, filtered, with the same supports.
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
@@ -95,6 +106,28 @@ def mine_frequent(db: SequenceDB, min_support: int) -> FrequentFragmentSet:
                     grown[pattern + (action,)] = next_positions
                     frequent[pattern + (action,)] = support
         level = grown
+    return GrownPatterns(min_support, MappingProxyType(frequent))
+
+
+def mine_frequent(db: SequenceDB, min_support: int, *,
+                  grown: GrownPatterns | None = None) -> FrequentFragmentSet:
+    """All maximal contiguous patterns whose support is at least ``min_support``.
+
+    Maximal means not contained contiguously in any other frequent pattern;
+    every frequent pattern of the database is a contiguous subsequence of
+    some returned pattern.
+
+    ``grown``, when given, is ``grow_frequent(db, s)`` for some ``s`` at most
+    ``min_support``, already built: a caller mining one database at several
+    thresholds grows it once, at the smallest, and each threshold only
+    filters it before the maximality pass.
+    """
+    if grown is None:
+        grown = grow_frequent(db, min_support)
+    elif grown.min_support > min_support:
+        raise ValueError(f"patterns grown at support {grown.min_support} "
+                         f"miss those of support {min_support}")
+    frequent = {p: s for p, s in grown.supports.items() if s >= min_support}
 
     # A frequent pattern is non-maximal exactly when some frequent pattern one
     # action longer contains it, i.e. when it is the head or tail of one.

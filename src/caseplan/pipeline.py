@@ -10,7 +10,7 @@ from .assemble import concat_frag, trim
 from .causal import CausalPair, extract_causal_pairs, single_goal_plans
 from .cases import CaseFile
 from .mapping import build_fragments
-from .mining import FrequentFragmentSet, SequenceDB, mine_frequent
+from .mining import FrequentFragmentSet, GrownPatterns, SequenceDB, mine_frequent
 from .search import SearchConfig, solve
 from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
 
@@ -65,10 +65,15 @@ def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Sk
     return Skeleton(plan if executes else None, pairs, grounding)
 
 
-def mine_fragments(fragments: Sequence[Plan], min_support: int) -> FrequentFragmentSet:
+def mine_fragments(fragments: Sequence[Plan], min_support: int, *,
+                   grown: GrownPatterns | None = None) -> FrequentFragmentSet:
     """The stage that depends only on the fragments of a library prefix and
-    the support threshold: the maximal frequent runs of their actions."""
-    return mine_frequent(SequenceDB.from_sequences(fragments), min_support)
+    the support threshold: the maximal frequent runs of their actions.
+
+    ``grown``, when given, is what ``grow_frequent`` returns for the same
+    fragments at a threshold no higher than ``min_support`` (see
+    :func:`~caseplan.mining.mine_frequent`)."""
+    return mine_frequent(SequenceDB.from_sequences(fragments), min_support, grown=grown)
 
 
 def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],

@@ -151,8 +151,12 @@ def test_trim_empty_plan(tower_incomplete):
     assert trim((), tower_incomplete) == ()
 
 
+# The complete model, a hand-made incomplete one and a seeded degraded one.
+# Under the degraded one, 815 of the 2,000 problems short_solution_problems
+# tries have a 3- to 5-step solution, none of which executes under the
+# complete model; under seed 3 at the same completeness none was solvable.
 MODELS = (make_blocks_domain(), make_incomplete_blocks(),
-          degrade(make_blocks_domain(), DegradeSpec(completeness=0.5, seed=3)))
+          degrade(make_blocks_domain(), DegradeSpec(completeness=0.5, seed=1)))
 
 
 @st.composite
@@ -334,6 +338,13 @@ def short_solution_problems() -> tuple[tuple[PlanningProblem, Plan], ...]:
         if solution and 3 <= len(solution) <= 5:
             found.append((problem, solution))
     return tuple(found)
+
+
+def test_every_model_has_short_solution_problems():
+    # a model with none would never be drawn by dead_end_inputs
+    found = short_solution_problems()
+    for model in MODELS:
+        assert any(problem.domain is model for problem, _ in found)
 
 
 @st.composite

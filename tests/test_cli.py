@@ -176,7 +176,7 @@ def test_evaluate_missing_plan_counts_unsolved(tmp_path, capsys):
     code, stdout, _ = run(capsys, "evaluate", "--domain", DOMAIN,
                           "--problems", problems, "--plans", plans)
     assert code == OK
-    assert "accuracy: 0.0000 (0/1)" in stdout
+    assert stdout.splitlines() == ["accuracy: 0.0000 (0/1)", "unsolved tower: no plan"]
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -248,10 +248,17 @@ def test_walking_package_plan_is_rejected(tmp_path, capsys):
     assert (result.success, result.failed_step) == (False, 0)
     assert result.reason == "action (walk p1 l1 l2): p1 is no object of type driver for ?d"
     assert not check_solution(problem, plan, domain)
+    csv_out = tmp_path / "eval.csv"
     code, stdout, _ = run(capsys, "evaluate", "--domain", domain_path,
-                          "--problems", problems, "--plans", plans)
+                          "--problems", problems, "--plans", plans, "--out", csv_out)
     assert code == OK
-    assert "accuracy: 0.0000 (0/1)" in stdout
+    assert stdout.splitlines()[:2] == [
+        "accuracy: 0.0000 (0/1)",
+        "unsolved walk: step 0: action (walk p1 l1 l2): p1 is no object of type driver for ?d"]
+    # the CSV keeps its columns: no step, no reason
+    assert csv_out.read_text() == (
+        "domain,num_cases,completeness,delta,problem_id,solved,plan_length,cpu_millis\n"
+        "driverlog,0,1.0,1,walk,false,1,0\n")
 
 
 def test_evaluate_variable_in_plan_is_input_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from caseplan import evaluate, solve_with_library
-from caseplan.strips import PlanningProblem
+from caseplan.strips import Grounding, PlanningProblem, execute_plan
 
 from .conftest import atoms, make_p1
 
@@ -80,3 +80,21 @@ def test_per_problem_ids_and_timings(blocks):
     problems = [trivial_problem(blocks, i) for i in range(2)]
     report = evaluate(problems, [(), ()], blocks, ids=["x", "y"])
     assert [r.problem_id for r in report.per_problem] == ["x", "y"]
+
+
+def test_unsolved_results_say_where_and_why(blocks, tower, tower_incomplete):
+    # a missing plan, a step whose precondition fails under the complete
+    # model, and a plan that runs but leaves the goal unmet
+    shortcut = solve_with_library(tower_incomplete, [("p1", make_p1())], 1).plan
+    report = evaluate([tower, tower_incomplete, trivial_problem(blocks, 0), tower],
+                      [None, shortcut, (), ()], blocks, ids=["none", "bad", "ok", "short"])
+    none, bad, ok, short = report.per_problem
+    assert (none.solved, none.failed_step, none.reason) == (False, None, "no plan")
+    expected = execute_plan(tower_incomplete, shortcut,
+                            grounding=Grounding(blocks, tower_incomplete.objects))
+    assert not expected.success
+    assert (bad.failed_step, bad.reason) == (expected.failed_step, expected.reason)
+    assert bad.reason.startswith("unsatisfied precondition")
+    assert (ok.solved, ok.failed_step, ok.reason) == (True, None, None)
+    assert short.failed_step == 0
+    assert short.reason.startswith("goal atom")

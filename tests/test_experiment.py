@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import caseplan.experiment
 import caseplan.pipeline
 from caseplan import ExperimentSpec, SearchConfig, make_problem_suite, run_experiment
 from caseplan.cases import read_rows, write_rows
@@ -102,6 +105,31 @@ def test_sweep_builds_each_skeletal_plan_once(blocks, monkeypatch):
     rows, _ = run_experiment(spec)
     assert len(rows) == 12
     assert len(calls) == len(set(calls)) == 6
+
+
+def test_sweep_grows_each_prefix_once_in_any_grid_order(blocks, monkeypatch):
+    # one growth pass per (problem, case count, seed), at the smallest delta
+    # wherever it stands in the grid; every order of the grid gives the same rows
+    thresholds = []
+    real = caseplan.experiment.grow_frequent
+
+    def counted(db, min_support):
+        thresholds.append(min_support)
+        return real(db, min_support)
+
+    monkeypatch.setattr(caseplan.experiment, "grow_frequent", counted)
+    spec = small_spec(blocks, problems=make_problem_suite(blocks, 2, 0, n_blocks=4),
+                      case_counts=(3, 8), completeness_levels=(0.2, 1.0),
+                      deltas=(1, 3, 2), seeds=(1,))
+    flipped = replace(spec, case_counts=(8, 3), completeness_levels=(1.0, 0.2),
+                      deltas=(3, 2, 1))
+    rows, details = run_experiment(spec)
+    assert thresholds == [1] * 4
+    flipped_rows, flipped_details = run_experiment(flipped)
+    assert thresholds == [1] * 8
+    assert flipped_rows == rows
+    assert sorted((d.row.sort_key(), d.plan, d.route) for d in flipped_details) == \
+        sorted((d.row.sort_key(), d.plan, d.route) for d in details)
 
 
 def test_case_count_above_library_size_rejected(blocks, p1, p2):

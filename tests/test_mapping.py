@@ -273,6 +273,23 @@ def test_budget_never_scores_below_tuple_key_reference(instance):
             assert_injective_and_typed(case, problem, found)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 30))
+def test_classless_budget_ends_on_the_tuple_key_reference(seed):
+    # blocks has no type classes, so no greedy seed and no class digit: an
+    # unmapped position reads as the reference's wildcard, the nodes are the
+    # reference's, and every budget ends on its mapping
+    _, problem, cases = typed_instance("blocks", seed)
+    index = mapping_index(problem)
+    assert not index.classes
+    reference_index = mapping_index_tuple_images(problem)
+    for _, case in cases:
+        for budget in [*range(51), 200_000]:
+            assert best_mapping(case, problem, node_budget=budget, index=index) == \
+                best_mapping_tuple_keys(case, problem, node_budget=budget,
+                                        index=reference_index)
+
+
 def killed_at_root(case, problem, index) -> set:
     """The case atoms, as (target, atom), whose root key is in no image of
     their target: each object stands for the digit of the smallest class of
@@ -417,9 +434,9 @@ def test_integer_images_decode_to_tuple_images(instance):
 
 @pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])
 def test_index_data_is_read_only(name):
-    # the type classes, the narrowing usages, the candidate orders and the
-    # position weights are tuples, frozensets and read-only mappings, as the
-    # README promises
+    # the type classes, the narrowing usages, the candidate orders, the
+    # position weights, the object ids and the schema checks are tuples,
+    # frozensets and read-only mappings, as the README promises
     _, problem, _ = typed_instance(name, 0)
     index = mapping_index(problem)
     assert isinstance(index.classes, tuple)
@@ -429,7 +446,7 @@ def test_index_data_is_read_only(name):
                for order in index.orders.values())
     assert all(isinstance(fit, frozenset) and len(fit) < len(index.objects)
                for fit in index.narrowing.values())
-    for mapping in (index.narrowing, index.orders, index.weights):
+    for mapping in (index.narrowing, index.orders, index.weights, index.ids, index.schemas):
         if not mapping:
             continue
         key = next(iter(mapping))

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caseplan import GroundAction, SequenceDB, mine_frequent
+from caseplan.mining import grow_frequent
+from caseplan.pipeline import mine_fragments
 
 from .conftest import P1_FRAGMENT, P2_FRAGMENT, plan
 from .oracles import bruteforce_mine, support, window_support
@@ -150,3 +152,32 @@ def test_supports_are_read_only(golden_db):
     with pytest.raises(TypeError):
         result.supports[COMMON_RUN] = 99
     assert result.supports[COMMON_RUN] == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entry, min_size=1, max_size=8),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True))
+def test_one_growth_serves_every_threshold(entries, deltas):
+    # the thresholds come in any order; growing at the smallest and filtering
+    # gives, at each, the very set mining at that threshold gives
+    db = SequenceDB.from_sequences(entries)
+    grown = grow_frequent(db, min(deltas))
+    for delta in deltas:
+        direct = mine_frequent(db, delta)
+        for derived in (mine_frequent(db, delta, grown=grown),
+                        mine_fragments(entries, delta, grown=grown)):
+            assert derived.patterns == direct.patterns
+            assert dict(derived.supports) == dict(direct.supports)
+            assert derived == direct
+
+
+def test_growth_above_the_threshold_is_refused(golden_db):
+    grown = grow_frequent(golden_db, 2)
+    assert grown.min_support == 2
+    assert dict(grown.supports) == {sub: 2 for sub in [*SUBPATTERNS, COMMON_RUN]}
+    with pytest.raises(ValueError, match="grown at support 2"):
+        mine_frequent(golden_db, 1, grown=grown)
+    with pytest.raises(ValueError):
+        grow_frequent(golden_db, 0)
+    with pytest.raises(TypeError):
+        grown.supports[COMMON_RUN] = 99
