@@ -8,8 +8,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .pddl import PddlError, PddlSyntaxError, SList, _as_list, _as_symbol, _parse_atom, \
-    read_sexprs
+from .pddl import PddlError, _parse_atom, _sections, read_sexprs
 from .strips import Atom, GroundAction, Plan
 
 if TYPE_CHECKING:
@@ -53,25 +52,19 @@ def _parse_actions(nodes: list[object]) -> Plan:
     return tuple(GroundAction(*_parse_atom(n, variables_ok=False)) for n in nodes)
 
 
+CASE_SECTIONS = (":init", ":goal", ":plan")
+
+
 def parse_case(text: str) -> CaseFile:
     """Read the three-section case format: ``(:init ...) (:goal ...) (:plan ...)``."""
-    sections: dict[str, SList] = {}
-    for tree in read_sexprs(text):
-        lst = _as_list(tree, "a case section")
-        if not lst:
-            raise PddlSyntaxError("empty case section", lst.line, lst.col)
-        head = _as_symbol(lst[0], "a section keyword").text
-        if head not in (":init", ":goal", ":plan"):
-            raise PddlSyntaxError(f"unknown case section {head}", lst.line, lst.col)
-        if head in sections:
-            raise PddlSyntaxError(f"duplicate case section {head}", lst.line, lst.col)
-        sections[head] = lst
-    for required in (":init", ":goal", ":plan"):
+    sections = _sections(read_sexprs(text), "case", CASE_SECTIONS)
+    for required in CASE_SECTIONS:
         if required not in sections:
             raise PddlError(f"case is missing the {required} section")
-    init = frozenset(_parse_atom(n, variables_ok=False) for n in sections[":init"][1:])
-    goal = frozenset(_parse_atom(n, variables_ok=False) for n in sections[":goal"][1:])
-    return CaseFile(init=init, goal=goal, plan=_parse_actions(sections[":plan"][1:]))
+    (init,), (goal,), (plan,) = (sections[kind] for kind in CASE_SECTIONS)
+    return CaseFile(init=frozenset(_parse_atom(n, variables_ok=False) for n in init[1:]),
+                    goal=frozenset(_parse_atom(n, variables_ok=False) for n in goal[1:]),
+                    plan=_parse_actions(plan[1:]))
 
 
 def case_to_text(case: CaseFile) -> str:

@@ -36,22 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_domain(path: str):
+def _load(what: str, path, parse, *args):
+    """``parse(text, *args)`` of the file at ``path``; a file that cannot be
+    read or parsed is an input error naming ``what`` and the path."""
     try:
-        return parse_domain(Path(path).read_text())
+        return parse(Path(path).read_text(), *args)
     except (OSError, UnicodeDecodeError) as err:
-        raise InputError(f"cannot read domain {path}: {err}") from err
+        raise InputError(f"cannot read {what} {path}: {err}") from err
     except PddlError as err:
-        raise InputError(f"in domain {path}: {err}") from err
-
-
-def _load_problem(path: str, domain):
-    try:
-        return parse_problem(Path(path).read_text(), domain)
-    except (OSError, UnicodeDecodeError) as err:
-        raise InputError(f"cannot read problem {path}: {err}") from err
-    except PddlError as err:
-        raise InputError(f"in problem {path}: {err}") from err
+        raise InputError(f"in {what} {path}: {err}") from err
 
 
 def _load_problems(directory: str, domain):
@@ -60,7 +53,7 @@ def _load_problems(directory: str, domain):
     paths = sorted(Path(directory).glob("*.pddl"))
     if not paths:
         raise InputError(f"no problems in {directory}")
-    return {path.stem: _load_problem(str(path), domain) for path in paths}
+    return {path.stem: _load("problem", path, parse_problem, domain) for path in paths}
 
 
 def _load_cases(path: str):
@@ -95,7 +88,7 @@ def _emit_plan(plan, out: str | None) -> int:
 
 
 def cmd_gen_cases(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load("domain", args.domain, parse_domain)
     problems = list(_load_problems(args.problems, domain).values()) if args.problems else None
     library = generate_case_library(domain, args.count, args.seed,
                                     n_blocks=args.blocks,
@@ -110,7 +103,7 @@ def cmd_gen_cases(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load("domain", args.domain, parse_domain)
     scope = tuple(args.scope.split(",")) if args.scope else SCOPE_ALL
     spec = DegradeSpec(completeness=args.completeness, seed=args.seed, scope=scope)
     before = domain.atom_count()
@@ -122,8 +115,8 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_skeletal(args) -> int:
-    domain = _load_domain(args.incomplete_domain)
-    problem = _load_problem(args.problem, domain)
+    domain = _load("domain", args.incomplete_domain, parse_domain)
+    problem = _load("problem", args.problem, parse_problem, domain)
     pairs = skeleton(problem, _search_config(args)).pairs
     for pair in sorted(pairs):
         print(pair.pddl())
@@ -131,8 +124,8 @@ def cmd_skeletal(args) -> int:
 
 
 def cmd_map(args) -> int:
-    domain = _load_domain(args.domain)
-    problem = _load_problem(args.problem, domain)
+    domain = _load("domain", args.domain, parse_domain)
+    problem = _load("problem", args.problem, parse_problem, domain)
     index = mapping_index(problem)
     for name, case in _load_cases(args.cases):
         mapping = best_mapping(case, problem, index=index)
@@ -143,8 +136,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    domain = _load_domain(args.domain)
-    problem = _load_problem(args.problem, domain)
+    domain = _load("domain", args.domain, parse_domain)
+    problem = _load("problem", args.problem, parse_problem, domain)
     fragments = build_fragments(problem, _load_cases(args.cases))
     result = mine_fragments(fragments, args.delta)
     if not fragments:
@@ -157,8 +150,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    domain = _load_domain(args.incomplete_domain)
-    problem = _load_problem(args.problem, domain)
+    domain = _load("domain", args.incomplete_domain, parse_domain)
+    problem = _load("problem", args.problem, parse_problem, domain)
     library = _load_cases(args.cases) if args.cases else []
     outcome = solve_with_library(problem, library, args.delta,
                                  config=_search_config(args),
@@ -176,8 +169,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_classical(args) -> int:
-    domain = _load_domain(args.domain)
-    problem = _load_problem(args.problem, domain)
+    domain = _load("domain", args.domain, parse_domain)
+    problem = _load("problem", args.problem, parse_problem, domain)
     result = solve(problem, _search_config(args))
     print(f"status: {result.status}")
     print(f"expansions: {result.expansions}")
@@ -187,17 +180,13 @@ def cmd_solve_classical(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load("domain", args.domain, parse_domain)
     problems = _load_problems(args.problems, domain)
     if not Path(args.plans).is_dir():
         raise InputError(f"no plans directory {args.plans}")
-    solutions = []
-    for stem in problems:
-        plan_path = Path(args.plans) / f"{stem}.plan"
-        try:
-            solutions.append(caseio.read_plan(plan_path) if plan_path.exists() else None)
-        except (OSError, UnicodeDecodeError, PddlError) as err:
-            raise InputError(f"in plan {plan_path}: {err}") from err
+    plan_paths = [Path(args.plans) / f"{stem}.plan" for stem in problems]
+    solutions = [_load("plan", path, caseio.parse_plan) if path.exists() else None
+                 for path in plan_paths]
     report = evaluate(list(problems.values()), solutions, domain, ids=list(problems))
     print(f"accuracy: {report.accuracy:.4f} ({report.n_correct}/{report.n_total})")
     for r in report.per_problem:
@@ -216,7 +205,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load("domain", args.domain, parse_domain)
     if args.problems:
         problems = list(_load_problems(args.problems, domain).values())
     else:

@@ -51,6 +51,11 @@ class ExperimentSpec:
                 raise ValueError(f"{group} repeats the value {repeated[0]}")
         if min(self.case_counts) < 0:
             raise ValueError(f"case count {min(self.case_counts)} must be >= 0")
+        if min(self.deltas) < 1:
+            raise ValueError(f"delta {min(self.deltas)} must be >= 1")
+        for level in self.completeness_levels:
+            if not 0.0 <= level <= 1.0:
+                raise ValueError(f"completeness level {level} outside [0, 1]")
 
 
 @dataclass(frozen=True)

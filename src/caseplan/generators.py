@@ -44,11 +44,19 @@ def random_tower_goal(blocks: list[str], rng: random.Random) -> frozenset[Atom]:
             return goal
 
 
+# the predicates random_blocks_state writes, with their arities
+_BLOCKS_PREDICATES = (("on", 2), ("ontable", 1), ("clear", 1), ("handempty", 0))
+
+
 def random_blocks_problem(domain: DomainModel, n_blocks: int, rng: random.Random,
                           name: str = "random-blocks") -> PlanningProblem:
     """A random solvable blocks instance whose goal does not already hold."""
     if n_blocks < 2:
         raise ValueError(f"n_blocks must be at least 2 to stack a tower, got {n_blocks}")
+    if any(domain.predicates.get(p) != ("object",) * n for p, n in _BLOCKS_PREDICATES):
+        raise ValueError(f"domain {domain.name} has no problem generator (it lacks the untyped "
+                         "blocks predicates on, ontable, clear and handempty); give its "
+                         "problems with --problems, and an experiment its cases with --cases")
     blocks = [f"b{i + 1}" for i in range(n_blocks)]
     objects = {b: "object" for b in blocks}
     while True:

@@ -196,14 +196,28 @@ def _parse_conjunction(node: object, *, variables_ok: bool,
     return positive, negative
 
 
-def _sections(body: list[object], what: str) -> list[tuple[str, SList]]:
-    out = []
-    for node in body:
-        lst = _as_list(node, f"a {what} section")
-        if not lst:
-            raise PddlSyntaxError(f"empty section in {what}", lst.line, lst.col)
-        head = _as_symbol(lst[0], "a section keyword")
-        out.append((head.text, lst))
+def _sections(forms: list[object], what: str, known: tuple[str, ...],
+              unsupported: tuple[str, ...] = (), repeated: str | None = None
+              ) -> dict[str, list[SList]]:
+    """The ``(KEYWORD ...)`` sections of a form by keyword, in document order.
+    A keyword outside ``known`` is an error located at its section: an
+    :class:`UnsupportedFeatureError` for the PDDL constructs in
+    ``unsupported``, a syntax error otherwise. So is a second copy of any
+    section other than ``repeated``."""
+    out: dict[str, list[SList]] = {}
+    for node in forms:
+        section = _as_list(node, f"a {what} section")
+        if not section:
+            raise PddlSyntaxError(f"empty section in {what}", section.line, section.col)
+        kind = _as_symbol(section[0], "a section keyword").text
+        if kind in unsupported:
+            raise UnsupportedFeatureError(f"{kind} sections are not supported",
+                                          section.line, section.col)
+        if kind not in known:
+            raise PddlSyntaxError(f"unknown {what} section {kind}", section.line, section.col)
+        if kind in out and kind != repeated:
+            raise PddlSyntaxError(f"duplicate {what} section {kind}", section.line, section.col)
+        out.setdefault(kind, []).append(section)
     return out
 
 
@@ -237,40 +251,33 @@ def parse_domain(text: str) -> DomainModel:
     with a source position.
     """
     tree, name = _define(text, "domain")
-
+    sections = _sections(tree[2:], "domain", (":requirements", ":types", ":predicates", ":action"),
+                         (":constants", ":functions", ":axioms", ":derived"), ":action")
+    for section in sections.get(":requirements", ()):
+        _check_requirements(section)
     types: dict[str, str | None] = {"object": None}
+    for section in sections.get(":types", ()):
+        for child, parent in _parse_typed_list(section[1:], "type"):
+            types[child] = parent
+            types.setdefault(parent, None)
     predicates: dict[str, tuple[str, ...]] = {}
+    for section in sections.get(":predicates", ()):
+        for decl in section[1:]:
+            lst = _as_list(decl, "a predicate declaration")
+            if not lst:
+                raise PddlSyntaxError("empty predicate declaration", lst.line, lst.col)
+            pname = _as_symbol(lst[0], "a predicate name").text
+            params = _parse_typed_list(lst[1:], "predicate parameter")
+            if pname in predicates:
+                raise PddlSyntaxError(f"predicate {pname} declared twice", lst.line, lst.col)
+            predicates[pname] = tuple(t for _, t in params)
     schemas: dict[str, ActionSchema] = {}
-
-    for kind, section in _sections(tree[2:], "domain"):
-        if kind == ":requirements":
-            _check_requirements(section)
-        elif kind == ":types":
-            for child, parent in _parse_typed_list(section[1:], "type"):
-                types[child] = parent
-                types.setdefault(parent, None)
-        elif kind == ":predicates":
-            for decl in section[1:]:
-                lst = _as_list(decl, "a predicate declaration")
-                if not lst:
-                    raise PddlSyntaxError("empty predicate declaration", lst.line, lst.col)
-                pname = _as_symbol(lst[0], "a predicate name").text
-                params = _parse_typed_list(lst[1:], "predicate parameter")
-                if pname in predicates:
-                    raise PddlSyntaxError(f"predicate {pname} declared twice",
-                                          lst.line, lst.col)
-                predicates[pname] = tuple(t for _, t in params)
-        elif kind == ":action":
-            schema = _parse_action(section)
-            if schema.name in schemas:
-                raise PddlSyntaxError(f"action {schema.name} declared twice",
-                                      section.line, section.col)
-            schemas[schema.name] = schema
-        elif kind in (":constants", ":functions", ":axioms", ":derived"):
-            raise UnsupportedFeatureError(f"{kind} sections are not supported",
-                                          section.line, section.col)
-        else:
-            raise PddlSyntaxError(f"unknown domain section {kind}", section.line, section.col)
+    for section in sections.get(":action", ()):
+        schema = _parse_action(section)
+        if schema.name in schemas:
+            raise PddlSyntaxError(f"action {schema.name} declared twice",
+                                  section.line, section.col)
+        schemas[schema.name] = schema
 
     try:
         return DomainModel(name=name, types=types, predicates=predicates, schemas=schemas)
@@ -319,42 +326,34 @@ def _parse_action(section: SList) -> ActionSchema:
 def parse_problem(text: str, domain: DomainModel) -> PlanningProblem:
     """Parse a PDDL problem against an already-parsed domain."""
     tree, name = _define(text, "problem")
-
-    objects: dict[str, str] = {}
-    init: list[Atom] = []
-    goal: list[Atom] = []
-    saw_domain = False
-
-    for kind, section in _sections(tree[2:], "problem"):
-        if kind == ":domain":
-            if len(section) != 2:
-                raise PddlSyntaxError("expected (:domain NAME)", section.line, section.col)
-            dname = _as_symbol(section[1], "a domain name").text
-            if dname != domain.name:
-                raise PddlError(f"problem requires domain {dname}, got {domain.name}",
-                                section.line, section.col)
-            saw_domain = True
-        elif kind == ":requirements":
-            _check_requirements(section)
-        elif kind == ":objects":
-            for obj, t in _parse_typed_list(section[1:], "object"):
-                if obj in objects:
-                    raise PddlError(f"object {obj} declared twice", section.line, section.col)
-                objects[obj] = t
-        elif kind == ":init":
-            for node in section[1:]:
-                init.append(_parse_atom(node, variables_ok=False))
-        elif kind == ":goal":
-            if len(section) != 2:
-                raise PddlSyntaxError(":goal takes exactly one formula",
-                                      section.line, section.col)
-            goal, neg = _parse_conjunction(section[1], variables_ok=False, allow_not=False)
-            assert not neg
-        else:
-            raise PddlSyntaxError(f"unknown problem section {kind}", section.line, section.col)
-
-    if not saw_domain:
+    sections = _sections(tree[2:], "problem", (":domain", ":requirements", ":objects", ":init",
+                                               ":goal"), (":constraints", ":metric", ":length"))
+    if ":domain" not in sections:
         raise PddlSyntaxError("problem has no (:domain ...) section", tree.line, tree.col)
+    (section,) = sections[":domain"]
+    if len(section) != 2:
+        raise PddlSyntaxError("expected (:domain NAME)", section.line, section.col)
+    dname = _as_symbol(section[1], "a domain name").text
+    if dname != domain.name:
+        raise PddlError(f"problem requires domain {dname}, got {domain.name}",
+                        section.line, section.col)
+    for section in sections.get(":requirements", ()):
+        _check_requirements(section)
+    objects: dict[str, str] = {}
+    for section in sections.get(":objects", ()):
+        for obj, t in _parse_typed_list(section[1:], "object"):
+            if obj in objects:
+                raise PddlError(f"object {obj} declared twice", section.line, section.col)
+            objects[obj] = t
+    init = [_parse_atom(node, variables_ok=False)
+            for section in sections.get(":init", ()) for node in section[1:]]
+    goal: list[Atom] = []
+    for section in sections.get(":goal", ()):
+        if len(section) != 2:
+            raise PddlSyntaxError(":goal takes exactly one formula", section.line, section.col)
+        goal, neg = _parse_conjunction(section[1], variables_ok=False, allow_not=False)
+        assert not neg
+
     try:
         return PlanningProblem(name=name, domain=domain, objects=objects,
                                init=frozenset(init), goal=frozenset(goal))

@@ -7,11 +7,13 @@ from importlib import resources
 import pytest
 
 import caseplan.cli
+import caseplan.experiment
 import caseplan.mapping
 from caseplan import parse_domain, parse_problem, read_case_library
 from caseplan.cases import read_plan, read_rows, write_plan
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
 from caseplan.evaluate import check_solution
+from caseplan.pddl import PddlSyntaxError
 from caseplan.strips import execute_plan
 
 from .conftest import FIXTURES, GOLDEN_SOLUTION
@@ -458,3 +460,57 @@ def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, kind):
     assert str(files[kind]) in stderr
     assert "can't decode byte 0xff in position 0" in stderr
     assert stdout == ""
+
+
+@pytest.mark.parametrize("kind, source, section", [
+    ("problem", TOWER, "(:goal (and (on a b)))"),
+    ("problem", TOWER, "(:init (clear a))"),
+    ("domain", INCOMPLETE, "(:predicates (extra ?x))"),
+], ids=["goal", "init", "predicates"])
+def test_a_repeated_section_is_a_located_input_error(tmp_path, capsys, kind, source, section):
+    # a second copy of a once-only section is neither merged in nor dropped
+    body = source.read_text().rstrip()[:-1]
+    line = body.count("\n") + 2
+    files = {"domain": INCOMPLETE, "problem": TOWER}
+    files[kind] = tmp_path / source.name
+    files[kind].write_text(f"{body}\n  {section})\n")
+    keyword = section.split()[0][1:]
+    with pytest.raises(PddlSyntaxError) as err:
+        domain = parse_domain(files["domain"].read_text())
+        parse_problem(files["problem"].read_text(), domain)
+    assert (err.value.line, err.value.col) == (line, 3)
+    code, stdout, stderr = run(capsys, "solve", "--incomplete-domain", files["domain"],
+                               "--problem", files["problem"])
+    assert code == INPUT_ERROR
+    assert (f"error: in {kind} {files[kind]}: line {line}, col 3: "
+            f"duplicate {kind} section {keyword}") in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("flag, values, message", [
+    ("--completeness", "0.5,1.5", "completeness level 1.5 outside [0, 1]"),
+    ("--delta", "0,5", "delta 0 must be >= 1"),
+])
+def test_bad_grid_value_is_input_error_before_any_library(tmp_path, capsys, monkeypatch,
+                                                          flag, values, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case library was generated for a bad grid")
+
+    monkeypatch.setattr(caseplan.experiment, "generate_case_library", refuse)
+    code, stdout, stderr = run(capsys, "experiment", "--domain", DOMAIN, "--num-problems", 1,
+                               "--blocks", 3, f"{flag}={values}", "--out", tmp_path / "rows.csv")
+    assert code == INPUT_ERROR
+    assert f"error: {message}" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-cases", "experiment"])
+def test_domain_without_a_generator_asks_for_problems(tmp_path, capsys, command):
+    domain = resources.files("caseplan") / "domains" / "driverlog.pddl"
+    code, stdout, stderr = run(capsys, command, "--domain", domain, "--out", tmp_path / "out")
+    assert code == INPUT_ERROR
+    assert "error: domain driverlog has no problem generator" in stderr
+    assert "--problems" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "out").exists()

@@ -18,7 +18,7 @@ from caseplan import (
     problem_to_pddl,
 )
 from caseplan.cases import parse_case, parse_plan, plan_to_text
-from caseplan.pddl import PddlSyntaxError
+from caseplan.pddl import PddlSyntaxError, Token, read_sexprs
 
 from .conftest import FIXTURES, GOLDEN_SOLUTION, TOWER_GOAL, TOWER_INIT, atoms
 
@@ -266,3 +266,84 @@ def test_mutated_fixture_text_raises_only_pddl_errors(kind, data):
         parse_as(kind, " ".join(tokens))
     except PddlError:
         pass
+
+
+# One section reader serves domain, problem and case text: each fixture is
+# rewritten with one section per line, so a section's position is its line.
+
+def render(node) -> str:
+    """An s-expression on one line."""
+    if isinstance(node, Token):
+        return node.text
+    return "(" + " ".join(render(child) for child in node) + ")"
+
+
+def fixture_sections(kind: str) -> tuple[str | None, list[str]]:
+    """A fixture's define head, None for a case, and its sections, one line each."""
+    forms = read_sexprs(MUTATION_SOURCES[kind])
+    if kind == "case":
+        return None, [render(form) for form in forms]
+    return render(forms[0][1]), [render(form) for form in forms[0][2:]]
+
+
+def section_text(head: str | None, sections: list[str]) -> str:
+    """The text whose sections start at col 1 of line i + 1 (a case) or i + 2."""
+    body = "\n".join(sections)
+    return body if head is None else f"(define {head}\n{body})"
+
+
+READERS = ["domain", "problem", "case"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(READERS), st.data())
+def test_a_repeated_section_is_located_at_the_copy(kind, data):
+    head, sections = fixture_sections(kind)
+    once = [i for i, text in enumerate(sections) if not text.startswith("(:action ")]
+    i = data.draw(st.sampled_from(once), label="section")
+    at = data.draw(st.integers(0, len(sections)), label="copy at")
+    keyword = sections[i].split()[0][1:]
+    sections.insert(at, sections[i])
+    copy = max(at, i + 1)  # the later of the two
+    with pytest.raises(PddlSyntaxError) as err:
+        parse_as(kind, section_text(head, sections))
+    assert (err.value.line, err.value.col) == (copy + (1 if head is None else 2), 1)
+    assert str(err.value).endswith(f": duplicate {kind} section {keyword}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(READERS), st.data())
+def test_permuted_sections_parse_to_an_equal_value(kind, data):
+    head, sections = fixture_sections(kind)
+    permuted = data.draw(st.permutations(sections), label="sections")
+    assert parse_as(kind, section_text(head, permuted)) == \
+        parse_as(kind, MUTATION_SOURCES[kind])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["(:metric minimize (total-cost))", "(:constraints (and))",
+                        "(:length (:serial 4))"]), st.data())
+def test_problem_sections_outside_the_subset_are_unsupported(section, data):
+    head, sections = fixture_sections("problem")
+    at = data.draw(st.integers(0, len(sections)), label="at")
+    sections.insert(at, section)
+    with pytest.raises(UnsupportedFeatureError) as err:
+        parse_as("problem", section_text(head, sections))
+    assert (err.value.line, err.value.col) == (at + 2, 1)
+    assert str(err.value).endswith(f": {section.split()[0][1:]} sections are not supported")
+
+
+@pytest.mark.parametrize("kind, section, error, message", [
+    ("domain", "(:constants a b)", UnsupportedFeatureError, ":constants sections are not supported"),
+    ("domain", "(:objects a b)", PddlSyntaxError, "unknown domain section :objects"),
+    ("problem", "(:types t)", PddlSyntaxError, "unknown problem section :types"),
+    ("case", "(:objects a b)", PddlSyntaxError, "unknown case section :objects"),
+    ("case", "()", PddlSyntaxError, "empty section in case"),
+])
+def test_unknown_and_unsupported_sections_are_told_apart(kind, section, error, message):
+    head, sections = fixture_sections(kind)
+    with pytest.raises(PddlError) as err:
+        parse_as(kind, section_text(head, sections + [section]))
+    line = len(sections) + (1 if head is None else 2)
+    assert type(err.value) is error
+    assert str(err.value) == f"line {line}, col 1: {message}"

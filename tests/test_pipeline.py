@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from caseplan import (
@@ -157,3 +157,21 @@ def test_skeletal_plan_matches_reference(instance, completeness, seed):
     trimmed = trim_on_atoms(joined, problem)
     expected = trimmed if execute_plan_on_atoms(problem, trimmed).success else None
     assert skeleton(problem, SMALL_SEARCH).plan == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances, st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]), st.integers(0, 2**16),
+       st.integers(1, 3))
+def test_every_route_is_sound_and_deterministic(instance, completeness, seed, delta):
+    # on every vendored domain: a plan from any route executes under the model
+    # it was solved with, check_solution is execution under the complete
+    # model, and an identical call returns an equal outcome
+    domain, problem, cases = instance
+    solved_under = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
+    outcome = solve_with_library(solved_under, cases, delta, config=SMALL_SEARCH)
+    assert solve_with_library(solved_under, cases, delta, config=SMALL_SEARCH) == outcome
+    event(f"{domain.name} route {outcome.route}")
+    if outcome.plan is not None:
+        assert execute_plan_on_atoms(solved_under, outcome.plan).success
+        assert check_solution(solved_under, outcome.plan, domain) == \
+            execute_plan_on_atoms(problem, outcome.plan).success
