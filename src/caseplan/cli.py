@@ -17,7 +17,8 @@ from .experiment import ExperimentSpec, make_problem_suite, run_experiment
 from .generators import generate_case_library
 from .mapping import best_mapping, build_fragments, mapping_index, mapping_score
 from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
-from .pipeline import mine_fragments, skeleton, solve_with_library
+from .pipeline import (ROUTE_FRAGMENTS, ROUTE_SEARCH, ROUTE_SKELETAL, mine_fragments, skeleton,
+                       solve_with_library)
 from .search import SearchConfig, solve
 from .strips import StripsError
 
@@ -64,6 +65,19 @@ def _load_cases(path: str):
         raise InputError(str(err)) from err
 
 
+def _refuse_earlier_run(directory: Path, pattern: str) -> None:
+    """An input error if ``directory`` already holds a ``pattern`` file: this
+    run's output would be mixed with an earlier run's. Nothing is deleted."""
+    earlier = sorted(directory.glob(pattern)) if directory.is_dir() else []
+    if earlier:
+        raise InputError(f"{directory} already holds {earlier[0].name} from another run; "
+                         "write to an empty directory")
+
+
+def _solved(rows) -> str:
+    return f"{sum(r.solved for r in rows)}/{len(rows)} solved"
+
+
 def _search_config(args) -> SearchConfig:
     return SearchConfig(max_expansions=args.max_expansions)
 
@@ -88,6 +102,7 @@ def _emit_plan(plan, out: str | None) -> int:
 
 
 def cmd_gen_cases(args) -> int:
+    _refuse_earlier_run(Path(args.out), "*.case")
     domain = _load("domain", args.domain, parse_domain)
     problems = list(_load_problems(args.problems, domain).values()) if args.problems else None
     library = generate_case_library(domain, args.count, args.seed,
@@ -205,6 +220,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.artifacts:
+        for part in ("problems", "plans"):
+            _refuse_earlier_run(Path(args.artifacts) / part, "*")
     domain = _load("domain", args.domain, parse_domain)
     if args.problems:
         problems = list(_load_problems(args.problems, domain).values())
@@ -242,6 +260,14 @@ def cmd_experiment(args) -> int:
                 caseio.write_plan(artifacts / "plans" / f"{stem}.plan", detail.plan)
     solved = sum(r.solved for r in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({solved} solved)")
+    # solved means valid under the complete model, as in the CSV
+    for completeness in spec.completeness_levels:
+        for num_cases in spec.case_counts:
+            cell = [r for r in rows if (r.completeness, r.num_cases) == (completeness, num_cases)]
+            print(f"completeness {completeness} cases {num_cases}: {_solved(cell)}")
+    for route in (ROUTE_FRAGMENTS, ROUTE_SKELETAL, ROUTE_SEARCH, None):
+        print(f"route {route or 'none'}: "
+              f"{_solved([d.row for d in details if d.route == route])}")
     return OK
 
 

@@ -11,7 +11,7 @@ from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
 from .mapping import build_fragments, mapping_index
-from .mining import FrequentFragmentSet, SequenceDB, grow_frequent
+from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
 from .strips import DomainModel, Grounding, Plan, PlanningProblem
@@ -104,83 +104,56 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     time in each seed includes the problem's index. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
-    rows: list[ExperimentRow] = []
-    details: list[RunDetail] = []
-    indexes = [_timed(mapping_index, problem) for problem in spec.problems]
-    # per problem: the complete model's grounding, on which its plans are validated
-    complete = [Grounding(spec.domain, problem.objects) for problem in spec.problems]
-
+    max_cases = max(spec.case_counts)
+    # per seed: (the seed, its library, its degraded model per completeness)
+    seeds = []
     for seed in spec.seeds:
-        if spec.cases is not None:
-            library = spec.cases
-        else:
-            library = generate_case_library(
-                spec.domain, max(spec.case_counts), seed,
-                n_blocks=spec.case_blocks, config=spec.search)
-        if max(spec.case_counts) > len(library):
-            raise ValueError(f"case count {max(spec.case_counts)} exceeds the library "
-                             f"of {len(library)} cases")
-
-        # per problem, per library case in order: (its fragments, build seconds)
-        built: list[list[tuple[tuple[Plan, ...], float]]] = [[] for _ in spec.problems]
-        # per (case count, delta, problem): (the prefix's fragments, their
-        # patterns, the build seconds of both)
-        mined: dict[tuple[int, int, int],
-                    tuple[tuple[Plan, ...], FrequentFragmentSet, float]] = {}
-        for num_cases in spec.case_counts:
-            for p_idx, problem in enumerate(spec.problems):
-                per_case = built[p_idx]
-                index, index_s = indexes[p_idx]
-                for case in library[len(per_case):num_cases]:
-                    case_fragments, elapsed = _timed(build_fragments, problem, [case],
-                                                     index=index)
-                    per_case.append((tuple(case_fragments),
-                                     elapsed if per_case else elapsed + index_s))
-                prefix = per_case[:num_cases]
-                fragments = tuple(f for frags, _ in prefix for f in frags)
-                prefix_s = sum(s for _, s in prefix)
+        library = spec.cases if spec.cases is not None else generate_case_library(
+            spec.domain, max_cases, seed, n_blocks=spec.case_blocks, config=spec.search)
+        if max_cases > len(library):
+            raise ValueError(f"case count {max_cases} exceeds the library of {len(library)} cases")
+        seeds.append((seed, library, [degrade(spec.domain, DegradeSpec(level, seed))
+                                      for level in spec.completeness_levels]))
+    # by grid position: (seed, completeness, case count, delta, problem)
+    cells: dict[tuple[int, int, int, int, int], RunDetail] = {}
+    for p_idx, problem in enumerate(spec.problems):
+        index, index_s = _timed(mapping_index, problem)
+        # the complete model's grounding, on which the problem's plans are validated
+        complete = Grounding(spec.domain, problem.objects)
+        for s_idx, (seed, library, models) in enumerate(seeds):
+            # per library case in order: (its fragments, build seconds)
+            built = [_timed(build_fragments, problem, [case], index=index)
+                     for case in library[:max_cases]]
+            # per model: (the problem under it, its skeleton, build seconds)
+            skeletons = [(degraded, *_timed(skeleton, degraded, spec.search))
+                         for degraded in (replace(problem, domain=model) for model in models)]
+            for n_idx, num_cases in enumerate(spec.case_counts):
+                fragments = tuple(f for frags, _ in built[:num_cases] for f in frags)
+                prefix_s = sum(s for _, s in built[:num_cases]) + (index_s if num_cases else 0.0)
                 # one growth pass at the smallest delta; each delta filters it
                 grown, grown_s = _timed(grow_frequent, SequenceDB.from_sequences(fragments),
                                         min(spec.deltas))
-                for delta in spec.deltas:
-                    frequent, elapsed = _timed(mine_fragments, fragments, delta, grown=grown)
-                    mined[num_cases, delta, p_idx] = \
-                        fragments, frequent, elapsed + grown_s + prefix_s
-
-        for completeness in spec.completeness_levels:
-            model = degrade(spec.domain, DegradeSpec(completeness=completeness, seed=seed))
-            degraded = [replace(problem, domain=model) for problem in spec.problems]
-            # per problem under this model: (its skeleton, build seconds)
-            skeletons = [_timed(skeleton, problem, spec.search) for problem in degraded]
-            for num_cases in spec.case_counts:
-                subset = library[:num_cases]
-                for delta in spec.deltas:
-                    for p_idx, degraded_problem in enumerate(degraded):
-                        skeletal, skeleton_s = skeletons[p_idx]
-                        fragments, frequent, mined_s = mined[num_cases, delta, p_idx]
+                for d_idx, delta in enumerate(spec.deltas):
+                    frequent, filter_s = _timed(mine_fragments, fragments, delta, grown=grown)
+                    for c_idx, (degraded, skeletal, skeleton_s) in enumerate(skeletons):
                         outcome, elapsed = _timed(
-                            solve_with_library, degraded_problem, subset, delta,
-                            config=spec.search,
-                            assembly_budget=spec.assembly_budget,
+                            solve_with_library, degraded, library[:num_cases], delta,
+                            config=spec.search, assembly_budget=spec.assembly_budget,
                             fragments=fragments, skeletal=skeletal, frequent=frequent)
-                        elapsed += skeleton_s + mined_s
-                        solved = outcome.plan is not None and check_solution(
-                            degraded_problem, outcome.plan, spec.domain,
-                            grounding=complete[p_idx])
-                        row = ExperimentRow(
+                        elapsed += skeleton_s + prefix_s + grown_s + filter_s
+                        cells[s_idx, c_idx, n_idx, d_idx, p_idx] = RunDetail(ExperimentRow(
                             domain=spec.domain.name,
                             num_cases=num_cases,
-                            completeness=completeness,
+                            completeness=spec.completeness_levels[c_idx],
                             delta=delta,
                             problem_id=f"seed{seed}-p{p_idx:03d}",
-                            solved=solved,
+                            solved=outcome.plan is not None and check_solution(
+                                degraded, outcome.plan, spec.domain, grounding=complete),
                             plan_length=len(outcome.plan) if outcome.plan else 0,
-                            cpu_millis=int(elapsed * 1000) if spec.timing else 0)
-                        rows.append(row)
-                        details.append(RunDetail(row=row, problem=degraded_problem,
-                                                 plan=outcome.plan, route=outcome.route))
-    rows.sort(key=ExperimentRow.sort_key)
-    return rows, details
+                            cpu_millis=int(elapsed * 1000) if spec.timing else 0),
+                            degraded, outcome.plan, outcome.route)
+    details = [cells[position] for position in sorted(cells)]
+    return sorted((detail.row for detail in details), key=ExperimentRow.sort_key), details
 
 
 def _timed(fn, *args, **kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 import pytest
@@ -13,6 +14,7 @@ from caseplan import parse_domain, parse_problem, read_case_library
 from caseplan.cases import read_plan, read_rows, write_plan
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
 from caseplan.evaluate import check_solution
+from caseplan.experiment import accuracy_of
 from caseplan.pddl import PddlSyntaxError
 from caseplan.strips import execute_plan
 
@@ -303,6 +305,60 @@ def test_experiment_command(tmp_path, capsys):
                 f"_c{row.completeness}_d{row.delta}")
         plan = read_plan(tmp_path / "artifacts" / "plans" / f"{stem}.plan")
         assert check_solution(problem, plan, domain)
+
+
+def _tree_bytes(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command, first, second, directory", [
+    ("gen-cases", ("--count", 6, "--seed", 1, "--out", "lib"),
+     ("--count", 3, "--seed", 2, "--out", "lib"), "lib"),
+    ("experiment", ("--num-problems", 2, "--case-blocks", 4, "--case-counts", 2,
+                    "--completeness", "1.0", "--delta", 1, "--no-timing",
+                    "--artifacts", "art", "--out", "rows.csv"),
+     ("--num-problems", 2, "--case-blocks", 4, "--case-counts", 2,
+      "--completeness", "1.0", "--delta", 1, "--no-timing", "--problem-seed", 5,
+      "--artifacts", "art", "--out", "rows.csv"), "art"),
+], ids=["gen-cases", "experiment"])
+def test_output_directory_of_another_run_is_refused(tmp_path, capsys, monkeypatch,
+                                                    command, first, second, directory):
+    # a second run into the same directory would mix its files with the first
+    # run's: stale cases in a library, stale problems beside new plans
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, command, "--domain", DOMAIN, "--blocks", 4, *first)
+    assert code == OK
+    before = _tree_bytes(tmp_path)
+    code, stdout, stderr = run(capsys, command, "--domain", DOMAIN, "--blocks", 4, *second)
+    assert code == INPUT_ERROR
+    assert stdout == ""
+    assert f"error: {directory}" in stderr and "write to an empty directory" in stderr
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_experiment_reports_accuracy_per_cell_and_route(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code, stdout, _ = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,
+                          "--num-problems", 3, "--blocks", 4, "--case-counts", "2,0",
+                          "--completeness", "0.6,1.0", "--delta", "1,2", "--seed", "1,2",
+                          "--no-timing", "--out", out)
+    assert code == OK
+    rows = read_rows(out)
+    lines = stdout.splitlines()
+    assert lines[0].startswith(f"wrote {len(rows)} rows")
+    cells = [re.fullmatch(r"completeness (\S+) cases (\d+): (\d+)/(\d+) solved", line)
+             for line in lines[1:5]]
+    assert [(float(m[1]), int(m[2])) for m in cells] == [(0.6, 2), (0.6, 0), (1.0, 2), (1.0, 0)]
+    for m in cells:
+        assert int(m[3]) / int(m[4]) == accuracy_of(rows, completeness=float(m[1]),
+                                                    num_cases=int(m[2]))
+    assert sum(int(m[4]) for m in cells) == len(rows)
+    routes = [re.fullmatch(r"route (\S+): (\d+)/(\d+) solved", line) for line in lines[5:]]
+    assert [m[1] for m in routes] == ["fragments", "skeletal", "search", "none"]
+    assert sum(int(m[3]) for m in routes) == len(rows)
+    assert sum(int(m[2]) for m in routes) == sum(r.solved for r in rows)
+    assert routes[-1][2] == "0"
 
 
 def test_zero_delta_is_input_error_with_or_without_cases(capsys):

@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 
 import caseplan.experiment
+import caseplan.mapping
 import caseplan.pipeline
 from caseplan import ExperimentSpec, SearchConfig, make_problem_suite, run_experiment
 from caseplan.cases import read_rows, write_rows
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
+from caseplan.strips import Grounding
 
 from .conftest import SMALL_SEARCH, typed_instance
 from .oracles import run_experiment_per_cell
@@ -64,28 +66,59 @@ def test_matches_per_cell_reference(blocks, tower, p1, p2, fixed_library):
         [(d.row, d.plan, d.route) for d in ref_details]
 
 
-@pytest.mark.parametrize("domain_name", ["blocks", "driverlog"])
+@pytest.mark.parametrize("domain_name", ["blocks", "driverlog", "depots"])
 def test_matches_per_cell_reference_reusing_every_level(blocks, domain_name):
     # a fixed library and a grid where every stage is reused: each skeleton by
-    # 2 case counts x 2 deltas, each mining by 3 models, and each case's
-    # fragments by every cell whose prefix holds it; both grids reach the
-    # fragments, skeletal and no-plan routes
+    # every case count x 2 deltas, each mining by 3 models, and each case's
+    # fragments by every cell whose prefix holds it; every grid has an empty
+    # prefix. Blocks and driverlog reach the fragments, skeletal and no-plan
+    # routes; depots, with two cases, the skeletal, search and no-plan routes
     if domain_name == "blocks":
         from caseplan import generate_case_library
         spec = small_spec(blocks, cases=generate_case_library(blocks, 8, 3, n_blocks=4),
                           problems=make_problem_suite(blocks, 2, 0, n_blocks=4),
-                          case_counts=(8, 3), completeness_levels=(0.2, 0.6, 1.0),
+                          case_counts=(8, 3, 0), completeness_levels=(0.2, 0.6, 1.0),
                           deltas=(1, 3))
     else:
         domain, problem, cases = typed_instance(domain_name, 0)
         spec = ExperimentSpec(domain=domain, problems=[problem], cases=cases,
-                              case_counts=(3, 1), completeness_levels=(0.4, 0.8, 1.0),
+                              case_counts=(3, 1, 0) if domain_name == "driverlog" else (2, 0),
+                              completeness_levels=(0.4, 0.8, 1.0),
                               deltas=(1, 2), seeds=(1, 2), search=SMALL_SEARCH, timing=False)
     rows, details = run_experiment(spec)
     ref_rows, ref_details = run_experiment_per_cell(spec)
     assert rows == ref_rows
     assert [(d.row, d.plan, d.route) for d in details] == \
         [(d.row, d.plan, d.route) for d in ref_details]
+
+
+def test_sweep_builds_each_problem_index_and_complete_grounding_once(blocks, p1, p2,
+                                                                    monkeypatch):
+    # the mapping index and the complete model's grounding depend on the
+    # problem alone: 3 problems under 2 seeds and 2 models build each 3 times
+    indexed, complete = [], []
+    real_index = caseplan.mapping.mapping_index
+    real_init = Grounding.__init__
+
+    def counted_index(problem):
+        indexed.append(problem.name)
+        return real_index(problem)
+
+    def counted_init(self, domain, objects):
+        if domain is blocks:  # the complete model itself, not a degraded copy
+            complete.append(objects)
+        real_init(self, domain, objects)
+
+    for module in (caseplan.mapping, caseplan.experiment):
+        monkeypatch.setattr(module, "mapping_index", counted_index)
+    monkeypatch.setattr(Grounding, "__init__", counted_init)
+    spec = small_spec(blocks, cases=[("p1", p1), ("p2", p2)], case_counts=(2, 1),
+                      completeness_levels=(0.6, 1.0), deltas=(1, 2), seeds=(1, 2),
+                      problems=make_problem_suite(blocks, 3, 0, n_blocks=4))
+    rows, _ = run_experiment(spec)
+    assert len(rows) == 2 * 2 * 2 * 2 * 3
+    assert sorted(indexed) == sorted(p.name for p in spec.problems)
+    assert len(complete) == 3
 
 
 def test_sweep_builds_each_skeletal_plan_once(blocks, monkeypatch):
