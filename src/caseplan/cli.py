@@ -65,13 +65,27 @@ def _load_cases(path: str):
         raise InputError(str(err)) from err
 
 
-def _refuse_earlier_run(directory: Path, pattern: str) -> None:
-    """An input error if ``directory`` already holds a ``pattern`` file: this
-    run's output would be mixed with an earlier run's. Nothing is deleted."""
-    earlier = sorted(directory.glob(pattern)) if directory.is_dir() else []
+def _check_output_dir(directory: Path, pattern: str) -> None:
+    """An input error unless ``directory`` can hold this run's output: it is a
+    directory, or its nearest existing ancestor is one, and it holds no
+    ``pattern`` file, which would mix this run's output with an earlier
+    run's. Checked before any work; nothing is made or deleted."""
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        raise InputError(f"cannot write to {directory}: {existing} is not a directory")
+    earlier = sorted(directory.glob(pattern)) if existing == directory else []
     if earlier:
         raise InputError(f"{directory} already holds {earlier[0].name} from another run; "
                          "write to an empty directory")
+
+
+def _check_output_file(path: Path) -> None:
+    """An input error unless a file can be written at ``path``, checked before
+    any work: its directory exists and it is no directory itself."""
+    if not path.parent.is_dir():
+        raise InputError(f"cannot write to {path}: no directory {path.parent}")
+    if path.is_dir():
+        raise InputError(f"cannot write to {path}: it is a directory")
 
 
 def _solved(rows) -> str:
@@ -102,7 +116,7 @@ def _emit_plan(plan, out: str | None) -> int:
 
 
 def cmd_gen_cases(args) -> int:
-    _refuse_earlier_run(Path(args.out), "*.case")
+    _check_output_dir(Path(args.out), "*.case")
     domain = _load("domain", args.domain, parse_domain)
     problems = list(_load_problems(args.problems, domain).values()) if args.problems else None
     library = generate_case_library(domain, args.count, args.seed,
@@ -220,9 +234,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_output_file(Path(args.out))
     if args.artifacts:
         for part in ("problems", "plans"):
-            _refuse_earlier_run(Path(args.artifacts) / part, "*")
+            _check_output_dir(Path(args.artifacts) / part, "*")
     domain = _load("domain", args.domain, parse_domain)
     if args.problems:
         problems = list(_load_problems(args.problems, domain).values())

@@ -58,19 +58,20 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
     bucket changes only the order in which the same sums are added, so every
     cost, and the value, is the one Dijkstra's algorithm gives.
 
+    Bucket 0 is the state itself, read in one pass: no atom costs less than
+    0, so none of it is stale, and an action it completes has only
+    preconditions of cost 0 and charges exactly 1.
+
     The relaxation stops before bucket c once every goal atom's cost is at
     most c + 1: buckets below c are done and a firing from bucket c or a later
     one charges at least c + 1, so no goal cost can fall any more, and the
     value is the one the full relaxation gives, ``inf`` included.
     """
     adds = grounding.adds
-    waiting = grounding.waiting
     cost = [math.inf] * len(grounding.atoms)
-    remaining = list(grounding.pre_counts)
-    acc = [1] * len(remaining)
     for a in state:
         cost[a] = 0
-    buckets: list[list[int]] = [list(state), []]
+    buckets: list[list[int]] = [[], []]
     for op_idx in grounding.free_ops:
         for b in adds[op_idx]:
             if 1 < cost[b]:
@@ -78,27 +79,41 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
                 buckets[1].append(b)
 
     pending = list(goal_ids)  # goal atoms whose cost may still fall
-    c = 0
-    while c < len(buckets):
-        while pending and cost[pending[-1]] <= c + 1:
-            pending.pop()
-        if not pending:
-            break
-        for a in buckets[c]:
-            if cost[a] != c:  # settled from a cheaper bucket
-                continue
+    while pending and cost[pending[-1]] <= 1:
+        pending.pop()
+    if pending:
+        waiting = grounding.waiting
+        remaining = list(grounding.pre_counts)
+        acc = [1] * len(remaining)
+        for a in state:
             for op_idx in waiting[a]:
-                acc[op_idx] += c
                 remaining[op_idx] -= 1
                 if not remaining[op_idx]:
-                    k = acc[op_idx]
                     for b in adds[op_idx]:
-                        if k < cost[b]:
-                            cost[b] = k
-                            while len(buckets) <= k:
-                                buckets.append([])
-                            buckets[k].append(b)
-        c += 1
+                        if 1 < cost[b]:
+                            cost[b] = 1
+                            buckets[1].append(b)
+        c = 1
+        while c < len(buckets):
+            while pending and cost[pending[-1]] <= c + 1:
+                pending.pop()
+            if not pending:
+                break
+            for a in buckets[c]:
+                if cost[a] != c:  # settled from a cheaper bucket
+                    continue
+                for op_idx in waiting[a]:
+                    acc[op_idx] += c
+                    remaining[op_idx] -= 1
+                    if not remaining[op_idx]:
+                        k = acc[op_idx]
+                        for b in adds[op_idx]:
+                            if k < cost[b]:
+                                cost[b] = k
+                                while len(buckets) <= k:
+                                    buckets.append([])
+                                buckets[k].append(b)
+            c += 1
 
     total = 0
     for gid in goal_ids:
@@ -137,8 +152,13 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     if h0 == math.inf:
         return SolveResult(UNSOLVABLE, None, 0)
 
-    # a state enters the heap only when it first enters ``parent``, so no
-    # popped state has been expanded before
+    # Every generated state enters ``parent`` once, before its h is computed,
+    # so a dead end (h = inf) is evaluated once and never pushed, and no popped
+    # state has been expanded before. The goal is tested when a state is
+    # generated: h is 0 only on a goal state, and a goal state generated
+    # earlier would have been popped before this expansion, so the state
+    # returned is the next one a goal test at pop would take, with the same
+    # expansion count.
     parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
     heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
     counter = 1
@@ -146,32 +166,32 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
 
     while heap:
         _, _, state = heapq.heappop(heap)
-        if goal <= state:
-            plan = _reconstruct(parent, state, grounding.ground_actions)
-            check = execute_plan(problem, plan, grounding=grounding)
-            if not check.success:
-                raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
-            return SolveResult(SOLVED, plan, expansions)
         if expansions >= config.max_expansions:
             return SolveResult(BUDGET, None, expansions)
         expansions += 1
         for op_idx, succ in grounding.successors(state):
-            if succ not in parent:
-                hs = _h_add(succ, goal_ids, grounding)
-                if hs == math.inf:
-                    continue
-                parent[succ] = (state, op_idx)
+            if succ in parent:
+                continue
+            parent[succ] = (state, op_idx)
+            if goal <= succ:
+                return _solved(problem, grounding, parent, succ, expansions)
+            hs = _h_add(succ, goal_ids, grounding)
+            if hs < math.inf:
                 heapq.heappush(heap, (hs, counter, succ))
                 counter += 1
     return SolveResult(UNSOLVABLE, None, expansions)
 
 
-def _reconstruct(parent, state, actions) -> Plan:
+def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
+            expansions: int) -> SolveResult:
+    """The plan that ``parent`` records to ``state``, re-executed against the
+    model as a self-check."""
     steps = []
-    cur = state
-    while parent[cur] is not None:
-        prev, op_idx = parent[cur]
-        steps.append(actions[op_idx])
-        cur = prev
-    steps.reverse()
-    return tuple(steps)
+    while parent[state] is not None:
+        state, op_idx = parent[state]
+        steps.append(grounding.ground_actions[op_idx])
+    plan = tuple(reversed(steps))
+    check = execute_plan(problem, plan, grounding=grounding)
+    if not check.success:
+        raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
+    return SolveResult(SOLVED, plan, expansions)

@@ -35,6 +35,7 @@ from caseplan.experiment import ExperimentSpec, RunDetail
 from caseplan.generators import generate_case_library
 from caseplan.mining import ActionSeq
 from caseplan.pipeline import solve_with_library
+from caseplan.search import BUDGET, SOLVED, UNSOLVABLE, SearchConfig, SolveResult
 from caseplan.strips import (
     ActionSchema,
     ExecutionResult,
@@ -573,6 +574,58 @@ def h_add_rebuilding_index(state: frozenset[int], goal_ids: tuple[int, ...],
             return math.inf
         total += cost[gid]
     return total
+
+
+# The earlier solve, kept as the reference for caseplan.search.solve, which now
+# tests the goal when a state is generated and evaluates a dead end once. This
+# one tests the goal when a state is popped and evaluates a dead end again each
+# time it is generated. The heuristic is a parameter, so a property can check
+# every state it evaluates; the self-check runs the plan on atoms.
+
+def solve_testing_goal_at_pop(problem: PlanningProblem, config: SearchConfig,
+                              grounding: Grounding, h=h_add_rebuilding_index) -> SolveResult:
+    init = grounding.encode(problem.init)
+    goal = grounding.encode(problem.goal)
+    goal_ids = tuple(sorted(goal))
+
+    if goal <= init:
+        return SolveResult(SOLVED, (), 0)
+
+    h0 = h(init, goal_ids, grounding)
+    if h0 == math.inf:
+        return SolveResult(UNSOLVABLE, None, 0)
+
+    parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
+    heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
+    counter = 1
+    expansions = 0
+
+    while heap:
+        _, _, state = heapq.heappop(heap)
+        if goal <= state:
+            steps = []
+            cur = state
+            while parent[cur] is not None:
+                prev, op_idx = parent[cur]
+                steps.append(grounding.ground_actions[op_idx])
+                cur = prev
+            plan = tuple(reversed(steps))
+            check = execute_plan_on_atoms(problem, plan)
+            if not check.success:
+                raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
+            return SolveResult(SOLVED, plan, expansions)
+        if expansions >= config.max_expansions:
+            return SolveResult(BUDGET, None, expansions)
+        expansions += 1
+        for op_idx, succ in grounding.successors(state):
+            if succ not in parent:
+                hs = h(succ, goal_ids, grounding)
+                if hs == math.inf:
+                    continue
+                parent[succ] = (state, op_idx)
+                heapq.heappush(heap, (hs, counter, succ))
+                counter += 1
+    return SolveResult(UNSOLVABLE, None, expansions)
 
 
 # The earlier Grounding construction, kept unchanged as the reference for

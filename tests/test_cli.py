@@ -337,6 +337,34 @@ def test_output_directory_of_another_run_is_refused(tmp_path, capsys, monkeypatc
     assert _tree_bytes(tmp_path) == before
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("experiment", ("--artifacts", "file", "--out", "rows.csv"),
+     "cannot write to file/problems: file is not a directory"),
+    ("experiment", ("--out", "missing/rows.csv"),
+     "cannot write to missing/rows.csv: no directory missing"),
+    ("experiment", ("--out", "dir"), "cannot write to dir: it is a directory"),
+    ("gen-cases", ("--count", 2, "--out", "file"),
+     "cannot write to file: file is not a directory"),
+], ids=["experiment-artifacts-at-file", "experiment-out-in-missing-dir",
+        "experiment-out-at-dir", "gen-cases-out-at-file"])
+def test_unwritable_output_path_is_input_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command, args, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case library was generated for an unwritable output path")
+
+    monkeypatch.setattr(caseplan.cli, "generate_case_library", refuse)
+    monkeypatch.setattr(caseplan.experiment, "generate_case_library", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    code, stdout, stderr = run(capsys, command, "--domain", DOMAIN, "--blocks", 4, *args)
+    assert code == INPUT_ERROR
+    assert f"error: {message}" in stderr
+    assert stdout == ""
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_experiment_reports_accuracy_per_cell_and_route(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, stdout, _ = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,

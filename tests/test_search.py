@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -25,11 +26,17 @@ from caseplan import (
     relaxed_add_heuristic,
     solve,
 )
+import caseplan.search
 from caseplan.generators import random_blocks_state
 from caseplan.search import BUDGET, SOLVED, UNSOLVABLE, _h_add
 
-from .conftest import atoms, depots_start, driverlog_start, make_tower_problem
-from .oracles import GroundingThroughGrounded, bfs_plan, h_add_rebuilding_index
+from .conftest import atoms, depots_start, driverlog_start, make_tower_problem, typed_instance
+from .oracles import (
+    GroundingThroughGrounded,
+    bfs_plan,
+    h_add_rebuilding_index,
+    solve_testing_goal_at_pop,
+)
 
 
 def test_tower_problem_solved_and_valid(blocks):
@@ -158,6 +165,87 @@ def test_determinism(blocks):
     second = solve(problem)
     assert first.plan == second.plan
     assert first.expansions == second.expansions
+
+
+def counted_h_add(monkeypatch):
+    """Wrap caseplan.search._h_add; the list records each state it is called on."""
+    calls = []
+
+    def counted(state, goal_ids, grounding):
+        calls.append(state)
+        return _h_add(state, goal_ids, grounding)
+
+    monkeypatch.setattr(caseplan.search, "_h_add", counted)
+    return calls
+
+
+def test_goal_is_tested_when_generated(blocks, monkeypatch):
+    # (holding d) is one action from the tower's init: the init is evaluated,
+    # then each new successor generated before the goal successor, and no more
+    problem = replace(make_tower_problem(blocks), goal=atoms("holding d"))
+    grounding = Grounding.for_problem(problem)
+    goal = grounding.encode(problem.goal)
+    before = next(i for i, (_, succ) in enumerate(grounding.successors(
+        grounding.encode(problem.init))) if goal <= succ)
+    calls = counted_h_add(monkeypatch)
+    result = solve(problem, grounding=grounding)
+    assert (result.status, result.expansions) == (SOLVED, 1)
+    assert [a.pddl() for a in result.plan] == ["(pickup d)"]
+    assert before == 1 and len(calls) == 1 + before
+
+
+def test_dead_end_is_evaluated_once(monkeypatch):
+    # Propositional ops (pre -> add, del). From (s), (a) and (b) both have
+    # h = 2, so (a) is expanded first, by discovery order; its successors
+    # (x) and (z) are dead ends. Then (b) is expanded, and it too leads to (x).
+    # Without `finish`, (b) is a dead end too and the space is exhausted.
+    def op(name, pre, add, delete=()):
+        return ActionSchema(name, (), pre=atoms(*pre), add=atoms(*add), delete=atoms(*delete))
+
+    ops = [op("to_a", ["s"], ["a"], ["s"]), op("to_b", ["s"], ["b"], ["s"]),
+           op("fall_a", ["a"], ["x"], ["a"]), op("fall_b", ["b"], ["x"], ["b"]),
+           op("make_z", ["a"], ["z"], ["a"]), op("win_a", ["a", "z"], ["g"]),
+           op("b_to_c", ["b"], ["c"], ["b"]), op("finish", ["c"], ["g"])]
+    names = {a.predicate for o in ops for a in o.pre | o.add}
+    expected = {True: (SOLVED, ["to_b", "b_to_c", "finish"], 4, 6),
+                False: (UNSOLVABLE, None, 2, 5)}
+    for with_finish, (status, plan, expansions, evaluated) in expected.items():
+        model = DomainModel(name="dead", types={}, predicates={n: () for n in names},
+                            schemas={o.name: o for o in ops if with_finish or o.name != "finish"})
+        problem = PlanningProblem(name="dead", domain=model, objects={},
+                                  init=atoms("s"), goal=atoms("g"))
+        grounding = Grounding(model, {})
+        calls = counted_h_add(monkeypatch)
+        result = solve(problem, grounding=grounding)
+        assert result.status == status and result.expansions == expansions
+        assert (result.plan and [a.name for a in result.plan]) == plan
+        assert result == solve_testing_goal_at_pop(problem, SearchConfig(), grounding)
+        assert calls.count(grounding.encode(atoms("x"))) == 1
+        assert len(calls) == len(set(calls)) == evaluated
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["blocks", "driverlog", "depots"]), st.integers(0, 2),
+       st.sampled_from([1.0, 0.8, 0.5]), st.integers(0, 5), st.sampled_from([4, 300]))
+def test_solve_matches_goal_at_pop_reference(name, seed, completeness, degrade_seed,
+                                             max_expansions):
+    # for the full goal and each single goal; a degraded model may have free
+    # ops and dead ends, and the small budget is hit
+    domain, problem, _ = typed_instance(name, seed)
+    model = degrade(domain, DegradeSpec(completeness=completeness, seed=degrade_seed))
+    problem = replace(problem, domain=model)
+    grounding = Grounding.for_problem(problem)
+    config = SearchConfig(max_expansions=max_expansions)
+
+    def checked(state, goal_ids, grounding):
+        value = _h_add(state, goal_ids, grounding)
+        assert value == h_add_rebuilding_index(state, goal_ids, grounding)
+        return value
+
+    for goal in [problem.goal, *(frozenset({atom}) for atom in sorted(problem.goal))]:
+        sub = replace(problem, goal=goal)
+        assert solve(sub, config, grounding) == solve_testing_goal_at_pop(
+            sub, config, grounding, h=checked)
 
 
 def test_bad_config():
