@@ -132,6 +132,7 @@ def cmd_gen_cases(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    _check_output_file(Path(args.out))
     domain = _load("domain", args.domain, parse_domain)
     scope = tuple(args.scope.split(",")) if args.scope else SCOPE_ALL
     spec = DegradeSpec(completeness=args.completeness, seed=args.seed, scope=scope)
@@ -179,6 +180,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.out:
+        _check_output_file(Path(args.out))
     domain = _load("domain", args.incomplete_domain, parse_domain)
     problem = _load("problem", args.problem, parse_problem, domain)
     library = _load_cases(args.cases) if args.cases else []
@@ -198,6 +201,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_classical(args) -> int:
+    if args.out:
+        _check_output_file(Path(args.out))
     domain = _load("domain", args.domain, parse_domain)
     problem = _load("problem", args.problem, parse_problem, domain)
     result = solve(problem, _search_config(args))
@@ -209,6 +214,8 @@ def cmd_solve_classical(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        _check_output_file(Path(args.out))
     domain = _load("domain", args.domain, parse_domain)
     problems = _load_problems(args.problems, domain)
     if not Path(args.plans).is_dir():

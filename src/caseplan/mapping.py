@@ -18,16 +18,24 @@ so on driverlog ``(at p1 l4)`` dies unless some package is at the image of
 ``l4``. No completion of a dropped atom can match, so the test only prunes
 subtrees that cannot beat the best mapping found.
 
-A partial image is one int, ``pid + P * sum(digit_j * R**j)``: ``pid`` is
-the id of the atom's (predicate, arity), ``P`` the number of such ids, ``R``
-the number of objects plus the number of classes plus one, and a position's
-digit is ``obj + 1`` where it is mapped to ``obj``, and else ``n + 1 + c``
-for the class ``c`` of its object, or 0 where no class holds all its
-candidates. The key is linear in each position, so the search keeps one
-running key per case atom, starting with every position at its class digit:
-mapping a case object to ``obj`` adds ``(obj + 1 - digit) * mult`` to the key
-of each undecided atom it occurs in, where ``mult`` sums ``P * R**j`` over
-the object's positions j in the atom, and backtracking subtracts it again.
+A partial image is one int, ``2 * pid + target + sum(digit_j * RADIX**(j+1))``:
+``pid`` is the id of the atom's (predicate, arity), ``target`` is 0 for the
+init and 1 for the goal, so one set holds the images of both, and a
+position's digit is ``obj + 1`` where it is mapped to ``obj``, and else
+``n + 1 + c`` for the class ``c`` of its object, or 0 where no class holds
+all its candidates. ``RADIX`` is a fixed odd constant, so the key weight of
+a set of positions belongs to the case alone, and the keys of an atom of
+arity 2 stay below 2**30, one CPython digit (a power of two clusters keys in
+the set's hash table, and a wider key is slower to hash). A problem fits
+when its objects plus its classes plus one stay below ``RADIX``, and
+``2 * pid + 1`` does too, so at most 1,019 objects on an untyped domain;
+:func:`mapping_index` refuses a larger one with a ``ValueError``.
+
+The key is linear in each position, so the search keeps one running key per
+case atom, starting with every position at its class digit: mapping a case
+object to ``obj`` adds ``(obj + 1 - digit) * mult`` to the key of each
+undecided atom it occurs in, where ``mult`` sums ``RADIX**(j+1)`` over the
+object's positions j in the atom, and backtracking subtracts it again.
 Checking an atom is then one set lookup of an int, and a node whose value
 cannot beat the bound is rejected after one pass over its atoms, before any
 state changes.
@@ -53,18 +61,22 @@ lower.
 The set-up of a mapping is split by what each part depends on:
 
 - per case, and no domain: a :class:`CaseIndex` (the depth order of the
-  case objects, the atom rows and depth rows, each object's features and
-  usages, the plan rows, and the greedy descent's order and rows), which
-  ``case.mapping_rows`` builds on first use and keeps on the case, so a
-  library mapped onto many problems builds it once per case;
+  case objects, the atom rows and the depth rows with each row's ``mult``,
+  each object's features and usages, the plan rows, and the greedy
+  descent's order and rows), which ``case.mapping_rows`` builds on first
+  use and keeps on the case, so a library mapped onto many problems builds
+  it once per case;
 - per problem: the :class:`MappingIndex`, with the object ids, the type
   classes, the usages that narrow a case object's candidates, the positions
   of each schema that :func:`extract_fragments` checks, the candidate order
-  of each feature set and the key weight of each set of positions, shared by
-  every case mapped onto the problem and by every degraded model of it;
-- per (case, problem), in :func:`best_mapping`: the atoms' start keys, the
-  depth rows' weights, each object's candidates and class digit, and the
-  greedy descent where the problem has type classes.
+  of each feature set and the image set, shared by every case mapped onto
+  the problem and by every degraded model of it;
+- per (case, problem), in :func:`best_mapping`: the atoms' start keys, each
+  object's candidates and class digit, which atoms are open or dead before
+  the search, and the greedy descent where the problem has type classes.
+  Without narrowing usages or classes (blocks), the candidates are the
+  index's order for each object's features and every start key is the
+  atom's lowest digit.
 """
 
 from __future__ import annotations
@@ -129,9 +141,9 @@ class CaseIndex:
     # per atom, sorted init atoms then sorted goal atoms: ((predicate, arity),
     # target (0 init, 1 goal), the depth of each argument)
     atoms: tuple[tuple[tuple[str, int], int, tuple[int, ...]], ...]
-    # per depth, per atom its object occurs in: (atom, the object's positions
-    # in it, whether the depth is the atom's last)
-    depth_rows: tuple[tuple[tuple[int, tuple[int, ...], bool], ...], ...]
+    # per depth, per atom its object occurs in: (atom, what each step of the
+    # object's digit adds to the atom's key, whether the depth is the atom's last)
+    depth_rows: tuple[tuple[tuple[int, int, bool], ...], ...]
     features: tuple[frozenset[str], ...]  # per depth: the object's object_features
     # per depth: the object's usages, as (signature, position)
     usages: tuple[tuple[tuple[Signature, int], ...], ...]
@@ -173,7 +185,8 @@ def case_index(case: CaseFile) -> CaseIndex:
     depth_of = {o: d for d, o in enumerate(case_objs)}
     slots = [tuple(depth_of[x] for x in atom.args) for atom, _ in atoms]
     depth_rows = tuple(
-        tuple((ai, tuple(j for j, s in enumerate(slots[ai]) if s == d), max(slots[ai]) == d)
+        tuple((ai, sum(RADIX ** (j + 1) for j, s in enumerate(slots[ai]) if s == d),
+               max(slots[ai]) == d)
               for ai in obj_atoms[o])
         for d, o in enumerate(case_objs))
     order = _connected_order(depth_rows, slots)
@@ -232,27 +245,26 @@ class MappingIndex:
     # exactly these features first, each part in id order: the candidate
     # order of a case object with these features
     orders: Mapping[frozenset[str], tuple[int, ...]]
-    # the positions of an object in an atom -> what each step of its digit
-    # adds to the atom's key, for every nonempty set of positions that an
-    # atom of the largest arity among the init and goal atoms has
-    weights: Mapping[tuple[int, ...], int]
-    # per target (init, goal): the _image_key of every partial image of every
-    # atom, each position the object, 0, or the digit of a class holding it
-    images: tuple[frozenset[int], frozenset[int]]
+    # the _image_key of every partial image of every init and goal atom, each
+    # position the object, 0, or the digit of a class holding it
+    images: frozenset[int]
 
 
-UNSET = -1  # no problem object (yet): never an object id
+UNSET = -1  # no problem object (yet): never an object id, and never a key
+# the base of a key's digits: odd, so keys spread over a set's hash table,
+# and small enough that every key of an atom of arity 2 is below 2**30
+RADIX = 1021
 
 
-def _image_key(pid: int, digits, predicates: int, radix: int) -> int:
-    """A partial image's key: ``pid + predicates * sum(digit_j * radix**j)``.
+def _image_key(low: int, digits) -> int:
+    """A partial image's key: ``low + sum(digit_j * RADIX**(j+1))``.
 
-    ``predicates`` is the number of predicate ids and ``radix`` the number of
-    objects plus classes plus one. A position's digit is ``obj + 1`` where the
-    object is mapped, else 0, or ``n + 1 + c`` where it is known to lie in
-    class ``c``; distinct images get distinct keys.
+    ``low`` is ``2 * pid + target``. A position's digit is ``obj + 1`` where
+    the object is mapped, else 0, or ``n + 1 + c`` where it is known to lie in
+    class ``c``; distinct images get distinct keys while every digit and
+    ``low`` are below ``RADIX``.
     """
-    return pid + predicates * sum(d * radix ** j for j, d in enumerate(digits))
+    return low + sum(d * RADIX ** (j + 1) for j, d in enumerate(digits))
 
 
 def mapping_index(problem: PlanningProblem) -> MappingIndex:
@@ -276,23 +288,23 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
     predicates: dict[tuple[str, int], int] = {}
     for atom in itertools.chain(problem.init, problem.goal):
         predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
-    radix = len(objects) + 1 + len(classes)
+    if len(objects) + len(classes) + 1 >= RADIX:
+        raise ValueError(f"problem {problem.name}: {len(objects)} objects and {len(classes)} "
+                         f"type classes do not fit a mapping key; objects plus classes "
+                         f"must stay below {RADIX - 1}")
+    if 2 * len(predicates) - 1 >= RADIX:
+        raise ValueError(f"problem {problem.name}: {len(predicates)} (predicate, arity) pairs "
+                         f"in the init and goal do not fit a mapping key; at most "
+                         f"{(RADIX - 1) // 2} do")
     # per object id: the digits a position holding it may have in an image
     digits = [(i + 1, 0, *(len(objects) + 1 + c for c, cls in enumerate(classes) if i in cls))
               for i in range(len(objects))]
-    images = []
-    for atoms in (problem.init, problem.goal):
-        keys = set()
+    images = set()
+    for target, atoms in enumerate((problem.init, problem.goal)):
         for atom in atoms:
-            pid = predicates[(atom.predicate, len(atom.args))]
+            low = 2 * predicates[(atom.predicate, len(atom.args))] + target
             for image in itertools.product(*(digits[ids[a]] for a in atom.args)):
-                keys.add(_image_key(pid, image, len(predicates), radix))
-        images.append(frozenset(keys))
-    arity = max((len(atom.args) for atom in itertools.chain(problem.init, problem.goal)),
-                default=0)
-    weights = {positions: len(predicates) * sum(radix ** j for j in positions)
-               for size in range(1, arity + 1)
-               for positions in itertools.combinations(range(arity), size)}
+                images.add(_image_key(low, image))
     features = _features(problem)
     object_feats = tuple(features.get(o, frozenset()) for o in objects)
     orders = {feats: tuple(sorted(range(len(objects)),
@@ -300,8 +312,7 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
               for feats in set(object_feats)}
     return MappingIndex(objects, MappingProxyType(ids), MappingProxyType(schemas),
                         MappingProxyType(predicates), MappingProxyType(narrowing), classes,
-                        MappingProxyType(orders), MappingProxyType(weights),
-                        (images[0], images[1]))
+                        MappingProxyType(orders), frozenset(images))
 
 
 def best_mapping(case: CaseFile, problem: PlanningProblem, *,
@@ -336,45 +347,42 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     rows = case.mapping_rows
     # depth d of the search decides case object case_objs[d], into assign[d]
     case_objs = rows.case_objs
+    # per depth: (atom, what each step of the depth's digit adds to the
+    # atom's key, whether the depth completes the atom)
+    depth_rows = rows.depth_rows
+    images = index.images
     # keys[ai] is the _image_key of case atom ai, kept as its objects are
-    # assigned; an UNSET predicate id is in no image set
-    keys = [index.predicates.get(pred, UNSET) for pred, _, _ in rows.atoms]
-    targets = [index.images[target] for _, target, _ in rows.atoms]
+    # assigned; an atom whose predicate has no id is UNSET, in no image
+    predicates = index.predicates
+    keys = [2 * predicates[pred] + target if pred in predicates else UNSET
+            for pred, target, _ in rows.atoms]
     n = len(index.objects)
-    # per depth: (atom, target, what each step of the depth's digit adds to
-    # the atom's key, whether the depth completes the atom); an atom of an
-    # arity no problem atom has gets weight 0, as its predicate has no id
-    weights = index.weights
-    depth_rows = [[(ai, targets[ai], weights.get(positions, 0), completes)
-                   for ai, positions, completes in depth]
-                  for depth in rows.depth_rows]
 
     # per depth: the candidates in order, and the base of a step: a key
     # position of the depth's object starts at the digit of the smallest
     # class holding every candidate (0 where no class does), and mapping the
     # object to val moves it by val + 1 - that digit
-    everything = frozenset(range(n))
-    narrowing = index.narrowing
-    candidates: list[Sequence[int]] = []
-    bases: list[int] = []
-    for feats, usages, depth in zip(rows.features, rows.usages, depth_rows):
-        ok = everything
-        if narrowing:
+    candidates: list[Sequence[int]] = [index.orders.get(feats, range(n))
+                                       for feats in rows.features]
+    bases = [1] * len(case_objs)
+    if index.narrowing or index.classes:
+        everything = frozenset(range(n))
+        for depth, usages in enumerate(rows.usages):
+            ok = everything
             for usage in usages:
-                fit = narrowing.get(usage)
+                fit = index.narrowing.get(usage)
                 if fit is not None:
                     ok = ok & fit
-        order = index.orders.get(feats, range(n))
-        candidates.append(order if len(ok) == n else [i for i in order if i in ok])
-        digit = 0
-        for c, cls in enumerate(index.classes):
-            if ok <= cls:
-                digit = n + 1 + c
-                for ai, _, mult, _ in depth:
-                    if keys[ai] != UNSET:
-                        keys[ai] += digit * mult
-                break
-        bases.append(1 - digit)
+            if len(ok) < n:
+                candidates[depth] = [i for i in candidates[depth] if i in ok]
+            for c, cls in enumerate(index.classes):
+                if ok <= cls:
+                    digit = n + 1 + c
+                    for ai, mult, _ in depth_rows[depth]:
+                        if keys[ai] != UNSET:
+                            keys[ai] += digit * mult
+                    bases[depth] = 1 - digit
+                    break
 
     # shut[ai] is OPEN while case atom ai is undecided, else the depth that
     # decided it (-1: decided before the search, by its predicate and the
@@ -383,8 +391,8 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     shut = []
     matched = 0
     alive = 0
-    for ai, (_, _, slots) in enumerate(rows.atoms):
-        if keys[ai] not in targets[ai]:
+    for key, (_, _, slots) in zip(keys, rows.atoms):
+        if key not in images:
             shut.append(-1)
         elif not slots:
             shut.append(-1)
@@ -399,8 +407,9 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     # one as it stands, which returns {} if the budget runs out before a leaf
     greedy_gain, greedy = 0, [UNSET] * len(case_objs)
     if index.classes:
-        greedy_gain, greedy = _greedy_descent(rows.greedy, depth_rows, candidates, bases,
-                                              keys[:], [state == OPEN for state in shut], n)
+        greedy_gain, greedy = _greedy_descent(rows.greedy, depth_rows, images, candidates,
+                                              bases, keys[:], [state == OPEN for state in shut],
+                                              n)
 
     assign = [UNSET] * len(case_objs)
     used = [False] * n
@@ -431,7 +440,7 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
         rows = depth_rows[depth]
         base = bases[depth]
         open_rows = 0
-        for ai, _, _, _ in rows:
+        for ai, _, _ in rows:
             if shut[ai] == OPEN:
                 open_rows += 1
         for val in candidates[depth]:
@@ -444,19 +453,19 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
             step = val + base
             if matched + alive - open_rows <= best_score:
                 dying = 0
-                for ai, target, mult, _ in rows:
-                    if shut[ai] == OPEN and keys[ai] + step * mult not in target:
+                for ai, mult, _ in rows:
+                    if shut[ai] == OPEN and keys[ai] + step * mult not in images:
                         dying += 1
                 if matched + alive - dying <= best_score:
                     continue
             assign[depth] = val
             used[val] = True
             dying = gained = 0
-            for ai, target, mult, completes in rows:
+            for ai, mult, completes in rows:
                 if shut[ai] != OPEN:
                     continue
                 key = keys[ai] + step * mult
-                if key not in target:
+                if key not in images:
                     shut[ai] = depth
                     dying += 1
                 elif completes:
@@ -465,7 +474,7 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
                 else:
                     keys[ai] = key
             dfs(depth + 1, matched + gained, alive - dying - gained)
-            for ai, _, mult, _ in rows:
+            for ai, mult, _ in rows:
                 if shut[ai] == depth:
                     shut[ai] = OPEN
                 elif shut[ai] == OPEN:
@@ -482,11 +491,11 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
             return
         if matched + alive - open_rows <= best_score:
             return
-        for ai, _, _, _ in rows:
+        for ai, _, _ in rows:
             if shut[ai] == OPEN:
                 shut[ai] = depth
         dfs(depth + 1, matched, alive - open_rows)
-        for ai, _, _, _ in rows:
+        for ai, _, _ in rows:
             if shut[ai] == depth:
                 shut[ai] = OPEN
 
@@ -496,7 +505,7 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     return best_assign
 
 
-def _greedy_descent(steps, depth_rows, candidates, bases, keys: list[int],
+def _greedy_descent(steps, depth_rows, images, candidates, bases, keys: list[int],
                     is_open: list[bool], n: int) -> tuple[int, list[int]]:
     """One greedy pass over :func:`best_mapping`'s rows, updating ``keys`` and
     ``is_open`` (copies of the search's) as it goes.
@@ -514,9 +523,9 @@ def _greedy_descent(steps, depth_rows, candidates, bases, keys: list[int],
     for depth, last in steps:
         row = []
         can_complete = 0
-        for (ai, target, mult, _), completes in zip(depth_rows[depth], last):
+        for (ai, mult, _), completes in zip(depth_rows[depth], last):
             if is_open[ai]:
-                row.append((ai, target, mult, completes))
+                row.append((ai, mult, completes))
                 can_complete += completes
         base = bases[depth]
         best_val = UNSET
@@ -529,8 +538,8 @@ def _greedy_descent(steps, depth_rows, candidates, bases, keys: list[int],
                 break
             step = val + base
             kills = completes = 0
-            for ai, target, mult, completes_it in row:
-                if keys[ai] + step * mult not in target:
+            for ai, mult, completes_it in row:
+                if keys[ai] + step * mult not in images:
                     kills += 1
                 elif completes_it:
                     completes += 1
@@ -539,13 +548,13 @@ def _greedy_descent(steps, depth_rows, candidates, bases, keys: list[int],
                 if not kills and completes == can_complete:
                     break
         if best_val == UNSET:
-            for ai, _, _, _ in row:
+            for ai, _, _ in row:
                 is_open[ai] = False
             continue
         step = best_val + base
-        for ai, target, mult, completes_it in row:
+        for ai, mult, completes_it in row:
             key = keys[ai] + step * mult
-            if key not in target:
+            if key not in images:
                 is_open[ai] = False
             elif completes_it:
                 is_open[ai] = False

@@ -365,6 +365,39 @@ def test_unwritable_output_path_is_input_error_before_any_work(tmp_path, capsys,
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command, args, work", [
+    ("solve", ("--incomplete-domain", INCOMPLETE, "--problem", TOWER, "--cases", CASES,
+               "--delta", 1), "solve_with_library"),
+    ("solve-classical", ("--domain", DOMAIN, "--problem", TOWER), "solve"),
+    ("degrade", ("--domain", DOMAIN, "--completeness", 0.8), "degrade"),
+    ("evaluate", ("--domain", DOMAIN, "--problems", "problems", "--plans", "plans"),
+     "evaluate"),
+], ids=["solve", "solve-classical", "degrade", "evaluate"])
+@pytest.mark.parametrize("out, message", [
+    ("missing/x.out", "cannot write to missing/x.out: no directory missing"),
+    ("dir", "cannot write to dir: it is a directory"),
+], ids=["in-missing-dir", "at-dir"])
+def test_unwritable_out_file_is_input_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, args, work, out, message):
+    # the command would otherwise print its results, then fail to write them
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran for an unwritable output path")
+
+    monkeypatch.setattr(caseplan.cli, work, refuse)
+    monkeypatch.chdir(tmp_path)
+    for directory in ("dir", "problems", "plans"):
+        (tmp_path / directory).mkdir()
+    (tmp_path / "problems" / "tower.pddl").write_text(TOWER.read_text())
+    before = _tree_bytes(tmp_path)
+    code, stdout, stderr = run(capsys, command, *args, "--out", out)
+    assert code == INPUT_ERROR
+    assert f"error: {message}" in stderr
+    assert stdout == ""
+    assert sorted(path.name for path in tmp_path.rglob("*")) == \
+        ["dir", "plans", "problems", "tower.pddl"]
+    assert _tree_bytes(tmp_path) == before
+
+
 def test_experiment_reports_accuracy_per_cell_and_route(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code, stdout, _ = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,

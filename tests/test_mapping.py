@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caseplan.cli
 import caseplan.mapping
 from caseplan import (
     CaseFile,
@@ -26,9 +27,11 @@ from caseplan import (
     parse_domain,
 )
 from caseplan.cases import case_to_text
+from caseplan.mapping import RADIX
+from caseplan.pddl import problem_to_pddl
 from caseplan.strips import PlanningProblem, is_subtype
 
-from .conftest import P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
+from .conftest import FIXTURES, P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
 from .oracles import (
     _slot_constraints,
     best_mapping_tuple_keys,
@@ -296,7 +299,6 @@ def killed_at_root(case, problem, index) -> set:
     the index that holds every object fitting its slots, or 0."""
     ids = {o: i for i, o in enumerate(index.objects)}
     n = len(index.objects)
-    radix = n + 1 + len(index.classes)
     types = problem.domain.types
     digit = {}
     for obj, required in _slot_constraints(case, problem).items():
@@ -309,9 +311,9 @@ def killed_at_root(case, problem, index) -> set:
             pid = index.predicates.get((atom.predicate, len(atom.args)))
             if pid is None:
                 continue
-            key = pid + len(index.predicates) * sum(digit[a] * radix ** j
-                                                    for j, a in enumerate(atom.args))
-            if key not in index.images[target]:
+            key = 2 * pid + target + sum(digit[a] * RADIX ** (j + 1)
+                                         for j, a in enumerate(atom.args))
+            if key not in index.images:
                 killed.add((target, atom))
     return killed
 
@@ -382,25 +384,22 @@ def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, oth
 
 def decoded_images(index) -> tuple[frozenset[tuple], ...]:
     """The integer images of a MappingIndex as (predicate id, *positions)
-    tuples, read digit by digit from the key encoding: a position is an
+    tuples per target (init, goal), read digit by digit from the key
+    encoding: the lowest digit is 2 * pid + target, and a position is an
     object id, UNSET, or ("class", c) for the digit of type class c."""
-    count = len(index.predicates)
     n = len(index.objects)
-    radix = n + 1 + len(index.classes)
     arity = {pid: k for (_, k), pid in index.predicates.items()}
-    out = []
-    for keys in index.images:
-        images = set()
-        for key in keys:
-            pid, rest = key % count, key // count
-            args = []
-            for _ in range(arity[pid]):
-                rest, digit = divmod(rest, radix)
-                args.append(digit - 1 if digit <= n else ("class", digit - n - 1))
-            assert rest == 0
-            images.add((pid, *args))
-        out.append(frozenset(images))
-    return tuple(out)
+    out = (set(), set())
+    for key in index.images:
+        rest, low = divmod(key, RADIX)
+        pid, target = divmod(low, 2)
+        args = []
+        for _ in range(arity[pid]):
+            rest, digit = divmod(rest, RADIX)
+            args.append(digit - 1 if digit <= n else ("class", digit - n - 1))
+        assert rest == 0
+        out[target].add((pid, *args))
+    return tuple(frozenset(images) for images in out)
 
 
 def with_classes(images, classes) -> frozenset[tuple]:
@@ -429,13 +428,13 @@ def test_integer_images_decode_to_tuple_images(instance):
     expected = tuple(with_classes(images, index.classes) for images in reference.images)
     assert decoded_images(index) == expected
     # as many keys as tuples: no two images share a key
-    assert [len(keys) for keys in index.images] == [len(images) for images in expected]
+    assert len(index.images) == sum(len(images) for images in expected)
 
 
 @pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])
 def test_index_data_is_read_only(name):
     # the type classes, the narrowing usages, the candidate orders, the
-    # position weights, the object ids and the schema checks are tuples,
+    # object ids, the schema checks and the image set are tuples,
     # frozensets and read-only mappings, as the README promises
     _, problem, _ = typed_instance(name, 0)
     index = mapping_index(problem)
@@ -446,7 +445,8 @@ def test_index_data_is_read_only(name):
                for order in index.orders.values())
     assert all(isinstance(fit, frozenset) and len(fit) < len(index.objects)
                for fit in index.narrowing.values())
-    for mapping in (index.narrowing, index.orders, index.weights, index.ids, index.schemas):
+    assert isinstance(index.images, frozenset)
+    for mapping in (index.narrowing, index.orders, index.ids, index.schemas):
         if not mapping:
             continue
         key = next(iter(mapping))
@@ -472,3 +472,40 @@ def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
     assert fragments == [P1_FRAGMENT, P2_FRAGMENT]
     assert build_fragments(tower, []) == []
     assert calls == [tower]
+
+
+def test_mapping_index_refuses_digits_beyond_the_radix(tmp_path, capsys, blocks, p1):
+    # an untyped problem's digits run up to its object count, and a key holds
+    # digits below RADIX: 1,019 blocks fit, 1,020 do not
+    def table(n):
+        names = [f"b{i}" for i in range(n)]
+        return PlanningProblem(
+            name=f"table{n}", domain=blocks, objects={o: "object" for o in names},
+            init=atoms("handempty", *(f"ontable {o}" for o in names),
+                       *(f"clear {o}" for o in names)),
+            goal=atoms("on b0 b1"))
+
+    fits = table(RADIX - 2)
+    assert mapping_score(p1, best_mapping(p1, fits), fits) == 10
+    with pytest.raises(ValueError, match="table1020: 1020 objects and 0 type classes"):
+        mapping_index(table(RADIX - 1))
+    path = tmp_path / "table.pddl"
+    path.write_text(problem_to_pddl(table(RADIX - 1)))
+    code = caseplan.cli.main(["map", "--domain", str(FIXTURES / "domain.pddl"),
+                              "--problem", str(path), "--cases", str(FIXTURES / "cases")])
+    captured = capsys.readouterr()
+    assert code == caseplan.cli.INPUT_ERROR
+    assert captured.out == ""
+    assert "error: problem table1020: 1020 objects and 0 type classes" in captured.err
+
+
+@pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])
+def test_every_key_is_one_cpython_digit(name):
+    # a key of 2**30 or more takes two CPython digits, which hash and add
+    # slower; the vendored domains' atoms have arity 2 at most
+    for seed in range(3):
+        _, problem, cases = typed_instance(name, seed)
+        assert max(mapping_index(problem).images) < 2 ** 30
+        for _, case in cases:
+            assert all(mult < 2 ** 30 for depth in case.mapping_rows.depth_rows
+                       for _, mult, _ in depth)
