@@ -96,12 +96,14 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     - per row: assembly and the fallbacks, inside the solve call.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
-    solve call (no parsing, no validation) plus the time of every stage it was
-    given, each timed once, when built: the row's skeleton (skeletal plan
-    included), its mining, and the fragments of every case in its prefix. Its
-    mining is the prefix's growth pass, charged in full to each row of the
-    prefix, plus the row's own filter at its delta. The first case's build
-    time in each seed includes the problem's index. With
+    solve call (no parsing, no validation) plus the time of every stage it
+    used, each timed once, when built: the row's skeleton (skeletal plan
+    included) and, where the skeleton has causal pairs, its mining and the
+    fragments of every case in its prefix. Its mining is the prefix's growth
+    pass, charged in full to each row of the prefix, plus the row's own
+    filter at its delta. The first case's build time in each seed includes
+    the problem's index. A row whose skeleton has no pairs is charged neither:
+    a standalone solve with no pairs maps and mines nothing. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     max_cases = max(spec.case_counts)
@@ -140,7 +142,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                             solve_with_library, degraded, library[:num_cases], delta,
                             config=spec.search, assembly_budget=spec.assembly_budget,
                             fragments=fragments, skeletal=skeletal, frequent=frequent)
-                        elapsed += skeleton_s + prefix_s + grown_s + filter_s
+                        elapsed += skeleton_s
+                        if skeletal.pairs:
+                            elapsed += prefix_s + grown_s + filter_s
                         cells[s_idx, c_idx, n_idx, d_idx, p_idx] = RunDetail(ExperimentRow(
                             domain=spec.domain.name,
                             num_cases=num_cases,

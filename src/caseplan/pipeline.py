@@ -22,10 +22,16 @@ STAGE_SKELETAL = "skeletal"
 STAGE_MINING = "mining"
 STAGE_ASSEMBLY = "assembly"
 
+NO_PATTERNS = FrequentFragmentSet((), {})
+
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """What the solver produced and how; ``plan`` is None on overall failure."""
+    """What the solver produced and how; ``plan`` is None on overall failure.
+
+    ``fragments`` and ``frequent`` are the fragments and patterns the solve
+    assembled from. With no causal ``pairs`` there is nothing to assemble, so
+    they are ``()`` and :data:`NO_PATTERNS`, whatever the call was given."""
 
     plan: Plan | None
     route: str | None
@@ -87,7 +93,10 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     """Solve under the problem's (possibly incomplete) model using the case library.
 
     The primary route assembles mined frequent fragments along the causal
-    pairs. If that fails, the skeletal plan is taken where it executes (see
+    pairs. The pairs direct the mining: with none, assembly could only return
+    the empty plan, which the skeletal plan already is where the goal holds
+    initially, so the call maps no case, mines nothing and assembles nothing.
+    If assembly fails, the skeletal plan is taken where it executes (see
     :func:`skeleton`). As a last resort the forward planner is run on the full
     goal; anything returned executes under the problem's own model, though
     only validation against the complete model can tell whether it is really
@@ -102,21 +111,24 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     is what ``skeleton(problem, config)`` returns; it depends only on the
     problem and its model. ``frequent``, when given, is what
     ``mine_fragments(fragments, min_support)`` returns; it does not depend on
-    the model.
+    the model. ``fragments`` and ``frequent`` are ignored, and the outcome
+    reports them empty, when the skeleton has no causal pairs.
     """
     config = config or SearchConfig()
     if skeletal is None:
         skeletal = skeleton(problem, config)
     skeletal_plan, pairs, grounding = skeletal
-    if fragments is None:
-        fragments = tuple(build_fragments(problem, cases))
-    if frequent is None:
-        frequent = mine_fragments(fragments, min_support)
-
-    plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
-                       grounding=grounding)
-    if plan is not None:
-        return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
+    if not pairs:
+        fragments, frequent = (), NO_PATTERNS
+    else:
+        if fragments is None:
+            fragments = tuple(build_fragments(problem, cases))
+        if frequent is None:
+            frequent = mine_fragments(fragments, min_support)
+        plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
+                           grounding=grounding)
+        if plan is not None:
+            return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
 
     if skeletal_plan is not None:
         return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)

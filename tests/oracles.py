@@ -28,14 +28,27 @@ from caseplan import (
     object_features,
     removelinks,
 )
+from caseplan.assemble import concat_frag
 from caseplan.cases import ExperimentRow
 from caseplan.degrade import DegradeSpec, degrade
 from caseplan.evaluate import check_solution
 from caseplan.experiment import ExperimentSpec, RunDetail
 from caseplan.generators import generate_case_library
+from caseplan.mapping import build_fragments
 from caseplan.mining import ActionSeq
-from caseplan.pipeline import solve_with_library
-from caseplan.search import BUDGET, SOLVED, UNSOLVABLE, SearchConfig, SolveResult
+from caseplan.pipeline import (
+    ROUTE_FRAGMENTS,
+    ROUTE_SEARCH,
+    ROUTE_SKELETAL,
+    STAGE_ASSEMBLY,
+    STAGE_MINING,
+    STAGE_SKELETAL,
+    PipelineOutcome,
+    mine_fragments,
+    skeleton,
+    solve_with_library,
+)
+from caseplan.search import BUDGET, SOLVED, UNSOLVABLE, SearchConfig, SolveResult, solve
 from caseplan.strips import (
     ActionSchema,
     ExecutionResult,
@@ -514,6 +527,42 @@ def run_experiment_per_cell(spec: ExperimentSpec) -> tuple[list[ExperimentRow], 
                                                  plan=outcome.plan, route=outcome.route))
     rows.sort(key=ExperimentRow.sort_key)
     return rows, details
+
+
+# The earlier pipeline, kept unchanged as the reference for
+# caseplan.pipeline.solve_with_library, which now maps, mines and assembles
+# only when the skeleton has causal pairs. It shares the stages themselves.
+
+def solve_with_library_eager(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
+                             min_support: int, *, config: SearchConfig | None = None,
+                             assembly_budget: int = 20_000,
+                             search_fallback: bool = True) -> PipelineOutcome:
+    """Map every case, mine the fragments and assemble along the pairs, pairs
+    or not; then the skeletal plan, then the search. With no pairs, assembly
+    returns the empty plan exactly when the goal holds initially, on the
+    fragments route."""
+    config = config or SearchConfig()
+    skeletal_plan, pairs, grounding = skeleton(problem, config)
+    fragments = tuple(build_fragments(problem, cases))
+    frequent = mine_fragments(fragments, min_support)
+    plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
+                       grounding=grounding)
+    if plan is not None:
+        return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
+    if skeletal_plan is not None:
+        return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)
+    if search_fallback:
+        direct = solve(problem, config, grounding)
+        if direct.solved:
+            return PipelineOutcome(direct.plan, ROUTE_SEARCH, None, pairs,
+                                   fragments, frequent)
+    if not pairs:
+        stage = STAGE_SKELETAL
+    elif not frequent.patterns:
+        stage = STAGE_MINING
+    else:
+        stage = STAGE_ASSEMBLY
+    return PipelineOutcome(None, None, stage, pairs, fragments, frequent)
 
 
 # The earlier h_add, kept unchanged as the reference for caseplan.search._h_add,

@@ -128,6 +128,17 @@ def test_solve_golden(tmp_path, capsys):
     assert read_plan(out) == GOLDEN_SOLUTION
 
 
+def test_solve_goal_in_init_reports_the_skeletal_route_and_no_mining(capsys):
+    # no causal pairs: the cases are neither mapped nor mined, and the empty
+    # plan is the skeleton's
+    code, stdout, _ = run(capsys, "solve", "--incomplete-domain", INCOMPLETE,
+                          "--problem", FIXTURES / "goal-in-init.pddl", "--cases", CASES,
+                          "--delta", 1)
+    assert code == OK
+    assert stdout.splitlines() == ["pairs: 0", "fragments: 0", "patterns: 0",
+                                   "status: solved", "route: skeletal", "plan-length: 0"]
+
+
 def test_solve_failure_is_stage_labeled(tmp_path, capsys):
     # empty case library plus a goal no degraded action can achieve
     empty = tmp_path / "empty-cases"

@@ -228,6 +228,34 @@ def test_timing_enabled_fills_cpu_millis(blocks):
     assert all(r.cpu_millis >= 0 for r in rows)
 
 
+def test_cpu_millis_charges_mapping_and_mining_only_to_rows_with_pairs(blocks, monkeypatch):
+    # each stage takes a fixed whole number of seconds, so the sums are exact.
+    # Every row is charged its solve call and its skeleton; only a row whose
+    # skeleton has causal pairs is charged its prefix's fragments (with the
+    # problem's index when the prefix is not empty), growth and filter, since
+    # a standalone solve with no pairs builds none of them
+    seconds = {"mapping_index": 1, "build_fragments": 2, "skeleton": 4,
+               "grow_frequent": 8, "mine_fragments": 16, "solve_with_library": 32}
+
+    def timed(fn, *args, **kwargs):
+        return fn(*args, **kwargs), seconds[fn.__name__]
+
+    monkeypatch.setattr(caseplan.experiment, "_timed", timed)
+    spec = small_spec(blocks, timing=True, problems=make_problem_suite(blocks, 3, 0, n_blocks=4),
+                      case_counts=(0, 3, 6), completeness_levels=(0.2, 1.0), deltas=(1, 2),
+                      seeds=(1,))
+    _, details = run_experiment(spec)
+    with_pairs = 0
+    for detail in details:
+        row = detail.row
+        charged = 32 + 4
+        if caseplan.pipeline.skeleton(detail.problem, spec.search).pairs:
+            with_pairs += 1
+            charged += 2 * row.num_cases + (1 if row.num_cases else 0) + 8 + 16
+        assert row.cpu_millis == charged * 1000, row
+    assert 0 < with_pairs < len(details)
+
+
 def test_problem_id_encodes_seed(blocks):
     rows, _ = run_experiment(small_spec(blocks))
     seeds = {r.problem_id.split("-")[0] for r in rows}

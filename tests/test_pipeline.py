@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from hypothesis import event, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import caseplan.pipeline
 from caseplan import (
     DegradeSpec,
     build_fragments,
@@ -20,6 +22,7 @@ from caseplan import (
 from caseplan.causal import single_goal_plans
 from caseplan.evaluate import check_solution
 from caseplan.pipeline import (
+    NO_PATTERNS,
     ROUTE_FRAGMENTS,
     ROUTE_SEARCH,
     ROUTE_SKELETAL,
@@ -31,7 +34,7 @@ from caseplan.pipeline import (
 from caseplan.strips import PlanningProblem
 
 from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
-from .oracles import execute_plan_on_atoms, trim_on_atoms
+from .oracles import execute_plan_on_atoms, solve_with_library_eager, trim_on_atoms
 
 
 def library():
@@ -65,9 +68,50 @@ def test_goal_already_satisfied(blocks):
     problem = PlanningProblem(name="t", domain=blocks, objects={"a": "object"},
                               init=atoms("ontable a", "clear a", "handempty"),
                               goal=atoms("clear a"))
-    outcome = solve_with_library(problem, [], 1)
+    outcome = solve_with_library(problem, library(), 1)
     assert outcome.plan == ()
     assert skeleton(problem).plan == ()  # a skeletal plan, not None
+    # no fragment makes the empty plan: it is the skeleton's
+    assert outcome.route == ROUTE_SKELETAL
+    assert (outcome.pairs, outcome.fragments, outcome.frequent) == (frozenset(), (), NO_PATTERNS)
+
+
+def no_pair_problems(blocks, tower):
+    """Problems whose skeleton has no causal pairs: a goal that holds
+    initially, a goal one action away, and a goal no action adds."""
+    no_adds = degrade(blocks, DegradeSpec(completeness=0.0, seed=1, scope=("add",)))
+    return {
+        "goal-in-init": replace(tower, goal=atoms("on c a")),
+        "one-step": replace(tower, goal=atoms("holding d")),
+        "no-achiever": replace(tower, domain=no_adds),
+    }
+
+
+@pytest.mark.parametrize("passed_in", [False, True])
+@pytest.mark.parametrize("name, route", [("goal-in-init", ROUTE_SKELETAL),
+                                         ("one-step", ROUTE_SKELETAL),
+                                         ("no-achiever", None)])
+def test_no_pairs_maps_and_mines_nothing(blocks, tower, monkeypatch, passed_in, name, route):
+    # with no pair to direct it, a solve neither builds fragments nor mines
+    # them, also when the caller passes in the fragments and the patterns
+    problem = no_pair_problems(blocks, tower)[name]
+    stages = {}
+    if passed_in:
+        fragments = tuple(build_fragments(problem, library()))
+        stages = dict(fragments=fragments, frequent=mine_fragments(fragments, 1))
+        assert fragments and stages["frequent"].patterns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapped or mined with no causal pairs")
+
+    monkeypatch.setattr(caseplan.pipeline, "build_fragments", refuse)
+    monkeypatch.setattr(caseplan.pipeline, "mine_fragments", refuse)
+    monkeypatch.setattr(caseplan.pipeline, "concat_frag", refuse)
+    outcome = solve_with_library(problem, library(), 1, **stages)
+    assert outcome.pairs == frozenset()
+    assert outcome.route == route
+    assert outcome.failed_stage == (STAGE_SKELETAL if route is None else None)
+    assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
 
 
 def test_failure_stage_skeletal(blocks, tower):
@@ -175,3 +219,29 @@ def test_every_route_is_sound_and_deterministic(instance, completeness, seed, de
         assert execute_plan_on_atoms(solved_under, outcome.plan).success
         assert check_solution(solved_under, outcome.plan, domain) == \
             execute_plan_on_atoms(problem, outcome.plan).success
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["blocks", "driverlog", "depots"]), st.integers(0, 23),
+       st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2**16), st.integers(1, 3))
+@example("depots", 12, 1.0, 0, 1)  # targets whose goal holds initially
+@example("driverlog", 13, 0.6, 5, 2)
+def test_directed_mining_matches_the_eager_pipeline(name, instance_seed, completeness,
+                                                    seed, delta):
+    # skipping the mapping, mining and assembly of a solve with no causal
+    # pairs changes no plan, failed stage or pairs; only a goal that holds
+    # initially moves from the fragments route to the skeletal one
+    domain, problem, cases = typed_instance(name, instance_seed)
+    problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
+    outcome = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
+    eager = solve_with_library_eager(problem, cases, delta, config=SMALL_SEARCH)
+    assert (outcome.plan, outcome.failed_stage, outcome.pairs) == \
+        (eager.plan, eager.failed_stage, eager.pairs)
+    goal_in_init = problem.goal <= problem.init
+    event(f"{domain.name} pairs {bool(eager.pairs)} goal in init {goal_in_init}")
+    if eager.pairs:
+        assert outcome == eager
+    else:
+        assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
+        assert outcome.route == (ROUTE_SKELETAL if goal_in_init else eager.route)
+        assert (eager.route == ROUTE_FRAGMENTS) == goal_in_init
