@@ -139,8 +139,9 @@ class ExperimentRow:
     solved: bool
     plan_length: int
     # wall-clock ms, despite the name, of a standalone solve: the solve call
-    # plus the row's skeleton, its mining and the fragment build of every case
-    # in its library prefix (see caseplan.experiment.run_experiment)
+    # plus the row's skeleton, its mining and the fragment build of each
+    # distinct case key in its library prefix (see
+    # caseplan.experiment.run_experiment)
     cpu_millis: int
 
     def __post_init__(self) -> None:

@@ -10,7 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import build_fragments, mapping_index
+from .mapping import CaseKey, build_fragments, mapping_index
 from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
@@ -81,9 +81,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
       (``spec.cases``) builds them once for every problem, seed and call;
     - per problem: its mapping index and the complete model's grounding,
       for every seed;
-    - per (problem, case), once per seed: the case's fragments. They read only
-      the problem's objects, init and goal and the domain's signatures, which
-      degrading the model never changes;
+    - per (problem, case key), once: the fragments of the first case with
+      that key (``case.mapping_rows.key``), for every later case with it and
+      every seed. They read only the case's key, the problem's objects, init
+      and goal and the domain's signatures, which degrading the model never
+      changes;
     - per (problem, model), that is per (problem, seed, completeness): the
       grounding and the skeleton (the skeletal plan, trimmed and checked,
       and the causal pairs);
@@ -99,10 +101,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     solve call (no parsing, no validation) plus the time of every stage it
     used, each timed once, when built: the row's skeleton (skeletal plan
     included) and, where the skeleton has causal pairs, its mining and the
-    fragments of every case in its prefix. Its mining is the prefix's growth
-    pass, charged in full to each row of the prefix, plus the row's own
-    filter at its delta. The first case's build time in each seed includes
-    the problem's index. A row whose skeleton has no pairs is charged neither:
+    fragment build of each distinct case key in its prefix, once, as a
+    standalone ``build_fragments`` of the prefix reuses them. Its mining is
+    the prefix's growth pass, charged in full to each row of the prefix, plus
+    the row's own filter at its delta. A nonempty prefix is also charged the
+    problem's index. A row whose skeleton has no pairs is charged neither:
     a standalone solve with no pairs maps and mines nothing. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
@@ -122,16 +125,20 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         index, index_s = _timed(mapping_index, problem)
         # the complete model's grounding, on which the problem's plans are validated
         complete = Grounding(spec.domain, problem.objects)
+        # per case key, for every seed: (the fragments of its first case, build seconds)
+        built: dict[CaseKey, tuple[list[Plan], float]] = {}
         for s_idx, (seed, library, models) in enumerate(seeds):
-            # per library case in order: (its fragments, build seconds)
-            built = [_timed(build_fragments, problem, [case], index=index)
-                     for case in library[:max_cases]]
+            keys = [case.mapping_rows.key for _, case in library[:max_cases]]
+            for key, entry in zip(keys, library):
+                if key not in built:
+                    built[key] = _timed(build_fragments, problem, [entry], index=index)
             # per model: (the problem under it, its skeleton, build seconds)
             skeletons = [(degraded, *_timed(skeleton, degraded, spec.search))
                          for degraded in (replace(problem, domain=model) for model in models)]
             for n_idx, num_cases in enumerate(spec.case_counts):
-                fragments = tuple(f for frags, _ in built[:num_cases] for f in frags)
-                prefix_s = sum(s for _, s in built[:num_cases]) + (index_s if num_cases else 0.0)
+                fragments = tuple(f for key in keys[:num_cases] for f in built[key][0])
+                prefix_s = sum(built[key][1] for key in dict.fromkeys(keys[:num_cases])) \
+                    + (index_s if num_cases else 0.0)
                 # one growth pass at the smallest delta; each delta filters it
                 grown, grown_s = _timed(grow_frequent, SequenceDB.from_sequences(fragments),
                                         min(spec.deltas))

@@ -62,16 +62,20 @@ The set-up of a mapping is split by what each part depends on:
 
 - per case, and no domain: a :class:`CaseIndex` (the depth order of the
   case objects, the atom rows and the depth rows with each row's ``mult``,
-  each object's features and usages, the plan rows, and the greedy
-  descent's order and rows), which ``case.mapping_rows`` builds on first
-  use and keeps on the case, so a library mapped onto many problems builds
-  it once per case;
+  each object's features and usages, the plan rows, the greedy descent's
+  order and rows, and the case's :class:`CaseKey`), which
+  ``case.mapping_rows`` builds on first use and keeps on the case, so a
+  library mapped onto many problems builds it once per case;
 - per problem: the :class:`MappingIndex`, with the object ids, the type
   classes, the usages that narrow a case object's candidates, the positions
   of each schema that :func:`extract_fragments` checks, the candidate order
   of each feature set and the image set, shared by every case mapped onto
   the problem and by every degraded model of it;
-- per (case, problem), in :func:`best_mapping`: the atoms' start keys, each
+- per (problem, case key), once: the mapping and the fragments. The key is
+  the case index without names, and mapping and cutting read a case only
+  through it, so :func:`build_fragments` maps and cuts the first case of
+  each key and gives its fragments to every later case with that key. In
+  :func:`best_mapping` this level holds the atoms' start keys, each
   object's candidates and class digit, which atoms are open or dead before
   the search, and the greedy descent where the problem has type classes.
   Without narrowing usages or classes (blocks), the candidates are the
@@ -83,7 +87,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .cases import CaseFile
@@ -151,6 +155,37 @@ class CaseIndex:
     # per step of the greedy descent, in its connected order: (depth, per row
     # of depth_rows[depth] whether the step is the atom's last in that order)
     greedy: tuple[tuple[int, tuple[bool, ...]], ...]
+    key: CaseKey  # the case's shape: what the fields above say, without names
+
+
+@dataclass(frozen=True)
+class CaseKey:
+    """What a :class:`CaseIndex` says of its case once the object names and the
+    numbering of the atoms are dropped: the object count, the sorted atoms as
+    ``((predicate, arity), target, depths)``, the sorted features and the
+    usages per depth, and the plan rows.
+
+    Every decision of :func:`best_mapping` and :func:`extract_fragments` is a
+    count over atoms, a candidate order taken from the problem or a
+    depth-indexed row, so two cases with equal keys get the same assignment
+    per depth at every node budget, and the same fragments, on every problem.
+    Renaming a case may change its depth order among objects with as many
+    atoms, and so its key; then it is only mapped on its own. The hash is
+    computed once, so looking a key up is one dict probe.
+    """
+
+    parts: tuple
+    hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hash", hash(self.parts))
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __reduce__(self):
+        # the hash of a str differs between processes: a loaded key hashes anew
+        return CaseKey, (self.parts,)
 
 
 def _connected_order(depth_rows, slots) -> list[int]:
@@ -206,15 +241,16 @@ def case_index(case: CaseFile) -> CaseIndex:
         for j, o in enumerate(action.args):
             usages[o].add((sig, j))
         plan.append((sig, tuple(depth_of[o] for o in action.args)))
+    plan_rows = tuple(plan)
     features = _features(case)
-    return CaseIndex(
-        case_objs,
-        tuple(((a.predicate, len(a.args)), target, s) for (a, target), s in zip(atoms, slots)),
-        depth_rows,
-        tuple(features.get(o, frozenset()) for o in case_objs),
-        tuple(tuple(sorted(usages[o])) for o in case_objs),
-        tuple(plan),
-        greedy)
+    feature_rows = tuple(features.get(o, frozenset()) for o in case_objs)
+    usage_rows = tuple(tuple(sorted(usages[o])) for o in case_objs)
+    atom_rows = tuple(((a.predicate, len(a.args)), target, s)
+                      for (a, target), s in zip(atoms, slots))
+    key = CaseKey((len(case_objs), tuple(sorted(atom_rows)),
+                   tuple(tuple(sorted(f)) for f in feature_rows), usage_rows, plan_rows))
+    return CaseIndex(case_objs, atom_rows, depth_rows, feature_rows, usage_rows, plan_rows,
+                     greedy, key)
 
 
 @dataclass(frozen=True)
@@ -603,15 +639,23 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
 
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
                     index: MappingIndex | None = None) -> list[Plan]:
-    """Best-map every case onto the problem and collect all plan fragments.
+    """Best-map every case onto the problem and collect all plan fragments, in
+    library order.
 
-    ``index``, when given, is ``mapping_index(problem)``; otherwise it is built
-    once here for all the cases.
+    Only the first case of each :class:`CaseKey` is mapped and cut; a later
+    case with an equal key gets the same fragments. ``index``, when given, is
+    ``mapping_index(problem)``; otherwise it is built once here for all the
+    cases.
     """
     if index is None and cases:
         index = mapping_index(problem)
+    built: dict[CaseKey, list[Plan]] = {}
     out: list[Plan] = []
     for _, case in cases:
-        mapping = best_mapping(case, problem, index=index)
-        out.extend(extract_fragments(case, mapping, problem, index=index))
+        key = case.mapping_rows.key
+        fragments = built.get(key)
+        if fragments is None:
+            mapping = best_mapping(case, problem, index=index)
+            fragments = built[key] = extract_fragments(case, mapping, problem, index=index)
+        out.extend(fragments)
     return out

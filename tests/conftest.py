@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import caseplan.mapping
 from caseplan import (
     ActionSchema,
     Atom,
@@ -242,3 +243,17 @@ def typed_instance(name: str, seed: int):
     cases = generate_case_library(domain, 3, seed, config=SMALL_SEARCH,
                                   problems=[draw(f"case{i}") for i in range(3)])
     return domain, problem, cases
+
+
+def count_best_mapping_calls(monkeypatch) -> list:
+    """Patch ``caseplan.mapping.best_mapping``, which ``build_fragments`` calls,
+    to record the (case, problem) of every call; returns the record."""
+    calls = []
+    real = caseplan.mapping.best_mapping
+
+    def counted(case, problem, **kwargs):
+        calls.append((case, problem))
+        return real(case, problem, **kwargs)
+
+    monkeypatch.setattr(caseplan.mapping, "best_mapping", counted)
+    return calls

@@ -31,7 +31,15 @@ from caseplan.mapping import RADIX
 from caseplan.pddl import problem_to_pddl
 from caseplan.strips import PlanningProblem, is_subtype
 
-from .conftest import FIXTURES, P1_FRAGMENT, P2_FRAGMENT, atoms, plan, typed_instance
+from .conftest import (
+    FIXTURES,
+    P1_FRAGMENT,
+    P2_FRAGMENT,
+    atoms,
+    count_best_mapping_calls,
+    plan,
+    typed_instance,
+)
 from .oracles import (
     _slot_constraints,
     best_mapping_tuple_keys,
@@ -509,3 +517,87 @@ def test_every_key_is_one_cpython_digit(name):
         for _, case in cases:
             assert all(mult < 2 ** 30 for depth in case.mapping_rows.depth_rows
                        for _, mult, _ in depth)
+
+
+# Case keys: build_fragments maps and cuts one case per distinct key.
+
+def renamed_case(case: CaseFile, names: dict[str, str]) -> CaseFile:
+    def move(item):
+        return item._replace(args=tuple(names[a] for a in item.args))
+    return CaseFile(frozenset(map(move, case.init)), frozenset(map(move, case.goal)),
+                    tuple(map(move, case.plan)))
+
+
+def depth_order_renaming(case: CaseFile, rng: random.Random) -> dict[str, str]:
+    """Fresh names for the case's objects, drawn at random except that objects
+    in as many atoms keep their order: so the depth order (atom count, then
+    name) is kept, while the sorted atoms usually come in another order."""
+    rows = case.mapping_rows
+    labels = rng.sample(range(1000), len(rows.case_objs))
+    names = {}
+    for _, group in itertools.groupby(range(len(rows.case_objs)),
+                                      key=lambda d: len(rows.depth_rows[d])):
+        depths = list(group)
+        for depth, label in zip(depths, sorted(labels[d] for d in depths)):
+            names[rows.case_objs[depth]] = f"o{label:03d}"
+    return names
+
+
+def by_depth(case: CaseFile, mapping: dict[str, str]) -> list[str | None]:
+    return [mapping.get(o) for o in case.mapping_rows.case_objs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances, st.integers(0, 2 ** 16))
+def test_a_renaming_that_keeps_the_depth_order_keeps_the_key_and_the_fragments(instance,
+                                                                              seed):
+    _, problem, cases = instance
+    index = mapping_index(problem)
+    rng = random.Random(seed)
+    for _, case in cases:
+        names = depth_order_renaming(case, rng)
+        renamed = renamed_case(case, names)
+        assert renamed.mapping_rows.case_objs == \
+            tuple(names[o] for o in case.mapping_rows.case_objs)
+        assert renamed.mapping_rows.key == case.mapping_rows.key
+        assert hash(renamed.mapping_rows.key) == hash(case.mapping_rows.key)
+        for budget in (1, 3, 30, 200_000):
+            mapping = best_mapping(case, problem, node_budget=budget, index=index)
+            moved = best_mapping(renamed, problem, node_budget=budget, index=index)
+            assert by_depth(renamed, moved) == by_depth(case, mapping)
+            assert extract_fragments(renamed, moved, problem, index=index) == \
+                extract_fragments(case, mapping, problem, index=index)
+
+
+def test_a_different_tie_order_may_change_the_key(monkeypatch, tower):
+    # a and b are in three atoms each, so swapping their names swaps their
+    # depths and the key changes: the swapped case gets its own build
+    case = CaseFile(atoms("clear a", "on a b", "ontable b", "handempty"), atoms("on b a"),
+                    plan("unstack a b,putdown a,pickup b,stack b a"))
+    swapped = renamed_case(case, {"a": "b", "b": "a"})
+    assert swapped.mapping_rows.case_objs == case.mapping_rows.case_objs == ("a", "b")
+    assert swapped.mapping_rows.key != case.mapping_rows.key
+    expected = [f for c in (case, swapped)
+                for f in extract_fragments(c, best_mapping(c, tower), tower)]
+    calls = count_best_mapping_calls(monkeypatch)
+    assert build_fragments(tower, [("case", case), ("swapped", swapped)]) == expected
+    assert len(calls) == 2
+
+
+def test_build_fragments_maps_one_case_per_key(monkeypatch, tower, p1, p2):
+    # b1 and b3 are in four atoms each, b2 and b4 in three: the renaming
+    # keeps the order within each count, so the depth order and the key,
+    # though the atoms sort in another order
+    names = {"b1": "d", "b3": "e", "b2": "a", "b4": "c"}
+    renamed = renamed_case(p1, names)
+    assert sorted(renamed.init) != [a._replace(args=tuple(names[x] for x in a.args))
+                                    for a in sorted(p1.init)]
+    library = [("p1", p1), ("renamed", renamed), ("p2", p2),
+               ("copy", parse_case(case_to_text(p1)))]
+    assert len({case.mapping_rows.key for _, case in library}) == 2
+    expected = [f for _, case in library
+                for f in extract_fragments(case, best_mapping(case, tower), tower)]
+    calls = count_best_mapping_calls(monkeypatch)
+    assert build_fragments(tower, library) == expected == \
+        [P1_FRAGMENT, P1_FRAGMENT, P2_FRAGMENT, P1_FRAGMENT]
+    assert calls == [(p1, tower), (p2, tower)]
