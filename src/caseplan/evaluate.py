@@ -32,7 +32,7 @@ class EvalReport:
 
 def check_solution(problem: PlanningProblem, plan: Plan, complete_model: DomainModel, *,
                    grounding: Grounding | None = None) -> bool:
-    """Does the plan execute to the goal when the complete model replaces Ã?
+    """Does the plan execute to the goal when the complete model replaces the incomplete model?
 
     ``grounding``, when given, must be ``Grounding(complete_model,
     problem.objects)``; a caller checking several plans on one problem builds

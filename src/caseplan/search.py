@@ -152,13 +152,27 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     if h0 == math.inf:
         return SolveResult(UNSOLVABLE, None, 0)
 
-    # Every generated state enters ``parent`` once, before its h is computed,
+    # Every generated state enters ``parent`` once, before any h is computed,
     # so a dead end (h = inf) is evaluated once and never pushed, and no popped
     # state has been expanded before. The goal is tested when a state is
     # generated: h is 0 only on a goal state, and a goal state generated
     # earlier would have been popped before this expansion, so the state
     # returned is the next one a goal test at pop would take, with the same
-    # expansion count.
+    # expansion count. An expansion records and tests all its new successors
+    # before it evaluates any, so the one that finds the goal evaluates none.
+    #
+    # With a single goal atom g, h is 1 exactly when g does not hold and the
+    # precondition of some action adding g does. A state of h 1 generates the
+    # goal when it is expanded (adds are applied after deletes, and that goal
+    # state cannot have been generated before), so no queued state has h < 2
+    # when an expansion begins. The first new successor, in op order, where an
+    # achiever applies therefore has the least key and the lowest counter among
+    # the keys it ties: it is popped next, and its expansion returns the plan or
+    # the budget check fires first. The siblings it leaves unevaluated could
+    # never be popped, so it is queued alone, with key 1.
+    achiever_pres = None
+    if len(goal_ids) == 1:
+        achiever_pres = [pre for pre, add, _ in grounding.ops_ids if goal_ids[0] in add]
     parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
     heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
     counter = 1
@@ -169,12 +183,22 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
         if expansions >= config.max_expansions:
             return SolveResult(BUDGET, None, expansions)
         expansions += 1
+        fresh = []
         for op_idx, succ in grounding.successors(state):
             if succ in parent:
                 continue
             parent[succ] = (state, op_idx)
             if goal <= succ:
                 return _solved(problem, grounding, parent, succ, expansions)
+            fresh.append(succ)
+        if achiever_pres is not None:
+            near = next((succ for succ in fresh
+                         if any(pre <= succ for pre in achiever_pres)), None)
+            if near is not None:
+                heapq.heappush(heap, (1.0, counter, near))
+                counter += 1
+                continue
+        for succ in fresh:
             hs = _h_add(succ, goal_ids, grounding)
             if hs < math.inf:
                 heapq.heappush(heap, (hs, counter, succ))

@@ -652,17 +652,8 @@ def solve_testing_goal_at_pop(problem: PlanningProblem, config: SearchConfig,
     while heap:
         _, _, state = heapq.heappop(heap)
         if goal <= state:
-            steps = []
-            cur = state
-            while parent[cur] is not None:
-                prev, op_idx = parent[cur]
-                steps.append(grounding.ground_actions[op_idx])
-                cur = prev
-            plan = tuple(reversed(steps))
-            check = execute_plan_on_atoms(problem, plan)
-            if not check.success:
-                raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
-            return SolveResult(SOLVED, plan, expansions)
+            return SolveResult(SOLVED, _checked_plan(problem, grounding, parent, state),
+                               expansions)
         if expansions >= config.max_expansions:
             return SolveResult(BUDGET, None, expansions)
         expansions += 1
@@ -675,6 +666,65 @@ def solve_testing_goal_at_pop(problem: PlanningProblem, config: SearchConfig,
                 heapq.heappush(heap, (hs, counter, succ))
                 counter += 1
     return SolveResult(UNSOLVABLE, None, expansions)
+
+
+# The earlier solve loop, kept unchanged as the reference for
+# caseplan.search.solve, which now records and tests every new successor
+# before it evaluates any and, with a single goal atom, queues a successor
+# where an achiever applies without evaluating it or its siblings. This one
+# evaluates each new successor as it is generated, up to the goal successor.
+# The heuristic is a parameter, so a property can compare the states the two
+# evaluate; the self-check runs the plan on atoms.
+
+def solve_evaluating_every_successor(problem: PlanningProblem, config: SearchConfig,
+                                     grounding: Grounding,
+                                     h=h_add_rebuilding_index) -> SolveResult:
+    init = grounding.encode(problem.init)
+    goal = grounding.encode(problem.goal)
+    goal_ids = tuple(sorted(goal))
+
+    if goal <= init:
+        return SolveResult(SOLVED, (), 0)
+
+    h0 = h(init, goal_ids, grounding)
+    if h0 == math.inf:
+        return SolveResult(UNSOLVABLE, None, 0)
+
+    parent: dict[frozenset[int], tuple[frozenset[int], int] | None] = {init: None}
+    heap: list[tuple[float, int, frozenset[int]]] = [(h0, 0, init)]
+    counter = 1
+    expansions = 0
+
+    while heap:
+        _, _, state = heapq.heappop(heap)
+        if expansions >= config.max_expansions:
+            return SolveResult(BUDGET, None, expansions)
+        expansions += 1
+        for op_idx, succ in grounding.successors(state):
+            if succ in parent:
+                continue
+            parent[succ] = (state, op_idx)
+            if goal <= succ:
+                return SolveResult(SOLVED, _checked_plan(problem, grounding, parent, succ),
+                                   expansions)
+            hs = h(succ, goal_ids, grounding)
+            if hs < math.inf:
+                heapq.heappush(heap, (hs, counter, succ))
+                counter += 1
+    return SolveResult(UNSOLVABLE, None, expansions)
+
+
+def _checked_plan(problem: PlanningProblem, grounding: Grounding, parent, state) -> Plan:
+    """The plan that ``parent`` records to ``state``, run on atoms as a self-check."""
+    steps = []
+    while parent[state] is not None:
+        state, op_idx = parent[state]
+        steps.append(grounding.ground_actions[op_idx])
+    plan = tuple(reversed(steps))
+    check = execute_plan_on_atoms(problem, plan)
+    if not check.success:
+        raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
+    return plan
 
 
 # The earlier Grounding construction, kept unchanged as the reference for

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 
@@ -35,6 +36,7 @@ from .oracles import (
     GroundingThroughGrounded,
     bfs_plan,
     h_add_rebuilding_index,
+    solve_evaluating_every_successor,
     solve_testing_goal_at_pop,
 )
 
@@ -167,21 +169,26 @@ def test_determinism(blocks):
     assert first.expansions == second.expansions
 
 
-def counted_h_add(monkeypatch):
-    """Wrap caseplan.search._h_add; the list records each state it is called on."""
-    calls = []
-
-    def counted(state, goal_ids, grounding):
+def recording_h_add(calls: list):
+    """_h_add, appending to ``calls`` each state it is called on."""
+    def recorded(state, goal_ids, grounding):
         calls.append(state)
         return _h_add(state, goal_ids, grounding)
 
-    monkeypatch.setattr(caseplan.search, "_h_add", counted)
+    return recorded
+
+
+def counted_h_add(monkeypatch):
+    """Wrap caseplan.search._h_add; the list records each state it is called on."""
+    calls = []
+    monkeypatch.setattr(caseplan.search, "_h_add", recording_h_add(calls))
     return calls
 
 
 def test_goal_is_tested_when_generated(blocks, monkeypatch):
-    # (holding d) is one action from the tower's init: the init is evaluated,
-    # then each new successor generated before the goal successor, and no more
+    # (holding d) is one action from the tower's init, and the goal successor
+    # is the second one generated: the init is evaluated, and the expansion
+    # that generates the goal evaluates none of its successors
     problem = replace(make_tower_problem(blocks), goal=atoms("holding d"))
     grounding = Grounding.for_problem(problem)
     goal = grounding.encode(problem.goal)
@@ -191,14 +198,17 @@ def test_goal_is_tested_when_generated(blocks, monkeypatch):
     result = solve(problem, grounding=grounding)
     assert (result.status, result.expansions) == (SOLVED, 1)
     assert [a.pddl() for a in result.plan] == ["(pickup d)"]
-    assert before == 1 and len(calls) == 1 + before
+    assert before == 1 and len(calls) == 1
 
 
 def test_dead_end_is_evaluated_once(monkeypatch):
     # Propositional ops (pre -> add, del). From (s), (a) and (b) both have
     # h = 2, so (a) is expanded first, by discovery order; its successors
     # (x) and (z) are dead ends. Then (b) is expanded, and it too leads to (x).
-    # Without `finish`, (b) is a dead end too and the space is exhausted.
+    # With `finish`, (b)'s other successor (c) is queued unevaluated: `finish`
+    # applies there, so h is 1. (s), (a), (b), (x) and (z) are evaluated.
+    # Without `finish`, (b) is a dead end too and the space is exhausted after
+    # the same five evaluations.
     def op(name, pre, add, delete=()):
         return ActionSchema(name, (), pre=atoms(*pre), add=atoms(*add), delete=atoms(*delete))
 
@@ -207,7 +217,7 @@ def test_dead_end_is_evaluated_once(monkeypatch):
            op("make_z", ["a"], ["z"], ["a"]), op("win_a", ["a", "z"], ["g"]),
            op("b_to_c", ["b"], ["c"], ["b"]), op("finish", ["c"], ["g"])]
     names = {a.predicate for o in ops for a in o.pre | o.add}
-    expected = {True: (SOLVED, ["to_b", "b_to_c", "finish"], 4, 6),
+    expected = {True: (SOLVED, ["to_b", "b_to_c", "finish"], 4, 5),
                 False: (UNSOLVABLE, None, 2, 5)}
     for with_finish, (status, plan, expansions, evaluated) in expected.items():
         model = DomainModel(name="dead", types={}, predicates={n: () for n in names},
@@ -222,6 +232,41 @@ def test_dead_end_is_evaluated_once(monkeypatch):
         assert result == solve_testing_goal_at_pop(problem, SearchConfig(), grounding)
         assert calls.count(grounding.encode(atoms("x"))) == 1
         assert len(calls) == len(set(calls)) == evaluated
+
+
+def test_a_one_step_successor_is_queued_unevaluated(monkeypatch):
+    # Propositional ops (pre -> add, del), single goal (g). (t) is expanded
+    # second; of its successors (l), (m) and (n), only (n) has an applicable
+    # achiever of (g), `e_win`, and it is third in op order. So that expansion
+    # evaluates nothing, and the next one, of (n), generates the goal.
+    def op(name, pre, add, delete=()):
+        return ActionSchema(name, (), pre=atoms(*pre), add=atoms(*add), delete=atoms(*delete))
+
+    ops = [op("a_go", ["s"], ["t"], ["s"]), op("b_l", ["t"], ["l"], ["t"]),
+           op("c_m", ["t"], ["m"], ["t"]), op("d_n", ["t"], ["n"], ["t"]),
+           op("e_win", ["n"], ["g"]), op("f_l", ["l"], ["n"], ["l"]),
+           op("f_m", ["m"], ["n"], ["m"])]
+    names = {a.predicate for o in ops for a in o.pre | o.add}
+    model = DomainModel(name="near", types={}, predicates={n: () for n in names},
+                        schemas={o.name: o for o in ops})
+    problem = PlanningProblem(name="near", domain=model, objects={},
+                              init=atoms("s"), goal=atoms("g"))
+    grounding = Grounding(model, {})
+    t = grounding.encode(atoms("t"))
+    assert [succ for _, succ in grounding.successors(t)] == [
+        grounding.encode(atoms(x)) for x in ("l", "m", "n")]
+    for budget, status, plan, expansions in ((100, SOLVED, ["a_go", "d_n", "e_win"], 3),
+                                             (2, BUDGET, None, 2)):
+        config = SearchConfig(max_expansions=budget)
+        calls = counted_h_add(monkeypatch)
+        result = solve(problem, config, grounding)
+        assert (result.status, result.expansions) == (status, expansions)
+        assert (result.plan and [a.name for a in result.plan]) == plan
+        assert calls == [grounding.encode(atoms("s")), t]
+        oracle_calls = []
+        assert result == solve_evaluating_every_successor(
+            problem, config, grounding, h=recording_h_add(oracle_calls))
+        assert len(oracle_calls) == 5
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,6 +291,30 @@ def test_solve_matches_goal_at_pop_reference(name, seed, completeness, degrade_s
         sub = replace(problem, goal=goal)
         assert solve(sub, config, grounding) == solve_testing_goal_at_pop(
             sub, config, grounding, h=checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["blocks", "driverlog", "depots"]), st.integers(0, 2),
+       st.sampled_from([1.0, 0.8, 0.5]), st.integers(0, 5), st.sampled_from([1, 4, 300]))
+def test_solve_evaluates_a_sub_multiset_of_the_reference(name, seed, completeness,
+                                                         degrade_seed, max_expansions):
+    # for the full goal and each single goal: the same result, and no state
+    # evaluated that the search evaluating every new successor does not
+    # evaluate as often
+    domain, problem, _ = typed_instance(name, seed)
+    model = degrade(domain, DegradeSpec(completeness=completeness, seed=degrade_seed))
+    problem = replace(problem, domain=model)
+    grounding = Grounding.for_problem(problem)
+    config = SearchConfig(max_expansions=max_expansions)
+    with pytest.MonkeyPatch.context() as patched:
+        calls = counted_h_add(patched)
+        for goal in [problem.goal, *(frozenset({atom}) for atom in sorted(problem.goal))]:
+            sub = replace(problem, goal=goal)
+            calls.clear()
+            reference_calls = []
+            assert solve(sub, config, grounding) == solve_evaluating_every_successor(
+                sub, config, grounding, h=recording_h_add(reference_calls))
+            assert not Counter(calls) - Counter(reference_calls)
 
 
 def test_bad_config():
