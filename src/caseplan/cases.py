@@ -140,8 +140,8 @@ class ExperimentRow:
     plan_length: int
     # wall-clock ms, despite the name, of a standalone solve: the solve call
     # plus the row's skeleton, its mining and the fragment build of each
-    # distinct case key in its library prefix (see
-    # caseplan.experiment.run_experiment)
+    # distinct case shape (a case's mapping_rows, which compare without
+    # names) in its library prefix (see caseplan.experiment.run_experiment)
     cpu_millis: int
 
     def __post_init__(self) -> None:

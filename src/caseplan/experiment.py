@@ -10,7 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import CaseKey, build_fragments, mapping_index
+from .mapping import CaseIndex, build_fragments, mapping_index
 from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
@@ -81,11 +81,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
       (``spec.cases``) builds them once for every problem, seed and call;
     - per problem: its mapping index and the complete model's grounding,
       for every seed;
-    - per (problem, case key), once: the fragments of the first case with
-      that key (``case.mapping_rows.key``), for every later case with it and
-      every seed. They read only the case's key, the problem's objects, init
-      and goal and the domain's signatures, which degrading the model never
-      changes;
+    - per (problem, case index), once: the fragments of the first case with
+      that index (``case.mapping_rows``, which compares without names), for
+      every later case with an equal one and every seed. They read only the
+      case's index, the problem's objects, init and goal and the domain's
+      signatures, which degrading the model never changes;
     - per (problem, model), that is per (problem, seed, completeness): the
       grounding and the skeleton (the skeletal plan, trimmed and checked,
       and the causal pairs);
@@ -101,7 +101,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     solve call (no parsing, no validation) plus the time of every stage it
     used, each timed once, when built: the row's skeleton (skeletal plan
     included) and, where the skeleton has causal pairs, its mining and the
-    fragment build of each distinct case key in its prefix, once, as a
+    fragment build of each distinct case index in its prefix, once, as a
     standalone ``build_fragments`` of the prefix reuses them. Its mining is
     the prefix's growth pass, charged in full to each row of the prefix, plus
     the row's own filter at its delta. A nonempty prefix is also charged the
@@ -125,10 +125,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         index, index_s = _timed(mapping_index, problem)
         # the complete model's grounding, on which the problem's plans are validated
         complete = Grounding(spec.domain, problem.objects)
-        # per case key, for every seed: (the fragments of its first case, build seconds)
-        built: dict[CaseKey, tuple[list[Plan], float]] = {}
+        # per case index, for every seed: (the fragments of its first case, build seconds)
+        built: dict[CaseIndex, tuple[list[Plan], float]] = {}
         for s_idx, (seed, library, models) in enumerate(seeds):
-            keys = [case.mapping_rows.key for _, case in library[:max_cases]]
+            keys = [case.mapping_rows for _, case in library[:max_cases]]
             for key, entry in zip(keys, library):
                 if key not in built:
                     built[key] = _timed(build_fragments, problem, [entry], index=index)

@@ -61,25 +61,25 @@ lower.
 The set-up of a mapping is split by what each part depends on:
 
 - per case, and no domain: a :class:`CaseIndex` (the depth order of the
-  case objects, the atom rows and the depth rows with each row's ``mult``,
-  each object's features and usages, the plan rows, the greedy descent's
-  order and rows, and the case's :class:`CaseKey`), which
-  ``case.mapping_rows`` builds on first use and keeps on the case, so a
-  library mapped onto many problems builds it once per case;
+  case objects, the atom rows in sorted order and the depth rows with each
+  row's ``mult``, each object's features and usages, the plan rows, and the
+  greedy descent's order and rows), which ``case.mapping_rows`` builds on
+  first use and keeps on the case, so a library mapped onto many problems
+  builds it once per case;
 - per problem: the :class:`MappingIndex`, with the object ids, the type
   classes, the usages that narrow a case object's candidates, the positions
   of each schema that :func:`extract_fragments` checks, the candidate order
   of each feature set and the image set, shared by every case mapped onto
   the problem and by every degraded model of it;
-- per (problem, case key), once: the mapping and the fragments. The key is
-  the case index without names, and mapping and cutting read a case only
-  through it, so :func:`build_fragments` maps and cuts the first case of
-  each key and gives its fragments to every later case with that key. In
-  :func:`best_mapping` this level holds the atoms' start keys, each
-  object's candidates and class digit, which atoms are open or dead before
-  the search, and the greedy descent where the problem has type classes.
-  Without narrowing usages or classes (blocks), the candidates are the
-  index's order for each object's features and every start key is the
+- per (problem, case index), once: the mapping and the fragments. An index
+  compares and hashes without the object names, and mapping and cutting
+  read a case only through it, so :func:`build_fragments` maps and cuts the
+  first case of each index and gives its fragments to every later case with
+  an equal one. In :func:`best_mapping` this level holds the atoms' start
+  keys, each object's candidates and class digit, which atoms are open or
+  dead before the search, and the greedy descent where the problem has type
+  classes. Without narrowing usages or classes (blocks), the candidates are
+  the index's order for each object's features and every start key is the
   atom's lowest digit.
 """
 
@@ -134,58 +134,48 @@ Signature = tuple[str, str, int]
 @dataclass(frozen=True)
 class CaseIndex:
     """What :func:`best_mapping` and :func:`extract_fragments` read of a case,
-    with each case object named by its depth in the search.
+    with each case object named by its depth in the search and each atom by
+    its place among the case's sorted rows.
 
     Built by :func:`case_index`, through ``case.mapping_rows``. It reads the
     case alone, no domain or problem, so one serves every problem and every
-    model the case is mapped onto.
+    model the case is mapped onto. Only ``case_objs`` holds names and every
+    other field follows from ``atoms`` and ``plan``, so an index compares and
+    hashes by those two. Every decision of :func:`best_mapping` and
+    :func:`extract_fragments` is a count over atoms, a candidate order taken
+    from the problem or a depth-indexed row, so cases with equal indexes get
+    the same assignment per depth at every node budget, and the same
+    fragments, on every problem. Renaming a case may change its depth order
+    among objects with as many atoms, and so its index. The hash is computed
+    once, so looking an index up is one dict probe.
     """
 
-    case_objs: tuple[str, ...]  # depth -> case object, most atoms first, then by name
-    # per atom, sorted init atoms then sorted goal atoms: ((predicate, arity),
-    # target (0 init, 1 goal), the depth of each argument)
+    case_objs: tuple[str, ...] = field(compare=False)  # depth -> object, most atoms first, by name
+    # per atom, in sorted order: ((predicate, arity), target (0 init, 1 goal),
+    # the depth of each argument)
     atoms: tuple[tuple[tuple[str, int], int, tuple[int, ...]], ...]
     # per depth, per atom its object occurs in: (atom, what each step of the
     # object's digit adds to the atom's key, whether the depth is the atom's last)
-    depth_rows: tuple[tuple[tuple[int, int, bool], ...], ...]
-    features: tuple[frozenset[str], ...]  # per depth: the object's object_features
+    depth_rows: tuple[tuple[tuple[int, int, bool], ...], ...] = field(compare=False)
+    features: tuple[frozenset[str], ...] = field(compare=False)  # per depth: object_features
     # per depth: the object's usages, as (signature, position)
-    usages: tuple[tuple[tuple[Signature, int], ...], ...]
+    usages: tuple[tuple[tuple[Signature, int], ...], ...] = field(compare=False)
     plan: tuple[tuple[Signature, tuple[int, ...]], ...]  # per action: (signature, arg depths)
     # per step of the greedy descent, in its connected order: (depth, per row
     # of depth_rows[depth] whether the step is the atom's last in that order)
-    greedy: tuple[tuple[int, tuple[bool, ...]], ...]
-    key: CaseKey  # the case's shape: what the fields above say, without names
-
-
-@dataclass(frozen=True)
-class CaseKey:
-    """What a :class:`CaseIndex` says of its case once the object names and the
-    numbering of the atoms are dropped: the object count, the sorted atoms as
-    ``((predicate, arity), target, depths)``, the sorted features and the
-    usages per depth, and the plan rows.
-
-    Every decision of :func:`best_mapping` and :func:`extract_fragments` is a
-    count over atoms, a candidate order taken from the problem or a
-    depth-indexed row, so two cases with equal keys get the same assignment
-    per depth at every node budget, and the same fragments, on every problem.
-    Renaming a case may change its depth order among objects with as many
-    atoms, and so its key; then it is only mapped on its own. The hash is
-    computed once, so looking a key up is one dict probe.
-    """
-
-    parts: tuple
+    greedy: tuple[tuple[int, tuple[bool, ...]], ...] = field(compare=False)
     hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hash", hash(self.parts))
+        object.__setattr__(self, "hash", hash((self.atoms, self.plan)))
 
     def __hash__(self) -> int:
         return self.hash
 
     def __reduce__(self):
-        # the hash of a str differs between processes: a loaded key hashes anew
-        return CaseKey, (self.parts,)
+        # the hash of a str differs between processes: a loaded index hashes anew
+        return CaseIndex, (self.case_objs, self.atoms, self.depth_rows, self.features,
+                           self.usages, self.plan, self.greedy)
 
 
 def _connected_order(depth_rows, slots) -> list[int]:
@@ -211,46 +201,43 @@ def _connected_order(depth_rows, slots) -> list[int]:
 
 def case_index(case: CaseFile) -> CaseIndex:
     """The case's :class:`CaseIndex`; ``case.mapping_rows`` builds it once and keeps it."""
-    atoms = [(a, 0) for a in sorted(case.init)] + [(a, 1) for a in sorted(case.goal)]
-    obj_atoms: dict[str, list[int]] = {o: [] for o in case.objects()}
-    for ai, (atom, _) in enumerate(atoms):
+    counts = dict.fromkeys(case.objects(), 0)  # per object: the atoms it occurs in
+    for atom in itertools.chain(case.init, case.goal):
         for o in set(atom.args):
-            obj_atoms[o].append(ai)
-    case_objs = tuple(sorted(obj_atoms, key=lambda o: (-len(obj_atoms[o]), o)))
+            counts[o] += 1
+    case_objs = tuple(sorted(counts, key=lambda o: (-counts[o], o)))
     depth_of = {o: d for d, o in enumerate(case_objs)}
-    slots = [tuple(depth_of[x] for x in atom.args) for atom, _ in atoms]
+    atom_rows = tuple(sorted(((a.predicate, len(a.args)), target, tuple(map(depth_of.get, a.args)))
+                             for target, part in enumerate((case.init, case.goal)) for a in part))
+    slots = [s for _, _, s in atom_rows]
+    depth_atoms: list[list[int]] = [[] for _ in case_objs]
+    usages: list[set[tuple[Signature, int]]] = [set() for _ in case_objs]
+    for ai, ((pred, arity), _, depths) in enumerate(atom_rows):
+        for d in set(depths):
+            depth_atoms[d].append(ai)
+        for j, d in enumerate(depths):
+            usages[d].add(((PREDICATE, pred, arity), j))
     depth_rows = tuple(
         tuple((ai, sum(RADIX ** (j + 1) for j, s in enumerate(slots[ai]) if s == d),
                max(slots[ai]) == d)
-              for ai in obj_atoms[o])
-        for d, o in enumerate(case_objs))
+              for ai in ais)
+        for d, ais in enumerate(depth_atoms))
     order = _connected_order(depth_rows, slots)
     step_of = {d: k for k, d in enumerate(order)}
     greedy = tuple(
         (d, tuple(max(step_of[s] for s in slots[ai]) == step_of[d]
                   for ai, _, _ in depth_rows[d]))
         for d in order)
-    usages: dict[str, set[tuple[Signature, int]]] = {o: set() for o in case_objs}
-    for atom, _ in atoms:
-        sig = (PREDICATE, atom.predicate, len(atom.args))
-        for j, o in enumerate(atom.args):
-            usages[o].add((sig, j))
     plan = []
     for action in case.plan:
         sig = (ACTION, action.name, len(action.args))
         for j, o in enumerate(action.args):
-            usages[o].add((sig, j))
-        plan.append((sig, tuple(depth_of[o] for o in action.args)))
-    plan_rows = tuple(plan)
+            usages[depth_of[o]].add((sig, j))
+        plan.append((sig, tuple(map(depth_of.get, action.args))))
     features = _features(case)
-    feature_rows = tuple(features.get(o, frozenset()) for o in case_objs)
-    usage_rows = tuple(tuple(sorted(usages[o])) for o in case_objs)
-    atom_rows = tuple(((a.predicate, len(a.args)), target, s)
-                      for (a, target), s in zip(atoms, slots))
-    key = CaseKey((len(case_objs), tuple(sorted(atom_rows)),
-                   tuple(tuple(sorted(f)) for f in feature_rows), usage_rows, plan_rows))
-    return CaseIndex(case_objs, atom_rows, depth_rows, feature_rows, usage_rows, plan_rows,
-                     greedy, key)
+    return CaseIndex(case_objs, atom_rows, depth_rows,
+                     tuple(features.get(o, frozenset()) for o in case_objs),
+                     tuple(tuple(sorted(u)) for u in usages), tuple(plan), greedy)
 
 
 @dataclass(frozen=True)
@@ -642,20 +629,21 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     """Best-map every case onto the problem and collect all plan fragments, in
     library order.
 
-    Only the first case of each :class:`CaseKey` is mapped and cut; a later
-    case with an equal key gets the same fragments. ``index``, when given, is
+    Only the first case of each :class:`CaseIndex` (``case.mapping_rows``,
+    which compares without names) is mapped and cut; a later case with an
+    equal index gets the same fragments. ``index``, when given, is
     ``mapping_index(problem)``; otherwise it is built once here for all the
     cases.
     """
     if index is None and cases:
         index = mapping_index(problem)
-    built: dict[CaseKey, list[Plan]] = {}
+    built: dict[CaseIndex, list[Plan]] = {}
     out: list[Plan] = []
     for _, case in cases:
-        key = case.mapping_rows.key
-        fragments = built.get(key)
+        rows = case.mapping_rows
+        fragments = built.get(rows)
         if fragments is None:
             mapping = best_mapping(case, problem, index=index)
-            fragments = built[key] = extract_fragments(case, mapping, problem, index=index)
+            fragments = built[rows] = extract_fragments(case, mapping, problem, index=index)
         out.extend(fragments)
     return out

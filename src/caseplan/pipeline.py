@@ -113,7 +113,11 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     ``mine_fragments(fragments, min_support)`` returns; it does not depend on
     the model. ``fragments`` and ``frequent`` are ignored, and the outcome
     reports them empty, when the skeleton has no causal pairs.
+
+    ``min_support`` below 1 is a ``ValueError``, raised before any stage runs.
     """
+    if min_support < 1:
+        raise ValueError(f"min_support {min_support} must be >= 1")
     config = config or SearchConfig()
     if skeletal is None:
         skeletal = skeleton(problem, config)

@@ -86,11 +86,9 @@ class ActionSchema:
 def is_subtype(types: Mapping[str, str | None], t: str, ancestor: str) -> bool:
     """True when ``t`` equals ``ancestor`` or is below it in the hierarchy."""
     cur: str | None = t
-    seen = set()
-    while cur is not None and cur not in seen:
+    while cur is not None:
         if cur == ancestor:
             return True
-        seen.add(cur)
         cur = types.get(cur)
     return False
 
@@ -120,6 +118,13 @@ class DomainModel:
         for t, parent in self.types.items():
             if parent is not None and parent not in self.types:
                 raise StripsError(f"type {t} has undeclared parent {parent}")
+        for t, parent in self.types.items():
+            above = {t}  # t and its ancestors up to parent
+            while parent is not None:
+                if parent in above:
+                    raise StripsError(f"type {parent} is its own ancestor")
+                above.add(parent)
+                parent = self.types[parent]
         for pred, sig in self.predicates.items():
             for pt in sig:
                 if pt not in self.types:

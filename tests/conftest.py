@@ -145,6 +145,14 @@ def make_p2() -> CaseFile:
                   "pickup b1,stack b1 b2,pickup b3,stack b3 b1"))
 
 
+def renamed_case(case: CaseFile, names: dict[str, str]) -> CaseFile:
+    """The case with each object renamed by ``names``."""
+    def move(item):
+        return item._replace(args=tuple(names[a] for a in item.args))
+    return CaseFile(frozenset(map(move, case.init)), frozenset(map(move, case.goal)),
+                    tuple(map(move, case.plan)))
+
+
 @pytest.fixture(scope="session")
 def blocks():
     return make_blocks_domain()

@@ -107,16 +107,16 @@ def test_mapped_case_is_the_value_a_fresh_parse_is(fixture_dir, tower):
 
 
 def test_a_loaded_case_key_hashes_anew(fixture_dir):
-    # a str hashes differently in another process, so a key's kept hash is
-    # not loaded with it: a stale one would hide an equal key from the
+    # a str hashes differently in another process, so an index's kept hash
+    # is not loaded with it: a stale one would hide an equal index from the
     # fragments memo of build_fragments
     case = parse_case((fixture_dir / "cases" / "p1.case").read_text())
-    key = case.mapping_rows.key
-    object.__setattr__(key, "hash", hash(key.parts) + 1)
+    rows = case.mapping_rows
+    object.__setattr__(rows, "hash", hash((rows.atoms, rows.plan)) + 1)
     restored = pickle.loads(pickle.dumps(case))
-    assert restored.mapping_rows.key == key
-    assert hash(restored.mapping_rows.key) == hash(key.parts) == \
-        hash(case_index(case).key)
+    assert restored.mapping_rows == rows
+    assert hash(restored.mapping_rows) == hash((rows.atoms, rows.plan)) == \
+        hash(case_index(case))
 
 
 def test_library_round_trip_byte_identical(tmp_path):

@@ -434,11 +434,28 @@ def test_experiment_reports_accuracy_per_cell_and_route(tmp_path, capsys):
 
 
 def test_zero_delta_is_input_error_with_or_without_cases(capsys):
-    solve = ("solve", "--incomplete-domain", INCOMPLETE, "--problem", TOWER, "--delta", 0)
-    for extra in ((), ("--cases", CASES)):
-        code, _, stderr = run(capsys, *solve, *extra)
-        assert code == INPUT_ERROR
-        assert "min_support" in stderr
+    # also where the goal holds initially, so no causal pair directs mining
+    for problem in (TOWER, FIXTURES / "goal-in-init.pddl"):
+        solve = ("solve", "--incomplete-domain", INCOMPLETE, "--problem", problem, "--delta", 0)
+        for extra in ((), ("--cases", CASES)):
+            code, _, stderr = run(capsys, *solve, *extra)
+            assert code == INPUT_ERROR
+            assert "min_support" in stderr
+
+
+def test_cyclic_type_hierarchy_is_input_error(tmp_path, capsys):
+    domain = tmp_path / "cyclic.pddl"
+    domain.write_text("(define (domain cyclic) (:requirements :strips :typing)\n"
+                      "  (:types a - b b - a) (:predicates (p ?x - a))\n"
+                      "  (:action go :parameters (?x - a) :precondition () :effect (p ?x)))\n")
+    problem = tmp_path / "problem.pddl"
+    problem.write_text("(define (problem p) (:domain cyclic) (:objects x - a)\n"
+                       "  (:init) (:goal (p x)))\n")
+    code, stdout, stderr = run(capsys, "solve-classical", "--domain", domain,
+                               "--problem", problem)
+    assert code == INPUT_ERROR
+    assert "type a is its own ancestor" in stderr
+    assert stdout == ""
 
 
 def test_mine_zero_delta_is_input_error_with_or_without_cases(tmp_path, capsys):

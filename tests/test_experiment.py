@@ -16,12 +16,12 @@ from caseplan import (
     make_problem_suite,
     run_experiment,
 )
-from caseplan.cases import case_to_text, parse_case, read_rows, write_rows
+from caseplan.cases import read_rows, write_rows
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
 from caseplan.strips import Grounding
 
-from .conftest import SMALL_SEARCH, count_best_mapping_calls, typed_instance
+from .conftest import SMALL_SEARCH, count_best_mapping_calls, renamed_case, typed_instance
 from .oracles import run_experiment_per_cell
 
 
@@ -235,10 +235,12 @@ def test_timing_enabled_fills_cpu_millis(blocks):
 
 
 def library_with_copies(blocks):
-    """Four generated cases, then copies of the first two: the prefixes of 0,
-    3 and 6 cases hold 0, 3 and 4 distinct case keys."""
+    """Four generated cases, then renamed copies of the first two: each object
+    name gets a prefix, which keeps the depth order, so the prefixes of 0, 3
+    and 6 cases hold 0, 3 and 4 distinct case indexes."""
     library = generate_case_library(blocks, 4, 1, n_blocks=4, config=SMALL_SEARCH)
-    return library + [(f"copy-{name}", parse_case(case_to_text(case)))
+    return library + [(f"copy-{name}",
+                       renamed_case(case, {o: f"copy-{o}" for o in case.objects()}))
                       for name, case in library[:2]]
 
 
@@ -246,7 +248,7 @@ def test_cpu_millis_charges_mapping_and_mining_only_to_rows_with_pairs(blocks, m
     # each stage takes a fixed whole number of seconds, so the sums are exact.
     # Every row is charged its solve call and its skeleton; only a row whose
     # skeleton has causal pairs is charged its prefix's fragments (each
-    # distinct case key's build once, with the problem's index when the
+    # distinct case index's build once, with the problem's index when the
     # prefix is not empty), growth and filter, since a standalone solve with
     # no pairs builds none of them
     seconds = {"mapping_index": 1, "build_fragments": 2, "skeleton": 4,
@@ -261,7 +263,7 @@ def test_cpu_millis_charges_mapping_and_mining_only_to_rows_with_pairs(blocks, m
                       case_counts=(0, 3, 6), completeness_levels=(0.2, 1.0), deltas=(1, 2),
                       seeds=(1,), cases=library)
     _, details = run_experiment(spec)
-    assert [len({case.mapping_rows.key for _, case in library[:n]}) for n in (0, 3, 6)] == \
+    assert [len({case.mapping_rows for _, case in library[:n]}) for n in (0, 3, 6)] == \
         [0, 3, 4]
     with_pairs = 0
     for detail in details:
@@ -269,14 +271,14 @@ def test_cpu_millis_charges_mapping_and_mining_only_to_rows_with_pairs(blocks, m
         charged = 32 + 4
         if caseplan.pipeline.skeleton(detail.problem, spec.search).pairs:
             with_pairs += 1
-            keys = {case.mapping_rows.key for _, case in library[:row.num_cases]}
+            keys = {case.mapping_rows for _, case in library[:row.num_cases]}
             charged += 2 * len(keys) + (1 if row.num_cases else 0) + 8 + 16
         assert row.cpu_millis == charged * 1000, row
     assert 0 < with_pairs < len(details)
 
 
 def test_sweep_maps_each_case_key_once_per_problem(blocks, monkeypatch):
-    # over two seeds, each problem maps one case per key of the fixed
+    # over two seeds, each problem maps one case per index of the fixed
     # library, and the rows are those of the sweep that solves each cell on
     # its own
     library = library_with_copies(blocks)

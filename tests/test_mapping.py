@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import pytest
@@ -27,7 +27,7 @@ from caseplan import (
     parse_domain,
 )
 from caseplan.cases import case_to_text
-from caseplan.mapping import RADIX
+from caseplan.mapping import RADIX, CaseIndex
 from caseplan.pddl import problem_to_pddl
 from caseplan.strips import PlanningProblem, is_subtype
 
@@ -38,6 +38,7 @@ from .conftest import (
     atoms,
     count_best_mapping_calls,
     plan,
+    renamed_case,
     typed_instance,
 )
 from .oracles import (
@@ -519,14 +520,7 @@ def test_every_key_is_one_cpython_digit(name):
                        for _, mult, _ in depth)
 
 
-# Case keys: build_fragments maps and cuts one case per distinct key.
-
-def renamed_case(case: CaseFile, names: dict[str, str]) -> CaseFile:
-    def move(item):
-        return item._replace(args=tuple(names[a] for a in item.args))
-    return CaseFile(frozenset(map(move, case.init)), frozenset(map(move, case.goal)),
-                    tuple(map(move, case.plan)))
-
+# Case indexes: build_fragments maps and cuts one case per distinct index.
 
 def depth_order_renaming(case: CaseFile, rng: random.Random) -> dict[str, str]:
     """Fresh names for the case's objects, drawn at random except that objects
@@ -559,8 +553,11 @@ def test_a_renaming_that_keeps_the_depth_order_keeps_the_key_and_the_fragments(i
         renamed = renamed_case(case, names)
         assert renamed.mapping_rows.case_objs == \
             tuple(names[o] for o in case.mapping_rows.case_objs)
-        assert renamed.mapping_rows.key == case.mapping_rows.key
-        assert hash(renamed.mapping_rows.key) == hash(case.mapping_rows.key)
+        assert renamed.mapping_rows == case.mapping_rows
+        assert hash(renamed.mapping_rows) == hash(case.mapping_rows)
+        # every field but the names follows from the two compared ones
+        for name in (f.name for f in fields(CaseIndex) if f.name != "case_objs"):
+            assert getattr(renamed.mapping_rows, name) == getattr(case.mapping_rows, name), name
         for budget in (1, 3, 30, 200_000):
             mapping = best_mapping(case, problem, node_budget=budget, index=index)
             moved = best_mapping(renamed, problem, node_budget=budget, index=index)
@@ -571,12 +568,14 @@ def test_a_renaming_that_keeps_the_depth_order_keeps_the_key_and_the_fragments(i
 
 def test_a_different_tie_order_may_change_the_key(monkeypatch, tower):
     # a and b are in three atoms each, so swapping their names swaps their
-    # depths and the key changes: the swapped case gets its own build
+    # depths and the index changes: the swapped case gets its own build,
+    # while a renaming that keeps their order keeps the index
     case = CaseFile(atoms("clear a", "on a b", "ontable b", "handempty"), atoms("on b a"),
                     plan("unstack a b,putdown a,pickup b,stack b a"))
     swapped = renamed_case(case, {"a": "b", "b": "a"})
+    kept = renamed_case(case, {"a": "x", "b": "y"})
     assert swapped.mapping_rows.case_objs == case.mapping_rows.case_objs == ("a", "b")
-    assert swapped.mapping_rows.key != case.mapping_rows.key
+    assert kept.mapping_rows == case.mapping_rows != swapped.mapping_rows
     expected = [f for c in (case, swapped)
                 for f in extract_fragments(c, best_mapping(c, tower), tower)]
     calls = count_best_mapping_calls(monkeypatch)
@@ -586,7 +585,7 @@ def test_a_different_tie_order_may_change_the_key(monkeypatch, tower):
 
 def test_build_fragments_maps_one_case_per_key(monkeypatch, tower, p1, p2):
     # b1 and b3 are in four atoms each, b2 and b4 in three: the renaming
-    # keeps the order within each count, so the depth order and the key,
+    # keeps the order within each count, so the depth order and the index,
     # though the atoms sort in another order
     names = {"b1": "d", "b3": "e", "b2": "a", "b4": "c"}
     renamed = renamed_case(p1, names)
@@ -594,7 +593,7 @@ def test_build_fragments_maps_one_case_per_key(monkeypatch, tower, p1, p2):
                                     for a in sorted(p1.init)]
     library = [("p1", p1), ("renamed", renamed), ("p2", p2),
                ("copy", parse_case(case_to_text(p1)))]
-    assert len({case.mapping_rows.key for _, case in library}) == 2
+    assert len({case.mapping_rows for _, case in library}) == 2
     expected = [f for _, case in library
                 for f in extract_fragments(case, best_mapping(case, tower), tower)]
     calls = count_best_mapping_calls(monkeypatch)

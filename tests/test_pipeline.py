@@ -114,6 +114,21 @@ def test_no_pairs_maps_and_mines_nothing(blocks, tower, monkeypatch, passed_in, 
     assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
 
 
+@pytest.mark.parametrize("name", ["tower", "goal-in-init", "one-step", "no-achiever"])
+def test_a_support_below_one_is_refused_before_any_stage(blocks, tower, monkeypatch, name):
+    # the threshold is checked first, so a problem whose skeleton has no
+    # pairs, and which would mine nothing, refuses it as one with pairs does
+    problem = {"tower": tower, **no_pair_problems(blocks, tower)}[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran before the threshold was checked")
+
+    monkeypatch.setattr(caseplan.pipeline, "skeleton", refuse)
+    for min_support in (0, -1):
+        with pytest.raises(ValueError, match=f"min_support {min_support} must be >= 1"):
+            solve_with_library(problem, library(), min_support)
+
+
 def test_failure_stage_skeletal(blocks, tower):
     # no cases and a goal atom without any achiever in the degraded model
     from caseplan import DegradeSpec, degrade

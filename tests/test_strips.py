@@ -330,6 +330,16 @@ def test_domain_rejects_undeclared_predicate(blocks):
                     schemas={"fly": schema})
 
 
+@pytest.mark.parametrize("types, cyclic", [
+    ({"a": "b", "b": "a"}, "a"),
+    ({"a": "a"}, "a"),
+    ({"c": "a", "a": "b", "b": "a"}, "a"),
+])
+def test_domain_rejects_a_cyclic_type_hierarchy(types, cyclic):
+    with pytest.raises(StripsError, match=f"type {cyclic} is its own ancestor"):
+        DomainModel(name="d", types=types, predicates={}, schemas={})
+
+
 def test_domain_leaves_callers_types_untouched():
     types = {"block": None}
     model = DomainModel(name="d", types=types, predicates={}, schemas={})
