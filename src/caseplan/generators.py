@@ -86,7 +86,7 @@ def random_walk_problem(domain: DomainModel, objects: dict[str, str], init: Stat
         if not successors:
             break
         _, state_ids = rng.choice(successors)
-    final = {grounding.atoms[i] for i in state_ids}
+    final = grounding.decode(state_ids)
     pool = sorted(a for a in final
                   if goal_predicates is None or a.predicate in goal_predicates)
     fresh = [a for a in pool if a not in init]

@@ -68,7 +68,7 @@ def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Groundin
     value is the one the full relaxation gives, ``inf`` included.
     """
     adds = grounding.adds
-    cost = [math.inf] * len(grounding.atoms)
+    cost = [math.inf] * grounding.atom_count
     for a in state:
         cost[a] = 0
     buckets: list[list[int]] = [[], []]
@@ -213,7 +213,7 @@ def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
     steps = []
     while parent[state] is not None:
         state, op_idx = parent[state]
-        steps.append(grounding.ground_actions[op_idx])
+        steps.append(grounding.action(op_idx))
     plan = tuple(reversed(steps))
     check = execute_plan(problem, plan, grounding=grounding)
     if not check.success:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -211,32 +213,135 @@ class PlanningProblem:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of running a plan: the reached state, and where it broke if it did."""
+    """Outcome of running a plan: the reached state, and where it broke if it did.
+
+    :func:`execute_plan` leaves the reached state as the atom ids of its
+    grounding and names it when ``state`` is first read, so a caller that
+    only asks whether a plan works never names the state's atoms. Either way
+    the result compares, hashes and prints by its four fields.
+    """
 
     success: bool
     state: State
     failed_step: int | None = None
     reason: str | None = None
 
+    @classmethod
+    def _unnamed(cls, success: bool, grounding: Grounding, ids: frozenset[int],
+                 failed_step: int | None = None, reason: str | None = None) -> ExecutionResult:
+        """A result whose state is named by ``grounding.decode(ids)`` when first read."""
+        result = object.__new__(cls)
+        result.__dict__.update(success=success, failed_step=failed_step, reason=reason,
+                               _reached=(grounding, ids))
+        return result
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: an unnamed state
+        reached = self.__dict__.get("_reached")
+        if name != "state" or reached is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grounding, ids = reached
+        state = self.__dict__["state"] = grounding.decode(ids)
+        return state
+
+
+# one argument position of a numbering: (pool, position of each object in it, stride)
+_Digit: TypeAlias = tuple[list[str], Mapping[str, int], int]
+
+
+class _Numbering:
+    """Consecutive ids for the tuples ``(name, args)`` of a signature table.
+
+    ``args`` takes, at each position, an object of the pool of that
+    position's type. Names take blocks of ids in sorted order, and within a
+    block the arguments count up like the digits of a number, the last one
+    fastest. So the tuple whose arguments sit at positions k_1..k_m of their
+    pools has id ``base[name] + Σ k_i × stride_i``, and ids run in sorted
+    tuple order. Both directions are this arithmetic; no table of names is
+    kept.
+    """
+
+    def __init__(self, signatures: Mapping[str, tuple[str, ...]],
+                 pools: Mapping[str, list[str]], where: Mapping[str, Mapping[str, int]]):
+        self.names = sorted(signatures)
+        self.bases: list[int] = []
+        self.digits: dict[str, tuple[int, tuple[_Digit, ...]]] = {}  # name -> (base, digits)
+        count = 0
+        for name in self.names:
+            digits = []
+            stride = 1
+            for t in reversed(signatures[name]):
+                digits.append((pools[t], where[t], stride))
+                stride *= len(pools[t])
+            self.bases.append(count)
+            self.digits[name] = (count, tuple(reversed(digits)))
+            count += stride
+        self.count = count
+
+    def id(self, name: str, args: tuple[str, ...]) -> int | None:
+        """The id of ``(name, args)``, or None where it is no tuple of the table."""
+        entry = self.digits.get(name)
+        if entry is None or len(args) != len(entry[1]):
+            return None
+        i, digits = entry
+        for arg, (_, where, stride) in zip(args, digits):
+            k = where.get(arg)
+            if k is None:
+                return None
+            i += k * stride
+        return i
+
+    def name(self, i: int) -> tuple[str, tuple[str, ...]]:
+        """The tuple ``(name, args)`` whose id is ``i``."""
+        if not 0 <= i < self.count:
+            raise IndexError(f"id {i} is outside 0..{self.count - 1}")
+        name = self.names[bisect.bisect_right(self.bases, i) - 1]
+        base, digits = self.digits[name]
+        i -= base
+        args = []
+        for pool, _, stride in digits:
+            k, i = divmod(i, stride)
+            args.append(pool[k])
+        return name, tuple(args)
+
+    def __iter__(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """Every tuple, in id order."""
+        for name in self.names:
+            for args in itertools.product(*(pool for pool, _, _ in self.digits[name][1])):
+                yield name, args
+
+
+# how many distinct atom sets a grounding remembers the ids of; a solve encodes
+# its initial state, its goal and the goal of each goal atom's search
+_ENCODED_SETS = 64
+
 
 class Grounding:
-    """All well-typed ground atoms and actions over a (domain, objects) pair.
+    """All well-typed ground atoms and actions over a (domain, objects) pair,
+    as integer ids.
 
     Predicates, schemas and the object pool of every type are taken in sorted
-    order, so atoms and actions come out sorted and duplicate-free, and the
+    order, so atom and action ids run in sorted, duplicate-free order, and the
     atom whose arguments sit at positions k_1..k_m of their pools has id
-    ``base[pred] + Σ k_i × stride_i``. Each schema atom is compiled once into
-    a template of that arithmetic over the pools of the schema's parameters,
-    which gives its id under every ground action of the schema at once: no
-    action is grounded into :class:`Atom` values and no atom is looked up.
+    ``base[pred] + Σ k_i × stride_i``; an action's op id is the same
+    arithmetic over its schema's parameters. Each distinct schema atom is
+    compiled once into a template of that arithmetic over the pools of the
+    schema's parameters, which gives its id under every ground action of the
+    schema at once: no action is grounded into :class:`Atom` values and no
+    atom is looked up.
 
-    Carries the integer encoding of the atom universe that search code works
-    in: each action's (pre, add, delete) atom ids, the successors of an
-    encoded state, and the index that h_add reads. ``ground_actions`` names
-    the actions and ``op_index`` gives each its op id. :meth:`step` is the one
-    plan simulator: execution, trimming and causal-pair extraction all walk
-    plans through it. Immutable after construction; safe to share across the
-    per-goal solver calls of one problem.
+    Construction builds only what search code reads: each op's (pre, add,
+    delete) atom ids, which :meth:`successors` walks, and the index that h_add
+    reads. :meth:`encode`, :meth:`decode`, :meth:`action` and
+    :meth:`step` name atoms and actions by the arithmetic alone; ``encode``
+    remembers the ids of the atom frozensets it is given, and ``action`` and
+    ``step`` the op id of each action they name, since a solve walks the same
+    initial state and the same actions many times. The name tables
+    ``atoms``, ``atom_index``, ``ground_actions`` and ``op_index`` are built
+    on first use and are read-only. :meth:`step` is the one plan simulator:
+    execution, trimming and causal-pair extraction all walk plans through it.
+    Its tables are computed once and never change, so it is safe to share
+    across the per-goal solver calls of one problem.
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
@@ -247,42 +352,43 @@ class Grounding:
             t: sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t))
             for t in domain.types}
         where = {t: {o: k for k, o in enumerate(pool)} for t, pool in pools.items()}
+        self._atom_ids = _Numbering(domain.predicates, pools, where)
+        self._op_ids = _Numbering(
+            {name: tuple(t for _, t in schema.params) for name, schema in domain.schemas.items()},
+            pools, where)
+        self.atom_count = self._atom_ids.count
+        self._encoded: dict[frozenset[Atom], frozenset[int]] = {}
+        self._stepped: dict[GroundAction, int] = {}  # the op id of each action named so far
 
-        atoms: list[Atom] = []
-        layout: dict[str, tuple[int, list[int]]] = {}  # predicate -> (base, strides)
-        for pred in sorted(domain.predicates):
-            sig = domain.predicates[pred]
-            strides = [math.prod(len(pools[t]) for t in sig[i + 1:]) for i in range(len(sig))]
-            layout[pred] = (len(atoms), strides)
-            atoms.extend(Atom(pred, combo) for combo in itertools.product(*(pools[t] for t in sig)))
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.atom_index: Mapping[Atom, int] = MappingProxyType(
-            {a: i for i, a in enumerate(self.atoms)})
-
-        names: list[GroundAction] = []
         sets: tuple[list[frozenset[int]], ...] = ([], [], [])  # pre, add, delete of each op
-        for name in sorted(domain.schemas):
+        for name in self._op_ids.names:
             schema = domain.schemas[name]
-            params = [pools[t] for _, t in schema.params]
-            combos = list(itertools.product(*params))
-            names.extend(GroundAction(name, combo) for combo in combos)
+            params = self._op_ids.digits[name][1]
+            n_ops = math.prod(len(pool) for pool, _, _ in params)
+            if not n_ops:
+                continue
+            # the ids of each distinct schema atom, and of each distinct set of
+            # them, under every ground action of the schema, in op order
+            columns: dict[Atom, list[int]] = {}
+            rows: dict[frozenset[Atom], list[frozenset[int]]] = {}
             for templates, out in zip((schema.pre, schema.add, schema.delete), sets):
-                columns = [self._compile(atom, schema, params, layout, where) for atom in templates]
-                out.extend(map(frozenset, zip(*columns)) if columns
-                           else [frozenset()] * len(combos))
-        self.ground_actions: tuple[GroundAction, ...] = tuple(names)
-        self.op_index: Mapping[GroundAction, int] = MappingProxyType(
-            {action: op_idx for op_idx, action in enumerate(names)})
+                if templates not in rows:
+                    for atom in templates:
+                        if atom not in columns:
+                            columns[atom] = self._compile(atom, schema, params)
+                    rows[templates] = (list(map(frozenset, zip(*map(columns.get, templates))))
+                                       if templates else [frozenset()] * n_ops)
+                out.extend(rows[templates])
 
-        # (pre, add, delete) atom ids of each ground action, aligned with ``ground_actions``
+        # (pre, add, delete) atom ids of each ground action, in op order
         self.ops_ids: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...] = tuple(
             zip(*sets))
 
         # the delete-relaxation index read by h_add: each op's add ids and, for
         # each atom, the ops that have it as a precondition, both ascending; each
         # op's precondition count; and the ops with none, which fire from every state
-        self.adds: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(add)) for add in sets[1])
-        waiting: list[list[int]] = [[] for _ in self.atoms]
+        self.adds: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, sets[1])))
+        waiting: list[list[int]] = [[] for _ in range(self.atom_count)]
         for op_idx, pre in enumerate(sets[0]):
             for a in pre:
                 waiting[a].append(op_idx)
@@ -291,45 +397,92 @@ class Grounding:
         self.free_ops: tuple[int, ...] = tuple(
             op_idx for op_idx, n in enumerate(self.pre_counts) if n == 0)
 
-    def _compile(self, atom: Atom, schema: ActionSchema, params: list[list[str]],
-                 layout: dict[str, tuple[int, list[int]]],
-                 where: dict[str, dict[str, int]]) -> list[int]:
+    def _compile(self, atom: Atom, schema: ActionSchema, params) -> list[int]:
         """The id of a schema atom under each ground action of the schema, in
         action order: each parameter in turn adds its object's pool position
-        times the stride of every atom position it fills."""
-        base, strides = layout[atom.predicate]
-        sig = self.domain.predicates[atom.predicate]
+        times the stride of every atom position it fills. ``params`` is the
+        schema's row of the op numbering, and no parameter's pool is empty."""
+        base, positions = self._atom_ids.digits[atom.predicate]
         ids = [base]
-        for (var, _), pool in zip(schema.params, params):
-            step = [0] * len(pool)
-            for arg, t, stride in zip(atom.args, sig, strides):
+        for (var, _), (pool, _, _) in zip(schema.params, params):
+            step = None  # what each object of the pool adds, in pool order
+            for arg, (atom_pool, atom_where, stride) in zip(atom.args, positions):
                 if arg != var:
                     continue
-                for k, obj in enumerate(pool):
-                    pos = where[t].get(obj)
-                    if pos is None:
-                        if not all(params):  # the schema has no ground action
-                            return []
-                        binding = {v: p[0] for (v, _), p in zip(schema.params, params)}
-                        binding[var] = obj
-                        bad = Atom(atom.predicate, tuple(binding[x] for x in atom.args))
-                        raise StripsError(f"atom {bad} is outside the ground atom universe")
-                    step[k] += pos * stride
-            ids = [i + d for i in ids for d in step]
+                if atom_pool is pool:  # the position takes the parameter's own type
+                    column = range(0, len(pool) * stride, stride)
+                else:
+                    column = []
+                    for obj in pool:
+                        pos = atom_where.get(obj)
+                        if pos is None:
+                            binding = {v: p[0] for (v, _), (p, _, _) in zip(schema.params, params)}
+                            binding[var] = obj
+                            bad = Atom(atom.predicate, tuple(binding[x] for x in atom.args))
+                            raise StripsError(
+                                f"atom {bad.pddl()} is outside the ground atom universe")
+                        column.append(pos * stride)
+                step = column if step is None else [a + b for a, b in zip(step, column)]
+            if step is None:
+                ids = [i for i in ids for _ in pool]
+            else:
+                ids = [i + d for i in ids for d in step]
         return ids
 
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":
         return cls(problem.domain, problem.objects)
 
+    @functools.cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Every ground atom, in id order."""
+        return tuple(itertools.starmap(Atom, self._atom_ids))
+
+    @functools.cached_property
+    def atom_index(self) -> Mapping[Atom, int]:
+        """The id of every ground atom."""
+        return MappingProxyType({a: i for i, a in enumerate(self.atoms)})
+
+    @functools.cached_property
+    def ground_actions(self) -> tuple[GroundAction, ...]:
+        """Every ground action, in op order."""
+        return tuple(itertools.starmap(GroundAction, self._op_ids))
+
+    @functools.cached_property
+    def op_index(self) -> Mapping[GroundAction, int]:
+        """The op id of every ground action."""
+        return MappingProxyType({action: i for i, action in enumerate(self.ground_actions)})
+
     def encode(self, atoms: Iterable[Atom]) -> frozenset[int]:
-        try:
-            return frozenset(self.atom_index[a] for a in atoms)
-        except KeyError as err:
-            raise StripsError(f"atom {err.args[0]} is outside the ground atom universe") from None
+        """The ids of ground atoms; an atom outside the universe raises
+        :class:`StripsError`. The ids of a frozenset are remembered, so the
+        initial state that every search and walk of a problem starts from is
+        encoded once."""
+        if not isinstance(atoms, frozenset):
+            return frozenset(map(self._atom_id, atoms))
+        ids = self._encoded.get(atoms)
+        if ids is None:
+            ids = frozenset(map(self._atom_id, atoms))
+            if len(self._encoded) < _ENCODED_SETS:
+                self._encoded[atoms] = ids
+        return ids
+
+    def _atom_id(self, atom: Atom) -> int:
+        i = self._atom_ids.id(*atom)
+        if i is None:
+            raise StripsError(f"atom {Atom(*atom).pddl()} is outside the ground atom universe")
+        return i
 
     def decode(self, ids: Iterable[int]) -> State:
-        return frozenset(map(self.atoms.__getitem__, ids))
+        """The ground atoms of ids."""
+        name = self._atom_ids.name
+        return frozenset([Atom(*name(i)) for i in ids])
+
+    def action(self, op_idx: int) -> GroundAction:
+        """The ground action of an op id."""
+        action = GroundAction(*self._op_ids.name(op_idx))
+        self._stepped[action] = op_idx
+        return action
 
     def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
         """The (pre, add, delete) ids of a ground action, and the encoded state
@@ -339,9 +492,12 @@ class Grounding:
         :class:`StripsError` naming an unknown schema, a wrong arity, or the
         first argument that is no object of its parameter's type.
         """
-        op_idx = self.op_index.get(action)
+        op_idx = self._stepped.get(action)
         if op_idx is None:
-            raise StripsError(self._why_off_table(action))
+            op_idx = self._op_ids.id(*action)
+            if op_idx is None:
+                raise StripsError(self._why_off_table(action))
+            self._stepped[action] = op_idx
         pre, add, delete = op = self.ops_ids[op_idx]
         return op, ((state - delete) | add if pre <= state else None)
 
@@ -374,7 +530,9 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
     the final state. Failures are reported as a value, never raised:
     ``failed_step`` is the offending step index, or ``len(plan)`` when all
     steps applied but the goal is unmet. A step that is no action of the
-    grounding fails with the reason :meth:`Grounding.step` gives.
+    grounding fails with the reason :meth:`Grounding.step` gives. Success is
+    decided on atom ids, and the reached state is named only when the
+    result's ``state`` is read.
 
     The steps run under the model of ``grounding``, which must be a grounding
     of the problem's objects; by default it is the problem's own,
@@ -389,16 +547,16 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
         try:
             (pre, _, _), after = grounding.step(state, action)
         except StripsError as err:
-            return ExecutionResult(False, grounding.decode(state), i, str(err))
+            return ExecutionResult._unnamed(False, grounding, state, i, str(err))
         if after is None:
             missing = min(grounding.decode(pre - state))
-            return ExecutionResult(False, grounding.decode(state), i,
-                                   f"unsatisfied precondition {missing.pddl()} "
-                                   f"for {action.pddl()}")
+            return ExecutionResult._unnamed(False, grounding, state, i,
+                                            f"unsatisfied precondition {missing.pddl()} "
+                                            f"for {action.pddl()}")
         state = after
-    reached = grounding.decode(state)
-    unmet = problem.goal - reached
+    unmet = grounding.encode(problem.goal) - state
     if unmet:
-        return ExecutionResult(False, reached, len(plan),
-                               f"goal atom {min(unmet).pddl()} not achieved")
-    return ExecutionResult(True, reached)
+        return ExecutionResult._unnamed(False, grounding, state, len(plan),
+                                        f"goal atom {min(grounding.decode(unmet)).pddl()} "
+                                        "not achieved")
+    return ExecutionResult._unnamed(True, grounding, state)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -16,7 +17,10 @@ from caseplan import (
     degrade,
     execute_plan,
     generate_case_library,
+    parse_domain,
+    parse_problem,
     random_blocks_problem,
+    read_case_library,
     solve_with_library,
 )
 from caseplan.causal import single_goal_plans
@@ -33,12 +37,40 @@ from caseplan.pipeline import (
 )
 from caseplan.strips import PlanningProblem
 
-from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
+from .conftest import GOLDEN_SOLUTION, NAME_TABLES, SMALL_SEARCH, atoms, make_p1, make_p2, \
+    typed_instance
 from .oracles import execute_plan_on_atoms, solve_with_library_eager, trim_on_atoms
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def library():
     return [("p1", make_p1()), ("p2", make_p2())]
+
+
+@pytest.mark.parametrize("domain, problem, cases, route", [
+    ("fixtures/blocks/incomplete.pddl", "fixtures/blocks/tower.pddl", "fixtures/blocks/cases",
+     ROUTE_FRAGMENTS),
+    ("src/caseplan/domains/driverlog.pddl", "fixtures/driverlog/problem.pddl",
+     "fixtures/driverlog/cases", ROUTE_SEARCH),
+    ("fixtures/blocks/incomplete.pddl", "fixtures/blocks/goal-in-init.pddl",
+     "fixtures/blocks/cases", ROUTE_SKELETAL),
+])
+def test_a_solve_builds_no_name_table(domain, problem, cases, route):
+    # every plan of a solve is checked on atom ids, so the grounding it walks
+    # them on names no atom and no action beyond the steps of those plans
+    model = parse_domain((ROOT / domain).read_text())
+    problem = parse_problem((ROOT / problem).read_text(), model)
+    skeletal = skeleton(problem)
+    outcome = solve_with_library(problem, read_case_library(ROOT / cases), 1, skeletal=skeletal)
+    assert outcome.route == route
+    grounding = skeletal.grounding
+    assert not NAME_TABLES & vars(grounding).keys()
+    result = execute_plan(problem, outcome.plan, grounding=grounding)
+    assert result.success
+    assert result.state == execute_plan_on_atoms(problem, outcome.plan).state
+    assert not NAME_TABLES & vars(grounding).keys()
 
 
 def test_golden_end_to_end(tower_incomplete, blocks):

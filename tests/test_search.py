@@ -20,6 +20,7 @@ from caseplan import (
     Grounding,
     PlanningProblem,
     SearchConfig,
+    StripsError,
     degrade,
     execute_plan,
     parse_domain,
@@ -88,6 +89,14 @@ def test_heuristic_zero_iff_goal_holds(blocks):
     held = atoms("on c a")
     assert relaxed_add_heuristic(problem.init, held, grounding) == 0
     assert relaxed_add_heuristic(problem.init, problem.goal, grounding) > 0
+
+
+def test_heuristic_names_an_atom_outside_the_universe_in_pddl(blocks):
+    problem = make_tower_problem(blocks)
+    grounding = Grounding.for_problem(problem)
+    with pytest.raises(StripsError) as err:
+        relaxed_add_heuristic(problem.init, atoms("on a zz"), grounding)
+    assert str(err.value) == "atom (on a zz) is outside the ground atom universe"
 
 
 def test_heuristic_exact_h_add_on_two_blocks(blocks):

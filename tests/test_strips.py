@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from caseplan import (
     ActionSchema,
+    Atom,
     DegradeSpec,
     DomainModel,
     GroundAction,
@@ -31,12 +32,13 @@ from caseplan import (
 from caseplan.generators import random_blocks_state
 from caseplan.strips import PlanningProblem
 
-from .conftest import A, GA, GOLDEN_SOLUTION, atoms, depots_start, driverlog_start, \
-    make_tower_problem
+from .conftest import A, GA, GOLDEN_SOLUTION, NAME_TABLES, atoms, depots_start, \
+    driverlog_start, make_tower_problem
 from .oracles import (
     GroundingThroughGrounded,
     causal_pairs_on_atoms,
     execute_plan_on_atoms,
+    grounded,
     instantiate,
     substitute,
     trim_on_atoms,
@@ -71,6 +73,16 @@ def typed_grounding(name: str, completeness: float) -> Grounding:
     return Grounding(model, {f"{t}{i}": t for t in model.types for i in (1, 2)})
 
 
+@st.composite
+def any_atoms(draw, model: DomainModel, symbols: list[str]):
+    """An atom of a declared or an unknown predicate, of its arity or one off, over ``symbols``."""
+    name = draw(st.sampled_from(sorted(model.predicates) + ["teleported"]))
+    arity = len(model.predicates.get(name, ("object",)))
+    arity = draw(st.sampled_from([arity, arity, arity + 1, max(arity - 1, 0)]))
+    return Atom(name, tuple(draw(st.lists(st.sampled_from(symbols), min_size=arity,
+                                          max_size=arity))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DOMAIN_NAMES), st.sampled_from([1.0, 0.5, 0.2]), st.integers(0, 5),
        st.data())
@@ -80,13 +92,40 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
                for i in range(data.draw(st.integers(0, 2), label=t))}
     reference = GroundingThroughGrounded(model, objects)
     grounding = Grounding(model, objects)
-    assert grounding.atoms == reference.atoms
+    # names to ids and back by the index arithmetic alone, before any name table exists
+    for i, atom in enumerate(reference.atoms):
+        assert grounding.encode(frozenset({atom})) == {i}
+        assert grounding.decode({i}) == {atom}
+    for i, ga in enumerate(reference.actions):
+        assert grounding.step(frozenset(), ga.action)[0] == reference.ops_ids[i]
+        assert grounding.action(i) == ga.action
+    assert grounding.encode(frozenset(reference.atoms)) == frozenset(range(len(reference.atoms)))
+    index = {ga.action: i for i, ga in enumerate(reference.actions)}
+    for _ in range(5):
+        atom = data.draw(any_atoms(model, sorted(objects) + ["nowhere"]), label="atom")
+        if atom in reference.atom_index:
+            assert grounding.encode([atom]) == {reference.atom_index[atom]}
+        else:
+            assert raised(grounding.encode, [atom]) == \
+                f"raised: atom {atom.pddl()} is outside the ground atom universe"
+        action = data.draw(off_table_actions(model, objects), label="action")
+        if action in index:
+            assert grounding.step(frozenset(), action)[0] == reference.ops_ids[index[action]]
+        else:
+            assert raised(grounding.step, frozenset(), action) == \
+                raised(grounded, model, objects, action)
+    assert not NAME_TABLES & vars(grounding).keys()
+    assert grounding.atom_count == len(reference.atoms)
     assert grounding.ops_ids == reference.ops_ids
     assert grounding.waiting == reference.waiting
     assert grounding.pre_counts == reference.pre_counts
     assert grounding.free_ops == reference.free_ops
     assert grounding.adds == tuple(tuple(sorted(add)) for _, add, _ in reference.ops_ids)
+    # the name tables, built on first use
+    assert grounding.atoms == reference.atoms
+    assert grounding.atom_index == reference.atom_index
     assert grounding.ground_actions == tuple(ga.action for ga in reference.actions)
+    assert grounding.op_index == index
 
 
 def test_grounding_rejects_schema_broader_than_its_predicate():
@@ -99,8 +138,10 @@ def test_grounding_rejects_schema_broader_than_its_predicate():
     model = DomainModel(name="d", types={"block": "object", "hand": "object"},
                         predicates={"clear": ("block",)}, schemas={"pickup": schema})
     for build in (Grounding, GroundingThroughGrounded):
-        with pytest.raises(StripsError, match="outside the ground atom universe"):
+        with pytest.raises(StripsError, match="outside the ground atom universe") as err:
             build(model, {"b1": "block", "t1": "object", "h1": "hand"})
+        if build is Grounding:  # the first object of ?x's pool that is no block, in PDDL
+            assert str(err.value) == "atom (clear h1) is outside the ground atom universe"
         assert build(model, {"b1": "block", "t1": "object"}).ops_ids == ()
 
 
