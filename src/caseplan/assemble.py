@@ -4,14 +4,16 @@ Fragments may only be joined where they overlap on a common contiguous run
 at one end; :func:`merge` is that join, the paper's ``share`` and ``append``
 in one. Once every causal pair is satisfied, the draft plan is trimmed
 (inapplicable actions from the front, goal-deleting actions from the back)
-and must execute to the goal under the problem's own model.
+and accepted iff the trimmed plan reaches the goal under the problem's own
+model; :func:`trim` takes both steps in one walk.
 """
 
 from __future__ import annotations
 
 from .causal import CausalPair
 from .mining import ActionSeq
-from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
+from .strips import GroundAction, Grounding, Plan, PlanningProblem
+from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 
 def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
@@ -59,28 +61,34 @@ def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPai
 
 
 def trim(plan: Plan, problem: PlanningProblem, *,
-         grounding: Grounding | None = None) -> Plan:
-    """Remove inapplicable actions, then goal-deleting trailing actions.
+         grounding: Grounding | None = None) -> Plan | None:
+    """Remove inapplicable actions, then goal-deleting trailing actions, and
+    return the result where it reaches the goal, or None where it does not.
 
     Front: one forward pass from the initial state under the problem's model
     keeps each action whose precondition holds in the state reached by the
     kept actions before it; a skipped action leaves that state unchanged.
     Back: while the last kept action's delete list touches a goal atom, drop
-    it. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`; a step
-    that is no action of it raises :class:`~caseplan.strips.StripsError`.
+    it. Every kept action applies in turn by construction, so the trimmed
+    plan executes to the goal exactly when the goal holds in the state after
+    its last action, which the pass keeps. ``grounding`` is as for
+    :func:`~caseplan.strips.execute_plan`; a step that is no action of it
+    raises :class:`~caseplan.strips.StripsError`.
     """
     grounding = grounding or Grounding.for_problem(problem)
     goal = grounding.encode(problem.goal)
-    state = grounding.encode(problem.init)
-    kept = []  # (action, its delete ids)
+    init = state = grounding.encode(problem.init)
+    kept = []  # (action, its delete ids, the state after it)
     for action in plan:
         (_, _, delete), after = grounding.step(state, action)
         if after is not None:
             state = after
-            kept.append((action, delete))
+            kept.append((action, delete, state))
     while kept and kept[-1][1] & goal:
         kept.pop()
-    return tuple(action for action, _ in kept)
+    if not goal <= (kept[-1][2] if kept else init):
+        return None
+    return tuple(action for action, _, _ in kept)
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
@@ -92,12 +100,12 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
 
     At each step, pick a remaining pair and an unused fragment that mentions
     one of the pair's actions and shares an end overlap with the draft; merge
-    and recurse. When no pairs remain the draft is trimmed and accepted iff
-    it executes to the goal under the problem's model. Branches are explored
-    pairs-sorted and fragments in their order (mined: longest first), so
-    results are deterministic; the node budget caps backtracking on
-    adversarial inputs. ``grounding`` is as for
-    :func:`~caseplan.strips.execute_plan`; drafts are trimmed and checked on it.
+    and recurse. When no pairs remain the draft is trimmed, and accepted iff
+    :func:`trim` finds that it reaches the goal under the problem's model.
+    Branches are explored pairs-sorted and fragments in their order (mined:
+    longest first), so results are deterministic; the node budget caps
+    backtracking on adversarial inputs. ``grounding`` is as for
+    :func:`~caseplan.strips.execute_plan`; drafts are trimmed on it.
 
     A fragment that mentions several remaining pairs is a branch under each of
     them; its merge with the draft, and the pairs that merge leaves, are
@@ -114,9 +122,7 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
             available: tuple[int, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
-            candidate = trim(partial, problem, grounding=grounding)
-            result = execute_plan(problem, candidate, grounding=grounding)
-            return candidate if result.success else None
+            return trim(partial, problem, grounding=grounding)
         # per available pattern index: (merged draft, pairs it leaves), or None if no overlap
         children: dict[int, tuple[Plan, frozenset[CausalPair]] | None] = {}
         # per pattern index whose subtree was walked and failed: the nodes it took

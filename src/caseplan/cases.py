@@ -115,10 +115,6 @@ def plan_to_text(plan: Plan) -> str:
     return "".join(a.pddl() + "\n" for a in plan)
 
 
-def read_plan(path: Path | str) -> Plan:
-    return parse_plan(Path(path).read_text())
-
-
 def write_plan(path: Path | str, plan: Plan) -> None:
     Path(path).write_text(plan_to_text(plan))
 

@@ -12,7 +12,8 @@ from .cases import CaseFile
 from .mapping import build_fragments
 from .mining import FrequentFragmentSet, GrownPatterns, SequenceDB, mine_frequent
 from .search import SearchConfig, solve
-from .strips import GroundAction, Grounding, Plan, PlanningProblem, execute_plan
+from .strips import GroundAction, Grounding, Plan, PlanningProblem
+from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 ROUTE_FRAGMENTS = "fragments"
 ROUTE_SKELETAL = "skeletal"
@@ -58,7 +59,10 @@ class Skeleton(NamedTuple):
 
 def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Skeleton:
     """The skeleton of the problem under its own model. The skeletal plan is the
-    solved per-goal plans joined in sorted goal order and trimmed."""
+    solved per-goal plans joined in sorted goal order and trimmed, or None
+    where :func:`~caseplan.assemble.trim` finds that it misses the goal. Each
+    per-goal plan is walked twice: once for its causal pairs, once in the
+    trim."""
     grounding = Grounding.for_problem(problem)
     steps: list[GroundAction] = []
     pairs: frozenset[CausalPair] = frozenset()
@@ -66,9 +70,7 @@ def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Sk
         if result.solved and result.plan:
             steps += result.plan
             pairs |= extract_causal_pairs(result.plan, problem, grounding=grounding)
-    plan = trim(tuple(steps), problem, grounding=grounding)
-    executes = execute_plan(problem, plan, grounding=grounding).success
-    return Skeleton(plan if executes else None, pairs, grounding)
+    return Skeleton(trim(tuple(steps), problem, grounding=grounding), pairs, grounding)
 
 
 def mine_fragments(fragments: Sequence[Plan], min_support: int, *,

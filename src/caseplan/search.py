@@ -11,13 +11,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .strips import (
-    Grounding,
-    Plan,
-    PlanningProblem,
-    StripsError,
-    execute_plan,
-)
+from .strips import Grounding, Plan, PlanningProblem, StripsError
+from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -134,7 +129,8 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
 
     Deterministic: ties in the heuristic fall back to discovery order, and
     successors are generated in lexicographic ground-action order. Any plan
-    returned has been re-executed against the model as a self-check.
+    returned has been re-run on its op ids against the model as a
+    self-check, and is named once, after it passes.
     ``unsolvable`` is only reported on a proof (exhausted reachable space, or
     a goal atom unreachable even under delete relaxation).
     """
@@ -208,14 +204,21 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
 
 def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
             expansions: int) -> SolveResult:
-    """The plan that ``parent`` records to ``state``, re-executed against the
-    model as a self-check."""
-    steps = []
+    """The plan that ``parent`` records to ``state``, named once after a
+    self-check: its op ids are re-run against the model from the initial
+    state, and must apply in turn and reach the goal."""
+    ops = []
     while parent[state] is not None:
         state, op_idx = parent[state]
-        steps.append(grounding.action(op_idx))
-    plan = tuple(reversed(steps))
-    check = execute_plan(problem, plan, grounding=grounding)
-    if not check.success:
-        raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
-    return SolveResult(SOLVED, plan, expansions)
+        ops.append(op_idx)
+    ops.reverse()
+    state = grounding.encode(problem.init)
+    for i, op_idx in enumerate(ops):
+        pre, add, delete = grounding.ops_ids[op_idx]
+        if not pre <= state:
+            raise StripsError(f"internal: search produced an invalid plan (step {i} "
+                              "does not apply)")
+        state = (state - delete) | add
+    if not grounding.encode(problem.goal) <= state:
+        raise StripsError("internal: search produced an invalid plan (goal not reached)")
+    return SolveResult(SOLVED, tuple(map(grounding.action, ops)), expansions)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -213,36 +212,12 @@ class PlanningProblem:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome of running a plan: the reached state, and where it broke if it did.
-
-    :func:`execute_plan` leaves the reached state as the atom ids of its
-    grounding and names it when ``state`` is first read, so a caller that
-    only asks whether a plan works never names the state's atoms. Either way
-    the result compares, hashes and prints by its four fields.
-    """
+    """Outcome of running a plan: the reached state, and where it broke if it did."""
 
     success: bool
     state: State
     failed_step: int | None = None
     reason: str | None = None
-
-    @classmethod
-    def _unnamed(cls, success: bool, grounding: Grounding, ids: frozenset[int],
-                 failed_step: int | None = None, reason: str | None = None) -> ExecutionResult:
-        """A result whose state is named by ``grounding.decode(ids)`` when first read."""
-        result = object.__new__(cls)
-        result.__dict__.update(success=success, failed_step=failed_step, reason=reason,
-                               _reached=(grounding, ids))
-        return result
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: an unnamed state
-        reached = self.__dict__.get("_reached")
-        if name != "state" or reached is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        grounding, ids = reached
-        state = self.__dict__["state"] = grounding.decode(ids)
-        return state
 
 
 # one argument position of a numbering: (pool, position of each object in it, stride)
@@ -304,12 +279,6 @@ class _Numbering:
             args.append(pool[k])
         return name, tuple(args)
 
-    def __iter__(self) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Every tuple, in id order."""
-        for name in self.names:
-            for args in itertools.product(*(pool for pool, _, _ in self.digits[name][1])):
-                yield name, args
-
 
 # how many distinct atom sets a grounding remembers the ids of; a solve encodes
 # its initial state, its goal and the goal of each goal atom's search
@@ -332,16 +301,14 @@ class Grounding:
 
     Construction builds only what search code reads: each op's (pre, add,
     delete) atom ids, which :meth:`successors` walks, and the index that h_add
-    reads. :meth:`encode`, :meth:`decode`, :meth:`action` and
-    :meth:`step` name atoms and actions by the arithmetic alone; ``encode``
-    remembers the ids of the atom frozensets it is given, and ``action`` and
-    ``step`` the op id of each action they name, since a solve walks the same
-    initial state and the same actions many times. The name tables
-    ``atoms``, ``atom_index``, ``ground_actions`` and ``op_index`` are built
-    on first use and are read-only. :meth:`step` is the one plan simulator:
-    execution, trimming and causal-pair extraction all walk plans through it.
-    Its tables are computed once and never change, so it is safe to share
-    across the per-goal solver calls of one problem.
+    reads. No table of names is kept: :meth:`encode`, :meth:`decode`,
+    :meth:`action` and :meth:`step` name atoms and actions by the arithmetic
+    alone, and only ``encode`` remembers anything, the ids of the atom
+    frozensets it is given, since every search and walk of a problem starts
+    from the same initial state. :meth:`step` is the one plan simulator for
+    plans given by name: execution, trimming and causal-pair extraction all
+    walk plans through it. Its tables are computed once and never change, so
+    it is safe to share across the per-goal solver calls of one problem.
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
@@ -358,7 +325,6 @@ class Grounding:
             pools, where)
         self.atom_count = self._atom_ids.count
         self._encoded: dict[frozenset[Atom], frozenset[int]] = {}
-        self._stepped: dict[GroundAction, int] = {}  # the op id of each action named so far
 
         sets: tuple[list[frozenset[int]], ...] = ([], [], [])  # pre, add, delete of each op
         for name in self._op_ids.names:
@@ -433,26 +399,6 @@ class Grounding:
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":
         return cls(problem.domain, problem.objects)
 
-    @functools.cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        """Every ground atom, in id order."""
-        return tuple(itertools.starmap(Atom, self._atom_ids))
-
-    @functools.cached_property
-    def atom_index(self) -> Mapping[Atom, int]:
-        """The id of every ground atom."""
-        return MappingProxyType({a: i for i, a in enumerate(self.atoms)})
-
-    @functools.cached_property
-    def ground_actions(self) -> tuple[GroundAction, ...]:
-        """Every ground action, in op order."""
-        return tuple(itertools.starmap(GroundAction, self._op_ids))
-
-    @functools.cached_property
-    def op_index(self) -> Mapping[GroundAction, int]:
-        """The op id of every ground action."""
-        return MappingProxyType({action: i for i, action in enumerate(self.ground_actions)})
-
     def encode(self, atoms: Iterable[Atom]) -> frozenset[int]:
         """The ids of ground atoms; an atom outside the universe raises
         :class:`StripsError`. The ids of a frozenset are remembered, so the
@@ -479,25 +425,21 @@ class Grounding:
         return frozenset([Atom(*name(i)) for i in ids])
 
     def action(self, op_idx: int) -> GroundAction:
-        """The ground action of an op id."""
-        action = GroundAction(*self._op_ids.name(op_idx))
-        self._stepped[action] = op_idx
-        return action
+        """The ground action of an op id, named by the arithmetic alone."""
+        return GroundAction(*self._op_ids.name(op_idx))
 
     def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
         """The (pre, add, delete) ids of a ground action, and the encoded state
         it leads to from ``state``, or None there when its precondition fails.
+        The op id is found by the arithmetic alone.
 
         An action outside the op table is no action of the problem: it raises
         :class:`StripsError` naming an unknown schema, a wrong arity, or the
         first argument that is no object of its parameter's type.
         """
-        op_idx = self._stepped.get(action)
+        op_idx = self._op_ids.id(*action)
         if op_idx is None:
-            op_idx = self._op_ids.id(*action)
-            if op_idx is None:
-                raise StripsError(self._why_off_table(action))
-            self._stepped[action] = op_idx
+            raise StripsError(self._why_off_table(action))
         pre, add, delete = op = self.ops_ids[op_idx]
         return op, ((state - delete) | add if pre <= state else None)
 
@@ -531,8 +473,7 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
     ``failed_step`` is the offending step index, or ``len(plan)`` when all
     steps applied but the goal is unmet. A step that is no action of the
     grounding fails with the reason :meth:`Grounding.step` gives. Success is
-    decided on atom ids, and the reached state is named only when the
-    result's ``state`` is read.
+    decided on atom ids; the reached state is named once, for the result.
 
     The steps run under the model of ``grounding``, which must be a grounding
     of the problem's objects; by default it is the problem's own,
@@ -547,16 +488,15 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
         try:
             (pre, _, _), after = grounding.step(state, action)
         except StripsError as err:
-            return ExecutionResult._unnamed(False, grounding, state, i, str(err))
+            return ExecutionResult(False, grounding.decode(state), i, str(err))
         if after is None:
             missing = min(grounding.decode(pre - state))
-            return ExecutionResult._unnamed(False, grounding, state, i,
-                                            f"unsatisfied precondition {missing.pddl()} "
-                                            f"for {action.pddl()}")
+            return ExecutionResult(False, grounding.decode(state), i,
+                                   f"unsatisfied precondition {missing.pddl()} "
+                                   f"for {action.pddl()}")
         state = after
     unmet = grounding.encode(problem.goal) - state
     if unmet:
-        return ExecutionResult._unnamed(False, grounding, state, len(plan),
-                                        f"goal atom {min(grounding.decode(unmet)).pddl()} "
-                                        "not achieved")
-    return ExecutionResult._unnamed(True, grounding, state)
+        return ExecutionResult(False, grounding.decode(state), len(plan),
+                               f"goal atom {min(grounding.decode(unmet)).pddl()} not achieved")
+    return ExecutionResult(True, grounding.decode(state))

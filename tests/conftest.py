@@ -32,10 +32,6 @@ from caseplan.generators import random_walk_problem
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "blocks"
 
 
-# the name tables a Grounding builds on first use; a solve needs none of them
-NAME_TABLES = frozenset({"atoms", "atom_index", "ground_actions", "op_index"})
-
-
 def A(text: str) -> Atom:
     parts = text.split()
     return Atom(parts[0], tuple(parts[1:]))

@@ -24,11 +24,9 @@ from caseplan import (
     DomainModel,
     PlanningProblem,
     SequenceDB,
-    merge,
     object_features,
-    removelinks,
 )
-from caseplan.assemble import concat_frag
+from caseplan.assemble import concat_frag, merge, removelinks
 from caseplan.cases import ExperimentRow
 from caseplan.degrade import DegradeSpec, degrade
 from caseplan.evaluate import check_solution
@@ -58,6 +56,17 @@ from caseplan.strips import (
     StripsError,
     is_subtype,
 )
+
+
+# Every ground atom and every ground action of a grounding, in id order, named
+# one id at a time: a Grounding keeps no table of names.
+
+def atom_names(grounding: Grounding) -> tuple[Atom, ...]:
+    return tuple(atom for i in range(grounding.atom_count) for atom in grounding.decode((i,)))
+
+
+def action_names(grounding: Grounding) -> tuple[GroundAction, ...]:
+    return tuple(map(grounding.action, range(len(grounding.ops_ids))))
 
 
 # The earlier plan simulator, the reference for caseplan.strips.Grounding.step
@@ -123,7 +132,7 @@ def execute_plan_on_atoms(problem: PlanningProblem, plan: Plan) -> ExecutionResu
     return ExecutionResult(True, state)
 
 
-def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
+def cut_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
     """Remove inapplicable actions, then goal-deleting trailing actions.
 
     Front: one forward pass from the initial state under the problem's model
@@ -142,6 +151,13 @@ def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan:
     while kept and kept[-1].delete & problem.goal:
         kept.pop()
     return tuple(ga.action for ga in kept)
+
+
+def trim_on_atoms(plan: Plan, problem: PlanningProblem) -> Plan | None:
+    """The plan as :func:`cut_on_atoms` leaves it, where that executes to the
+    goal under :func:`execute_plan_on_atoms`, or None where it does not."""
+    cut = cut_on_atoms(plan, problem)
+    return cut if execute_plan_on_atoms(problem, cut).success else None
 
 
 def causal_pairs_on_atoms(plan: Plan, problem: PlanningProblem) -> frozenset[CausalPair]:
@@ -322,8 +338,9 @@ def causal_pairs_by_triples(plan, model: DomainModel, init):
     return pairs
 
 
-# The earlier assembly primitives, kept unchanged as references for the
-# single-pass trim and the one-scan merge in caseplan.assemble.
+# The earlier assembly primitives, kept as references for the single-pass
+# trim and the one-scan merge in caseplan.assemble. trim_by_restarts, like
+# trim, also returns None where its result misses the goal.
 
 def share_by_scan(partial, fragment) -> bool:
     """True if the partial plan is empty or overlaps the fragment at an end.
@@ -368,12 +385,14 @@ def append_by_overlaps(partial, fragment):
 
 
 def trim_by_restarts(plan, problem: PlanningProblem):
-    """Remove broken leading actions and goal-deleting trailing actions.
+    """Remove broken leading actions and goal-deleting trailing actions, and
+    return the result where it executes to the goal, or None where not.
 
     Front: simulate from the initial state under the problem's model and
     delete the earliest inapplicable action, restarting until the whole
     remainder executes. Back: while the last action's delete list touches a
-    goal atom, drop it.
+    goal atom, drop it. Last: run the result with
+    :func:`execute_plan_on_atoms`.
     """
     model, objects = problem.domain, problem.objects
     actions = list(plan)
@@ -391,7 +410,7 @@ def trim_by_restarts(plan, problem: PlanningProblem):
         del actions[failed]
     while actions and grounded(model, objects, actions[-1]).delete & problem.goal:
         actions.pop()
-    return tuple(actions)
+    return tuple(actions) if execute_plan_on_atoms(problem, tuple(actions)).success else None
 
 
 # The earlier assembly search, kept unchanged as the reference for
@@ -416,9 +435,8 @@ def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair
             available: tuple[ActionSeq, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
-            candidate = trim_on_atoms(partial, problem)
-            result = execute_plan_on_atoms(problem, candidate)
-            return candidate if result.success else None
+            # trimmed, and None where the trimmed draft misses the goal
+            return trim_on_atoms(partial, problem)
         for pair in sorted(remaining):
             for idx, frag in enumerate(available):
                 if pair.provider not in frag and pair.consumer not in frag:
@@ -576,7 +594,7 @@ def h_add_rebuilding_index(state: frozenset[int], goal_ids: tuple[int, ...],
     Dijkstra over atoms: an action fires once all its preconditions have
     final costs and charges 1 plus their sum to every atom it adds.
     """
-    n = len(grounding.atoms)
+    n = grounding.atom_count
     cost = [math.inf] * n
     waiting: dict[int, list[int]] = {}
     remaining = []
@@ -719,7 +737,7 @@ def _checked_plan(problem: PlanningProblem, grounding: Grounding, parent, state)
     steps = []
     while parent[state] is not None:
         state, op_idx = parent[state]
-        steps.append(grounding.ground_actions[op_idx])
+        steps.append(grounding.action(op_idx))
     plan = tuple(reversed(steps))
     check = execute_plan_on_atoms(problem, plan)
     if not check.success:

@@ -109,8 +109,8 @@ def test_criterion_4_golden_solution(tmp_path, capsys, blocks, tower):
                  "--problem", str(TOWER), "--cases", str(CASES),
                  "--delta", "1", "--out", str(out)])
     capsys.readouterr()
-    from caseplan.cases import read_plan
-    produced = read_plan(out)
+    from caseplan.cases import parse_plan
+    produced = parse_plan(out.read_text())
     with capsys.disabled():
         report(4, code == OK and produced == GOLDEN_SOLUTION
                and check_solution(tower, produced, blocks))
@@ -171,7 +171,7 @@ def test_criterion_7_causal_links_match_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.ground_actions[k])
+            steps.append(grounding.action(k))
         if not steps:
             continue
         checked += 1

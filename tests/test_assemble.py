@@ -18,14 +18,13 @@ from caseplan import (
     SequenceDB,
     concat_frag,
     degrade,
-    merge,
     mine_frequent,
     random_blocks_problem,
-    removelinks,
     skeleton,
     solve,
     trim,
 )
+from caseplan.assemble import merge, removelinks
 from caseplan.strips import Plan
 
 from .conftest import (
@@ -41,8 +40,10 @@ from .conftest import (
 )
 from . import oracles
 from .oracles import (
+    action_names,
     append_by_overlaps,
     concat_frag_rescanning,
+    execute_plan_on_atoms,
     share_by_scan,
     trim_by_restarts,
 )
@@ -147,8 +148,22 @@ def test_trim_removes_goal_deleting_tail(blocks):
     assert trimmed == ()
 
 
-def test_trim_empty_plan(tower_incomplete):
-    assert trim((), tower_incomplete) == ()
+def test_trim_empty_plan(blocks, tower_incomplete):
+    # the empty plan reaches the goal only where it holds initially
+    assert trim((), tower_incomplete) is None
+    problem = type(make_tower_problem(blocks))(
+        name="t", domain=blocks, objects={"a": "object"},
+        init=atoms("ontable a", "clear a", "handempty"), goal=atoms("clear a"))
+    assert trim((), problem) == ()
+
+
+def test_trim_of_a_plan_that_misses_the_goal_is_none(tower_incomplete):
+    # both steps apply and neither deletes a goal atom, so trimming keeps
+    # them, but they build only part of the tower
+    steps = plan("pickup b,stack b a")
+    assert execute_plan_on_atoms(tower_incomplete, steps).failed_step == len(steps)
+    assert trim(steps, tower_incomplete) is None
+    assert trim_by_restarts(steps, tower_incomplete) is None
 
 
 # The complete model, a hand-made incomplete one and a seeded degraded one.
@@ -164,7 +179,7 @@ def problem_and_actions(draw):
     """A random 3-block problem under a complete or degraded model, with its ground actions."""
     model = draw(st.sampled_from(MODELS))
     problem = random_blocks_problem(model, 3, random.Random(draw(st.integers(0, 9999))))
-    return problem, Grounding.for_problem(problem).ground_actions
+    return problem, action_names(Grounding.for_problem(problem))
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,7 +376,7 @@ def dead_end_inputs(draw):
     budgets.
     """
     problem, solution = draw(st.sampled_from(short_solution_problems()))
-    actions = Grounding.for_problem(problem).ground_actions
+    actions = action_names(Grounding.for_problem(problem))
     junk = draw(st.lists(st.sampled_from([a for a in actions if a not in solution]),
                          min_size=1, max_size=2, unique=True))
     links = [(i, j) for j in range(len(solution)) for i in range(j)]

@@ -103,7 +103,7 @@ def test_random_plans_match_triple_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.ground_actions[k])
+            steps.append(grounding.action(k))
         p = tuple(steps)
         if not p:
             continue

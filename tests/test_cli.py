@@ -11,7 +11,7 @@ import caseplan.cli
 import caseplan.experiment
 import caseplan.mapping
 from caseplan import parse_domain, parse_problem, read_case_library
-from caseplan.cases import read_plan, read_rows, write_plan
+from caseplan.cases import parse_plan, read_rows, write_plan
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
@@ -125,7 +125,7 @@ def test_solve_golden(tmp_path, capsys):
     assert code == OK
     assert "status: solved" in stdout
     assert "route: fragments" in stdout
-    assert read_plan(out) == GOLDEN_SOLUTION
+    assert parse_plan(out.read_text()) == GOLDEN_SOLUTION
 
 
 def test_solve_goal_in_init_reports_the_skeletal_route_and_no_mining(capsys):
@@ -161,7 +161,7 @@ def test_solve_classical(tmp_path, capsys):
     assert code == OK
     domain = parse_domain(DOMAIN.read_text())
     problem = parse_problem(TOWER.read_text(), domain)
-    assert check_solution(problem, read_plan(out), domain)
+    assert check_solution(problem, parse_plan(out.read_text()), domain)
 
 
 def test_evaluate_command(tmp_path, capsys):
@@ -258,7 +258,7 @@ def test_walking_package_plan_is_rejected(tmp_path, capsys):
     (plans / "walk.plan").write_text("(walk p1 l1 l2)\n")
     domain = parse_domain(domain_path.read_text())
     problem = parse_problem((problems / "walk.pddl").read_text(), domain)
-    plan = read_plan(plans / "walk.plan")
+    plan = parse_plan((plans / "walk.plan").read_text())
     result = execute_plan(problem, plan)
     assert (result.success, result.failed_step) == (False, 0)
     assert result.reason == "action (walk p1 l1 l2): p1 is no object of type driver for ?d"
@@ -314,7 +314,7 @@ def test_experiment_command(tmp_path, capsys):
         problem = parse_problem(problem_text, domain)
         stem = (f"{row.problem_id}_n{row.num_cases}"
                 f"_c{row.completeness}_d{row.delta}")
-        plan = read_plan(tmp_path / "artifacts" / "plans" / f"{stem}.plan")
+        plan = parse_plan((tmp_path / "artifacts" / "plans" / f"{stem}.plan").read_text())
         assert check_solution(problem, plan, domain)
 
 

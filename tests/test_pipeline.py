@@ -11,12 +11,15 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import caseplan.pipeline
+import caseplan.search
 from caseplan import (
     DegradeSpec,
+    Grounding,
     build_fragments,
     degrade,
     execute_plan,
     generate_case_library,
+    make_problem_suite,
     parse_domain,
     parse_problem,
     random_blocks_problem,
@@ -37,8 +40,7 @@ from caseplan.pipeline import (
 )
 from caseplan.strips import PlanningProblem
 
-from .conftest import GOLDEN_SOLUTION, NAME_TABLES, SMALL_SEARCH, atoms, make_p1, make_p2, \
-    typed_instance
+from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
 from .oracles import execute_plan_on_atoms, solve_with_library_eager, trim_on_atoms
 
 
@@ -49,6 +51,14 @@ def library():
     return [("p1", make_p1()), ("p2", make_p2())]
 
 
+def counted(real, calls: list):
+    """``real``, appending the arguments of each call to ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return wrapper
+
+
 @pytest.mark.parametrize("domain, problem, cases, route", [
     ("fixtures/blocks/incomplete.pddl", "fixtures/blocks/tower.pddl", "fixtures/blocks/cases",
      ROUTE_FRAGMENTS),
@@ -57,20 +67,37 @@ def library():
     ("fixtures/blocks/incomplete.pddl", "fixtures/blocks/goal-in-init.pddl",
      "fixtures/blocks/cases", ROUTE_SKELETAL),
 ])
-def test_a_solve_builds_no_name_table(domain, problem, cases, route):
-    # every plan of a solve is checked on atom ids, so the grounding it walks
-    # them on names no atom and no action beyond the steps of those plans
+def test_a_solve_builds_no_name_table(domain, problem, cases, route, monkeypatch):
+    # every plan of a solve is checked on atom ids, so a solve names no atom
     model = parse_domain((ROOT / domain).read_text())
     problem = parse_problem((ROOT / problem).read_text(), model)
+    decoded = []
+    monkeypatch.setattr(Grounding, "decode", counted(Grounding.decode, decoded))
     skeletal = skeleton(problem)
     outcome = solve_with_library(problem, read_case_library(ROOT / cases), 1, skeletal=skeletal)
     assert outcome.route == route
-    grounding = skeletal.grounding
-    assert not NAME_TABLES & vars(grounding).keys()
-    result = execute_plan(problem, outcome.plan, grounding=grounding)
+    assert decoded == []
+    result = execute_plan(problem, outcome.plan, grounding=skeletal.grounding)
     assert result.success
     assert result.state == execute_plan_on_atoms(problem, outcome.plan).state
-    assert not NAME_TABLES & vars(grounding).keys()
+
+
+def test_a_skeleton_walks_each_per_goal_plan_twice(blocks, monkeypatch):
+    # the per-goal searches check their plans on op ids, so the only named
+    # walks of a skeleton are one for causal pairs and one in trim, which
+    # also decides whether the joined plan reaches the goal
+    problems = make_problem_suite(blocks, 30, 7, n_blocks=6)
+    per_goal = sum(len(result.plan) for problem in problems
+                   for _, result in single_goal_plans(problem) if result.solved)
+    steps, executed = [], []
+    monkeypatch.setattr(Grounding, "step", counted(Grounding.step, steps))
+    monkeypatch.setattr(caseplan.search, "execute_plan",
+                        counted(caseplan.search.execute_plan, executed))
+    for problem in problems:
+        skeleton(problem)
+    assert per_goal == 298
+    assert len(steps) == 2 * per_goal
+    assert executed == []
 
 
 def test_golden_end_to_end(tower_incomplete, blocks):
@@ -245,9 +272,7 @@ def test_skeletal_plan_matches_reference(instance, completeness, seed):
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
     joined = tuple(action for _, result in single_goal_plans(problem, SMALL_SEARCH)
                    if result.solved for action in result.plan)
-    trimmed = trim_on_atoms(joined, problem)
-    expected = trimmed if execute_plan_on_atoms(problem, trimmed).success else None
-    assert skeleton(problem, SMALL_SEARCH).plan == expected
+    assert skeleton(problem, SMALL_SEARCH).plan == trim_on_atoms(joined, problem)
 
 
 @settings(max_examples=200, deadline=None)

@@ -383,10 +383,10 @@ def test_h_add_matches_rebuilding_reference(reached, data):
     # (cost inf) and any others, and may be empty
     grounding, _, state = reached
     ids = grounding.encode(state)
-    unreachable = sorted(frozenset(range(len(grounding.atoms)))
+    unreachable = sorted(frozenset(range(grounding.atom_count))
                          - relaxed_reachable(grounding, ids))
     goal = set()
-    for pool, most in ((sorted(ids), 2), (unreachable, 1), (range(len(grounding.atoms)), 3)):
+    for pool, most in ((sorted(ids), 2), (unreachable, 1), (range(grounding.atom_count), 3)):
         if pool:
             goal.update(data.draw(st.lists(st.sampled_from(pool), max_size=most)))
     goal_ids = tuple(sorted(goal))
@@ -409,7 +409,7 @@ def test_h_add_stops_once_the_goal_is_settled():
 
     class CountedReads(tuple):
         def __getitem__(self, atom_id):
-            reads.append(grounding.atoms[atom_id].predicate)
+            reads.append(min(grounding.decode((atom_id,))).predicate)
             return tuple.__getitem__(self, atom_id)
 
     grounding.waiting = CountedReads(grounding.waiting)

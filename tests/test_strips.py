@@ -32,15 +32,18 @@ from caseplan import (
 from caseplan.generators import random_blocks_state
 from caseplan.strips import PlanningProblem
 
-from .conftest import A, GA, GOLDEN_SOLUTION, NAME_TABLES, atoms, depots_start, \
-    driverlog_start, make_tower_problem
+from .conftest import A, GA, GOLDEN_SOLUTION, atoms, depots_start, driverlog_start, \
+    make_tower_problem
 from .oracles import (
     GroundingThroughGrounded,
+    action_names,
+    atom_names,
     causal_pairs_on_atoms,
     execute_plan_on_atoms,
     grounded,
     instantiate,
     substitute,
+    cut_on_atoms,
     trim_on_atoms,
 )
 
@@ -58,6 +61,11 @@ def applies(problem: PlanningProblem, action: GroundAction, state=None) -> bool:
     return grounding.step(grounding.encode(state), action)[1] is not None
 
 DOMAIN_NAMES = ("blocks", "driverlog", "depots")
+
+# everything a Grounding holds: its inputs, the integer tables, the two
+# numberings and encode's memo, and no table of names
+GROUNDING_FIELDS = {"domain", "objects", "_atom_ids", "_op_ids", "atom_count", "_encoded",
+                    "ops_ids", "adds", "waiting", "pre_counts", "free_ops"}
 
 
 @functools.cache
@@ -92,7 +100,7 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
                for i in range(data.draw(st.integers(0, 2), label=t))}
     reference = GroundingThroughGrounded(model, objects)
     grounding = Grounding(model, objects)
-    # names to ids and back by the index arithmetic alone, before any name table exists
+    # names to ids and back by the index arithmetic alone: no name table exists
     for i, atom in enumerate(reference.atoms):
         assert grounding.encode(frozenset({atom})) == {i}
         assert grounding.decode({i}) == {atom}
@@ -114,18 +122,18 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
         else:
             assert raised(grounding.step, frozenset(), action) == \
                 raised(grounded, model, objects, action)
-    assert not NAME_TABLES & vars(grounding).keys()
+    assert vars(grounding).keys() == GROUNDING_FIELDS
     assert grounding.atom_count == len(reference.atoms)
     assert grounding.ops_ids == reference.ops_ids
     assert grounding.waiting == reference.waiting
     assert grounding.pre_counts == reference.pre_counts
     assert grounding.free_ops == reference.free_ops
     assert grounding.adds == tuple(tuple(sorted(add)) for _, add, _ in reference.ops_ids)
-    # the name tables, built on first use
-    assert grounding.atoms == reference.atoms
-    assert grounding.atom_index == reference.atom_index
-    assert grounding.ground_actions == tuple(ga.action for ga in reference.actions)
-    assert grounding.op_index == index
+    # every name, one id at a time
+    assert atom_names(grounding) == reference.atoms
+    assert {a: i for i, a in enumerate(atom_names(grounding))} == reference.atom_index
+    assert action_names(grounding) == tuple(ga.action for ga in reference.actions)
+    assert {a: i for i, a in enumerate(action_names(grounding))} == index
 
 
 def test_grounding_rejects_schema_broader_than_its_predicate():
@@ -157,7 +165,7 @@ def test_grounded_no_params():
                           delete=frozenset())
     model = DomainModel(name="d", types={}, predicates={}, schemas={"noop": schema})
     grounding = Grounding(model, {})
-    assert grounding.ground_actions == (GA("noop"),)
+    assert action_names(grounding) == (GA("noop"),)
     assert grounding.step(frozenset(), GA("noop")) == ((frozenset(),) * 3, frozenset())
 
 
@@ -202,12 +210,17 @@ def test_step_names_the_first_ill_typed_argument(text, reason):
 
 
 def test_atom_index_is_read_only(tower):
-    index = Grounding.for_problem(tower).atom_index
-    atom = next(iter(index))
+    # no atom index is kept: ids come from the numbering's arithmetic, and
+    # what a grounding hands out or remembers cannot be changed through it
+    grounding = Grounding.for_problem(tower)
+    ids = grounding.encode(tower.init)
+    assert type(ids) is frozenset and grounding.encode(tower.init) is ids
+    assert all(type(table) is tuple for table in (grounding.ops_ids, grounding.adds,
+                                                  grounding.waiting, grounding.pre_counts))
     with pytest.raises(TypeError):
-        index[atom] = 0
+        grounding.objects["z"] = "object"
     with pytest.raises(AttributeError):  # a read-only mapping has no pop
-        index.pop(atom)
+        grounding.objects.pop("a")
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +228,7 @@ def test_atom_index_is_read_only(tower):
 def test_grounded_matches_instantiate_reference(data):
     name = data.draw(st.sampled_from(DOMAIN_NAMES))
     grounding = typed_grounding(name, data.draw(st.sampled_from([1.0, 0.5])))
-    action = data.draw(st.sampled_from(grounding.ground_actions))
+    action = data.draw(st.sampled_from(action_names(grounding)))
     schema = grounding.domain.schemas[action.name]
     reference = instantiate(schema, {var: obj for (var, _), obj in zip(schema.params, action.args)})
     assert op_atoms(grounding, action) == (reference.pre, reference.add, reference.delete)
@@ -224,8 +237,8 @@ def test_grounded_matches_instantiate_reference(data):
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
 def test_grounding_is_sorted_without_duplicates(name):
     grounding = typed_grounding(name, 1.0)
-    assert list(grounding.atoms) == sorted(set(grounding.atoms))
-    names = list(grounding.ground_actions)
+    assert list(atom_names(grounding)) == sorted(set(atom_names(grounding)))
+    names = list(action_names(grounding))
     assert names == sorted(set(names))
 
 
@@ -447,8 +460,8 @@ def test_grounding_enumerates_all_blocks_actions(blocks):
     problem = make_tower_problem(blocks)
     grounding = Grounding.for_problem(problem)
     # 4 objects: pickup/putdown 4 each, stack/unstack 16 each
-    assert len(grounding.ground_actions) == 4 + 4 + 16 + 16
-    names = list(grounding.ground_actions)
+    assert len(action_names(grounding)) == 4 + 4 + 16 + 16
+    names = list(action_names(grounding))
     assert names == sorted(names)
     assert op_atoms(grounding, GA("pickup b"))[0] == atoms(
         "clear b", "ontable b", "handempty")
@@ -523,6 +536,8 @@ def test_op_id_simulator_matches_atom_simulator(drawn):
         execute_plan_on_atoms(problem, steps)
     trimmed = raised(trim, steps, problem, grounding=grounding)
     assert trimmed == raised(trim_on_atoms, steps, problem)
-    for walked in (steps, trimmed) if isinstance(trimmed, tuple) else (steps,):
+    # the trimmed plan before it is accepted, which executes step by step
+    cut = raised(cut_on_atoms, steps, problem)
+    for walked in (steps, cut) if isinstance(cut, tuple) else (steps,):
         assert raised(extract_causal_pairs, walked, problem, grounding=grounding) == \
             raised(causal_pairs_on_atoms, walked, problem)
