@@ -191,6 +191,8 @@ def cmd_solve(args) -> int:
     print(f"pairs: {len(outcome.pairs)}")
     print(f"fragments: {len(outcome.fragments)}")
     print(f"patterns: {len(outcome.frequent.patterns)}")
+    if outcome.uncovered is not None:
+        print(f"uncovered: {outcome.uncovered.pddl()}")
     if outcome.plan is None:
         print("status: failed")
         print(f"stage: {outcome.failed_stage}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .strips import DomainModel, Grounding, Plan, PlanningProblem, execute_plan
+from .strips import DomainModel, Grounding, Plan, PlanningProblem, StripsError, execute_plan
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,21 @@ def check_solution(problem: PlanningProblem, plan: Plan, complete_model: DomainM
     ``grounding``, when given, must be ``Grounding(complete_model,
     problem.objects)``; a caller checking several plans on one problem builds
     it once.
+
+    This is ``execute_plan(...).success``, decided on atom ids alone: it names
+    no state and gives no reason, and a step that is no action of the
+    grounding reads as ``False``.
     """
     grounding = grounding or Grounding(complete_model, problem.objects)
-    return execute_plan(problem, plan, grounding=grounding).success
+    state = grounding.encode(problem.init)
+    for action in plan:
+        try:
+            _, state = grounding.step(state, action)
+        except StripsError:
+            return False
+        if state is None:
+            return False
+    return grounding.encode(problem.goal) <= state
 
 
 def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],

@@ -106,7 +106,11 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     the prefix's growth pass, charged in full to each row of the prefix, plus
     the row's own filter at its delta. A nonempty prefix is also charged the
     problem's index. A row whose skeleton has no pairs is charged neither:
-    a standalone solve with no pairs maps and mines nothing. With
+    a standalone solve with no pairs maps and mines nothing. The sweep keeps
+    the eager build, since one build serves every model and a cut depends on
+    the model's pairs, and it charges each row with pairs the fragment build
+    of its whole prefix; a standalone solve stops mapping once a pair end can
+    no longer be frequent, so it may pay for fewer cases. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     max_cases = max(spec.case_counts)

@@ -75,18 +75,20 @@ The set-up of a mapping is split by what each part depends on:
   compares and hashes without the object names, and mapping and cutting
   read a case only through it, so :func:`build_fragments` maps and cuts the
   first case of each index and gives its fragments to every later case with
-  an equal one. In :func:`best_mapping` this level holds the atoms' start
-  keys, each object's candidates and class digit, which atoms are open or
-  dead before the search, and the greedy descent where the problem has type
-  classes. Without narrowing usages or classes (blocks), the candidates are
-  the index's order for each object's features and every start key is the
-  atom's lowest digit.
+  an equal one; given the actions a caller needs frequent, it stops once one
+  of them can no longer be. In :func:`best_mapping` this level holds the
+  atoms' start keys, each object's candidates and class digit, which atoms
+  are open or dead before the search, and the greedy descent where the
+  problem has type classes. Without narrowing usages or classes (blocks),
+  the candidates are the index's order for each object's features and every
+  start key is the atom's lowest digit.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -624,26 +626,95 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     return fragments
 
 
+class Uncovered(Exception):
+    """Raised by :func:`build_fragments` given ``required`` end actions, where
+    ``action``, one of them, can no longer lie in ``min_support`` fragments."""
+
+    def __init__(self, action: GroundAction, bound: int, min_support: int):
+        super().__init__(f"{action.pddl()} can lie in at most {bound} < {min_support} fragments")
+        self.action = action
+
+
+class _SupportBound:
+    """For :func:`build_fragments` given ``required`` actions: the most
+    fragments each can still lie in, as the distinct case indexes are mapped
+    in :attr:`order`; :meth:`check` raises :class:`Uncovered` where one falls
+    below ``min_support``."""
+
+    def __init__(self, required: Collection[GroundAction], min_support: int,
+                 cases: list[tuple[str, CaseFile]], first: Mapping[CaseIndex, CaseFile]):
+        self.min_support = min_support
+        self.ends = sorted(set(required))
+        self.schema_of = {x: (ACTION, x.name, len(x.args)) for x in self.ends}
+        schemas = set(self.schema_of.values())
+        self.copies = Counter(case.mapping_rows for _, case in cases)
+        # per index: its plan steps of each end's schema, once per case that has it
+        self.steps: dict[CaseIndex, Counter] = {}
+        self.left: Counter = Counter()  # per schema: its steps in the indexes not yet mapped
+        for rows in first:
+            counts = self.steps[rows] = Counter()
+            for sig, _ in rows.plan:
+                if sig in schemas:
+                    counts[sig] += self.copies[rows]
+            self.left += counts
+        self.held = dict.fromkeys(self.ends, 0)  # per end: the fragments built that hold it
+        # most steps first; sorted is stable, so ties keep library order
+        self.order = sorted(first, key=lambda rows: self.steps[rows].total(), reverse=True)
+        self.check()
+
+    def mapped(self, rows: CaseIndex, fragments: list[Plan]) -> None:
+        """Count the fragments of a newly mapped index, then :meth:`check`."""
+        copies = self.copies[rows]
+        self.left.subtract(self.steps[rows])
+        for fragment in fragments:
+            for x in self.held.keys() & set(fragment):
+                self.held[x] += copies
+        self.check()
+
+    def check(self) -> None:
+        for x in self.ends:
+            bound = self.held[x] + self.left[self.schema_of[x]]
+            if bound < self.min_support:
+                raise Uncovered(x, bound, self.min_support)
+
+
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
-                    index: MappingIndex | None = None) -> list[Plan]:
+                    index: MappingIndex | None = None,
+                    required: Collection[GroundAction] = (),
+                    min_support: int = 1) -> list[Plan]:
     """Best-map every case onto the problem and collect all plan fragments, in
     library order.
 
     Only the first case of each :class:`CaseIndex` (``case.mapping_rows``,
     which compares without names) is mapped and cut; a later case with an
     equal index gets the same fragments. ``index``, when given, is
-    ``mapping_index(problem)``; otherwise it is built once here for all the
-    cases.
+    ``mapping_index(problem)``; otherwise it is built here, once for all the
+    cases, unless the call stops before it maps any.
+
+    ``required``, when given, are actions that must each lie in at least
+    ``min_support`` of the fragments, or the caller has no use for them (the
+    ends of causal pairs: a frequent pattern holds only actions that do).
+    Fragments are disjoint runs of a case plan, so a case not yet mapped adds
+    at most as many fragments holding ``x`` as its plan has steps of ``x``'s
+    schema. Before the first index is mapped and after each one, the call
+    raises :class:`Uncovered` for the first action, in sorted order, whose
+    fragments so far plus those steps in the indexes not yet mapped (each
+    once per case that has it) fall below ``min_support``. So that a cut
+    comes early, the indexes are mapped in descending order of their steps
+    of the required schemas, once per case that has them, ties in library
+    order; the fragments are still returned in library order.
     """
+    first: dict[CaseIndex, CaseFile] = {}  # per index, its first case, in library order
+    for _, case in cases:
+        first.setdefault(case.mapping_rows, case)
+    bound = _SupportBound(required, min_support, cases, first) if required else None
     if index is None and cases:
         index = mapping_index(problem)
     built: dict[CaseIndex, list[Plan]] = {}
-    out: list[Plan] = []
-    for _, case in cases:
-        rows = case.mapping_rows
-        fragments = built.get(rows)
-        if fragments is None:
-            mapping = best_mapping(case, problem, index=index)
-            fragments = built[rows] = extract_fragments(case, mapping, problem, index=index)
-        out.extend(fragments)
-    return out
+    for rows in first if bound is None else bound.order:
+        case = first[rows]
+        mapping = best_mapping(case, problem, index=index)
+        fragments = built[rows] = extract_fragments(case, mapping, problem, index=index)
+        if bound is not None:
+            bound.mapped(rows, fragments)
+    return [fragment for _, case in cases for fragment in built[case.mapping_rows]]

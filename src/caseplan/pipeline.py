@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .assemble import concat_frag, trim
 from .causal import CausalPair, extract_causal_pairs, single_goal_plans
 from .cases import CaseFile
-from .mapping import build_fragments
+from .mapping import Uncovered, build_fragments
 from .mining import FrequentFragmentSet, GrownPatterns, SequenceDB, mine_frequent
 from .search import SearchConfig, solve
 from .strips import GroundAction, Grounding, Plan, PlanningProblem
@@ -32,7 +32,13 @@ class PipelineOutcome:
 
     ``fragments`` and ``frequent`` are the fragments and patterns the solve
     assembled from. With no causal ``pairs`` there is nothing to assemble, so
-    they are ``()`` and :data:`NO_PATTERNS`, whatever the call was given."""
+    they are ``()`` and :data:`NO_PATTERNS`, whatever the call was given.
+
+    ``uncovered`` is set where the solve stopped mapping cases because that
+    end of a causal pair could no longer lie in ``min_support`` fragments
+    (see :func:`solve_with_library`); the solve then mined and assembled
+    nothing, so ``fragments`` and ``frequent`` are ``()`` and
+    :data:`NO_PATTERNS` and a failed solve's stage is ``mining``."""
 
     plan: Plan | None
     route: str | None
@@ -40,6 +46,7 @@ class PipelineOutcome:
     pairs: frozenset[CausalPair]
     fragments: tuple[Plan, ...]
     frequent: FrequentFragmentSet
+    uncovered: GroundAction | None = None
 
     @property
     def solved(self) -> bool:
@@ -104,10 +111,23 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     only validation against the complete model can tell whether it is really
     correct.
 
+    Where the call builds the fragments itself, the pairs also direct how
+    much it maps. Assembly drops a pair only once both its ends are in the
+    draft, and a draft holds only actions of patterns, each in at least
+    ``min_support`` fragments. So the ends of the pairs are passed to
+    :func:`~caseplan.mapping.build_fragments` as required actions, and it
+    stops mapping cases as soon as one of them can no longer lie in
+    ``min_support`` fragments. Assembly would fail at every budget there, so
+    the solve skips mining and assembly and goes on to the fallbacks. Its
+    outcome reports that end as ``uncovered``, with ``fragments=()`` and
+    ``frequent=NO_PATTERNS``, and ``failed_stage`` ``mining`` where no
+    fallback solves, as with an empty library.
+
     ``fragments``, when given, are the fragments of ``cases`` on this problem,
-    already built (what ``build_fragments(problem, cases)`` returns). They do
-    not depend on the action model, so a caller solving one problem under
-    several models may build them once and pass them to every call.
+    already built (what ``build_fragments(problem, cases)`` returns), and no
+    mapping is cut. They do not depend on the action model, so a caller
+    solving one problem under several models may build them once and pass
+    them to every call.
 
     The other stages can be passed in the same way. ``skeletal``, when given,
     is what ``skeleton(problem, config)`` returns; it depends only on the
@@ -124,26 +144,35 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     if skeletal is None:
         skeletal = skeleton(problem, config)
     skeletal_plan, pairs, grounding = skeletal
+    uncovered = None
     if not pairs:
         fragments, frequent = (), NO_PATTERNS
-    else:
-        if fragments is None:
-            fragments = tuple(build_fragments(problem, cases))
+    elif fragments is None:
+        try:
+            fragments = tuple(build_fragments(
+                problem, cases, required={end for pair in pairs for end in pair},
+                min_support=min_support))
+        except Uncovered as cut:
+            fragments, frequent, uncovered = (), NO_PATTERNS, cut.action
+
+    def outcome(plan: Plan | None, route: str | None, stage: str | None) -> PipelineOutcome:
+        return PipelineOutcome(plan, route, stage, pairs, fragments, frequent, uncovered)
+
+    if pairs and uncovered is None:
         if frequent is None:
             frequent = mine_fragments(fragments, min_support)
         plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
                            grounding=grounding)
         if plan is not None:
-            return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
+            return outcome(plan, ROUTE_FRAGMENTS, None)
 
     if skeletal_plan is not None:
-        return PipelineOutcome(skeletal_plan, ROUTE_SKELETAL, None, pairs, fragments, frequent)
+        return outcome(skeletal_plan, ROUTE_SKELETAL, None)
 
     if search_fallback:
         direct = solve(problem, config, grounding)
         if direct.solved:
-            return PipelineOutcome(direct.plan, ROUTE_SEARCH, None, pairs,
-                                   fragments, frequent)
+            return outcome(direct.plan, ROUTE_SEARCH, None)
 
     if not pairs:
         stage = STAGE_SKELETAL
@@ -151,4 +180,4 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
         stage = STAGE_MINING
     else:
         stage = STAGE_ASSEMBLY
-    return PipelineOutcome(None, None, stage, pairs, fragments, frequent)
+    return outcome(None, None, stage)

@@ -139,6 +139,24 @@ def test_solve_goal_in_init_reports_the_skeletal_route_and_no_mining(capsys):
                                    "status: solved", "route: skeletal", "plan-length: 0"]
 
 
+@pytest.mark.parametrize("flags, code, tail", [
+    ((), OK, ["status: solved", "route: search"]),
+    (("--no-fallback",), PIPELINE_FAILURE, ["status: failed", "stage: mining"]),
+])
+def test_solve_reports_the_uncovered_pair_end(capsys, flags, code, tail):
+    # on the driverlog fixture at delta 1, (board-truck d1 t1 l5) lies in no
+    # fragment of the case mapped first and in no step of the others: mapping
+    # stops, nothing is mined, and a failure is a mining one
+    root = FIXTURES.parent.parent
+    got, stdout, _ = run(capsys, "solve",
+                         "--incomplete-domain", root / "src/caseplan/domains/driverlog.pddl",
+                         "--problem", root / "fixtures/driverlog/problem.pddl",
+                         "--cases", root / "fixtures/driverlog/cases", "--delta", 1, *flags)
+    assert got == code
+    assert stdout.splitlines()[:6] == ["pairs: 5", "fragments: 0", "patterns: 0",
+                                       "uncovered: (board-truck d1 t1 l5)", *tail]
+
+
 def test_solve_failure_is_stage_labeled(tmp_path, capsys):
     # empty case library plus a goal no degraded action can achieve
     empty = tmp_path / "empty-cases"

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from caseplan import evaluate, solve_with_library
-from caseplan.strips import Grounding, PlanningProblem, execute_plan
+from caseplan.evaluate import check_solution
+from caseplan.strips import GroundAction, Grounding, PlanningProblem, execute_plan
 
-from .conftest import atoms, make_p1
+from .conftest import GOLDEN_SOLUTION, atoms, make_p1, plan
 
 
 def trivial_problem(blocks, i):
@@ -98,3 +99,38 @@ def test_unsolved_results_say_where_and_why(blocks, tower, tower_incomplete):
     assert (ok.solved, ok.failed_step, ok.reason) == (True, None, None)
     assert short.failed_step == 0
     assert short.reason.startswith("goal atom")
+
+
+@pytest.mark.parametrize("steps", [
+    GOLDEN_SOLUTION,  # solved
+    GOLDEN_SOLUTION[:2] + GOLDEN_SOLUTION[3:],  # (stack b a) fails mid-walk: b is not held
+    GOLDEN_SOLUTION[:4],  # every step applies, the goal is missed
+    (),  # the goal is missed without a step
+    GOLDEN_SOLUTION[:2] + (GroundAction("fly", ("a",)),),  # unknown schema
+    plan("unstack c a,stack c"),  # wrong arity
+    plan("unstack c a,putdown z"),  # no such object
+    plan("pickup b,stack b b"),  # an action of the table that cannot apply
+])
+def test_check_solution_is_execute_plan_success(blocks, tower, steps):
+    # check_solution decides on atom ids what execute_plan reports, and an
+    # off-table step reads as a failure, never raises
+    grounding = Grounding(blocks, tower.objects)
+    expected = execute_plan(tower, steps, grounding=grounding).success
+    assert check_solution(tower, steps, blocks) == expected
+    assert check_solution(tower, steps, blocks, grounding=grounding) == expected
+
+
+def test_check_solution_on_solver_plans(blocks, incomplete_blocks):
+    # plans of every route, valid or not under the complete model
+    from caseplan import generate_case_library, make_problem_suite
+    cases = generate_case_library(blocks, 6, 3, n_blocks=4)
+    seen = set()
+    for problem in make_problem_suite(incomplete_blocks, 12, 5, n_blocks=4):
+        found = solve_with_library(problem, cases, 1).plan
+        if found is None:
+            continue
+        expected = execute_plan(problem, found,
+                                grounding=Grounding(blocks, problem.objects)).success
+        seen.add(expected)
+        assert check_solution(problem, found, blocks) == expected
+    assert seen == {True, False}

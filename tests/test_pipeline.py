@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import caseplan.pipeline
 import caseplan.search
 from caseplan import (
+    CaseFile,
     DegradeSpec,
     Grounding,
     build_fragments,
@@ -26,7 +27,7 @@ from caseplan import (
     read_case_library,
     solve_with_library,
 )
-from caseplan.causal import single_goal_plans
+from caseplan.causal import CausalPair, single_goal_plans
 from caseplan.evaluate import check_solution
 from caseplan.pipeline import (
     NO_PATTERNS,
@@ -40,7 +41,17 @@ from caseplan.pipeline import (
 )
 from caseplan.strips import PlanningProblem
 
-from .conftest import GOLDEN_SOLUTION, SMALL_SEARCH, atoms, make_p1, make_p2, typed_instance
+from .conftest import (
+    GA,
+    GOLDEN_SOLUTION,
+    SMALL_SEARCH,
+    atoms,
+    count_best_mapping_calls,
+    make_p1,
+    make_p2,
+    plan,
+    typed_instance,
+)
 from .oracles import execute_plan_on_atoms, solve_with_library_eager, trim_on_atoms
 
 
@@ -212,6 +223,53 @@ def test_failure_stage_mining(blocks, tower):
     assert outcome.failed_stage == STAGE_MINING
 
 
+def test_the_cut_bounds_fragments_by_schema_steps_not_cases(blocks, monkeypatch):
+    # one case holds (pickup a) (stack a b) twice, split by steps on c, which
+    # the two-block problem has no object for: two fragments hold each end of
+    # the pair, so at delta 2 the pair is frequent though only one case is
+    case = CaseFile(init=atoms("clear a", "clear b", "clear c", "handempty",
+                               "ontable a", "ontable b", "ontable c"),
+                    goal=atoms("on a b"),
+                    plan=plan("pickup a,stack a b,unstack a b,putdown a,"
+                              "pickup c,putdown c,pickup a,stack a b"))
+    problem = PlanningProblem(name="two", domain=blocks, objects={"a": "object", "b": "object"},
+                              init=atoms("clear a", "clear b", "handempty",
+                                         "ontable a", "ontable b"),
+                              goal=atoms("on a b"))
+    assert build_fragments(problem, [("case", case)]) == \
+        [plan("pickup a,stack a b,unstack a b,putdown a"), plan("pickup a,stack a b")]
+    outcome = solve_with_library(problem, [("case", case)], 2)
+    assert outcome.pairs == {CausalPair(GA("pickup a"), GA("stack a b"))}
+    assert (outcome.route, outcome.uncovered) == (ROUTE_FRAGMENTS, None)
+    assert outcome.plan == plan("pickup a,stack a b")
+    # a second copy of the case shares its index but holds two fragments more
+    twice = solve_with_library(problem, [("case", case), ("copy", case)], 4)
+    assert (twice.route, twice.uncovered) == (ROUTE_FRAGMENTS, None)
+    # at delta 3 (stack a b) cannot lie in three fragments, as the case has two
+    # stack steps: the solve is cut before it maps the case
+    calls = count_best_mapping_calls(monkeypatch)
+    cut = solve_with_library(problem, [("case", case)], 3)
+    assert (cut.uncovered, cut.route, calls) == (GA("stack a b"), ROUTE_SKELETAL, [])
+
+
+def test_a_cut_solve_maps_fewer_cases_than_the_library_has(monkeypatch):
+    # on the driverlog fixture at delta 1, (board-truck d1 t1 l5) lies in no
+    # fragment of the first case mapped, and the other two cases have no
+    # board-truck step: the solve stops after one mapping where the eager
+    # build maps all three
+    domain = parse_domain((ROOT / "src/caseplan/domains/driverlog.pddl").read_text())
+    problem = parse_problem((ROOT / "fixtures/driverlog/problem.pddl").read_text(), domain)
+    cases = read_case_library(ROOT / "fixtures/driverlog/cases")
+    calls = count_best_mapping_calls(monkeypatch)
+    outcome = solve_with_library(problem, cases, 1)
+    assert outcome.uncovered == GA("board-truck d1 t1 l5")
+    assert (outcome.fragments, outcome.frequent, outcome.route) == ((), NO_PATTERNS, ROUTE_SEARCH)
+    assert 0 < len(calls) < len({case.mapping_rows for _, case in cases})
+    eager = solve_with_library_eager(problem, cases, 1)
+    assert len(calls) == 1 + len({case.mapping_rows for _, case in cases})
+    assert (eager.plan, eager.route, eager.pairs) == (outcome.plan, outcome.route, outcome.pairs)
+
+
 def test_pipeline_is_deterministic(tower_incomplete):
     first = solve_with_library(tower_incomplete, library(), 1)
     second = solve_with_library(tower_incomplete, library(), 1)
@@ -250,17 +308,24 @@ def test_fragments_do_not_depend_on_the_model(instance, completeness, seed):
 def test_given_fragments_solve_like_built_ones(instance, completeness, seed, delta):
     # each stage passed in, as run_experiment passes it, solves like the stage
     # the call computes itself: the fragments, the skeleton of (problem,
-    # model) and the patterns of (fragments, delta)
+    # model) and the patterns of (fragments, delta); a call that stopped
+    # mapping at an uncovered pair end built fewer fragments but finds the
+    # same plan on the same route
     domain, problem, cases = instance
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
     fragments = tuple(build_fragments(problem, cases))
     computed = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
-    assert solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
-                              fragments=fragments) == computed
+    given = solve_with_library(problem, cases, delta, config=SMALL_SEARCH, fragments=fragments)
+    event(f"{domain.name} cut {computed.uncovered is not None}")
+    if computed.uncovered is None:
+        assert given == computed
+    else:
+        assert (given.plan, given.route, given.pairs) == \
+            (computed.plan, computed.route, computed.pairs)
     assert solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
                               fragments=fragments,
                               skeletal=skeleton(problem, SMALL_SEARCH),
-                              frequent=mine_fragments(fragments, delta)) == computed
+                              frequent=mine_fragments(fragments, delta)) == given
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,18 +367,26 @@ def test_directed_mining_matches_the_eager_pipeline(name, instance_seed, complet
                                                     seed, delta):
     # skipping the mapping, mining and assembly of a solve with no causal
     # pairs changes no plan, failed stage or pairs; only a goal that holds
-    # initially moves from the fragments route to the skeletal one
+    # initially moves from the fragments route to the skeletal one. Cutting
+    # the mapping where a pair end cannot be frequent changes no plan, route
+    # or pairs, and never drops a fragments-route plan
     domain, problem, cases = typed_instance(name, instance_seed)
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
     outcome = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
     eager = solve_with_library_eager(problem, cases, delta, config=SMALL_SEARCH)
-    assert (outcome.plan, outcome.failed_stage, outcome.pairs) == \
-        (eager.plan, eager.failed_stage, eager.pairs)
+    assert (outcome.plan, outcome.pairs) == (eager.plan, eager.pairs)
     goal_in_init = problem.goal <= problem.init
-    event(f"{domain.name} pairs {bool(eager.pairs)} goal in init {goal_in_init}")
-    if eager.pairs:
+    event(f"{domain.name} pairs {bool(eager.pairs)} goal in init {goal_in_init} "
+          f"cut {outcome.uncovered is not None}")
+    if outcome.uncovered is not None:
+        assert outcome.uncovered in {end for pair in outcome.pairs for end in pair}
+        assert outcome.route == eager.route != ROUTE_FRAGMENTS
+        assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
+        assert outcome.failed_stage == (STAGE_MINING if outcome.plan is None else None)
+    elif eager.pairs:
         assert outcome == eager
     else:
+        assert outcome.failed_stage == eager.failed_stage
         assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
         assert outcome.route == (ROUTE_SKELETAL if goal_in_init else eager.route)
         assert (eager.route == ROUTE_FRAGMENTS) == goal_in_init
