@@ -10,7 +10,7 @@ from .cases import CaseFile, ExperimentRow
 from .degrade import DegradeSpec, degrade
 from .evaluate import check_solution
 from .generators import generate_case_library, random_blocks_problem
-from .mapping import CaseIndex, build_fragments, mapping_index
+from .mapping import CaseIndex, case_fragments, mapping_index
 from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
@@ -101,16 +101,16 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     solve call (no parsing, no validation) plus the time of every stage it
     used, each timed once, when built: the row's skeleton (skeletal plan
     included) and, where the skeleton has causal pairs, its mining and the
-    fragment build of each distinct case index in its prefix, once, as a
-    standalone ``build_fragments`` of the prefix reuses them. Its mining is
-    the prefix's growth pass, charged in full to each row of the prefix, plus
-    the row's own filter at its delta. A nonempty prefix is also charged the
-    problem's index. A row whose skeleton has no pairs is charged neither:
-    a standalone solve with no pairs maps and mines nothing. The sweep keeps
-    the eager build, since one build serves every model and a cut depends on
-    the model's pairs, and it charges each row with pairs the fragment build
-    of its whole prefix; a standalone solve stops mapping once a pair end can
-    no longer be frequent, so it may pay for fewer cases. With
+    ``case_fragments`` call of each distinct case index in its prefix, timed
+    once, as a standalone ``build_fragments`` of the prefix reuses it. Its
+    mining is the prefix's growth pass, charged in full to each row of the
+    prefix, plus the row's own filter at its delta. A nonempty prefix is also
+    charged the problem's index. A row whose skeleton has no pairs is charged
+    neither: a standalone solve with no pairs maps and mines nothing. The
+    sweep maps every case index, since one build serves every model and a cut
+    depends on the model's pairs, and it charges each row with pairs the
+    fragments of its whole prefix; a standalone solve stops mapping once a
+    pair end can no longer be frequent, so it may pay for fewer cases. With
     ``timing=False`` it is written as 0 so reruns are byte-identical.
     """
     max_cases = max(spec.case_counts)
@@ -133,9 +133,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         built: dict[CaseIndex, tuple[list[Plan], float]] = {}
         for s_idx, (seed, library, models) in enumerate(seeds):
             keys = [case.mapping_rows for _, case in library[:max_cases]]
-            for key, entry in zip(keys, library):
+            for key, (_, case) in zip(keys, library):
                 if key not in built:
-                    built[key] = _timed(build_fragments, problem, [entry], index=index)
+                    built[key] = _timed(case_fragments, case, problem, index)
             # per model: (the problem under it, its skeleton, build seconds)
             skeletons = [(degraded, *_timed(skeleton, degraded, spec.search))
                          for degraded in (replace(problem, domain=model) for model in models)]

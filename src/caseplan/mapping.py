@@ -66,17 +66,18 @@ The set-up of a mapping is split by what each part depends on:
   greedy descent's order and rows), which ``case.mapping_rows`` builds on
   first use and keeps on the case, so a library mapped onto many problems
   builds it once per case;
-- per problem: the :class:`MappingIndex`, with the object ids, the type
-  classes, the usages that narrow a case object's candidates, the positions
-  of each schema that :func:`extract_fragments` checks, the candidate order
-  of each feature set and the image set, shared by every case mapped onto
-  the problem and by every degraded model of it;
-- per (problem, case index), once: the mapping and the fragments. An index
-  compares and hashes without the object names, and mapping and cutting
-  read a case only through it, so :func:`build_fragments` maps and cuts the
-  first case of each index and gives its fragments to every later case with
-  an equal one; given the actions a caller needs frequent, it stops once one
-  of them can no longer be. In :func:`best_mapping` this level holds the
+- per problem: the :class:`MappingIndex`, with the object names, the op
+  numbering that :func:`extract_fragments` asks for each renamed step, the
+  type classes, the usages that narrow a case object's candidates, the
+  candidate order of each feature set and the image set, shared by every
+  case mapped onto the problem and by every degraded model of it;
+- per (problem, case index), once: the mapping and the fragments, one
+  :func:`case_fragments` call. An index compares and hashes without the
+  object names, and mapping and cutting read a case only through it, so
+  :func:`build_fragments` maps and cuts the first case of each index and
+  gives its fragments to every later case with an equal one; given the
+  actions a caller needs frequent, it stops once one of them can no longer
+  be. In :func:`best_mapping` this level holds the
   atoms' start keys, each object's candidates and class digit, which atoms
   are open or dead before the search, and the greedy descent where the
   problem has type classes. Without narrowing usages or classes (blocks),
@@ -93,7 +94,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .cases import CaseFile
-from .strips import Atom, GroundAction, Plan, PlanningProblem, is_subtype
+from .strips import Atom, GroundAction, Numbering, Plan, PlanningProblem, action_numbering
+from .strips import type_pools
 
 
 def _features(source: CaseFile | PlanningProblem) -> dict[str, frozenset[str]]:
@@ -244,7 +246,7 @@ def case_index(case: CaseFile) -> CaseIndex:
 
 @dataclass(frozen=True)
 class MappingIndex:
-    """What :func:`best_mapping` reads of a problem, in integers.
+    """What mapping and cutting read of a problem, in integers.
 
     Built by :func:`mapping_index`. It depends only on the problem's objects,
     init and goal and on the domain's types, predicate signatures and schema
@@ -253,11 +255,9 @@ class MappingIndex:
     """
 
     objects: tuple[str, ...]  # object id -> name, in sorted name order
-    ids: Mapping[str, int]  # object name -> id
-    # signature of a schema -> its positions that fewer than all objects fit,
-    # each with the ids of the objects that do: an action of the schema is
-    # usable when every argument is mapped and each of these positions fits
-    schemas: Mapping[Signature, tuple[tuple[int, frozenset[int]], ...]]
+    # the problem's op numbering (strips.action_numbering): a renamed case
+    # step is usable when it gives the step an id
+    ops: Numbering
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
     # (signature, position) -> the ids of the objects that fit it, where
     # fewer than all objects do: the candidates of a case object are those
@@ -297,17 +297,14 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
     objects = tuple(sorted(problem.objects))
     ids = {o: i for i, o in enumerate(objects)}
     domain = problem.domain
-    fitting = {t: frozenset(i for i, o in enumerate(objects)
-                            if is_subtype(domain.types, problem.objects[o], t))
-               for t in domain.types}
+    pools = type_pools(domain, problem.objects)
+    fitting = {t: frozenset(map(ids.__getitem__, pool)) for t, (pool, _) in pools.items()}
     fits = {(PREDICATE, name, len(sig)): tuple(fitting[t] for t in sig)
             for name, sig in domain.predicates.items()}
     fits.update({(ACTION, name, len(schema.params)): tuple(fitting[t] for _, t in schema.params)
                  for name, schema in domain.schemas.items()})
     narrowing = {(sig, j): fit for sig, fit_row in fits.items()
                  for j, fit in enumerate(fit_row) if len(fit) < len(objects)}
-    schemas = {sig: tuple((j, fit) for j, fit in enumerate(fit_row) if len(fit) < len(objects))
-               for sig, fit_row in fits.items() if sig[0] == ACTION}
     classes = tuple(sorted({fit for fit in fitting.values() if 0 < len(fit) < len(objects)},
                            key=lambda fit: (len(fit), sorted(fit))))
     predicates: dict[tuple[str, int], int] = {}
@@ -335,9 +332,9 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
     orders = {feats: tuple(sorted(range(len(objects)),
                                   key=lambda i: (object_feats[i] != feats, i)))
               for feats in set(object_feats)}
-    return MappingIndex(objects, MappingProxyType(ids), MappingProxyType(schemas),
-                        MappingProxyType(predicates), MappingProxyType(narrowing), classes,
-                        MappingProxyType(orders), frozenset(images))
+    return MappingIndex(objects, action_numbering(domain, pools), MappingProxyType(predicates),
+                        MappingProxyType(narrowing), classes, MappingProxyType(orders),
+                        frozenset(images))
 
 
 def best_mapping(case: CaseFile, problem: PlanningProblem, *,
@@ -597,28 +594,20 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     """Rename the case plan and return its maximal runs of usable actions,
     each a nonempty plan.
 
-    An action is usable when its schema exists in the problem's domain and
-    every argument is mapped to a type-compatible problem object; anything
-    else splits the plan at that point. ``index``, when given, is
-    ``mapping_index(problem)``, already built.
+    An action is usable when the problem's op numbering (``index.ops``) gives
+    the renamed action an id, as the op table does every action of the
+    problem; anything else splits the plan at that point. ``index``, when
+    given, is ``mapping_index(problem)``, already built.
     """
-    if index is None:
-        index = mapping_index(problem)
-    rows = case.mapping_rows
-    ids = index.ids
-    # per depth: the problem object the case object is mapped to, else None
-    names = [name if name in ids else None for name in map(mapping.get, rows.case_objs)]
-    schemas = index.schemas
+    op_id = (index or mapping_index(problem)).ops.id
+    names = list(map(mapping.get, case.mapping_rows.case_objs))  # per depth: the image, else None
     fragments: list[Plan] = []
     current: list[GroundAction] = []
-    for sig, slots in rows.plan:
-        narrow = schemas.get(sig)
-        if narrow is not None:
-            args = tuple([names[s] for s in slots])
-            if None not in args and all(ids[args[j]] in fit for j, fit in narrow):
-                current.append(GroundAction(sig[1], args))
-                continue
-        if current:
+    for (_, name, _), slots in case.mapping_rows.plan:
+        action = GroundAction(name, tuple([names[s] for s in slots]))
+        if op_id(*action) is not None:
+            current.append(action)
+        elif current:
             fragments.append(tuple(current))
             current = []
     if current:
@@ -626,56 +615,19 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     return fragments
 
 
+def case_fragments(case: CaseFile, problem: PlanningProblem, index: MappingIndex) -> list[Plan]:
+    """The fragments of one case on the problem: its :func:`best_mapping`, cut
+    by :func:`extract_fragments`. ``index`` is ``mapping_index(problem)``."""
+    return extract_fragments(case, best_mapping(case, problem, index=index), problem, index=index)
+
+
 class Uncovered(Exception):
     """Raised by :func:`build_fragments` given ``required`` end actions, where
     ``action``, one of them, can no longer lie in ``min_support`` fragments."""
 
-    def __init__(self, action: GroundAction, bound: int, min_support: int):
-        super().__init__(f"{action.pddl()} can lie in at most {bound} < {min_support} fragments")
+    def __init__(self, action: GroundAction):
+        super().__init__(action)
         self.action = action
-
-
-class _SupportBound:
-    """For :func:`build_fragments` given ``required`` actions: the most
-    fragments each can still lie in, as the distinct case indexes are mapped
-    in :attr:`order`; :meth:`check` raises :class:`Uncovered` where one falls
-    below ``min_support``."""
-
-    def __init__(self, required: Collection[GroundAction], min_support: int,
-                 cases: list[tuple[str, CaseFile]], first: Mapping[CaseIndex, CaseFile]):
-        self.min_support = min_support
-        self.ends = sorted(set(required))
-        self.schema_of = {x: (ACTION, x.name, len(x.args)) for x in self.ends}
-        schemas = set(self.schema_of.values())
-        self.copies = Counter(case.mapping_rows for _, case in cases)
-        # per index: its plan steps of each end's schema, once per case that has it
-        self.steps: dict[CaseIndex, Counter] = {}
-        self.left: Counter = Counter()  # per schema: its steps in the indexes not yet mapped
-        for rows in first:
-            counts = self.steps[rows] = Counter()
-            for sig, _ in rows.plan:
-                if sig in schemas:
-                    counts[sig] += self.copies[rows]
-            self.left += counts
-        self.held = dict.fromkeys(self.ends, 0)  # per end: the fragments built that hold it
-        # most steps first; sorted is stable, so ties keep library order
-        self.order = sorted(first, key=lambda rows: self.steps[rows].total(), reverse=True)
-        self.check()
-
-    def mapped(self, rows: CaseIndex, fragments: list[Plan]) -> None:
-        """Count the fragments of a newly mapped index, then :meth:`check`."""
-        copies = self.copies[rows]
-        self.left.subtract(self.steps[rows])
-        for fragment in fragments:
-            for x in self.held.keys() & set(fragment):
-                self.held[x] += copies
-        self.check()
-
-    def check(self) -> None:
-        for x in self.ends:
-            bound = self.held[x] + self.left[self.schema_of[x]]
-            if bound < self.min_support:
-                raise Uncovered(x, bound, self.min_support)
 
 
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
@@ -686,10 +638,11 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     library order.
 
     Only the first case of each :class:`CaseIndex` (``case.mapping_rows``,
-    which compares without names) is mapped and cut; a later case with an
-    equal index gets the same fragments. ``index``, when given, is
-    ``mapping_index(problem)``; otherwise it is built here, once for all the
-    cases, unless the call stops before it maps any.
+    which compares without names) is mapped and cut, by
+    :func:`case_fragments`; a later case with an equal index gets the same
+    fragments. ``index``, when given, is ``mapping_index(problem)``;
+    otherwise it is built here, once for all the cases, unless the call stops
+    before it maps any.
 
     ``required``, when given, are actions that must each lie in at least
     ``min_support`` of the fragments, or the caller has no use for them (the
@@ -702,19 +655,42 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     once per case that has it) fall below ``min_support``. So that a cut
     comes early, the indexes are mapped in descending order of their steps
     of the required schemas, once per case that has them, ties in library
-    order; the fragments are still returned in library order.
+    order; the fragments are still returned in library order. Without
+    ``required`` nothing is cut, and the indexes are mapped in library order.
     """
-    first: dict[CaseIndex, CaseFile] = {}  # per index, its first case, in library order
+    first: dict[CaseIndex, CaseFile] = {}  # per index: its first case, in library order
+    copies: Counter = Counter()  # per index: the cases that have it
     for _, case in cases:
         first.setdefault(case.mapping_rows, case)
-    bound = _SupportBound(required, min_support, cases, first) if required else None
-    if index is None and cases:
+        copies[case.mapping_rows] += 1
+    held = dict.fromkeys(sorted(set(required)), 0)  # per end: the fragments built that hold it
+    schema_of = {x: (ACTION, x.name, len(x.args)) for x in held}
+    left = dict.fromkeys(schema_of.values(), 0)  # per schema: its steps in the indexes not mapped
+    # per index: its steps of those schemas, each counting once per case that has it
+    steps = {rows: [sig for sig, _ in rows.plan if sig in left] for rows in first}
+    for rows, n in copies.items():
+        for sig in steps[rows]:
+            left[sig] += n
+
+    def check() -> None:
+        for x, n in held.items():
+            if n + left[schema_of[x]] < min_support:
+                raise Uncovered(x)
+
+    check()
+    if index is None and first:
         index = mapping_index(problem)
     built: dict[CaseIndex, list[Plan]] = {}
-    for rows in first if bound is None else bound.order:
-        case = first[rows]
-        mapping = best_mapping(case, problem, index=index)
-        fragments = built[rows] = extract_fragments(case, mapping, problem, index=index)
-        if bound is not None:
-            bound.mapped(rows, fragments)
+    # most steps first, each once per case that has it; sorted is stable, so
+    # ties keep library order
+    for rows in sorted(first, key=lambda rows: len(steps[rows]) * copies[rows], reverse=True):
+        fragments = built[rows] = case_fragments(first[rows], problem, index)
+        n = copies[rows]
+        for sig in steps[rows]:
+            left[sig] -= n
+        for fragment in fragments:
+            for x in held:
+                if x in fragment:
+                    held[x] += n
+        check()
     return [fragment for _, case in cases for fragment in built[case.mapping_rows]]

@@ -30,9 +30,6 @@ class SequenceDB:
     def from_sequences(cls, sequences: Sequence[Sequence[GroundAction]]) -> "SequenceDB":
         return cls(tuple(map(tuple, sequences)))
 
-    def __len__(self) -> int:
-        return len(self.sequences)
-
 
 @dataclass(frozen=True)
 class FrequentFragmentSet:
@@ -43,9 +40,6 @@ class FrequentFragmentSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "supports", MappingProxyType(dict(self.supports)))
-
-    def __len__(self) -> int:
-        return len(self.patterns)
 
 
 class GrownPatterns(NamedTuple):

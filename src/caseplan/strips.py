@@ -220,11 +220,19 @@ class ExecutionResult:
     reason: str | None = None
 
 
-# one argument position of a numbering: (pool, position of each object in it, stride)
-_Digit: TypeAlias = tuple[list[str], Mapping[str, int], int]
+# per type: the objects that fit it, in sorted order, and the position of each
+Pools: TypeAlias = Mapping[str, tuple[tuple[str, ...], Mapping[str, int]]]
 
 
-class _Numbering:
+def type_pools(domain: DomainModel, objects: Mapping[str, str]) -> Pools:
+    """The :data:`Pools` of ``objects`` under the domain's types; every numbering counts in them."""
+    pools = {t: tuple(sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t)))
+             for t in domain.types}
+    return {t: (pool, MappingProxyType({o: k for k, o in enumerate(pool)}))
+            for t, pool in pools.items()}
+
+
+class Numbering:
     """Consecutive ids for the tuples ``(name, args)`` of a signature table.
 
     ``args`` takes, at each position, an object of the pool of that
@@ -233,25 +241,25 @@ class _Numbering:
     fastest. So the tuple whose arguments sit at positions k_1..k_m of their
     pools has id ``base[name] + Σ k_i × stride_i``, and ids run in sorted
     tuple order. Both directions are this arithmetic; no table of names is
-    kept.
+    kept. Its tables are tuples and read-only mappings, and never change.
     """
 
-    def __init__(self, signatures: Mapping[str, tuple[str, ...]],
-                 pools: Mapping[str, list[str]], where: Mapping[str, Mapping[str, int]]):
-        self.names = sorted(signatures)
-        self.bases: list[int] = []
-        self.digits: dict[str, tuple[int, tuple[_Digit, ...]]] = {}  # name -> (base, digits)
+    def __init__(self, signatures: Mapping[str, tuple[str, ...]], pools: Pools):
+        self.names = tuple(sorted(signatures))
+        bases: list[int] = []
+        digits = {}  # name -> (base, per position: (pool, positions in it, stride))
         count = 0
         for name in self.names:
-            digits = []
+            row = []
             stride = 1
             for t in reversed(signatures[name]):
-                digits.append((pools[t], where[t], stride))
-                stride *= len(pools[t])
-            self.bases.append(count)
-            self.digits[name] = (count, tuple(reversed(digits)))
+                pool, where = pools[t]
+                row.append((pool, where, stride))
+                stride *= len(pool)
+            bases.append(count)
+            digits[name] = (count, tuple(reversed(row)))
             count += stride
-        self.count = count
+        self.bases, self.digits, self.count = tuple(bases), MappingProxyType(digits), count
 
     def id(self, name: str, args: tuple[str, ...]) -> int | None:
         """The id of ``(name, args)``, or None where it is no tuple of the table."""
@@ -278,6 +286,13 @@ class _Numbering:
             k, i = divmod(i, stride)
             args.append(pool[k])
         return name, tuple(args)
+
+
+def action_numbering(domain: DomainModel, pools: Pools) -> Numbering:
+    """The op ids of the domain's ground actions over ``type_pools``: an
+    action is an op exactly when the numbering gives it an id."""
+    return Numbering({name: tuple(t for _, t in schema.params)
+                      for name, schema in domain.schemas.items()}, pools)
 
 
 # how many distinct atom sets a grounding remembers the ids of; a solve encodes
@@ -315,14 +330,9 @@ class Grounding:
         self.domain = domain
         self.objects: Mapping[str, str] = MappingProxyType(dict(objects))
 
-        pools: dict[str, list[str]] = {
-            t: sorted(o for o, ot in objects.items() if is_subtype(domain.types, ot, t))
-            for t in domain.types}
-        where = {t: {o: k for k, o in enumerate(pool)} for t, pool in pools.items()}
-        self._atom_ids = _Numbering(domain.predicates, pools, where)
-        self._op_ids = _Numbering(
-            {name: tuple(t for _, t in schema.params) for name, schema in domain.schemas.items()},
-            pools, where)
+        pools = type_pools(domain, objects)
+        self._atom_ids = Numbering(domain.predicates, pools)
+        self._op_ids = action_numbering(domain, pools)
         self.atom_count = self._atom_ids.count
         self._encoded: dict[frozenset[Atom], frozenset[int]] = {}
 
@@ -450,11 +460,10 @@ class Grounding:
         if len(action.args) != len(schema.params):
             return (f"action {action.pddl()}: expected {len(schema.params)} "
                     f"arguments, got {len(action.args)}")
-        # the table holds every well-typed binding, so some argument is ill-typed
-        types, objects = self.domain.types, self.objects
-        arg, var, ptype = next(
-            (arg, var, ptype) for arg, (var, ptype) in zip(action.args, schema.params)
-            if arg not in objects or not is_subtype(types, objects[arg], ptype))
+        # the table holds every well-typed binding, so some argument is outside its pool
+        _, digits = self._op_ids.digits[action.name]
+        arg, (var, ptype) = next((arg, param) for arg, param, (_, where, _)
+                                 in zip(action.args, schema.params, digits) if arg not in where)
         return f"action {action.pddl()}: {arg} is no object of type {ptype} for {var}"
 
     def successors(self, state: frozenset[int]) -> Iterator[tuple[int, frozenset[int]]]:

@@ -1107,7 +1107,7 @@ def best_mapping_tuple_keys(case: CaseFile, problem: PlanningProblem, *,
 
 # The name-based extract_fragments, kept unchanged as the reference for
 # caseplan.mapping.extract_fragments, which now reads the case's plan rows and
-# checks each argument against the index's fitting object ids.
+# asks the problem's op numbering for the id of each renamed step.
 
 def extract_fragments_by_name(case: CaseFile, mapping: dict[str, str],
                               problem: PlanningProblem) -> list[Plan]:

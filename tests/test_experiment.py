@@ -251,7 +251,7 @@ def test_cpu_millis_charges_mapping_and_mining_only_to_rows_with_pairs(blocks, m
     # distinct case index's build once, with the problem's index when the
     # prefix is not empty), growth and filter, since a standalone solve with
     # no pairs builds none of them
-    seconds = {"mapping_index": 1, "build_fragments": 2, "skeleton": 4,
+    seconds = {"mapping_index": 1, "case_fragments": 2, "skeleton": 4,
                "grow_frequent": 8, "mine_fragments": 16, "solve_with_library": 32}
 
     def timed(fn, *args, **kwargs):

@@ -29,7 +29,7 @@ from caseplan import (
 from caseplan.cases import case_to_text
 from caseplan.mapping import RADIX, CaseIndex
 from caseplan.pddl import problem_to_pddl
-from caseplan.strips import PlanningProblem, is_subtype
+from caseplan.strips import GroundAction, Grounding, PlanningProblem, StripsError, is_subtype
 
 from .conftest import (
     FIXTURES,
@@ -442,9 +442,9 @@ def test_integer_images_decode_to_tuple_images(instance):
 
 @pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])
 def test_index_data_is_read_only(name):
-    # the type classes, the narrowing usages, the candidate orders, the
-    # object ids, the schema checks and the image set are tuples,
-    # frozensets and read-only mappings, as the README promises
+    # the type classes, the narrowing usages, the candidate orders, the op
+    # numbering's tables and the image set are tuples, frozensets and
+    # read-only mappings, as the README promises
     _, problem, _ = typed_instance(name, 0)
     index = mapping_index(problem)
     assert isinstance(index.classes, tuple)
@@ -455,7 +455,12 @@ def test_index_data_is_read_only(name):
     assert all(isinstance(fit, frozenset) and len(fit) < len(index.objects)
                for fit in index.narrowing.values())
     assert isinstance(index.images, frozenset)
-    for mapping in (index.narrowing, index.orders, index.ids, index.schemas):
+    ops = index.ops
+    assert isinstance(ops.names, tuple) and isinstance(ops.bases, tuple)
+    positions = [row for _, rows in ops.digits.values() for row in rows]
+    assert positions and all(isinstance(pool, tuple) for pool, _, _ in positions)
+    for mapping in (index.narrowing, index.orders, ops.digits,
+                    *(where for _, where, _ in positions)):
         if not mapping:
             continue
         key = next(iter(mapping))
@@ -465,6 +470,55 @@ def test_index_data_is_read_only(name):
             mapping.pop(key)
     # driverlog: location, locatable, driver, truck, obj; blocks: none
     assert len(index.classes) == {"blocks": 0, "driverlog": 5, "depots": 9}[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances, st.data())
+def test_extract_fragments_keeps_exactly_the_actions_of_the_op_table(instance, data):
+    # any mapping into the problem's objects, partial, ill-typed and not
+    # injective, not only a best one: a step is kept exactly when every
+    # argument is mapped and the problem's grounding takes the renamed action
+    _, problem, library = instance
+    grounding = Grounding.for_problem(problem)
+    state = grounding.encode(problem.init)
+    images = st.one_of(st.none(), st.sampled_from(sorted(problem.objects)))
+    for _, case in library:
+        mapping = {o: image for o in sorted(case.objects())
+                   if (image := data.draw(images)) is not None}
+        fragments = extract_fragments(case, mapping, problem)
+        assert fragments == extract_fragments_by_name(case, mapping, problem)
+        kept = []  # per step: the renamed action, or None where it is no op
+        for action in case.plan:
+            try:
+                renamed = GroundAction(action.name, tuple(mapping[o] for o in action.args))
+                grounding.step(state, renamed)
+            except (KeyError, StripsError):
+                renamed = None
+            kept.append(renamed)
+        assert fragments == [tuple(run) for usable, run in
+                             itertools.groupby(kept, lambda a: a is not None) if usable]
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances, st.integers(1, 10 ** 6), st.data())
+def test_build_fragments_without_required_maps_every_index_in_library_order(
+        instance, min_support, data):
+    # nothing required, nothing is cut at any support: each distinct case
+    # index is mapped once, its first case, in library order
+    _, problem, library = instance
+    copies = [(f"copy-{name}", parse_case(case_to_text(case))) for name, case in library]
+    cases = data.draw(st.permutations(library + copies))
+    first: dict = {}
+    for _, case in cases:
+        first.setdefault(case.mapping_rows, case)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_best_mapping_calls(patch)
+        fragments = build_fragments(problem, cases, min_support=min_support)
+    assert len(calls) == len(first)
+    assert all(called is case and target is problem
+               for (called, target), case in zip(calls, first.values()))
+    assert fragments == [f for _, case in cases
+                         for f in extract_fragments(case, best_mapping(case, problem), problem)]
 
 
 def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
