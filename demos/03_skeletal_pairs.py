@@ -2,7 +2,8 @@
 
 Each goal atom is planned for separately with whatever the degraded model
 still believes; the provider/consumer pairs of those little plans become the
-landmarks that later steer fragment assembly.
+landmarks that later steer fragment assembly. Inside the solver the pairs
+are op ids; the grounding names them for printing.
 """
 
 from pathlib import Path
@@ -22,8 +23,9 @@ for atom, result in single_goal_plans(problem):
 
 print()
 print("causal pairs (the skeletal plan):")
-for pair in sorted(skeleton(problem).pairs):
-    print("  ", pair.pddl())
+_, pairs, grounding = skeleton(problem)
+for provider, consumer in sorted(pairs):
+    print("  ", grounding.action(provider).pddl(), "->", grounding.action(consumer).pddl())
 
 print()
 print("note how (pickup b)(stack b a) only works because the degraded stack")

@@ -2,12 +2,14 @@
 
 The mapping maximizes shared init/goal propositions over all injective
 object renamings; the renamed plan is then split wherever it mentions an
-object the problem does not have.
+object the problem does not have. Fragments are op ids of the problem's
+actions; its grounding names them for printing.
 """
 
 from pathlib import Path
 
 from caseplan import (
+    Grounding,
     best_mapping,
     extract_fragments,
     mapping_score,
@@ -22,6 +24,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
 domain = parse_domain((FIXTURES / "domain.pddl").read_text())
 problem = parse_problem((FIXTURES / "tower.pddl").read_text(), domain)
 cases = read_case_library(FIXTURES / "cases")
+action = Grounding.for_problem(problem).action
 
 print("object features in the target problem:")
 for obj in sorted(problem.objects):
@@ -35,4 +38,4 @@ for name, case in cases:
     print(f"  best mapping (score {score}):",
           " ".join(f"{o}->{v}" for o, v in sorted(mapping.items())))
     for fragment in extract_fragments(case, mapping, problem):
-        print("  fragment:", " ".join(a.pddl() for a in fragment))
+        print("  fragment:", " ".join(action(i).pddl() for i in fragment))

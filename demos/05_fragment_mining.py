@@ -2,12 +2,14 @@
 
 With the two walkthrough fragments, threshold 2 keeps exactly their shared
 four-action run; threshold 1 keeps the two whole fragments. All shorter
-sub-runs are absorbed by maximality.
+sub-runs are absorbed by maximality. Fragments and patterns are op ids of
+the problem's actions; its grounding names them for printing.
 """
 
 from pathlib import Path
 
 from caseplan import (
+    Grounding,
     SequenceDB,
     build_fragments,
     mine_frequent,
@@ -21,12 +23,13 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "blocks"
 domain = parse_domain((FIXTURES / "domain.pddl").read_text())
 problem = parse_problem((FIXTURES / "tower.pddl").read_text(), domain)
 cases = read_case_library(FIXTURES / "cases")
+action = Grounding.for_problem(problem).action
 
 fragments = build_fragments(problem, cases)
 db = SequenceDB.from_sequences(fragments)
 print("fragment database:")
 for sid, seq in enumerate(db.sequences):
-    print(f"  #{sid}: " + " ".join(a.pddl() for a in seq))
+    print(f"  #{sid}: " + " ".join(action(i).pddl() for i in seq))
 
 results = {threshold: mine_frequent(db, threshold) for threshold in (2, 1)}
 for threshold, result in results.items():
@@ -34,7 +37,7 @@ for threshold, result in results.items():
     print(f"maximal frequent patterns at support >= {threshold}:")
     for pattern in result.patterns:
         print(f"  [{result.supports[pattern]}x] " +
-              " ".join(a.pddl() for a in pattern))
+              " ".join(action(i).pddl() for i in pattern))
 
 shared = results[2].patterns[0]
 print()

@@ -5,18 +5,18 @@ at one end; :func:`merge` is that join, the paper's ``share`` and ``append``
 in one. Once every causal pair is satisfied, the draft plan is trimmed
 (inapplicable actions from the front, goal-deleting actions from the back)
 and accepted iff the trimmed plan reaches the goal under the problem's own
-model; :func:`trim` takes both steps in one walk.
+model; :func:`trim` takes both steps in one walk. Plans and pairs are op ids.
 """
 
 from __future__ import annotations
 
 from .causal import CausalPair
 from .mining import ActionSeq
-from .strips import GroundAction, Grounding, Plan, PlanningProblem
+from .strips import Grounding, OpPlan, PlanningProblem
 from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 
-def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
+def merge(partial: OpPlan, fragment: ActionSeq) -> OpPlan | None:
     """Merge the fragment into the partial plan on their longest end overlap,
     or return None where the two share no end (an empty plan shares one).
 
@@ -44,10 +44,10 @@ def merge(partial: Plan, fragment: ActionSeq) -> Plan | None:
     return fragment + partial[at_front:]
 
 
-def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPair]:
+def removelinks(plan: OpPlan, pairs: frozenset[CausalPair]) -> frozenset[CausalPair]:
     """Drop every pair whose provider occurs somewhere before its consumer."""
-    first: dict[GroundAction, int] = {}
-    last: dict[GroundAction, int] = {}
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
     for i, action in enumerate(plan):
         first.setdefault(action, i)
         last[action] = i
@@ -60,8 +60,8 @@ def removelinks(plan: Plan, pairs: frozenset[CausalPair]) -> frozenset[CausalPai
     return frozenset(kept)
 
 
-def trim(plan: Plan, problem: PlanningProblem, *,
-         grounding: Grounding | None = None) -> Plan | None:
+def trim(plan: OpPlan, problem: PlanningProblem, *,
+         grounding: Grounding | None = None) -> OpPlan | None:
     """Remove inapplicable actions, then goal-deleting trailing actions, and
     return the result where it reaches the goal, or None where it does not.
 
@@ -71,30 +71,31 @@ def trim(plan: Plan, problem: PlanningProblem, *,
     Back: while the last kept action's delete list touches a goal atom, drop
     it. Every kept action applies in turn by construction, so the trimmed
     plan executes to the goal exactly when the goal holds in the state after
-    its last action, which the pass keeps. ``grounding`` is as for
-    :func:`~caseplan.strips.execute_plan`; a step that is no action of it
-    raises :class:`~caseplan.strips.StripsError`.
+    its last action, which the pass keeps. The pass reads the op ids' atom
+    ids in ``grounding.ops_ids``; ``grounding`` is as for
+    :func:`~caseplan.strips.execute_plan`.
     """
     grounding = grounding or Grounding.for_problem(problem)
     goal = grounding.encode(problem.goal)
     init = state = grounding.encode(problem.init)
-    kept = []  # (action, its delete ids, the state after it)
-    for action in plan:
-        (_, _, delete), after = grounding.step(state, action)
-        if after is not None:
-            state = after
-            kept.append((action, delete, state))
+    ops = grounding.ops_ids
+    kept = []  # (op id, its delete ids, the state after it)
+    for op_idx in plan:
+        pre, add, delete = ops[op_idx]
+        if pre <= state:
+            state = (state - delete) | add
+            kept.append((op_idx, delete, state))
     while kept and kept[-1][1] & goal:
         kept.pop()
     if not goal <= (kept[-1][2] if kept else init):
         return None
-    return tuple(action for action, _, _ in kept)
+    return tuple(op_idx for op_idx, _, _ in kept)
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
                 patterns: tuple[ActionSeq, ...], *,
                 node_budget: int = 20_000,
-                grounding: Grounding | None = None) -> Plan | None:
+                grounding: Grounding | None = None) -> OpPlan | None:
     """Depth-first assembly of the fragments ``patterns`` (the ``patterns`` of
     :func:`~caseplan.mining.mine_frequent`) until all causal pairs are satisfied.
 
@@ -118,13 +119,13 @@ def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
     mentions = [frozenset(pattern) for pattern in patterns]
     nodes = 0
 
-    def rec(partial: Plan, remaining: frozenset[CausalPair],
-            available: tuple[int, ...]) -> Plan | None:
+    def rec(partial: OpPlan, remaining: frozenset[CausalPair],
+            available: tuple[int, ...]) -> OpPlan | None:
         nonlocal nodes
         if not remaining:
             return trim(partial, problem, grounding=grounding)
         # per available pattern index: (merged draft, pairs it leaves), or None if no overlap
-        children: dict[int, tuple[Plan, frozenset[CausalPair]] | None] = {}
+        children: dict[int, tuple[OpPlan, frozenset[CausalPair]] | None] = {}
         # per pattern index whose subtree was walked and failed: the nodes it took
         failed: dict[int, int] = {}
         for pair in sorted(remaining):

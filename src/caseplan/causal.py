@@ -3,7 +3,7 @@
 A causal pair links a provider action to a later consumer whose precondition
 it supplies, with no intervening deleter. The pairs act as landmarks for
 fragment assembly; nothing here tries to resolve threats or build a full
-partial order.
+partial order. Plans and pairs here are op ids (:data:`~caseplan.strips.OpPlan`).
 """
 
 from __future__ import annotations
@@ -11,36 +11,33 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .search import SearchConfig, SolveResult, solve
-from .strips import Atom, GroundAction, Grounding, Plan, PlanningProblem, StripsError
+from .strips import Atom, Grounding, OpPlan, PlanningProblem, StripsError
 
 
 class CausalPair(NamedTuple):
-    provider: GroundAction
-    consumer: GroundAction
-
-    def pddl(self) -> str:
-        return f"{self.provider.pddl()} -> {self.consumer.pddl()}"
+    provider: int  # op ids, which sort as the actions they name
+    consumer: int
 
 
-def extract_causal_pairs(plan: Plan, problem: PlanningProblem, *,
+def extract_causal_pairs(plan: OpPlan, problem: PlanningProblem, *,
                          grounding: Grounding | None = None) -> frozenset[CausalPair]:
     """All pairs (a_i, a_j), i < j, where a_i adds some precondition atom of a_j
     and no action strictly between them deletes that atom.
 
-    The plan must execute under the problem's model from its initial state;
-    self-pairs (the same ground action at both ends) are dropped.
-    ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
+    The plan, op ids of ``grounding``, must execute under the problem's model
+    from its initial state; self-pairs (the same ground action at both ends)
+    are dropped. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
     """
     grounding = grounding or Grounding.for_problem(problem)
     state = grounding.encode(problem.init)
     steps = []  # (pre, add, delete) ids of each step
-    for i, action in enumerate(plan):
-        op, after = grounding.step(state, action)
-        if after is None:
-            missing = min(grounding.decode(op[0] - state))
-            raise StripsError(f"plan step {i} {action.pddl()} is not executable: "
-                              f"missing {missing.pddl()}")
-        state = after
+    for i, op_idx in enumerate(plan):
+        pre, add, delete = op = grounding.ops_ids[op_idx]
+        if not pre <= state:
+            missing = min(grounding.decode(pre - state))
+            raise StripsError(f"plan step {i} {grounding.action(op_idx).pddl()} is not "
+                              f"executable: missing {missing.pddl()}")
+        state = (state - delete) | add
         steps.append(op)
 
     pairs = set()

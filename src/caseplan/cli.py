@@ -20,7 +20,7 @@ from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, proble
 from .pipeline import (ROUTE_FRAGMENTS, ROUTE_SEARCH, ROUTE_SKELETAL, mine_fragments, skeleton,
                        solve_with_library)
 from .search import SearchConfig, solve
-from .strips import StripsError
+from .strips import Grounding, StripsError
 
 OK, PIPELINE_FAILURE, INPUT_ERROR = 0, 2, 3
 
@@ -147,9 +147,9 @@ def cmd_degrade(args) -> int:
 def cmd_skeletal(args) -> int:
     domain = _load("domain", args.incomplete_domain, parse_domain)
     problem = _load("problem", args.problem, parse_problem, domain)
-    pairs = skeleton(problem, _search_config(args)).pairs
-    for pair in sorted(pairs):
-        print(pair.pddl())
+    _, pairs, grounding = skeleton(problem, _search_config(args))
+    for provider, consumer in sorted(pairs):  # op ids sort as the actions they name
+        print(f"{grounding.action(provider).pddl()} -> {grounding.action(consumer).pddl()}")
     return OK
 
 
@@ -173,8 +173,9 @@ def cmd_mine(args) -> int:
     if not fragments:
         print("no fragments")
         return OK
+    action = Grounding.for_problem(problem).action
     for pattern in result.patterns:
-        text = " ".join(a.pddl() for a in pattern)
+        text = " ".join(action(i).pddl() for i in pattern)
         print(f"support={result.supports[pattern]} {text}")
     return OK
 

@@ -14,7 +14,7 @@ from .mapping import CaseIndex, case_fragments, mapping_index
 from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
-from .strips import DomainModel, Grounding, Plan, PlanningProblem
+from .strips import DomainModel, Grounding, OpPlan, Plan, PlanningProblem
 
 DEFAULT_CASE_COUNTS = (40, 80, 120, 160, 200)
 DEFAULT_COMPLETENESS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -130,7 +130,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         # the complete model's grounding, on which the problem's plans are validated
         complete = Grounding(spec.domain, problem.objects)
         # per case index, for every seed: (the fragments of its first case, build seconds)
-        built: dict[CaseIndex, tuple[list[Plan], float]] = {}
+        built: dict[CaseIndex, tuple[list[OpPlan], float]] = {}
         for s_idx, (seed, library, models) in enumerate(seeds):
             keys = [case.mapping_rows for _, case in library[:max_cases]]
             for key, (_, case) in zip(keys, library):

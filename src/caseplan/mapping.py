@@ -60,29 +60,21 @@ lower.
 
 The set-up of a mapping is split by what each part depends on:
 
-- per case, and no domain: a :class:`CaseIndex` (the depth order of the
-  case objects, the atom rows in sorted order and the depth rows with each
-  row's ``mult``, each object's features and usages, the plan rows, and the
-  greedy descent's order and rows), which ``case.mapping_rows`` builds on
-  first use and keeps on the case, so a library mapped onto many problems
-  builds it once per case;
-- per problem: the :class:`MappingIndex`, with the object names, the op
-  numbering that :func:`extract_fragments` asks for each renamed step, the
-  type classes, the usages that narrow a case object's candidates, the
-  candidate order of each feature set and the image set, shared by every
-  case mapped onto the problem and by every degraded model of it;
-- per (problem, case index), once: the mapping and the fragments, one
-  :func:`case_fragments` call. An index compares and hashes without the
-  object names, and mapping and cutting read a case only through it, so
-  :func:`build_fragments` maps and cuts the first case of each index and
-  gives its fragments to every later case with an equal one; given the
-  actions a caller needs frequent, it stops once one of them can no longer
-  be. In :func:`best_mapping` this level holds the
-  atoms' start keys, each object's candidates and class digit, which atoms
-  are open or dead before the search, and the greedy descent where the
-  problem has type classes. Without narrowing usages or classes (blocks),
-  the candidates are the index's order for each object's features and every
-  start key is the atom's lowest digit.
+- per case, and no domain: a :class:`CaseIndex`, which ``case.mapping_rows``
+  builds on first use and keeps on the case, so a library mapped onto many
+  problems builds it once per case;
+- per problem: the :class:`MappingIndex`, shared by every case mapped onto
+  the problem and by every degraded model of it, with the op numbering by
+  whose arithmetic :func:`extract_fragments` gives each renamed step its op
+  id;
+- per (problem, case index), once: the mapping and its fragments, as op
+  ids, one :func:`case_fragments` call, which :func:`build_fragments` makes
+  for the first case of each index only. In :func:`best_mapping` this level
+  holds the atoms' start keys, each object's candidates and class digit,
+  which atoms are open or dead before the search, and the greedy descent
+  where the problem has type classes. Without narrowing usages or classes
+  (blocks), the candidates are the index's order for each object's features
+  and every start key is the atom's lowest digit.
 """
 
 from __future__ import annotations
@@ -94,8 +86,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .cases import CaseFile
-from .strips import Atom, GroundAction, Numbering, Plan, PlanningProblem, action_numbering
-from .strips import type_pools
+from .strips import Atom, Numbering, OpPlan, PlanningProblem, action_numbering, type_pools
 
 
 def _features(source: CaseFile | PlanningProblem) -> dict[str, frozenset[str]]:
@@ -113,18 +104,13 @@ def object_features(source: CaseFile | PlanningProblem, obj: str) -> frozenset[s
 
 
 def _mapped_atoms(atoms, mapping: dict[str, str]) -> set[Atom]:
-    out = set()
-    for atom in atoms:
-        if all(a in mapping for a in atom.args):
-            out.add(Atom(atom.predicate, tuple(mapping[a] for a in atom.args)))
-    return out
+    return {Atom(atom.predicate, tuple(mapping[a] for a in atom.args)) for atom in atoms
+            if all(a in mapping for a in atom.args)}
 
 
 def mapping_score(case: CaseFile, mapping: dict[str, str], problem: PlanningProblem) -> int:
-    """Shared propositions between the renamed case and the problem.
-
-    Atoms that mention an unmapped case object never match.
-    """
+    """Shared propositions between the renamed case and the problem; atoms
+    that mention an unmapped case object never match."""
     return (len(_mapped_atoms(case.init, mapping) & problem.init)
             + len(_mapped_atoms(case.goal, mapping) & problem.goal))
 
@@ -255,8 +241,8 @@ class MappingIndex:
     """
 
     objects: tuple[str, ...]  # object id -> name, in sorted name order
-    # the problem's op numbering (strips.action_numbering): a renamed case
-    # step is usable when it gives the step an id
+    # the problem's op numbering (strips.action_numbering), as every Grounding
+    # of it has: a renamed case step is usable when it gives the step an id
     ops: Numbering
     predicates: Mapping[tuple[str, int], int]  # (predicate, arity) -> predicate id
     # (signature, position) -> the ids of the objects that fit it, where
@@ -270,7 +256,7 @@ class MappingIndex:
     # exactly these features first, each part in id order: the candidate
     # order of a case object with these features
     orders: Mapping[frozenset[str], tuple[int, ...]]
-    # the _image_key of every partial image of every init and goal atom, each
+    # the key of every partial image of every init and goal atom, each
     # position the object, 0, or the digit of a class holding it
     images: frozenset[int]
 
@@ -279,17 +265,6 @@ UNSET = -1  # no problem object (yet): never an object id, and never a key
 # the base of a key's digits: odd, so keys spread over a set's hash table,
 # and small enough that every key of an atom of arity 2 is below 2**30
 RADIX = 1021
-
-
-def _image_key(low: int, digits) -> int:
-    """A partial image's key: ``low + sum(digit_j * RADIX**(j+1))``.
-
-    ``low`` is ``2 * pid + target``. A position's digit is ``obj + 1`` where
-    the object is mapped, else 0, or ``n + 1 + c`` where it is known to lie in
-    class ``c``; distinct images get distinct keys while every digit and
-    ``low`` are below ``RADIX``.
-    """
-    return low + sum(d * RADIX ** (j + 1) for j, d in enumerate(digits))
 
 
 def mapping_index(problem: PlanningProblem) -> MappingIndex:
@@ -318,15 +293,21 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
         raise ValueError(f"problem {problem.name}: {len(predicates)} (predicate, arity) pairs "
                          f"in the init and goal do not fit a mapping key; at most "
                          f"{(RADIX - 1) // 2} do")
-    # per object id: the digits a position holding it may have in an image
-    digits = [(i + 1, 0, *(len(objects) + 1 + c for c, cls in enumerate(classes) if i in cls))
-              for i in range(len(objects))]
+    # per object: the digits a position holding it may have in an image
+    digits = {o: (i + 1, 0, *(len(objects) + 1 + c for c, cls in enumerate(classes) if i in cls))
+              for o, i in ids.items()}
+    # the keys of every image of an atom, each position's digits folded in at
+    # its weight; distinct images get distinct keys, every digit and the low
+    # part being below RADIX
+    weights = [RADIX ** (j + 1) for j in range(max(map(len, domain.predicates.values()),
+                                                    default=0))]
     images = set()
     for target, atoms in enumerate((problem.init, problem.goal)):
         for atom in atoms:
-            low = 2 * predicates[(atom.predicate, len(atom.args))] + target
-            for image in itertools.product(*(digits[ids[a]] for a in atom.args)):
-                images.add(_image_key(low, image))
+            keys = [2 * predicates[(atom.predicate, len(atom.args))] + target]
+            for arg, weight in zip(atom.args, weights):
+                keys = [k + d * weight for k in keys for d in digits[arg]]
+            images.update(keys)
     features = _features(problem)
     object_feats = tuple(features.get(o, frozenset()) for o in objects)
     orders = {feats: tuple(sorted(range(len(objects)),
@@ -351,15 +332,9 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     type class that holds all candidates of its object, is part of no atom of
     its target (the init or the goal), since then no completion can match.
     Pruning so never loses the true maximum. Where the problem has type
-    classes, a greedy descent maps the objects one by one before the search
-    and seeds the incumbent one below its score, so the search still records
-    its own first best leaf; without classes the seed cuts almost nothing
-    and is skipped. The result is the same as without the class digits and
-    the seed when the budget suffices. If ``node_budget`` runs out, the
-    result is the search's best mapping if one reached the greedy score,
-    else the greedy mapping; either way it never scores lower than the
-    search without them. Without classes there is neither, and the result
-    at every budget is that search's.
+    classes, a greedy descent seeds the search, as the module docstring
+    describes: the result is the search's without classes and seed when the
+    budget suffices, and never scores lower when it runs out.
 
     ``index``, when given, is ``mapping_index(problem)``, already built; a
     caller mapping many cases onto one problem builds it once.
@@ -373,7 +348,7 @@ def best_mapping(case: CaseFile, problem: PlanningProblem, *,
     # atom's key, whether the depth completes the atom)
     depth_rows = rows.depth_rows
     images = index.images
-    # keys[ai] is the _image_key of case atom ai, kept as its objects are
+    # keys[ai] is the key of case atom ai's image, kept as its objects are
     # assigned; an atom whose predicate has no id is UNSET, in no image
     predicates = index.predicates
     keys = [2 * predicates[pred] + target if pred in predicates else UNSET
@@ -590,24 +565,34 @@ def _greedy_descent(steps, depth_rows, images, candidates, bases, keys: list[int
 
 def extract_fragments(case: CaseFile, mapping: dict[str, str],
                       problem: PlanningProblem, *,
-                      index: MappingIndex | None = None) -> list[Plan]:
+                      index: MappingIndex | None = None) -> list[OpPlan]:
     """Rename the case plan and return its maximal runs of usable actions,
-    each a nonempty plan.
+    each a nonempty tuple of op ids of the problem (``index.ops``, the
+    numbering that every grounding of the problem shares).
 
-    An action is usable when the problem's op numbering (``index.ops``) gives
-    the renamed action an id, as the op table does every action of the
-    problem; anything else splits the plan at that point. ``index``, when
-    given, is ``mapping_index(problem)``, already built.
+    An action is usable when the numbering gives the renamed action an id, as
+    the op table does every action of the problem; anything else splits the
+    plan at that point. The id is the numbering's arithmetic over the pool
+    position of each renamed argument in its parameter's type; no action is
+    named. ``index``, when given, is ``mapping_index(problem)``, already built.
     """
-    op_id = (index or mapping_index(problem)).ops.id
+    digits = (index or mapping_index(problem)).ops.digits
     names = list(map(mapping.get, case.mapping_rows.case_objs))  # per depth: the image, else None
-    fragments: list[Plan] = []
-    current: list[GroundAction] = []
-    for (_, name, _), slots in case.mapping_rows.plan:
-        action = GroundAction(name, tuple([names[s] for s in slots]))
-        if op_id(*action) is not None:
-            current.append(action)
-        elif current:
+    fragments: list[OpPlan] = []
+    current: list[int] = []
+    for (_, name, arity), slots in case.mapping_rows.plan:
+        entry = digits.get(name)
+        if entry is not None and len(entry[1]) == arity:
+            op_idx, params = entry
+            for slot, (_, where, stride) in zip(slots, params):
+                k = where.get(names[slot])
+                if k is None:
+                    break
+                op_idx += k * stride
+            else:
+                current.append(op_idx)
+                continue
+        if current:
             fragments.append(tuple(current))
             current = []
     if current:
@@ -615,38 +600,38 @@ def extract_fragments(case: CaseFile, mapping: dict[str, str],
     return fragments
 
 
-def case_fragments(case: CaseFile, problem: PlanningProblem, index: MappingIndex) -> list[Plan]:
-    """The fragments of one case on the problem: its :func:`best_mapping`, cut
-    by :func:`extract_fragments`. ``index`` is ``mapping_index(problem)``."""
+def case_fragments(case: CaseFile, problem: PlanningProblem, index: MappingIndex) -> list[OpPlan]:
+    """The fragments of one case on the problem, as op ids: its
+    :func:`best_mapping`, cut by :func:`extract_fragments`. ``index`` is
+    ``mapping_index(problem)``."""
     return extract_fragments(case, best_mapping(case, problem, index=index), problem, index=index)
 
 
 class Uncovered(Exception):
-    """Raised by :func:`build_fragments` given ``required`` end actions, where
+    """Raised by :func:`build_fragments` given ``required`` op ids, where
     ``action``, one of them, can no longer lie in ``min_support`` fragments."""
 
-    def __init__(self, action: GroundAction):
+    def __init__(self, action: int):
         super().__init__(action)
         self.action = action
 
 
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
                     index: MappingIndex | None = None,
-                    required: Collection[GroundAction] = (),
-                    min_support: int = 1) -> list[Plan]:
-    """Best-map every case onto the problem and collect all plan fragments, in
-    library order.
+                    required: Collection[int] = (),
+                    min_support: int = 1) -> list[OpPlan]:
+    """Best-map every case onto the problem and collect all plan fragments, as
+    op ids (see :func:`extract_fragments`), in library order.
 
     Only the first case of each :class:`CaseIndex` (``case.mapping_rows``,
     which compares without names) is mapped and cut, by
     :func:`case_fragments`; a later case with an equal index gets the same
     fragments. ``index``, when given, is ``mapping_index(problem)``;
-    otherwise it is built here, once for all the cases, unless the call stops
-    before it maps any.
+    otherwise it is built here, once for all the cases, where there are any.
 
-    ``required``, when given, are actions that must each lie in at least
-    ``min_support`` of the fragments, or the caller has no use for them (the
-    ends of causal pairs: a frequent pattern holds only actions that do).
+    ``required``, when given, are op ids of actions that must each lie in at
+    least ``min_support`` of the fragments, or the caller has no use for them
+    (the ends of causal pairs: a frequent pattern holds only actions that do).
     Fragments are disjoint runs of a case plan, so a case not yet mapped adds
     at most as many fragments holding ``x`` as its plan has steps of ``x``'s
     schema. Before the first index is mapped and after each one, the call
@@ -663,24 +648,29 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     for _, case in cases:
         first.setdefault(case.mapping_rows, case)
         copies[case.mapping_rows] += 1
+    if index is None and first:
+        index = mapping_index(problem)
     held = dict.fromkeys(sorted(set(required)), 0)  # per end: the fragments built that hold it
-    schema_of = {x: (ACTION, x.name, len(x.args)) for x in held}
-    left = dict.fromkeys(schema_of.values(), 0)  # per schema: its steps in the indexes not mapped
+    schema_of: dict[int, Signature] = {}  # per end: its schema; with no case, none is read
+    if index is not None:
+        for x in held:
+            name, args = index.ops.name(x)
+            schema_of[x] = (ACTION, name, len(args))
+    sigs = set(schema_of.values())
+    left: Counter = Counter()  # per schema: its steps in the indexes not mapped
     # per index: its steps of those schemas, each counting once per case that has it
-    steps = {rows: [sig for sig, _ in rows.plan if sig in left] for rows in first}
+    steps = {rows: [sig for sig, _ in rows.plan if sig in sigs] for rows in first}
     for rows, n in copies.items():
         for sig in steps[rows]:
             left[sig] += n
 
     def check() -> None:
         for x, n in held.items():
-            if n + left[schema_of[x]] < min_support:
+            if n + left[schema_of.get(x)] < min_support:
                 raise Uncovered(x)
 
     check()
-    if index is None and first:
-        index = mapping_index(problem)
-    built: dict[CaseIndex, list[Plan]] = {}
+    built: dict[CaseIndex, list[OpPlan]] = {}
     # most steps first, each once per case that has it; sorted is stable, so
     # ties keep library order
     for rows in sorted(first, key=lambda rows: len(steps[rows]) * copies[rows], reverse=True):

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
-from .strips import GroundAction
-
-ActionSeq = tuple[GroundAction, ...]
+ActionSeq = tuple[int, ...]  # op ids (strips.action_numbering): they sort as their actions do
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,7 @@ class SequenceDB:
     sequences: tuple[ActionSeq, ...]
 
     @classmethod
-    def from_sequences(cls, sequences: Sequence[Sequence[GroundAction]]) -> "SequenceDB":
+    def from_sequences(cls, sequences: Sequence[Sequence[int]]) -> "SequenceDB":
         return cls(tuple(map(tuple, sequences)))
 
 
@@ -88,7 +86,7 @@ def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
     while level:
         grown: dict[ActionSeq, list[tuple[int, int]]] = {}
         for pattern, positions in level.items():
-            ext: dict[GroundAction, list[tuple[int, int]]] = {}
+            ext: dict[int, list[tuple[int, int]]] = {}
             for sid, pos in positions:
                 seq = db.sequences[sid]
                 nxt = pos + 1

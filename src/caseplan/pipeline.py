@@ -1,4 +1,9 @@
-"""End-to-end solving: causal pairs, fragment mining, assembly, and fallbacks."""
+"""End-to-end solving: causal pairs, fragment mining, assembly, and fallbacks.
+
+Inside a solve, plans, fragments, patterns and causal pairs are op ids
+(:data:`~caseplan.strips.OpPlan`), which every grounding of the problem and
+its mapping index share; only what a solve returns is named, once.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .cases import CaseFile
 from .mapping import Uncovered, build_fragments
 from .mining import FrequentFragmentSet, GrownPatterns, SequenceDB, mine_frequent
 from .search import SearchConfig, solve
-from .strips import GroundAction, Grounding, Plan, PlanningProblem
+from .strips import GroundAction, Grounding, OpPlan, Plan, PlanningProblem
 from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 ROUTE_FRAGMENTS = "fragments"
@@ -30,9 +35,10 @@ NO_PATTERNS = FrequentFragmentSet((), {})
 class PipelineOutcome:
     """What the solver produced and how; ``plan`` is None on overall failure.
 
-    ``fragments`` and ``frequent`` are the fragments and patterns the solve
-    assembled from. With no causal ``pairs`` there is nothing to assemble, so
-    they are ``()`` and :data:`NO_PATTERNS`, whatever the call was given.
+    ``plan`` and ``uncovered`` are named; the causal ``pairs``, and the
+    ``fragments`` and ``frequent`` patterns the solve assembled from, are op
+    ids. With no causal ``pairs`` there is nothing to assemble, so the latter
+    are ``()`` and :data:`NO_PATTERNS`, whatever the call was given.
 
     ``uncovered`` is set where the solve stopped mapping cases because that
     end of a causal pair could no longer lie in ``min_support`` fragments
@@ -44,7 +50,7 @@ class PipelineOutcome:
     route: str | None
     failed_stage: str | None
     pairs: frozenset[CausalPair]
-    fragments: tuple[Plan, ...]
+    fragments: tuple[OpPlan, ...]
     frequent: FrequentFragmentSet
     uncovered: GroundAction | None = None
 
@@ -56,8 +62,8 @@ class PipelineOutcome:
 class Skeleton(NamedTuple):
     """The stage that depends only on the problem and its (possibly incomplete)
     model: the skeletal plan, or None where it does not execute to the goal,
-    the causal pairs of the per-goal plans, and the grounding they were
-    searched on, on which the later stages of a solve also walk their plans."""
+    the causal pairs (op ids) of the per-goal plans, and the grounding they
+    were searched on, on which the later stages of a solve also walk theirs."""
 
     plan: Plan | None
     pairs: frozenset[CausalPair]
@@ -68,19 +74,21 @@ def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Sk
     """The skeleton of the problem under its own model. The skeletal plan is the
     solved per-goal plans joined in sorted goal order and trimmed, or None
     where :func:`~caseplan.assemble.trim` finds that it misses the goal. Each
-    per-goal plan is walked twice: once for its causal pairs, once in the
-    trim."""
+    per-goal plan is walked twice, on the op ids its search recorded: once
+    for its causal pairs, once in the trim. Only the trimmed plan is named."""
     grounding = Grounding.for_problem(problem)
-    steps: list[GroundAction] = []
+    steps: list[int] = []
     pairs: frozenset[CausalPair] = frozenset()
     for _, result in single_goal_plans(problem, config, grounding):
-        if result.solved and result.plan:
-            steps += result.plan
-            pairs |= extract_causal_pairs(result.plan, problem, grounding=grounding)
-    return Skeleton(trim(tuple(steps), problem, grounding=grounding), pairs, grounding)
+        if result.solved and result.ops:
+            steps += result.ops
+            pairs |= extract_causal_pairs(result.ops, problem, grounding=grounding)
+    trimmed = trim(tuple(steps), problem, grounding=grounding)
+    return Skeleton(None if trimmed is None else tuple(map(grounding.action, trimmed)),
+                    pairs, grounding)
 
 
-def mine_fragments(fragments: Sequence[Plan], min_support: int, *,
+def mine_fragments(fragments: Sequence[OpPlan], min_support: int, *,
                    grown: GrownPatterns | None = None) -> FrequentFragmentSet:
     """The stage that depends only on the fragments of a library prefix and
     the support threshold: the maximal frequent runs of their actions.
@@ -96,7 +104,7 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
                        config: SearchConfig | None = None,
                        assembly_budget: int = 20_000,
                        search_fallback: bool = True,
-                       fragments: tuple[Plan, ...] | None = None,
+                       fragments: tuple[OpPlan, ...] | None = None,
                        skeletal: Skeleton | None = None,
                        frequent: FrequentFragmentSet | None = None) -> PipelineOutcome:
     """Solve under the problem's (possibly incomplete) model using the case library.
@@ -153,7 +161,7 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
                 problem, cases, required={end for pair in pairs for end in pair},
                 min_support=min_support))
         except Uncovered as cut:
-            fragments, frequent, uncovered = (), NO_PATTERNS, cut.action
+            fragments, frequent, uncovered = (), NO_PATTERNS, grounding.action(cut.action)
 
     def outcome(plan: Plan | None, route: str | None, stage: str | None) -> PipelineOutcome:
         return PipelineOutcome(plan, route, stage, pairs, fragments, frequent, uncovered)
@@ -161,10 +169,10 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     if pairs and uncovered is None:
         if frequent is None:
             frequent = mine_fragments(fragments, min_support)
-        plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
-                           grounding=grounding)
-        if plan is not None:
-            return outcome(plan, ROUTE_FRAGMENTS, None)
+        assembled = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
+                                grounding=grounding)
+        if assembled is not None:
+            return outcome(tuple(map(grounding.action, assembled)), ROUTE_FRAGMENTS, None)
 
     if skeletal_plan is not None:
         return outcome(skeletal_plan, ROUTE_SKELETAL, None)
@@ -174,10 +182,5 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
         if direct.solved:
             return outcome(direct.plan, ROUTE_SEARCH, None)
 
-    if not pairs:
-        stage = STAGE_SKELETAL
-    elif not frequent.patterns:
-        stage = STAGE_MINING
-    else:
-        stage = STAGE_ASSEMBLY
-    return outcome(None, None, stage)
+    return outcome(None, None, STAGE_SKELETAL if not pairs else
+                   STAGE_MINING if not frequent.patterns else STAGE_ASSEMBLY)

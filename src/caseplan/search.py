@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .strips import Grounding, Plan, PlanningProblem, StripsError
+from .strips import Grounding, OpPlan, Plan, PlanningProblem, StripsError
 from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 SOLVED = "solved"
@@ -30,13 +31,21 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A search's outcome; a solved plan is the op ids ``ops`` of the grounding
+    it searched on, and ``plan`` names them on first read."""
+
     status: str
-    plan: Plan | None
+    ops: OpPlan | None
     expansions: int
+    grounding: Grounding | None = field(default=None, compare=False, repr=False)
 
     @property
     def solved(self) -> bool:
         return self.status == SOLVED
+
+    @cached_property
+    def plan(self) -> Plan | None:
+        return None if self.ops is None else tuple(map(self.grounding.action, self.ops))
 
 
 def _h_add(state: frozenset[int], goal_ids: tuple[int, ...], grounding: Grounding) -> float:
@@ -130,7 +139,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     Deterministic: ties in the heuristic fall back to discovery order, and
     successors are generated in lexicographic ground-action order. Any plan
     returned has been re-run on its op ids against the model as a
-    self-check, and is named once, after it passes.
+    self-check, and is named only where its ``plan`` is read.
     ``unsolvable`` is only reported on a proof (exhausted reachable space, or
     a goal atom unreachable even under delete relaxation).
     """
@@ -142,7 +151,7 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
     goal_ids = tuple(sorted(goal))
 
     if goal <= init:
-        return SolveResult(SOLVED, (), 0)
+        return SolveResult(SOLVED, (), 0, grounding)
 
     h0 = _h_add(init, goal_ids, grounding)
     if h0 == math.inf:
@@ -204,9 +213,9 @@ def solve(problem: PlanningProblem, config: SearchConfig | None = None,
 
 def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
             expansions: int) -> SolveResult:
-    """The plan that ``parent`` records to ``state``, named once after a
-    self-check: its op ids are re-run against the model from the initial
-    state, and must apply in turn and reach the goal."""
+    """The plan that ``parent`` records to ``state``, as op ids, after a
+    self-check: they are re-run against the model from the initial state,
+    and must apply in turn and reach the goal."""
     ops = []
     while parent[state] is not None:
         state, op_idx = parent[state]
@@ -221,4 +230,4 @@ def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
         state = (state - delete) | add
     if not grounding.encode(problem.goal) <= state:
         raise StripsError("internal: search produced an invalid plan (goal not reached)")
-    return SolveResult(SOLVED, tuple(map(grounding.action, ops)), expansions)
+    return SolveResult(SOLVED, tuple(ops), expansions, grounding)

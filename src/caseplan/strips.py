@@ -46,6 +46,7 @@ class GroundAction(NamedTuple):
 
 State: TypeAlias = frozenset[Atom]
 Plan: TypeAlias = tuple[GroundAction, ...]
+OpPlan: TypeAlias = tuple[int, ...]  # a plan as the op ids of its steps (see action_numbering)
 OpSets: TypeAlias = tuple[frozenset, frozenset, frozenset]  # an op's (pre, add, delete) ids
 
 
@@ -304,15 +305,12 @@ class Grounding:
     """All well-typed ground atoms and actions over a (domain, objects) pair,
     as integer ids.
 
-    Predicates, schemas and the object pool of every type are taken in sorted
-    order, so atom and action ids run in sorted, duplicate-free order, and the
-    atom whose arguments sit at positions k_1..k_m of their pools has id
-    ``base[pred] + Σ k_i × stride_i``; an action's op id is the same
-    arithmetic over its schema's parameters. Each distinct schema atom is
-    compiled once into a template of that arithmetic over the pools of the
-    schema's parameters, which gives its id under every ground action of the
-    schema at once: no action is grounded into :class:`Atom` values and no
-    atom is looked up.
+    Atom and op ids are those of a :class:`Numbering` over the objects'
+    :func:`type_pools`, so they run in sorted, duplicate-free order. Each
+    distinct schema atom is compiled once into a template of that arithmetic
+    over the pools of the schema's parameters, which gives its id under every
+    ground action of the schema at once: no action is grounded into
+    :class:`Atom` values and no atom is looked up.
 
     Construction builds only what search code reads: each op's (pre, add,
     delete) atom ids, which :meth:`successors` walks, and the index that h_add
@@ -321,9 +319,9 @@ class Grounding:
     alone, and only ``encode`` remembers anything, the ids of the atom
     frozensets it is given, since every search and walk of a problem starts
     from the same initial state. :meth:`step` is the one plan simulator for
-    plans given by name: execution, trimming and causal-pair extraction all
-    walk plans through it. Its tables are computed once and never change, so
-    it is safe to share across the per-goal solver calls of one problem.
+    plans given by name; a solve walks op ids (:data:`OpPlan`) on ``ops_ids``.
+    Its tables are computed once and never change, so it is safe to share
+    across the per-goal solver calls of one problem.
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
@@ -438,19 +436,21 @@ class Grounding:
         """The ground action of an op id, named by the arithmetic alone."""
         return GroundAction(*self._op_ids.name(op_idx))
 
-    def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
-        """The (pre, add, delete) ids of a ground action, and the encoded state
-        it leads to from ``state``, or None there when its precondition fails.
-        The op id is found by the arithmetic alone.
-
-        An action outside the op table is no action of the problem: it raises
+    def op_id(self, action: GroundAction) -> int:
+        """The op id of a ground action, by the arithmetic alone. An action
+        outside the op table is no action of the problem: it raises
         :class:`StripsError` naming an unknown schema, a wrong arity, or the
-        first argument that is no object of its parameter's type.
-        """
+        first argument that is no object of its parameter's type."""
         op_idx = self._op_ids.id(*action)
         if op_idx is None:
             raise StripsError(self._why_off_table(action))
-        pre, add, delete = op = self.ops_ids[op_idx]
+        return op_idx
+
+    def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
+        """The (pre, add, delete) ids of a ground action, and the encoded state
+        it leads to from ``state``, or None there when its precondition fails.
+        An action outside the op table raises, as for :meth:`op_id`."""
+        pre, add, delete = op = self.ops_ids[self.op_id(action)]
         return op, ((state - delete) | add if pre <= state else None)
 
     def _why_off_table(self, action: GroundAction) -> str:

@@ -19,8 +19,10 @@ from caseplan import (
     ActionSchema,
     Atom,
     CaseFile,
+    CausalPair,
     DomainModel,
     GroundAction,
+    Grounding,
     PlanningProblem,
     SearchConfig,
     generate_case_library,
@@ -48,6 +50,34 @@ def atoms(*texts: str) -> frozenset[Atom]:
 
 def plan(text: str) -> tuple[GroundAction, ...]:
     return tuple(GA(step) for step in text.split(","))
+
+
+# Inside a solve, plans, fragments, patterns and causal pairs are op ids of the
+# problem; tests name them, and number named actions, through its grounding.
+
+def op_ids(problem: PlanningProblem, plan) -> tuple[int, ...]:
+    """The op ids of named actions on the problem; an action that is no op of
+    it raises StripsError with the reason ``Grounding.step`` gives."""
+    return tuple(map(Grounding.for_problem(problem).op_id, plan))
+
+
+def named(problem: PlanningProblem, ops):
+    """The named actions of op ids on the problem, a tuple like ``ops``
+    (None stays None)."""
+    return None if ops is None else tuple(map(Grounding.for_problem(problem).action, ops))
+
+
+def pair_ids(problem: PlanningProblem, pairs) -> frozenset[CausalPair]:
+    """Causal pairs of named actions as pairs of op ids."""
+    op_id = Grounding.for_problem(problem).op_id
+    return frozenset(CausalPair(op_id(provider), op_id(consumer)) for provider, consumer in pairs)
+
+
+def named_pairs(problem: PlanningProblem, pairs) -> frozenset[CausalPair]:
+    """Causal pairs of op ids as pairs of named actions."""
+    action = Grounding.for_problem(problem).action
+    return frozenset(CausalPair(action(provider), action(consumer))
+                     for provider, consumer in pairs)
 
 
 BLOCKS_PREDICATES = {

@@ -52,10 +52,13 @@ from caseplan.strips import (
     ExecutionResult,
     GroundAction,
     Grounding,
+    OpPlan,
     Plan,
     StripsError,
     is_subtype,
 )
+
+from .conftest import named
 
 
 # Every ground atom and every ground action of a grounding, in id order, named
@@ -547,9 +550,10 @@ def run_experiment_per_cell(spec: ExperimentSpec) -> tuple[list[ExperimentRow], 
     return rows, details
 
 
-# The earlier pipeline, kept unchanged as the reference for
+# The earlier pipeline, kept as the reference for
 # caseplan.pipeline.solve_with_library, which now maps, mines and assembles
-# only when the skeleton has causal pairs. It shares the stages themselves.
+# only when the skeleton has causal pairs. It shares the stages themselves,
+# which pass op ids, and names the assembled plan as the solve does.
 
 def solve_with_library_eager(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
                              min_support: int, *, config: SearchConfig | None = None,
@@ -563,8 +567,8 @@ def solve_with_library_eager(problem: PlanningProblem, cases: list[tuple[str, Ca
     skeletal_plan, pairs, grounding = skeleton(problem, config)
     fragments = tuple(build_fragments(problem, cases))
     frequent = mine_fragments(fragments, min_support)
-    plan = concat_frag(problem, pairs, frequent.patterns, node_budget=assembly_budget,
-                       grounding=grounding)
+    plan = named(problem, concat_frag(problem, pairs, frequent.patterns,
+                                      node_budget=assembly_budget, grounding=grounding))
     if plan is not None:
         return PipelineOutcome(plan, ROUTE_FRAGMENTS, None, pairs, fragments, frequent)
     if skeletal_plan is not None:
@@ -656,7 +660,7 @@ def solve_testing_goal_at_pop(problem: PlanningProblem, config: SearchConfig,
     goal_ids = tuple(sorted(goal))
 
     if goal <= init:
-        return SolveResult(SOLVED, (), 0)
+        return SolveResult(SOLVED, (), 0, grounding)
 
     h0 = h(init, goal_ids, grounding)
     if h0 == math.inf:
@@ -671,7 +675,7 @@ def solve_testing_goal_at_pop(problem: PlanningProblem, config: SearchConfig,
         _, _, state = heapq.heappop(heap)
         if goal <= state:
             return SolveResult(SOLVED, _checked_plan(problem, grounding, parent, state),
-                               expansions)
+                               expansions, grounding)
         if expansions >= config.max_expansions:
             return SolveResult(BUDGET, None, expansions)
         expansions += 1
@@ -702,7 +706,7 @@ def solve_evaluating_every_successor(problem: PlanningProblem, config: SearchCon
     goal_ids = tuple(sorted(goal))
 
     if goal <= init:
-        return SolveResult(SOLVED, (), 0)
+        return SolveResult(SOLVED, (), 0, grounding)
 
     h0 = h(init, goal_ids, grounding)
     if h0 == math.inf:
@@ -724,7 +728,7 @@ def solve_evaluating_every_successor(problem: PlanningProblem, config: SearchCon
             parent[succ] = (state, op_idx)
             if goal <= succ:
                 return SolveResult(SOLVED, _checked_plan(problem, grounding, parent, succ),
-                                   expansions)
+                                   expansions, grounding)
             hs = h(succ, goal_ids, grounding)
             if hs < math.inf:
                 heapq.heappush(heap, (hs, counter, succ))
@@ -732,17 +736,18 @@ def solve_evaluating_every_successor(problem: PlanningProblem, config: SearchCon
     return SolveResult(UNSOLVABLE, None, expansions)
 
 
-def _checked_plan(problem: PlanningProblem, grounding: Grounding, parent, state) -> Plan:
-    """The plan that ``parent`` records to ``state``, run on atoms as a self-check."""
-    steps = []
+def _checked_plan(problem: PlanningProblem, grounding: Grounding, parent, state) -> OpPlan:
+    """The op ids that ``parent`` records to ``state``, whose plan is run on
+    atoms as a self-check."""
+    ops = []
     while parent[state] is not None:
         state, op_idx = parent[state]
-        steps.append(grounding.action(op_idx))
-    plan = tuple(reversed(steps))
-    check = execute_plan_on_atoms(problem, plan)
+        ops.append(op_idx)
+    ops.reverse()
+    check = execute_plan_on_atoms(problem, tuple(map(grounding.action, ops)))
     if not check.success:
         raise StripsError(f"internal: search produced an invalid plan ({check.reason})")
-    return plan
+    return tuple(ops)
 
 
 # The earlier Grounding construction, kept unchanged as the reference for

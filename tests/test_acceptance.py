@@ -36,7 +36,7 @@ from caseplan.generators import generate_case_library
 from caseplan.pipeline import ROUTE_FRAGMENTS, solve_with_library
 from caseplan.strips import Grounding
 
-from .conftest import FIXTURES, GOLDEN_SOLUTION, P1_FRAGMENT, P2_FRAGMENT, plan
+from .conftest import FIXTURES, GOLDEN_SOLUTION, P1_FRAGMENT, P2_FRAGMENT, named, plan
 from .oracles import (
     bfs_plan,
     bruteforce_best_score,
@@ -80,8 +80,8 @@ def test_criterion_2_golden_mapping_and_fragments(tower):
     ok = (m1 == {"b4": "d", "b1": "c", "b3": "b", "b2": "a"}
           and mapping_score(cases["p1"], m1, tower) == 10
           and m2 == {"b3": "c", "b1": "b", "b2": "a"}
-          and f1 == [P1_FRAGMENT]
-          and f2 == [P2_FRAGMENT]
+          and [named(tower, f) for f in f1] == [P1_FRAGMENT]
+          and [named(tower, f) for f in f2] == [P2_FRAGMENT]
           and elapsed < 1.0)
     report(2, ok)
 
@@ -171,14 +171,14 @@ def test_criterion_7_causal_links_match_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.action(k))
+            steps.append(k)
         if not steps:
             continue
         checked += 1
-        p = tuple(steps)
-        got = {(c.provider, c.consumer)
-               for c in extract_causal_pairs(p, problem, grounding=grounding)}
-        mismatches += got != causal_pairs_by_triples(p, blocks, problem.init)
+        got = {(grounding.action(c.provider), grounding.action(c.consumer))
+               for c in extract_causal_pairs(tuple(steps), problem, grounding=grounding)}
+        mismatches += got != causal_pairs_by_triples(tuple(map(grounding.action, steps)),
+                                                     blocks, problem.init)
     report(7, mismatches == 0)
 
 

@@ -36,6 +36,10 @@ from .conftest import (
     make_blocks_domain,
     make_incomplete_blocks,
     make_tower_problem,
+    named,
+    named_pairs,
+    op_ids,
+    pair_ids,
     plan,
 )
 from . import oracles
@@ -55,6 +59,20 @@ GOLDEN_PAIRS = frozenset({
     CausalPair(GA("unstack c a"), GA("stack c b")),
     CausalPair(GA("pickup d"), GA("stack d c")),
 })
+
+
+# trim and concat_frag take and return op ids of the problem; these name them,
+# so that tests read like the plans they check.
+
+def trim_named(steps, problem, **kwargs):
+    """:func:`trim` of named steps, its plan named."""
+    return named(problem, trim(op_ids(problem, steps), problem, **kwargs))
+
+
+def concat_named(problem, pairs, patterns, **kwargs):
+    """:func:`concat_frag` of named pairs and patterns, its plan named."""
+    return named(problem, concat_frag(problem, pair_ids(problem, pairs),
+                                      tuple(op_ids(problem, p) for p in patterns), **kwargs))
 
 
 # The paper's share (two plans overlap at an end) is merge(...) is not None,
@@ -129,12 +147,12 @@ def test_removelinks_uses_any_occurrence():
 
 
 def test_trim_golden_head(tower_incomplete):
-    trimmed = trim(MERGED, tower_incomplete)
+    trimmed = trim_named(MERGED, tower_incomplete)
     assert trimmed == GOLDEN_SOLUTION
 
 
 def test_trim_executable_plan_unchanged(tower_incomplete):
-    assert trim(GOLDEN_SOLUTION, tower_incomplete) == GOLDEN_SOLUTION
+    assert trim_named(GOLDEN_SOLUTION, tower_incomplete) == GOLDEN_SOLUTION
 
 
 def test_trim_removes_goal_deleting_tail(blocks):
@@ -144,7 +162,7 @@ def test_trim_removes_goal_deleting_tail(blocks):
         init=atoms("ontable a", "ontable b", "ontable c",
                    "clear a", "clear b", "clear c", "handempty"),
         goal=atoms("ontable c"))
-    trimmed = trim(plan("pickup c"), problem)
+    trimmed = trim_named(plan("pickup c"), problem)
     assert trimmed == ()
 
 
@@ -162,7 +180,7 @@ def test_trim_of_a_plan_that_misses_the_goal_is_none(tower_incomplete):
     # them, but they build only part of the tower
     steps = plan("pickup b,stack b a")
     assert execute_plan_on_atoms(tower_incomplete, steps).failed_step == len(steps)
-    assert trim(steps, tower_incomplete) is None
+    assert trim_named(steps, tower_incomplete) is None
     assert trim_by_restarts(steps, tower_incomplete) is None
 
 
@@ -187,7 +205,7 @@ def problem_and_actions(draw):
 def test_trim_matches_restarting_reference(data):
     problem, actions = data.draw(problem_and_actions())
     steps = tuple(data.draw(st.lists(st.sampled_from(actions), max_size=16)))
-    assert trim(steps, problem) == trim_by_restarts(steps, problem)
+    assert trim_named(steps, problem) == trim_by_restarts(steps, problem)
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +244,7 @@ def golden_fragments(min_support=1):
 
 
 def test_concat_golden(tower_incomplete):
-    result = concat_frag(tower_incomplete, GOLDEN_PAIRS, golden_fragments())
+    result = concat_named(tower_incomplete, GOLDEN_PAIRS, golden_fragments())
     assert result == GOLDEN_SOLUTION
 
 
@@ -239,16 +257,16 @@ def test_concat_trivial_empty(blocks):
 
 
 def test_concat_fails_without_p2_fragment(tower_incomplete):
-    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, (P1_FRAGMENT,)) is None
+    assert concat_named(tower_incomplete, GOLDEN_PAIRS, (P1_FRAGMENT,)) is None
 
 
 def test_concat_respects_budget(tower_incomplete):
-    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, golden_fragments(),
-                       node_budget=0) is None
+    assert concat_named(tower_incomplete, GOLDEN_PAIRS, golden_fragments(),
+                        node_budget=0) is None
 
 
 def test_concat_pairs_remaining_and_no_fragments_fails(tower_incomplete):
-    assert concat_frag(tower_incomplete, GOLDEN_PAIRS, ()) is None
+    assert concat_named(tower_incomplete, GOLDEN_PAIRS, ()) is None
 
 
 def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
@@ -266,7 +284,7 @@ def test_concat_budget_counts_a_fragment_under_every_pair_it_names(blocks):
     patterns = (plan("pickup b1,pickup b3"), plan("pickup b3,unstack b2 b1"),
                 plan("unstack b2 b1,pickup b1"), plan("unstack b2 b1,stack b2 b3"))
     for budget, expected in ((11, None), (12, plan("unstack b2 b1,stack b2 b3"))):
-        assert concat_frag(problem, pairs, patterns, node_budget=budget) == expected
+        assert concat_named(problem, pairs, patterns, node_budget=budget) == expected
         assert concat_frag_rescanning(problem, pairs, patterns, node_budget=budget) == expected
 
 
@@ -295,10 +313,10 @@ def test_concat_walks_a_failed_subtree_once(blocks, monkeypatch):
     monkeypatch.setattr(oracles, "trim_on_atoms",
                         counted("concat_frag_rescanning", oracles.trim_on_atoms))
     expected = plan("unstack b2 b1,stack b2 b3")
-    assert concat_frag(problem, pairs, patterns, node_budget=12) == expected
+    assert concat_named(problem, pairs, patterns, node_budget=12) == expected
     assert concat_frag_rescanning(problem, pairs, patterns, node_budget=12) == expected
     assert 0 < calls["concat_frag"] < calls["concat_frag_rescanning"]
-    assert concat_frag(problem, pairs, patterns, node_budget=11) is None
+    assert concat_named(problem, pairs, patterns, node_budget=11) is None
     assert concat_frag_rescanning(problem, pairs, patterns, node_budget=11) is None
 
 
@@ -314,7 +332,7 @@ def assembly_inputs(draw):
     problem, actions = draw(problem_and_actions())
     solution = solve(problem).plan or ()
     alphabet = list(dict.fromkeys(solution + actions[:draw(st.integers(1, 3))]))
-    skeletal = sorted(skeleton(problem).pairs)
+    skeletal = sorted(named_pairs(problem, skeleton(problem).pairs))
     pairs = set(draw(st.lists(st.sampled_from(skeletal), min_size=1, max_size=4))) \
         if skeletal else set()
     pairs |= set(draw(st.lists(st.builds(CausalPair, st.sampled_from(alphabet),
@@ -336,8 +354,8 @@ def test_concat_matches_rescanning_reference(inputs):
     problem, pairs, patterns = inputs
     grounding = Grounding.for_problem(problem)
     for budget in (*range(1, 51), 20_000):
-        assert concat_frag(problem, pairs, patterns, node_budget=budget,
-                           grounding=grounding) == \
+        assert concat_named(problem, pairs, patterns, node_budget=budget,
+                            grounding=grounding) == \
             concat_frag_rescanning(problem, pairs, patterns, node_budget=budget)
 
 
@@ -399,6 +417,6 @@ def test_concat_charges_a_failed_fragment_under_every_pair_it_names(inputs):
     problem, pairs, patterns = inputs
     grounding = Grounding.for_problem(problem)
     for budget in range(1, 51):
-        assert concat_frag(problem, pairs, patterns, node_budget=budget,
-                           grounding=grounding) == \
+        assert concat_named(problem, pairs, patterns, node_budget=budget,
+                            grounding=grounding) == \
             concat_frag_rescanning(problem, pairs, patterns, node_budget=budget)

@@ -20,38 +20,41 @@ from caseplan.causal import single_goal_plans
 from caseplan.search import solve
 from caseplan.strips import PlanningProblem
 
-from .conftest import GA, make_tower_problem, plan
+from .conftest import GA, make_tower_problem, named_pairs, op_ids, pair_ids, plan
 from .oracles import causal_pairs_by_triples
 
 
-def as_tuples(pairs):
-    return {(p.provider, p.consumer) for p in pairs}
+def as_tuples(problem, pairs):
+    """Causal pairs of op ids as (provider, consumer) tuples of named actions."""
+    return {(p.provider, p.consumer) for p in named_pairs(problem, pairs)}
 
 
 def test_two_action_plan(tower_incomplete):
     # the degraded stack has no (clear ?y) precondition, so this executes
-    pairs = extract_causal_pairs(plan("pickup b,stack b a"), tower_incomplete)
-    assert pairs == frozenset({CausalPair(GA("pickup b"), GA("stack b a"))})
+    pairs = extract_causal_pairs(op_ids(tower_incomplete, plan("pickup b,stack b a")),
+                                 tower_incomplete)
+    assert pairs == pair_ids(tower_incomplete, {CausalPair(GA("pickup b"), GA("stack b a"))})
 
 
 def test_single_action_plan(tower):
-    assert extract_causal_pairs(plan("pickup b"), tower) == frozenset()
+    assert extract_causal_pairs(op_ids(tower, plan("pickup b")), tower) == frozenset()
 
 
 def test_three_action_plan_matches_triple_oracle(blocks, tower):
     p = plan("unstack c a,putdown c,pickup b")
-    pairs = extract_causal_pairs(p, tower)
-    assert as_tuples(pairs) == causal_pairs_by_triples(p, blocks, tower.init)
+    pairs = extract_causal_pairs(op_ids(tower, p), tower)
+    assert as_tuples(tower, pairs) == causal_pairs_by_triples(p, blocks, tower.init)
 
 
 def test_rejects_non_executable_plan(tower):
-    with pytest.raises(StripsError, match="not executable"):
-        extract_causal_pairs(plan("pickup a"), tower)
+    with pytest.raises(StripsError, match=r"^plan step 0 \(pickup a\) is not executable: "
+                                          r"missing \(clear a\)$"):
+        extract_causal_pairs(op_ids(tower, plan("pickup a")), tower)
 
 
 def test_golden_pairs(tower_incomplete):
     pairs = skeleton(tower_incomplete)[1]
-    assert as_tuples(pairs) == {
+    assert as_tuples(tower_incomplete, pairs) == {
         (GA("pickup b"), GA("stack b a")),
         (GA("unstack c a"), GA("stack c b")),
         (GA("pickup d"), GA("stack d c")),
@@ -78,11 +81,12 @@ def test_unreachable_goal_contributes_nothing(blocks):
 
 
 def test_pair_actions_come_from_goal_plans(tower_incomplete):
+    # the pairs are op ids, taken from the op ids the per-goal searches record
     plans = single_goal_plans(tower_incomplete)
     seen = set()
     for _, result in plans:
         if result.solved:
-            seen.update(result.plan)
+            seen.update(result.ops)
     for pair in skeleton(tower_incomplete)[1]:
         assert pair.provider in seen and pair.consumer in seen
 
@@ -103,12 +107,12 @@ def test_random_plans_match_triple_oracle(blocks):
             k = rng.choice(usable)
             pre, add, dele = grounding.ops_ids[k]
             state = (state - frozenset(dele)) | frozenset(add)
-            steps.append(grounding.action(k))
-        p = tuple(steps)
-        if not p:
+            steps.append(k)
+        if not steps:
             continue
-        pairs = extract_causal_pairs(p, problem, grounding=grounding)
-        assert as_tuples(pairs) == causal_pairs_by_triples(p, blocks, problem.init)
+        pairs = extract_causal_pairs(tuple(steps), problem, grounding=grounding)
+        assert as_tuples(problem, pairs) == causal_pairs_by_triples(
+            tuple(map(grounding.action, steps)), blocks, problem.init)
 
 
 def test_determinism(tower_incomplete):

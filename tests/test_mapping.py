@@ -37,6 +37,7 @@ from .conftest import (
     P2_FRAGMENT,
     atoms,
     count_best_mapping_calls,
+    named,
     plan,
     renamed_case,
     typed_instance,
@@ -144,16 +145,21 @@ def test_score_invariant_under_problem_renaming(blocks, tower, p1):
         assert mapping_score(p1, moved, renamed) == mapping_score(p1, base, tower)
 
 
+def named_fragments(problem, fragments) -> list:
+    """Fragments of op ids as tuples of named actions."""
+    return [named(problem, fragment) for fragment in fragments]
+
+
 def test_extract_fragments_p1(tower, p1):
     frags = extract_fragments(p1, best_mapping(p1, tower), tower)
     assert len(frags) == 1
-    assert frags[0] == P1_FRAGMENT
+    assert named(tower, frags[0]) == P1_FRAGMENT
 
 
 def test_extract_fragments_p2(tower, p2):
     frags = extract_fragments(p2, best_mapping(p2, tower), tower)
     assert len(frags) == 1
-    assert frags[0] == P2_FRAGMENT
+    assert named(tower, frags[0]) == P2_FRAGMENT
 
 
 def test_foreign_object_splits_fragments(tower, p1):
@@ -164,8 +170,8 @@ def test_foreign_object_splits_fragments(tower, p1):
     assert "b9" not in mapping  # no free problem object remains for it
     frags = extract_fragments(case, mapping, tower)
     assert len(frags) == 2
-    assert frags[0] == tuple(a._replace(args=tuple(mapping[x] for x in a.args))
-                             for a in p1.plan[:3])
+    assert named(tower, frags[0]) == tuple(a._replace(args=tuple(mapping[x] for x in a.args))
+                                           for a in p1.plan[:3])
 
 
 def test_unknown_action_splits_fragments(tower, p1):
@@ -368,7 +374,7 @@ def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, oth
     rows = []
     for case in cases:
         mapping = best_mapping(case, other)
-        assert extract_fragments(case, mapping, other) == \
+        assert named_fragments(other, extract_fragments(case, mapping, other)) == \
             extract_fragments_by_name(case, mapping, other)
         rows.append(case.mapping_rows)
     model = degrade(domain, DegradeSpec(completeness=completeness, seed=other_seed))
@@ -386,7 +392,8 @@ def test_case_rows_built_on_another_domain_serve_the_target(instance, shift, oth
             else:
                 assert mapping_score(case, mapping, target) >= \
                     mapping_score(fresh, expected, target)
-            assert extract_fragments(case, mapping, target, index=index) == \
+            assert named_fragments(target, extract_fragments(case, mapping, target,
+                                                             index=index)) == \
                 extract_fragments_by_name(fresh, mapping, target)
         assert case.mapping_rows is case_rows
 
@@ -472,31 +479,48 @@ def test_index_data_is_read_only(name):
     assert len(index.classes) == {"blocks": 0, "driverlog": 5, "depots": 9}[name]
 
 
+@settings(max_examples=30, deadline=None)
+@given(instances, st.sampled_from([1.0, 0.6, 0.2]), st.integers(0, 30))
+def test_the_index_and_every_grounding_share_the_op_numbering(instance, completeness, seed):
+    # fragments are cut on the mapping index and assembled on the grounding of
+    # the skeleton's model, so the two must give every action the same op id,
+    # under the complete model and degraded ones
+    domain, problem, _ = instance
+    ops = mapping_index(problem).ops
+    model = degrade(domain, DegradeSpec(completeness=completeness, seed=seed))
+    grounding = Grounding.for_problem(replace(problem, domain=model))
+    assert ops.count == len(grounding.ops_ids)
+    for op_idx in range(ops.count):
+        action = grounding.action(op_idx)
+        assert ops.id(*action) == grounding.op_id(action) == op_idx
+        assert ops.name(op_idx) == tuple(action)
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances, st.data())
 def test_extract_fragments_keeps_exactly_the_actions_of_the_op_table(instance, data):
     # any mapping into the problem's objects, partial, ill-typed and not
     # injective, not only a best one: a step is kept exactly when every
-    # argument is mapped and the problem's grounding takes the renamed action
+    # argument is mapped and the problem's grounding takes the renamed action,
+    # and it is kept as the op id that grounding gives it
     _, problem, library = instance
     grounding = Grounding.for_problem(problem)
-    state = grounding.encode(problem.init)
     images = st.one_of(st.none(), st.sampled_from(sorted(problem.objects)))
     for _, case in library:
         mapping = {o: image for o in sorted(case.objects())
                    if (image := data.draw(images)) is not None}
         fragments = extract_fragments(case, mapping, problem)
-        assert fragments == extract_fragments_by_name(case, mapping, problem)
-        kept = []  # per step: the renamed action, or None where it is no op
+        assert named_fragments(problem, fragments) == \
+            extract_fragments_by_name(case, mapping, problem)
+        kept = []  # per step: the renamed action's op id, or None where it is no op
         for action in case.plan:
             try:
                 renamed = GroundAction(action.name, tuple(mapping[o] for o in action.args))
-                grounding.step(state, renamed)
+                kept.append(grounding.op_id(renamed))
             except (KeyError, StripsError):
-                renamed = None
-            kept.append(renamed)
+                kept.append(None)
         assert fragments == [tuple(run) for usable, run in
-                             itertools.groupby(kept, lambda a: a is not None) if usable]
+                             itertools.groupby(kept, lambda i: i is not None) if usable]
 
 
 @settings(max_examples=30, deadline=None)
@@ -532,7 +556,7 @@ def test_build_fragments_builds_one_index(monkeypatch, tower, p1, p2):
     monkeypatch.setattr(caseplan.mapping, "mapping_index", counted)
     fragments = build_fragments(tower, [("p1", p1), ("p2", p2)])
     assert calls == [tower]
-    assert fragments == [P1_FRAGMENT, P2_FRAGMENT]
+    assert named_fragments(tower, fragments) == [P1_FRAGMENT, P2_FRAGMENT]
     assert build_fragments(tower, []) == []
     assert calls == [tower]
 
@@ -651,6 +675,8 @@ def test_build_fragments_maps_one_case_per_key(monkeypatch, tower, p1, p2):
     expected = [f for _, case in library
                 for f in extract_fragments(case, best_mapping(case, tower), tower)]
     calls = count_best_mapping_calls(monkeypatch)
-    assert build_fragments(tower, library) == expected == \
-        [P1_FRAGMENT, P1_FRAGMENT, P2_FRAGMENT, P1_FRAGMENT]
+    fragments = build_fragments(tower, library)
+    assert fragments == expected
+    assert named_fragments(tower, fragments) == [P1_FRAGMENT, P1_FRAGMENT, P2_FRAGMENT,
+                                                 P1_FRAGMENT]
     assert calls == [(p1, tower), (p2, tower)]

@@ -49,6 +49,8 @@ from .conftest import (
     count_best_mapping_calls,
     make_p1,
     make_p2,
+    named,
+    named_pairs,
     plan,
     typed_instance,
 )
@@ -79,36 +81,47 @@ def counted(real, calls: list):
      "fixtures/blocks/cases", ROUTE_SKELETAL),
 ])
 def test_a_solve_builds_no_name_table(domain, problem, cases, route, monkeypatch):
-    # every plan of a solve is checked on atom ids, so a solve names no atom
+    # every plan of a solve is checked on atom ids, so a solve names no atom;
+    # its stages pass op ids, so it names no action but those it returns: the
+    # plan (the skeletal plan comes named with the skeleton) and the
+    # uncovered pair end of a solve that stopped mapping
     model = parse_domain((ROOT / domain).read_text())
     problem = parse_problem((ROOT / problem).read_text(), model)
-    decoded = []
+    decoded, named_actions = [], []
     monkeypatch.setattr(Grounding, "decode", counted(Grounding.decode, decoded))
     skeletal = skeleton(problem)
+    monkeypatch.setattr(Grounding, "action", counted(Grounding.action, named_actions))
     outcome = solve_with_library(problem, read_case_library(ROOT / cases), 1, skeletal=skeletal)
     assert outcome.route == route
     assert decoded == []
+    assert len(named_actions) == (0 if route == ROUTE_SKELETAL else len(outcome.plan)) + \
+        (outcome.uncovered is not None)
     result = execute_plan(problem, outcome.plan, grounding=skeletal.grounding)
     assert result.success
     assert result.state == execute_plan_on_atoms(problem, outcome.plan).state
 
 
 def test_a_skeleton_walks_each_per_goal_plan_twice(blocks, monkeypatch):
-    # the per-goal searches check their plans on op ids, so the only named
-    # walks of a skeleton are one for causal pairs and one in trim, which
-    # also decides whether the joined plan reaches the goal
+    # the per-goal searches check their plans on op ids and record them, and
+    # the only walks of a skeleton are of those op ids, one for causal pairs
+    # and one in trim, which also decides whether the joined plan reaches the
+    # goal; it walks no plan by name and names only the trimmed plan
     problems = make_problem_suite(blocks, 30, 7, n_blocks=6)
-    per_goal = sum(len(result.plan) for problem in problems
+    per_goal = sum(len(result.ops) for problem in problems
                    for _, result in single_goal_plans(problem) if result.solved)
-    steps, executed = [], []
+    walked, steps, executed, named_actions = [], [], [], []
+    for walk in ("extract_causal_pairs", "trim"):
+        monkeypatch.setattr(caseplan.pipeline, walk,
+                            counted(getattr(caseplan.pipeline, walk), walked))
     monkeypatch.setattr(Grounding, "step", counted(Grounding.step, steps))
+    monkeypatch.setattr(Grounding, "action", counted(Grounding.action, named_actions))
     monkeypatch.setattr(caseplan.search, "execute_plan",
                         counted(caseplan.search.execute_plan, executed))
-    for problem in problems:
-        skeleton(problem)
+    skeletal_steps = sum(len(skeleton(problem).plan or ()) for problem in problems)
     assert per_goal == 298
-    assert len(steps) == 2 * per_goal
-    assert executed == []
+    assert sum(len(ops) for ops, *_ in walked) == 2 * per_goal
+    assert (steps, executed) == ([], [])
+    assert len(named_actions) == skeletal_steps
 
 
 def test_golden_end_to_end(tower_incomplete, blocks):
@@ -236,10 +249,10 @@ def test_the_cut_bounds_fragments_by_schema_steps_not_cases(blocks, monkeypatch)
                               init=atoms("clear a", "clear b", "handempty",
                                          "ontable a", "ontable b"),
                               goal=atoms("on a b"))
-    assert build_fragments(problem, [("case", case)]) == \
+    assert [named(problem, f) for f in build_fragments(problem, [("case", case)])] == \
         [plan("pickup a,stack a b,unstack a b,putdown a"), plan("pickup a,stack a b")]
     outcome = solve_with_library(problem, [("case", case)], 2)
-    assert outcome.pairs == {CausalPair(GA("pickup a"), GA("stack a b"))}
+    assert named_pairs(problem, outcome.pairs) == {CausalPair(GA("pickup a"), GA("stack a b"))}
     assert (outcome.route, outcome.uncovered) == (ROUTE_FRAGMENTS, None)
     assert outcome.plan == plan("pickup a,stack a b")
     # a second copy of the case shares its index but holds two fragments more
@@ -374,12 +387,13 @@ def test_directed_mining_matches_the_eager_pipeline(name, instance_seed, complet
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
     outcome = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
     eager = solve_with_library_eager(problem, cases, delta, config=SMALL_SEARCH)
-    assert (outcome.plan, outcome.pairs) == (eager.plan, eager.pairs)
+    pairs = named_pairs(problem, outcome.pairs)
+    assert (outcome.plan, pairs) == (eager.plan, named_pairs(problem, eager.pairs))
     goal_in_init = problem.goal <= problem.init
     event(f"{domain.name} pairs {bool(eager.pairs)} goal in init {goal_in_init} "
           f"cut {outcome.uncovered is not None}")
     if outcome.uncovered is not None:
-        assert outcome.uncovered in {end for pair in outcome.pairs for end in pair}
+        assert outcome.uncovered in {end for pair in pairs for end in pair}
         assert outcome.route == eager.route != ROUTE_FRAGMENTS
         assert (outcome.fragments, outcome.frequent) == ((), NO_PATTERNS)
         assert outcome.failed_stage == (STAGE_MINING if outcome.plan is None else None)

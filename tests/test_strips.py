@@ -33,7 +33,7 @@ from caseplan.generators import random_blocks_state
 from caseplan.strips import PlanningProblem
 
 from .conftest import A, GA, GOLDEN_SOLUTION, atoms, depots_start, driverlog_start, \
-    make_tower_problem
+    make_tower_problem, named, named_pairs, op_ids
 from .oracles import (
     GroundingThroughGrounded,
     action_names,
@@ -203,9 +203,12 @@ def test_step_names_the_first_ill_typed_argument(text, reason):
     result = execute_plan(problem, plan)
     assert (result.success, result.failed_step, result.reason) == (False, 1, message)
     assert result.state == atoms("at p1 l1", "at d1 l2", "path l1 l2")
-    for walk in (trim, extract_causal_pairs):
-        with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
-            walk(plan, problem)
+    # trim and causal-pair extraction walk op ids, which an action off the
+    # table has none of: forming the plan's op ids raises the same message
+    with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
+        grounding.op_id(action)
+    with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
+        op_ids(problem, plan)
     assert execute_plan_on_atoms(problem, plan) == result
 
 
@@ -472,7 +475,10 @@ def test_grounding_enumerates_all_blocks_actions(blocks):
 # well-typed actions, the sequences hold actions missing from the op table:
 # an unknown schema, a wrong arity, and arguments of any type or no object at
 # all. Each of those is no action of the problem: both simulators fail its
-# step, and trim and causal-pair extraction raise, with the same message.
+# step, with the same message. trim and causal-pair extraction walk op ids:
+# forming the op ids of a plan that holds such an action raises the message
+# that the atom simulators raise at it, and the op-id walks are checked on the
+# plan and on its steps that are on the table.
 
 @functools.cache
 def simulator_start(name: str, completeness: float, seed: int):
@@ -534,10 +540,18 @@ def test_op_id_simulator_matches_atom_simulator(drawn):
     grounding = Grounding.for_problem(problem)
     assert execute_plan(problem, steps, grounding=grounding) == \
         execute_plan_on_atoms(problem, steps)
-    trimmed = raised(trim, steps, problem, grounding=grounding)
-    assert trimmed == raised(trim_on_atoms, steps, problem)
-    # the trimmed plan before it is accepted, which executes step by step
-    cut = raised(cut_on_atoms, steps, problem)
-    for walked in (steps, cut) if isinstance(cut, tuple) else (steps,):
-        assert raised(extract_causal_pairs, walked, problem, grounding=grounding) == \
-            raised(causal_pairs_on_atoms, walked, problem)
+    on_table = tuple(a for a in steps if not isinstance(raised(grounding.op_id, a), str))
+    for plan in dict.fromkeys((steps, on_table)):
+        ids = raised(op_ids, problem, plan)
+        trimmed = ids if isinstance(ids, str) else \
+            raised(lambda: named(problem, trim(ids, problem, grounding=grounding)))
+        assert trimmed == raised(trim_on_atoms, plan, problem)
+        # the trimmed plan before it is accepted, which executes step by step
+        cut = raised(cut_on_atoms, plan, problem)
+        for walked in (plan, cut) if isinstance(cut, tuple) else (plan,):
+            ids = raised(op_ids, problem, walked)
+            if isinstance(ids, str):
+                continue
+            assert raised(lambda: named_pairs(problem, extract_causal_pairs(
+                ids, problem, grounding=grounding))) == \
+                raised(causal_pairs_on_atoms, walked, problem)
