@@ -1,8 +1,8 @@
 """States, actions, and plan execution on the blocks world.
 
 Parses the complete blocks domain and the four-block tower problem, grounds
-it, steps two actions from the initial state to test their preconditions,
-and executes a full plan step by step.
+it, numbers two actions and runs each from the initial state to test its
+precondition, and executes a full plan step by step.
 """
 
 from pathlib import Path
@@ -21,12 +21,13 @@ print("goal:", " ".join(a.pddl() for a in sorted(problem.goal)))
 
 grounding = Grounding.for_problem(problem)
 init = grounding.encode(problem.init)
-(pre_b, _, _), after_b = grounding.step(init, GroundAction("pickup", ("b",)))
-_, after_c = grounding.step(init, GroundAction("pickup", ("c",)))
+pickup_b = grounding.op_id(GroundAction("pickup", ("b",)))
+pickup_c = grounding.op_id(GroundAction("pickup", ("c",)))
+pre_b, _, _ = grounding.ops_ids[pickup_b]
 print()
 print("pickup b needs", " ".join(a.pddl() for a in sorted(grounding.decode(pre_b))))
-print("pickup b applicable?", after_b is not None)
-print("pickup c applicable?", after_c is not None,
+print("pickup b applicable?", grounding.run([pickup_b], init)[1] == 1)
+print("pickup c applicable?", grounding.run([pickup_c], init)[1] == 1,
       " (c sits on a, not on the table)")
 
 plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
@@ -36,9 +37,10 @@ plan = [GroundAction("unstack", ("c", "a")), GroundAction("putdown", ("c",)),
 
 print()
 print("executing an eight-step plan:")
-for k, action in enumerate(plan, start=1):
-    state = execute_plan(problem, tuple(plan[:k]), grounding=grounding).state
-    holding = [a for a in state if a.predicate == "holding"]
+state = init
+for action in plan:
+    state, _ = grounding.run([grounding.op_id(action)], state)
+    holding = [a for a in grounding.decode(state) if a.predicate == "holding"]
     print(f"  after {action.pddl():18s} holding={holding[0].pddl() if holding else '-'}")
 
 result = execute_plan(problem, tuple(plan), grounding=grounding)

@@ -11,12 +11,11 @@ model; :func:`trim` takes both steps in one walk. Plans and pairs are op ids.
 from __future__ import annotations
 
 from .causal import CausalPair
-from .mining import ActionSeq
 from .strips import Grounding, OpPlan, PlanningProblem
 from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
 
-def merge(partial: OpPlan, fragment: ActionSeq) -> OpPlan | None:
+def merge(partial: OpPlan, fragment: OpPlan) -> OpPlan | None:
     """Merge the fragment into the partial plan on their longest end overlap,
     or return None where the two share no end (an empty plan shares one).
 
@@ -93,7 +92,7 @@ def trim(plan: OpPlan, problem: PlanningProblem, *,
 
 
 def concat_frag(problem: PlanningProblem, pairs: frozenset[CausalPair],
-                patterns: tuple[ActionSeq, ...], *,
+                patterns: tuple[OpPlan, ...], *,
                 node_budget: int = 20_000,
                 grounding: Grounding | None = None) -> OpPlan | None:
     """Depth-first assembly of the fragments ``patterns`` (the ``patterns`` of

@@ -15,6 +15,11 @@ if TYPE_CHECKING:
     from .mapping import CaseIndex
 
 
+# the most objects a case may name: case mapping recurses once per case
+# object, so the bound stays well below the interpreter's recursion limit
+MAX_CASE_OBJECTS = 500
+
+
 @dataclass(frozen=True)
 class CaseFile:
     """One recorded solution: an initial state, a goal, and the plan between them."""
@@ -29,6 +34,9 @@ class CaseFile:
         for atom in list(self.init) + list(self.goal):
             if not atom.is_ground:
                 raise PddlError(f"case atom {atom.pddl()} is not ground")
+        n = len(self.objects())
+        if n > MAX_CASE_OBJECTS:
+            raise PddlError(f"a case names {n} objects; at most {MAX_CASE_OBJECTS} can be mapped")
 
     def objects(self) -> tuple[str, ...]:
         seen: set[str] = set()
@@ -77,14 +85,6 @@ def case_to_text(case: CaseFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_case(path: Path | str) -> CaseFile:
-    return parse_case(Path(path).read_text())
-
-
-def write_case(path: Path | str, case: CaseFile) -> None:
-    Path(path).write_text(case_to_text(case))
-
-
 def read_case_library(directory: Path | str) -> list[tuple[str, CaseFile]]:
     """Load every ``*.case`` file in a directory, sorted by file name."""
     directory = Path(directory)
@@ -93,7 +93,7 @@ def read_case_library(directory: Path | str) -> list[tuple[str, CaseFile]]:
     out = []
     for path in sorted(directory.glob("*.case")):
         try:
-            out.append((path.stem, read_case(path)))
+            out.append((path.stem, parse_case(path.read_text())))
         except (PddlError, UnicodeDecodeError) as err:
             raise PddlError(f"{path}: {err}") from err
     return out
@@ -103,7 +103,7 @@ def write_case_library(directory: Path | str, cases: list[tuple[str, CaseFile]])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, case in cases:
-        write_case(directory / f"{name}.case", case)
+        (directory / f"{name}.case").write_text(case_to_text(case))
 
 
 def parse_plan(text: str) -> Plan:

@@ -29,20 +29,16 @@ def extract_causal_pairs(plan: OpPlan, problem: PlanningProblem, *,
     are dropped. ``grounding`` is as for :func:`~caseplan.strips.execute_plan`.
     """
     grounding = grounding or Grounding.for_problem(problem)
-    state = grounding.encode(problem.init)
-    steps = []  # (pre, add, delete) ids of each step
-    for i, op_idx in enumerate(plan):
-        pre, add, delete = op = grounding.ops_ids[op_idx]
-        if not pre <= state:
-            missing = min(grounding.decode(pre - state))
-            raise StripsError(f"plan step {i} {grounding.action(op_idx).pddl()} is not "
-                              f"executable: missing {missing.pddl()}")
-        state = (state - delete) | add
-        steps.append(op)
+    state, applied = grounding.run(plan, grounding.encode(problem.init))
+    if applied < len(plan):
+        op_idx = plan[applied]
+        missing = min(grounding.decode(grounding.ops_ids[op_idx][0] - state))
+        raise StripsError(f"plan step {applied} {grounding.action(op_idx).pddl()} is not "
+                          f"executable: missing {missing.pddl()}")
 
+    steps = [grounding.ops_ids[op_idx] for op_idx in plan]  # (pre, add, delete) ids
     pairs = set()
-    for j, (pre, _, _) in enumerate(steps):
-        consumer = plan[j]
+    for j, (consumer, (pre, _, _)) in enumerate(zip(plan, steps)):
         for atom in pre:
             for i in range(j - 1, -1, -1):
                 _, add, delete = steps[i]

@@ -40,18 +40,16 @@ def check_solution(problem: PlanningProblem, plan: Plan, complete_model: DomainM
 
     This is ``execute_plan(...).success``, decided on atom ids alone: it names
     no state and gives no reason, and a step that is no action of the
-    grounding reads as ``False``.
+    grounding reads as ``False``. The plan is numbered once, up to such a
+    step, and walked by :meth:`Grounding.run`.
     """
     grounding = grounding or Grounding(complete_model, problem.objects)
-    state = grounding.encode(problem.init)
-    for action in plan:
-        try:
-            _, state = grounding.step(state, action)
-        except StripsError:
-            return False
-        if state is None:
-            return False
-    return grounding.encode(problem.goal) <= state
+    try:
+        ids = [grounding.op_id(action) for action in plan]
+    except StripsError:
+        return False
+    state, applied = grounding.run(ids, grounding.encode(problem.init))
+    return applied == len(ids) and grounding.encode(problem.goal) <= state
 
 
 def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],

@@ -282,9 +282,10 @@ def mapping_index(problem: PlanningProblem) -> MappingIndex:
                  for j, fit in enumerate(fit_row) if len(fit) < len(objects)}
     classes = tuple(sorted({fit for fit in fitting.values() if 0 < len(fit) < len(objects)},
                            key=lambda fit: (len(fit), sorted(fit))))
-    predicates: dict[tuple[str, int], int] = {}
-    for atom in itertools.chain(problem.init, problem.goal):
-        predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+    # numbered in sorted order, so no key depends on the order a set iterates in
+    pairs = {(atom.predicate, len(atom.args))
+             for atom in itertools.chain(problem.init, problem.goal)}
+    predicates = {pair: pid for pid, pair in enumerate(sorted(pairs))}
     if len(objects) + len(classes) + 1 >= RADIX:
         raise ValueError(f"problem {problem.name}: {len(objects)} objects and {len(classes)} "
                          f"type classes do not fit a mapping key; objects plus classes "
@@ -617,7 +618,6 @@ class Uncovered(Exception):
 
 
 def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]], *,
-                    index: MappingIndex | None = None,
                     required: Collection[int] = (),
                     min_support: int = 1) -> list[OpPlan]:
     """Best-map every case onto the problem and collect all plan fragments, as
@@ -626,8 +626,8 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     Only the first case of each :class:`CaseIndex` (``case.mapping_rows``,
     which compares without names) is mapped and cut, by
     :func:`case_fragments`; a later case with an equal index gets the same
-    fragments. ``index``, when given, is ``mapping_index(problem)``;
-    otherwise it is built here, once for all the cases, where there are any.
+    fragments. The problem's :func:`mapping_index` is built once for all
+    the cases, where there are any.
 
     ``required``, when given, are op ids of actions that must each lie in at
     least ``min_support`` of the fragments, or the caller has no use for them
@@ -648,8 +648,7 @@ def build_fragments(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
     for _, case in cases:
         first.setdefault(case.mapping_rows, case)
         copies[case.mapping_rows] += 1
-    if index is None and first:
-        index = mapping_index(problem)
+    index = mapping_index(problem) if first else None
     held = dict.fromkeys(sorted(set(required)), 0)  # per end: the fragments built that hold it
     schema_of: dict[int, Signature] = {}  # per end: its schema; with no case, none is read
     if index is not None:

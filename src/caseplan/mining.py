@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
-ActionSeq = tuple[int, ...]  # op ids (strips.action_numbering): they sort as their actions do
+from .strips import OpPlan
 
 
 @dataclass(frozen=True)
 class SequenceDB:
     """The action sequences to mine; an entry's id is its position."""
 
-    sequences: tuple[ActionSeq, ...]
+    sequences: tuple[OpPlan, ...]
 
     @classmethod
     def from_sequences(cls, sequences: Sequence[Sequence[int]]) -> "SequenceDB":
@@ -33,8 +33,8 @@ class SequenceDB:
 class FrequentFragmentSet:
     """Maximal frequent patterns, ordered longest first then lexicographically."""
 
-    patterns: tuple[ActionSeq, ...]
-    supports: Mapping[ActionSeq, int]  # read-only copy
+    patterns: tuple[OpPlan, ...]
+    supports: Mapping[OpPlan, int]  # read-only copy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "supports", MappingProxyType(dict(self.supports)))
@@ -45,7 +45,7 @@ class GrownPatterns(NamedTuple):
     support is at least ``min_support``, with its support."""
 
     min_support: int
-    supports: Mapping[ActionSeq, int]  # read-only
+    supports: Mapping[OpPlan, int]  # read-only
 
 
 def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
@@ -61,7 +61,7 @@ def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
 
     # Occurrence lists for single actions: (sid, position) pairs, in that
     # order; every list grown from one keeps it.
-    occ: dict[ActionSeq, list[tuple[int, int]]] = {}
+    occ: dict[OpPlan, list[tuple[int, int]]] = {}
     for sid, seq in enumerate(db.sequences):
         for pos, action in enumerate(seq):
             occ.setdefault((action,), []).append((sid, pos))
@@ -75,8 +75,8 @@ def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
                 last = sid
         return count
 
-    frequent: dict[ActionSeq, int] = {}
-    level: dict[ActionSeq, list[tuple[int, int]]] = {}
+    frequent: dict[OpPlan, int] = {}
+    level: dict[OpPlan, list[tuple[int, int]]] = {}
     for pattern, positions in occ.items():
         support = entry_count(positions)
         if support >= min_support:
@@ -84,7 +84,7 @@ def grow_frequent(db: SequenceDB, min_support: int) -> GrownPatterns:
             frequent[pattern] = support
 
     while level:
-        grown: dict[ActionSeq, list[tuple[int, int]]] = {}
+        grown: dict[OpPlan, list[tuple[int, int]]] = {}
         for pattern, positions in level.items():
             ext: dict[int, list[tuple[int, int]]] = {}
             for sid, pos in positions:

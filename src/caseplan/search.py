@@ -221,13 +221,10 @@ def _solved(problem: PlanningProblem, grounding: Grounding, parent, state,
         state, op_idx = parent[state]
         ops.append(op_idx)
     ops.reverse()
-    state = grounding.encode(problem.init)
-    for i, op_idx in enumerate(ops):
-        pre, add, delete = grounding.ops_ids[op_idx]
-        if not pre <= state:
-            raise StripsError(f"internal: search produced an invalid plan (step {i} "
-                              "does not apply)")
-        state = (state - delete) | add
+    state, applied = grounding.run(ops, grounding.encode(problem.init))
+    if applied < len(ops):
+        raise StripsError(f"internal: search produced an invalid plan (step {applied} "
+                          "does not apply)")
     if not grounding.encode(problem.goal) <= state:
         raise StripsError("internal: search produced an invalid plan (goal not reached)")
     return SolveResult(SOLVED, tuple(ops), expansions, grounding)

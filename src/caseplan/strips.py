@@ -47,7 +47,6 @@ class GroundAction(NamedTuple):
 State: TypeAlias = frozenset[Atom]
 Plan: TypeAlias = tuple[GroundAction, ...]
 OpPlan: TypeAlias = tuple[int, ...]  # a plan as the op ids of its steps (see action_numbering)
-OpSets: TypeAlias = tuple[frozenset, frozenset, frozenset]  # an op's (pre, add, delete) ids
 
 
 @dataclass(frozen=True)
@@ -313,20 +312,19 @@ class Grounding:
     :class:`Atom` values and no atom is looked up.
 
     Construction builds only what search code reads: each op's (pre, add,
-    delete) atom ids, which :meth:`successors` walks, and the index that h_add
-    reads. No table of names is kept: :meth:`encode`, :meth:`decode`,
-    :meth:`action` and :meth:`step` name atoms and actions by the arithmetic
-    alone, and only ``encode`` remembers anything, the ids of the atom
-    frozensets it is given, since every search and walk of a problem starts
-    from the same initial state. :meth:`step` is the one plan simulator for
-    plans given by name; a solve walks op ids (:data:`OpPlan`) on ``ops_ids``.
-    Its tables are computed once and never change, so it is safe to share
-    across the per-goal solver calls of one problem.
+    delete) atom ids, which :meth:`successors` and :meth:`run` walk, and the
+    index that h_add reads. No table of names is kept: :meth:`encode`,
+    :meth:`decode`, :meth:`action` and :meth:`op_id` name atoms and actions
+    by the arithmetic alone, and only ``encode`` remembers anything, the ids
+    of the atom frozensets it is given, since every search and walk of a
+    problem starts from the same initial state. :meth:`run` is the one plan
+    simulator: a plan given by name is numbered by ``op_id`` first. Its
+    tables are computed once and never change, so it is safe to share across
+    the per-goal solver calls of one problem.
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
         self.domain = domain
-        self.objects: Mapping[str, str] = MappingProxyType(dict(objects))
 
         pools = type_pools(domain, objects)
         self._atom_ids = Numbering(domain.predicates, pools)
@@ -446,13 +444,6 @@ class Grounding:
             raise StripsError(self._why_off_table(action))
         return op_idx
 
-    def step(self, state: frozenset, action: GroundAction) -> tuple[OpSets, frozenset | None]:
-        """The (pre, add, delete) ids of a ground action, and the encoded state
-        it leads to from ``state``, or None there when its precondition fails.
-        An action outside the op table raises, as for :meth:`op_id`."""
-        pre, add, delete = op = self.ops_ids[self.op_id(action)]
-        return op, ((state - delete) | add if pre <= state else None)
-
     def _why_off_table(self, action: GroundAction) -> str:
         schema = self.domain.schemas.get(action.name)
         if schema is None:
@@ -472,6 +463,19 @@ class Grounding:
             if pre <= state:
                 yield op_idx, (state - delete) | add
 
+    def run(self, ops: Iterable[int], state: frozenset[int]) -> tuple[frozenset[int], int]:
+        """Apply op ids in turn from an encoded state, stopping before the
+        first whose precondition fails: the state reached, and how many
+        ops applied."""
+        applied = 0
+        for op_idx in ops:
+            pre, add, delete = self.ops_ids[op_idx]
+            if not pre <= state:
+                break
+            state = (state - delete) | add
+            applied += 1
+        return state, applied
+
 
 def execute_plan(problem: PlanningProblem, plan: Plan, *,
                  grounding: Grounding | None = None) -> ExecutionResult:
@@ -479,10 +483,11 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
 
     Succeeds iff every step is applicable in sequence and the goal holds in
     the final state. Failures are reported as a value, never raised:
-    ``failed_step`` is the offending step index, or ``len(plan)`` when all
-    steps applied but the goal is unmet. A step that is no action of the
-    grounding fails with the reason :meth:`Grounding.step` gives. Success is
-    decided on atom ids; the reached state is named once, for the result.
+    ``failed_step`` is the first offending step index, or ``len(plan)`` when
+    all steps applied but the goal is unmet. A step that is no action of the
+    grounding fails with the reason :meth:`Grounding.op_id` gives. The plan
+    is numbered up to such a step and walked by :meth:`Grounding.run`; the
+    reached state is named once, for the result.
 
     The steps run under the model of ``grounding``, which must be a grounding
     of the problem's objects; by default it is the problem's own,
@@ -492,20 +497,21 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
     call.
     """
     grounding = grounding or Grounding.for_problem(problem)
-    state = grounding.encode(problem.init)
-    for i, action in enumerate(plan):
+    ids: list[int] = []
+    reason = None
+    for action in plan:
         try:
-            (pre, _, _), after = grounding.step(state, action)
+            ids.append(grounding.op_id(action))
         except StripsError as err:
-            return ExecutionResult(False, grounding.decode(state), i, str(err))
-        if after is None:
-            missing = min(grounding.decode(pre - state))
-            return ExecutionResult(False, grounding.decode(state), i,
-                                   f"unsatisfied precondition {missing.pddl()} "
-                                   f"for {action.pddl()}")
-        state = after
-    unmet = grounding.encode(problem.goal) - state
-    if unmet:
-        return ExecutionResult(False, grounding.decode(state), len(plan),
-                               f"goal atom {min(grounding.decode(unmet)).pddl()} not achieved")
-    return ExecutionResult(True, grounding.decode(state))
+            reason = str(err)  # the first step that is no action
+            break
+    state, applied = grounding.run(ids, grounding.encode(problem.init))
+    if applied < len(ids):
+        missing = min(grounding.decode(grounding.ops_ids[ids[applied]][0] - state))
+        reason = f"unsatisfied precondition {missing.pddl()} for {plan[applied].pddl()}"
+    elif reason is None:
+        unmet = grounding.encode(problem.goal) - state
+        if not unmet:
+            return ExecutionResult(True, grounding.decode(state))
+        reason = f"goal atom {min(grounding.decode(unmet)).pddl()} not achieved"
+    return ExecutionResult(False, grounding.decode(state), applied, reason)

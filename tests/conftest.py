@@ -57,7 +57,7 @@ def plan(text: str) -> tuple[GroundAction, ...]:
 
 def op_ids(problem: PlanningProblem, plan) -> tuple[int, ...]:
     """The op ids of named actions on the problem; an action that is no op of
-    it raises StripsError with the reason ``Grounding.step`` gives."""
+    it raises StripsError with the reason ``Grounding.op_id`` gives."""
     return tuple(map(Grounding.for_problem(problem).op_id, plan))
 
 
@@ -181,6 +181,13 @@ def renamed_case(case: CaseFile, names: dict[str, str]) -> CaseFile:
         return item._replace(args=tuple(names[a] for a in item.args))
     return CaseFile(frozenset(map(move, case.init)), frozenset(map(move, case.goal)),
                     tuple(map(move, case.plan)))
+
+
+def wide_case_text(n: int) -> str:
+    """A blocks case over ``n`` objects: one ``(clear oN)`` atom each, the
+    goal ``(on o0 o1)`` and the plan ``(pickup o0)``."""
+    init = " ".join(f"(clear o{i})" for i in range(n))
+    return f"(:init {init})\n(:goal (on o0 o1))\n(:plan (pickup o0))\n"
 
 
 @pytest.fixture(scope="session")

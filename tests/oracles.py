@@ -33,7 +33,6 @@ from caseplan.evaluate import check_solution
 from caseplan.experiment import ExperimentSpec, RunDetail
 from caseplan.generators import generate_case_library
 from caseplan.mapping import build_fragments
-from caseplan.mining import ActionSeq
 from caseplan.pipeline import (
     ROUTE_FRAGMENTS,
     ROUTE_SEARCH,
@@ -72,9 +71,9 @@ def action_names(grounding: Grounding) -> tuple[GroundAction, ...]:
     return tuple(map(grounding.action, range(len(grounding.ops_ids))))
 
 
-# The earlier plan simulator, the reference for caseplan.strips.Grounding.step
-# and the execute_plan, trim and extract_causal_pairs that now walk plans on
-# its op ids: each step is instantiated from its schema into Atom sets. A step
+# The earlier plan simulator, the reference for caseplan.strips.Grounding.run
+# and the execute_plan, check_solution, trim and extract_causal_pairs that walk
+# plans on its op ids: each step is instantiated from its schema into Atom sets. A step
 # whose arguments are no objects of its parameters' types is no action of the
 # problem and raises, as it does there.
 
@@ -421,7 +420,7 @@ def trim_by_restarts(plan, problem: PlanningProblem):
 # per node instead of once per pair that names it.
 
 def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair],
-                           patterns: tuple[ActionSeq, ...], *,
+                           patterns: tuple[OpPlan, ...], *,
                            node_budget: int = 20_000) -> Plan | None:
     """Depth-first assembly of fragments until all causal pairs are satisfied.
 
@@ -435,7 +434,7 @@ def concat_frag_rescanning(problem: PlanningProblem, pairs: frozenset[CausalPair
     nodes = 0
 
     def rec(partial: Plan, remaining: frozenset[CausalPair],
-            available: tuple[ActionSeq, ...]) -> Plan | None:
+            available: tuple[OpPlan, ...]) -> Plan | None:
         nonlocal nodes
         if not remaining:
             # trimmed, and None where the trimmed draft misses the goal
@@ -978,12 +977,14 @@ def mapping_index_tuple_images(problem: PlanningProblem) -> TupleImageIndex:
     fitting = {t: frozenset(i for i, o in enumerate(objects)
                             if is_subtype(types, problem.objects[o], t))
                for t in types}
-    predicates: dict[tuple[str, int], int] = {}
+    # (predicate, arity) pairs are numbered in sorted order
+    pairs = sorted({(atom.predicate, len(atom.args)) for atom in problem.init | problem.goal})
+    predicates = {pair: pid for pid, pair in enumerate(pairs)}
     images = []
     for atoms in (problem.init, problem.goal):
         keys = set()
         for atom in atoms:
-            pid = predicates.setdefault((atom.predicate, len(atom.args)), len(predicates))
+            pid = predicates[(atom.predicate, len(atom.args))]
             args = [ids[a] for a in atom.args]
             for kept in itertools.product((True, False), repeat=len(args)):
                 keys.add((pid, *[a if k else UNSET for a, k in zip(args, kept)]))

@@ -11,14 +11,14 @@ import caseplan.cli
 import caseplan.experiment
 import caseplan.mapping
 from caseplan import parse_domain, parse_problem, read_case_library
-from caseplan.cases import parse_plan, read_rows, write_plan
+from caseplan.cases import MAX_CASE_OBJECTS, parse_plan, read_rows, write_plan
 from caseplan.cli import INPUT_ERROR, OK, PIPELINE_FAILURE, main
 from caseplan.evaluate import check_solution
 from caseplan.experiment import accuracy_of
 from caseplan.pddl import PddlSyntaxError
 from caseplan.strips import execute_plan
 
-from .conftest import FIXTURES, GOLDEN_SOLUTION
+from .conftest import FIXTURES, GOLDEN_SOLUTION, wide_case_text
 
 
 def run(capsys, *args):
@@ -584,6 +584,28 @@ def test_bad_case_in_library_names_its_file(tmp_path, capsys):
     assert code == INPUT_ERROR
     assert (f"{library / 'p4.case'}: line 3, col 16: variable ?x not allowed "
             "in a ground atom") in stderr
+
+
+@pytest.mark.parametrize("command, args", [
+    ("map", ("--domain", DOMAIN, "--problem", TOWER)),
+    ("mine", ("--domain", DOMAIN, "--problem", TOWER)),
+    ("solve", ("--incomplete-domain", INCOMPLETE, "--problem", TOWER)),
+    ("experiment", ("--domain", DOMAIN, "--num-problems", 1, "--blocks", 4, "--case-counts", 1,
+                    "--completeness", 1.0, "--delta", 1, "--seed", 1, "--no-timing")),
+], ids=["map", "mine", "solve", "experiment"])
+def test_a_case_too_wide_to_map_names_its_file(tmp_path, capsys, command, args):
+    # mapping recurses once per case object, so a case past the bound is
+    # refused when it is read, before it can exhaust the stack
+    library = tmp_path / "lib"
+    library.mkdir()
+    (library / "wide.case").write_text(wide_case_text(1200))
+    out = ("--out", tmp_path / "rows.csv") if command == "experiment" else ()
+    code, stdout, stderr = run(capsys, command, *args, *out, "--cases", library)
+    assert code == INPUT_ERROR
+    assert (f"{library / 'wide.case'}: a case names 1200 objects; at most "
+            f"{MAX_CASE_OBJECTS} can be mapped") in stderr
+    assert stdout == ""
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("nested, exit_code, expected", [

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -26,9 +29,9 @@ from caseplan import (
     parse_case,
     parse_domain,
 )
-from caseplan.cases import case_to_text
+from caseplan.cases import MAX_CASE_OBJECTS, case_to_text
 from caseplan.mapping import RADIX, CaseIndex
-from caseplan.pddl import problem_to_pddl
+from caseplan.pddl import PddlError, problem_to_pddl
 from caseplan.strips import GroundAction, Grounding, PlanningProblem, StripsError, is_subtype
 
 from .conftest import (
@@ -41,6 +44,7 @@ from .conftest import (
     plan,
     renamed_case,
     typed_instance,
+    wide_case_text,
 )
 from .oracles import (
     _slot_constraints,
@@ -445,6 +449,46 @@ def test_integer_images_decode_to_tuple_images(instance):
     assert decoded_images(index) == expected
     # as many keys as tuples: no two images share a key
     assert len(index.images) == sum(len(images) for images in expected)
+
+
+INDEX_SCRIPT = """
+import sys
+from importlib import resources
+from caseplan import mapping_index, parse_domain, parse_problem
+
+domain = parse_domain((resources.files("caseplan") / "domains" / "driverlog.pddl").read_text())
+with open(sys.argv[1]) as f:
+    index = mapping_index(parse_problem(f.read(), domain))
+print(list(index.predicates.items()))
+print(sorted(index.images))
+"""
+
+
+def test_mapping_index_does_not_depend_on_the_hash_seed():
+    # (predicate, arity) pairs are numbered in sorted order, not in the order
+    # a set of atoms iterates in, which the hash seed decides
+    src = os.path.dirname(os.path.dirname(caseplan.mapping.__file__))
+    problem = FIXTURES.parent / "driverlog" / "problem.pddl"
+    outputs = [subprocess.run([sys.executable, "-c", INDEX_SCRIPT, str(problem)],
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, check=True).stdout
+               for seed in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("[(('at', 2), 0), (('empty', 1), 1), (('link', 2), 2), ")
+
+
+def test_a_case_at_the_object_bound_maps(tower):
+    # mapping recurses once per case object: a case at the bound maps, with
+    # pytest's frames on the stack too, and one past it is refused when built
+    case = parse_case(wide_case_text(MAX_CASE_OBJECTS))
+    assert len(case.objects()) == MAX_CASE_OBJECTS
+    mapping = best_mapping(case, tower)
+    assert mapping and len(set(mapping.values())) == len(mapping) <= len(tower.objects)
+    assert [named(tower, f) for f in build_fragments(tower, [("wide", case)])] == \
+        [(GroundAction("pickup", (mapping["o0"],)),)]
+    with pytest.raises(PddlError, match=f"a case names {MAX_CASE_OBJECTS + 1} objects; "
+                                        f"at most {MAX_CASE_OBJECTS} can be mapped"):
+        parse_case(wide_case_text(MAX_CASE_OBJECTS + 1))
 
 
 @pytest.mark.parametrize("name", ["blocks", "driverlog", "depots"])

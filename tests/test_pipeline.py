@@ -105,22 +105,22 @@ def test_a_skeleton_walks_each_per_goal_plan_twice(blocks, monkeypatch):
     # the per-goal searches check their plans on op ids and record them, and
     # the only walks of a skeleton are of those op ids, one for causal pairs
     # and one in trim, which also decides whether the joined plan reaches the
-    # goal; it walks no plan by name and names only the trimmed plan
+    # goal; it numbers no plan by name and names only the trimmed plan
     problems = make_problem_suite(blocks, 30, 7, n_blocks=6)
     per_goal = sum(len(result.ops) for problem in problems
                    for _, result in single_goal_plans(problem) if result.solved)
-    walked, steps, executed, named_actions = [], [], [], []
+    walked, numbered, executed, named_actions = [], [], [], []
     for walk in ("extract_causal_pairs", "trim"):
         monkeypatch.setattr(caseplan.pipeline, walk,
                             counted(getattr(caseplan.pipeline, walk), walked))
-    monkeypatch.setattr(Grounding, "step", counted(Grounding.step, steps))
+    monkeypatch.setattr(Grounding, "op_id", counted(Grounding.op_id, numbered))
     monkeypatch.setattr(Grounding, "action", counted(Grounding.action, named_actions))
     monkeypatch.setattr(caseplan.search, "execute_plan",
                         counted(caseplan.search.execute_plan, executed))
     skeletal_steps = sum(len(skeleton(problem).plan or ()) for problem in problems)
     assert per_goal == 298
     assert sum(len(ops) for ops, *_ in walked) == 2 * per_goal
-    assert (steps, executed) == ([], [])
+    assert (numbered, executed) == ([], [])
     assert len(named_actions) == skeletal_steps
 
 

@@ -49,22 +49,21 @@ from .oracles import (
 
 
 def op_atoms(grounding: Grounding, action: GroundAction):
-    """The (pre, add, delete) atoms of a ground action, through Grounding.step."""
-    op, _ = grounding.step(frozenset(), action)
-    return tuple(map(grounding.decode, op))
+    """The (pre, add, delete) atoms of a ground action, through its op id."""
+    return tuple(map(grounding.decode, grounding.ops_ids[grounding.op_id(action)]))
 
 
 def applies(problem: PlanningProblem, action: GroundAction, state=None) -> bool:
     """Does the action apply in ``state`` (by default the problem's initial state)?"""
     grounding = Grounding.for_problem(problem)
     state = problem.init if state is None else state
-    return grounding.step(grounding.encode(state), action)[1] is not None
+    return grounding.run((grounding.op_id(action),), grounding.encode(state))[1] == 1
 
 DOMAIN_NAMES = ("blocks", "driverlog", "depots")
 
-# everything a Grounding holds: its inputs, the integer tables, the two
+# everything a Grounding holds: its domain, the integer tables, the two
 # numberings and encode's memo, and no table of names
-GROUNDING_FIELDS = {"domain", "objects", "_atom_ids", "_op_ids", "atom_count", "_encoded",
+GROUNDING_FIELDS = {"domain", "_atom_ids", "_op_ids", "atom_count", "_encoded",
                     "ops_ids", "adds", "waiting", "pre_counts", "free_ops"}
 
 
@@ -105,7 +104,7 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
         assert grounding.encode(frozenset({atom})) == {i}
         assert grounding.decode({i}) == {atom}
     for i, ga in enumerate(reference.actions):
-        assert grounding.step(frozenset(), ga.action)[0] == reference.ops_ids[i]
+        assert grounding.ops_ids[grounding.op_id(ga.action)] == reference.ops_ids[i]
         assert grounding.action(i) == ga.action
     assert grounding.encode(frozenset(reference.atoms)) == frozenset(range(len(reference.atoms)))
     index = {ga.action: i for i, ga in enumerate(reference.actions)}
@@ -118,10 +117,9 @@ def test_grounding_matches_grounding_through_grounded(name, completeness, seed, 
                 f"raised: atom {atom.pddl()} is outside the ground atom universe"
         action = data.draw(off_table_actions(model, objects), label="action")
         if action in index:
-            assert grounding.step(frozenset(), action)[0] == reference.ops_ids[index[action]]
+            assert grounding.ops_ids[grounding.op_id(action)] == reference.ops_ids[index[action]]
         else:
-            assert raised(grounding.step, frozenset(), action) == \
-                raised(grounded, model, objects, action)
+            assert raised(grounding.op_id, action) == raised(grounded, model, objects, action)
     assert vars(grounding).keys() == GROUNDING_FIELDS
     assert grounding.atom_count == len(reference.atoms)
     assert grounding.ops_ids == reference.ops_ids
@@ -166,7 +164,9 @@ def test_grounded_no_params():
     model = DomainModel(name="d", types={}, predicates={}, schemas={"noop": schema})
     grounding = Grounding(model, {})
     assert action_names(grounding) == (GA("noop"),)
-    assert grounding.step(frozenset(), GA("noop")) == ((frozenset(),) * 3, frozenset())
+    op = grounding.op_id(GA("noop"))
+    assert grounding.ops_ids[op] == (frozenset(),) * 3
+    assert grounding.run((op,), frozenset()) == (frozenset(), 1)
 
 
 def test_grounded_stack_add(tower):
@@ -175,7 +175,7 @@ def test_grounded_stack_add(tower):
 
 def test_grounded_wrong_arity(tower):
     with pytest.raises(StripsError, match="expected 2 arguments, got 1"):
-        Grounding.for_problem(tower).step(frozenset(), GA("stack b"))
+        Grounding.for_problem(tower).op_id(GA("stack b"))
 
 
 def walking_package_problem() -> PlanningProblem:
@@ -197,7 +197,7 @@ def test_step_names_the_first_ill_typed_argument(text, reason):
     message = f"action {action.pddl()}: {reason}"
     grounding = Grounding.for_problem(problem)
     with pytest.raises(StripsError) as err:
-        grounding.step(grounding.encode(problem.init), action)
+        grounding.op_id(action)
     assert str(err.value) == message
     plan = (GA("walk d1 l1 l2"), action)
     result = execute_plan(problem, plan)
@@ -206,24 +206,25 @@ def test_step_names_the_first_ill_typed_argument(text, reason):
     # trim and causal-pair extraction walk op ids, which an action off the
     # table has none of: forming the plan's op ids raises the same message
     with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
-        grounding.op_id(action)
-    with pytest.raises(StripsError, match=f"^{re.escape(message)}$"):
         op_ids(problem, plan)
     assert execute_plan_on_atoms(problem, plan) == result
 
 
 def test_atom_index_is_read_only(tower):
     # no atom index is kept: ids come from the numbering's arithmetic, and
-    # what a grounding hands out or remembers cannot be changed through it
-    grounding = Grounding.for_problem(tower)
+    # what a grounding hands out or remembers cannot be changed through it;
+    # it keeps no objects, so the caller's dict can change nothing either
+    objects = dict(tower.objects)
+    grounding = Grounding(tower.domain, objects)
     ids = grounding.encode(tower.init)
     assert type(ids) is frozenset and grounding.encode(tower.init) is ids
     assert all(type(table) is tuple for table in (grounding.ops_ids, grounding.adds,
                                                   grounding.waiting, grounding.pre_counts))
-    with pytest.raises(TypeError):
-        grounding.objects["z"] = "object"
-    with pytest.raises(AttributeError):  # a read-only mapping has no pop
-        grounding.objects.pop("a")
+    objects["z"] = "object"
+    with pytest.raises(StripsError, match="outside the ground atom universe"):
+        grounding.encode([A("clear z")])
+    objects.pop("a")
+    assert grounding.decode(grounding.encode([A("clear a")])) == atoms("clear a")
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,3 +556,41 @@ def test_op_id_simulator_matches_atom_simulator(drawn):
             assert raised(lambda: named_pairs(problem, extract_causal_pairs(
                 ids, problem, grounding=grounding))) == \
                 raised(causal_pairs_on_atoms, walked, problem)
+
+
+# Grounding.run against the atom simulator, on random op-id walks over the
+# vendored domains, under the complete model and a degraded one. A walk mixes
+# ops that apply in the state its drawn applicable ops reach with any op of
+# the table, so it holds ops that apply after one that does not, and ops
+# whose add and delete lists share an atom (a depots truck driven from a
+# place to itself), where deleting after adding would lose the atom.
+
+@st.composite
+def op_walks(draw):
+    model, objects, init, actions = simulator_start(
+        draw(st.sampled_from(DOMAIN_NAMES)), draw(st.sampled_from([1.0, 0.5])),
+        draw(st.integers(0, 3)))
+    state = init
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        usable = [i for i, ga in enumerate(actions) if ga.pre <= state]
+        if usable and draw(st.integers(0, 3)):
+            i = draw(st.sampled_from(usable))
+            state = (state - actions[i].delete) | actions[i].add
+        else:
+            i = draw(st.integers(0, len(actions) - 1))
+        ops.append(i)
+    problem = PlanningProblem(name="walk", domain=model, objects=objects, init=init,
+                              goal=frozenset())
+    return problem, tuple(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op_walks())
+def test_run_matches_the_atom_simulator(drawn):
+    problem, ops = drawn
+    grounding = Grounding.for_problem(problem)
+    expected = execute_plan_on_atoms(problem, tuple(map(grounding.action, ops)))
+    applied = len(ops) if expected.success else expected.failed_step
+    state, count = grounding.run(ops, grounding.encode(problem.init))
+    assert (grounding.decode(state), count) == (expected.state, applied)
