@@ -23,7 +23,7 @@ for atom, result in single_goal_plans(problem):
 
 print()
 print("causal pairs (the skeletal plan):")
-_, pairs, grounding = skeleton(problem)
+_, pairs, grounding, _ = skeleton(problem)
 for provider, consumer in sorted(pairs):
     print("  ", grounding.action(provider).pddl(), "->", grounding.action(consumer).pddl())
 

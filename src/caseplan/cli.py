@@ -13,7 +13,7 @@ from pathlib import Path
 from . import cases as caseio
 from .degrade import SCOPE_ALL, DegradeSpec, degrade
 from .evaluate import evaluate
-from .experiment import ExperimentSpec, make_problem_suite, run_experiment
+from .experiment import ExperimentSpec, accuracy_of, make_problem_suite, run_experiment
 from .generators import generate_case_library
 from .mapping import best_mapping, build_fragments, mapping_index, mapping_score
 from .pddl import PddlError, domain_to_pddl, parse_domain, parse_problem, problem_to_pddl
@@ -147,7 +147,7 @@ def cmd_degrade(args) -> int:
 def cmd_skeletal(args) -> int:
     domain = _load("domain", args.incomplete_domain, parse_domain)
     problem = _load("problem", args.problem, parse_problem, domain)
-    _, pairs, grounding = skeleton(problem, _search_config(args))
+    _, pairs, grounding, _ = skeleton(problem, _search_config(args))
     for provider, consumer in sorted(pairs):  # op ids sort as the actions they name
         print(f"{grounding.action(provider).pddl()} -> {grounding.action(consumer).pddl()}")
     return OK
@@ -286,13 +286,20 @@ def cmd_experiment(args) -> int:
     solved = sum(r.solved for r in rows)
     print(f"wrote {len(rows)} rows to {args.out} ({solved} solved)")
     # solved means valid under the complete model, as in the CSV
-    for completeness in spec.completeness_levels:
-        for num_cases in spec.case_counts:
-            cell = [r for r in rows if (r.completeness, r.num_cases) == (completeness, num_cases)]
-            print(f"completeness {completeness} cases {num_cases}: {_solved(cell)}")
+    cells = {(c, n): [r for r in rows if (r.completeness, r.num_cases) == (c, n)]
+             for c in spec.completeness_levels for n in spec.case_counts}
+    for (completeness, num_cases), cell in cells.items():
+        print(f"completeness {completeness} cases {num_cases}: {_solved(cell)}")
     for route in (ROUTE_FRAGMENTS, ROUTE_SKELETAL, ROUTE_SEARCH, None):
         print(f"route {route or 'none'}: "
               f"{_solved([d.row for d in details if d.route == route])}")
+    most = max(spec.case_counts)
+    if most and 0 in spec.case_counts:
+        for completeness in spec.completeness_levels:
+            full, empty = cells[completeness, most], cells[completeness, 0]
+            print(f"library gain at completeness {completeness}: "
+                  f"{accuracy_of(full) - accuracy_of(empty):+.3f} "
+                  f"({most} cases vs 0: {_solved(full)} vs {_solved(empty)})")
     return OK
 
 

@@ -72,38 +72,29 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     """Execute the sweep. Deterministic for fixed seeds (timing aside).
 
     A row is marked solved only when the produced plan re-executes to the
-    goal under the complete model. Each stage of a solve is computed once, at
-    the level of the grid it depends on, and passed to the
-    ``solve_with_library`` call of every row at that level:
+    goal under the complete model. Each stage of a solve is built once per
+    key below, which names what it reads, and passed to the
+    ``solve_with_library`` call of every row with that key:
 
-    - per library case, across calls: its mapping rows (``case.mapping_rows``),
-      which read the case alone and are kept on it, so a fixed library
-      (``spec.cases``) builds them once for every problem, seed and call;
-    - per problem: its mapping index and the complete model's grounding,
-      for every seed;
-    - per (problem, case index), once: the fragments of the first case with
-      that index (``case.mapping_rows``, which compares without names), for
-      every later case with an equal one and every seed. They read only the
-      case's index, the problem's objects, init and goal and the domain's
-      signatures, which degrading the model never changes;
-    - per (problem, model), that is per (problem, seed, completeness): the
-      grounding and the skeleton (the skeletal plan, trimmed and checked,
-      and the causal pairs);
-    - per (problem, case count), once per seed: the prefix's fragments and
-      one growth pass over them at the smallest delta of the grid
-      (``grow_frequent``), whatever order the deltas are listed in;
-    - per (problem, case count, delta), once per seed: the patterns mined
-      from the prefix, which only filter that growth to the delta and keep
-      the maximal runs;
-    - per row: assembly and the fallbacks, inside the solve call.
+    - per library case: its case index (``case.mapping_rows``), which
+      compares without names, kept on the case;
+    - per problem: its mapping index and the complete model's grounding;
+    - per (problem, case index): the fragments of the first case with that
+      index;
+    - per (problem, model): the skeleton, its full-goal search included;
+    - per (problem, seed, case count): the prefix's fragments and one growth
+      pass over them at the grid's smallest delta (``grow_frequent``);
+    - per (problem, seed, case count, delta): the patterns mined from the
+      prefix, which filter that growth to the delta;
+    - per row: assembly, inside the solve call.
 
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
     solve call (no parsing, no validation) plus the time of every stage it
-    used, each timed once, when built: the row's skeleton (skeletal plan
-    included) and, where the skeleton has causal pairs, its mining and the
-    ``case_fragments`` call of each distinct case index in its prefix, timed
-    once, as a standalone ``build_fragments`` of the prefix reuses it. Its
-    mining is the prefix's growth pass, charged in full to each row of the
+    used, each timed once, when built: the row's skeleton (its full-goal
+    search included) and, where the skeleton has causal pairs, its mining and
+    the ``case_fragments`` call of each distinct case index in its prefix,
+    timed once, as a standalone ``build_fragments`` of the prefix reuses it.
+    Its mining is the prefix's growth pass, charged in full to each row of the
     prefix, plus the row's own filter at its delta. A nonempty prefix is also
     charged the problem's index. A row whose skeleton has no pairs is charged
     neither: a standalone solve with no pairs maps and mines nothing. The
@@ -131,14 +122,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
         complete = Grounding(spec.domain, problem.objects)
         # per case index, for every seed: (the fragments of its first case, build seconds)
         built: dict[CaseIndex, tuple[list[OpPlan], float]] = {}
+        # per model, for every seed: (the problem under it, its skeleton, build seconds)
+        under = {model: replace(problem, domain=model) for *_, models in seeds for model in models}
+        staged = {model: (p, *_timed(skeleton, p, spec.search)) for model, p in under.items()}
         for s_idx, (seed, library, models) in enumerate(seeds):
             keys = [case.mapping_rows for _, case in library[:max_cases]]
             for key, (_, case) in zip(keys, library):
                 if key not in built:
                     built[key] = _timed(case_fragments, case, problem, index)
-            # per model: (the problem under it, its skeleton, build seconds)
-            skeletons = [(degraded, *_timed(skeleton, degraded, spec.search))
-                         for degraded in (replace(problem, domain=model) for model in models)]
+            skeletons = [staged[model] for model in models]
             for n_idx, num_cases in enumerate(spec.case_counts):
                 fragments = tuple(f for key in keys[:num_cases] for f in built[key][0])
                 prefix_s = sum(built[key][1] for key in dict.fromkeys(keys[:num_cases])) \

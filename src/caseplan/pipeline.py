@@ -16,7 +16,7 @@ from .causal import CausalPair, extract_causal_pairs, single_goal_plans
 from .cases import CaseFile
 from .mapping import Uncovered, build_fragments
 from .mining import FrequentFragmentSet, GrownPatterns, SequenceDB, mine_frequent
-from .search import SearchConfig, solve
+from .search import SearchConfig, SolveResult, solve
 from .strips import GroundAction, Grounding, OpPlan, Plan, PlanningProblem
 from .strips import execute_plan  # unused: kept for the tracer's hook until ROADMAP item 5
 
@@ -61,21 +61,23 @@ class PipelineOutcome:
 
 class Skeleton(NamedTuple):
     """The stage that depends only on the problem and its (possibly incomplete)
-    model: the skeletal plan, or None where it does not execute to the goal,
-    the causal pairs (op ids) of the per-goal plans, and the grounding they
-    were searched on, on which the later stages of a solve also walk theirs."""
+    model: the skeletal plan (None where it does not execute to the goal), the
+    causal pairs (op ids) of the per-goal plans, the grounding that every stage
+    of a solve walks on, and, only where the plan is None, the full-goal search."""
 
     plan: Plan | None
     pairs: frozenset[CausalPair]
     grounding: Grounding
+    search: SolveResult | None
 
 
 def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Skeleton:
     """The skeleton of the problem under its own model. The skeletal plan is the
     solved per-goal plans joined in sorted goal order and trimmed, or None
-    where :func:`~caseplan.assemble.trim` finds that it misses the goal. Each
-    per-goal plan is walked twice, on the op ids its search recorded: once
-    for its causal pairs, once in the trim. Only the trimmed plan is named."""
+    where :func:`~caseplan.assemble.trim` finds that it misses the goal; only
+    there is the full goal searched. Each per-goal plan is walked twice, on the
+    op ids its search recorded: once for its causal pairs, once in the trim.
+    Only the trimmed plan is named."""
     grounding = Grounding.for_problem(problem)
     steps: list[int] = []
     pairs: frozenset[CausalPair] = frozenset()
@@ -84,8 +86,9 @@ def skeleton(problem: PlanningProblem, config: SearchConfig | None = None) -> Sk
             steps += result.ops
             pairs |= extract_causal_pairs(result.ops, problem, grounding=grounding)
     trimmed = trim(tuple(steps), problem, grounding=grounding)
-    return Skeleton(None if trimmed is None else tuple(map(grounding.action, trimmed)),
-                    pairs, grounding)
+    if trimmed is None:
+        return Skeleton(None, pairs, grounding, solve(problem, config, grounding))
+    return Skeleton(tuple(map(grounding.action, trimmed)), pairs, grounding, None)
 
 
 def mine_fragments(fragments: Sequence[OpPlan], min_support: int, *,
@@ -113,11 +116,11 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     pairs. The pairs direct the mining: with none, assembly could only return
     the empty plan, which the skeletal plan already is where the goal holds
     initially, so the call maps no case, mines nothing and assembles nothing.
-    If assembly fails, the skeletal plan is taken where it executes (see
-    :func:`skeleton`). As a last resort the forward planner is run on the full
-    goal; anything returned executes under the problem's own model, though
-    only validation against the complete model can tell whether it is really
-    correct.
+    If assembly fails, the skeletal plan is taken where it executes, and else,
+    unless ``search_fallback`` is False, the skeleton's full-goal search (see
+    :func:`skeleton`); anything returned executes under the problem's own
+    model, though only validation against the complete model can tell whether
+    it is really correct.
 
     Where the call builds the fragments itself, the pairs also direct how
     much it maps. Assembly drops a pair only once both its ends are in the
@@ -148,10 +151,9 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     """
     if min_support < 1:
         raise ValueError(f"min_support {min_support} must be >= 1")
-    config = config or SearchConfig()
     if skeletal is None:
         skeletal = skeleton(problem, config)
-    skeletal_plan, pairs, grounding = skeletal
+    skeletal_plan, pairs, grounding, direct = skeletal
     uncovered = None
     if not pairs:
         fragments, frequent = (), NO_PATTERNS
@@ -177,10 +179,8 @@ def solve_with_library(problem: PlanningProblem, cases: list[tuple[str, CaseFile
     if skeletal_plan is not None:
         return outcome(skeletal_plan, ROUTE_SKELETAL, None)
 
-    if search_fallback:
-        direct = solve(problem, config, grounding)
-        if direct.solved:
-            return outcome(direct.plan, ROUTE_SEARCH, None)
+    if search_fallback and direct.solved:
+        return outcome(direct.plan, ROUTE_SEARCH, None)
 
     return outcome(None, None, STAGE_SKELETAL if not pairs else
                    STAGE_MINING if not frequent.patterns else STAGE_ASSEMBLY)

@@ -551,8 +551,9 @@ def run_experiment_per_cell(spec: ExperimentSpec) -> tuple[list[ExperimentRow], 
 
 # The earlier pipeline, kept as the reference for
 # caseplan.pipeline.solve_with_library, which now maps, mines and assembles
-# only when the skeleton has causal pairs. It shares the stages themselves,
-# which pass op ids, and names the assembled plan as the solve does.
+# only when the skeleton has causal pairs and takes its full-goal search from
+# the skeleton. It shares the stages themselves, which pass op ids, runs its
+# own full-goal search, and names the assembled plan as the solve does.
 
 def solve_with_library_eager(problem: PlanningProblem, cases: list[tuple[str, CaseFile]],
                              min_support: int, *, config: SearchConfig | None = None,
@@ -563,7 +564,7 @@ def solve_with_library_eager(problem: PlanningProblem, cases: list[tuple[str, Ca
     returns the empty plan exactly when the goal holds initially, on the
     fragments route."""
     config = config or SearchConfig()
-    skeletal_plan, pairs, grounding = skeleton(problem, config)
+    skeletal_plan, pairs, grounding, _ = skeleton(problem, config)
     fragments = tuple(build_fragments(problem, cases))
     frequent = mine_fragments(fragments, min_support)
     plan = named(problem, concat_frag(problem, pairs, frequent.patterns,

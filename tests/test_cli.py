@@ -444,11 +444,27 @@ def test_experiment_reports_accuracy_per_cell_and_route(tmp_path, capsys):
         assert int(m[3]) / int(m[4]) == accuracy_of(rows, completeness=float(m[1]),
                                                     num_cases=int(m[2]))
     assert sum(int(m[4]) for m in cells) == len(rows)
-    routes = [re.fullmatch(r"route (\S+): (\d+)/(\d+) solved", line) for line in lines[5:]]
+    routes = [re.fullmatch(r"route (\S+): (\d+)/(\d+) solved", line) for line in lines[5:9]]
     assert [m[1] for m in routes] == ["fragments", "skeletal", "search", "none"]
     assert sum(int(m[3]) for m in routes) == len(rows)
     assert sum(int(m[2]) for m in routes) == sum(r.solved for r in rows)
     assert routes[-1][2] == "0"
+    # the grid holds case count 0, so one library-gain line per completeness:
+    # accuracy at the largest case count minus accuracy at 0
+    gains = [re.fullmatch(r"library gain at completeness (\S+): ([+-]\d\.\d{3}) "
+                          r"\(2 cases vs 0: (\d+)/(\d+) solved vs (\d+)/(\d+) solved\)", line)
+             for line in lines[9:]]
+    assert [float(m[1]) for m in gains] == [0.6, 1.0]
+    for m in gains:
+        full, empty = (accuracy_of(rows, completeness=float(m[1]), num_cases=n) for n in (2, 0))
+        assert m[2] == f"{full - empty:+.3f}"
+        assert (int(m[3]) / int(m[4]), int(m[5]) / int(m[6])) == (full, empty)
+    # and none without an empty library in the grid
+    code, stdout, _ = run(capsys, "experiment", "--domain", DOMAIN, "--cases", CASES,
+                          "--num-problems", 1, "--blocks", 4, "--case-counts", "2,1",
+                          "--completeness", "0.6", "--delta", "1", "--no-timing", "--out", out)
+    assert code == OK
+    assert not [line for line in stdout.splitlines() if line.startswith("library gain")]
 
 
 def test_zero_delta_is_input_error_with_or_without_cases(capsys):

@@ -10,8 +10,10 @@ import caseplan.experiment
 import caseplan.mapping
 import caseplan.pipeline
 from caseplan import (
+    DegradeSpec,
     ExperimentSpec,
     SearchConfig,
+    degrade,
     generate_case_library,
     make_problem_suite,
     run_experiment,
@@ -144,6 +146,41 @@ def test_sweep_builds_each_skeletal_plan_once(blocks, monkeypatch):
     rows, _ = run_experiment(spec)
     assert len(rows) == 12
     assert len(calls) == len(set(calls)) == 6
+
+
+def test_sweep_builds_one_skeleton_and_one_search_per_model(blocks, p1, p2, monkeypatch):
+    # the skeleton, its full-goal search included, reads only the problem and
+    # its model: over the whole sweep, one trim per distinct (problem, model),
+    # so completeness 1.0, the same model under every seed, is shared across
+    # seeds, and one full-goal search per such pair with no skeletal plan
+    spec = small_spec(blocks, cases=[("p1", p1), ("p2", p2)], case_counts=(2, 1),
+                      completeness_levels=(0.6, 1.0), deltas=(1, 2), seeds=(1, 2),
+                      problems=make_problem_suite(blocks, 3, 0, n_blocks=4))
+    pairs = {(problem.name, degrade(blocks, DegradeSpec(level, seed)))
+             for problem in spec.problems for level in (0.6, 1.0) for seed in (1, 2)}
+    assert len(pairs) == 3 * 3
+    by_name = {problem.name: problem for problem in spec.problems}
+    searched = {(name, model) for name, model in pairs if caseplan.pipeline.skeleton(
+        replace(by_name[name], domain=model), spec.search).plan is None}
+    assert 0 < len(searched) < len(pairs)
+    trims, searches = [], []
+    real_trim, real_solve = caseplan.pipeline.trim, caseplan.pipeline.solve
+
+    def counted_trim(plan, problem, **kwargs):
+        trims.append((problem.name, problem.domain))
+        return real_trim(plan, problem, **kwargs)
+
+    def counted_solve(problem, *args):
+        searches.append((problem.name, problem.domain))
+        return real_solve(problem, *args)
+
+    monkeypatch.setattr(caseplan.pipeline, "trim", counted_trim)
+    # the per-goal searches of single_goal_plans call caseplan.causal.solve
+    monkeypatch.setattr(caseplan.pipeline, "solve", counted_solve)
+    rows, _ = run_experiment(spec)
+    assert len(rows) == 2 * 2 * 2 * 2 * 3
+    assert len(trims) == len(set(trims)) and set(trims) == pairs
+    assert len(searches) == len(set(searches)) and set(searches) == searched
 
 
 def test_sweep_grows_each_prefix_once_in_any_grid_order(blocks, monkeypatch):

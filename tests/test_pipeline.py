@@ -147,6 +147,21 @@ def test_search_fallback_with_no_cases(tower):
     assert execute_plan(tower, outcome.plan).success
 
 
+def test_a_solve_given_its_skeleton_runs_no_full_goal_search(tower, tower_incomplete,
+                                                            monkeypatch):
+    # the full-goal search reads only the problem and its model, so the
+    # skeleton runs it, and only where it has no skeletal plan; a solve given
+    # the skeleton reads it there
+    assert skeleton(tower_incomplete).search is None
+    skeletal = skeleton(tower)
+    assert skeletal.plan is None
+    searched = []
+    monkeypatch.setattr(caseplan.pipeline, "solve", counted(caseplan.pipeline.solve, searched))
+    outcome = solve_with_library(tower, [], 1, skeletal=skeletal)
+    assert searched == []
+    assert (outcome.route, outcome.plan) == (ROUTE_SEARCH, skeletal.search.plan)
+
+
 def test_goal_already_satisfied(blocks):
     problem = PlanningProblem(name="t", domain=blocks, objects={"a": "object"},
                               init=atoms("ontable a", "clear a", "handempty"),
@@ -373,25 +388,29 @@ def test_every_route_is_sound_and_deterministic(instance, completeness, seed, de
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["blocks", "driverlog", "depots"]), st.integers(0, 23),
-       st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2**16), st.integers(1, 3))
-@example("depots", 12, 1.0, 0, 1)  # targets whose goal holds initially
-@example("driverlog", 13, 0.6, 5, 2)
+       st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2**16), st.integers(1, 3),
+       st.booleans())
+@example("depots", 12, 1.0, 0, 1, True)  # targets whose goal holds initially
+@example("driverlog", 13, 0.6, 5, 2, True)
 def test_directed_mining_matches_the_eager_pipeline(name, instance_seed, completeness,
-                                                    seed, delta):
+                                                    seed, delta, search_fallback):
     # skipping the mapping, mining and assembly of a solve with no causal
     # pairs changes no plan, failed stage or pairs; only a goal that holds
     # initially moves from the fragments route to the skeletal one. Cutting
     # the mapping where a pair end cannot be frequent changes no plan, route
-    # or pairs, and never drops a fragments-route plan
+    # or pairs, and never drops a fragments-route plan. Taking the full-goal
+    # search from the skeleton changes nothing, with the fallback or without
     domain, problem, cases = typed_instance(name, instance_seed)
     problem = replace(problem, domain=degrade(domain, DegradeSpec(completeness, seed)))
-    outcome = solve_with_library(problem, cases, delta, config=SMALL_SEARCH)
-    eager = solve_with_library_eager(problem, cases, delta, config=SMALL_SEARCH)
+    outcome = solve_with_library(problem, cases, delta, config=SMALL_SEARCH,
+                                 search_fallback=search_fallback)
+    eager = solve_with_library_eager(problem, cases, delta, config=SMALL_SEARCH,
+                                     search_fallback=search_fallback)
     pairs = named_pairs(problem, outcome.pairs)
     assert (outcome.plan, pairs) == (eager.plan, named_pairs(problem, eager.pairs))
     goal_in_init = problem.goal <= problem.init
     event(f"{domain.name} pairs {bool(eager.pairs)} goal in init {goal_in_init} "
-          f"cut {outcome.uncovered is not None}")
+          f"cut {outcome.uncovered is not None} fallback {search_fallback}")
     if outcome.uncovered is not None:
         assert outcome.uncovered in {end for pair in pairs for end in pair}
         assert outcome.route == eager.route != ROUTE_FRAGMENTS
