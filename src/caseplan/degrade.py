@@ -47,10 +47,14 @@ def degrade(model: DomainModel, spec: DegradeSpec) -> DomainModel:
     Removals for decreasing completeness are nested: one shuffled order is
     drawn per seed and a prefix of it is removed, so the model at a higher
     completeness always contains the model at a lower one. Schema names,
-    parameters, and declarations are never touched.
+    parameters, and declarations are never touched. Where nothing is removed
+    and the completeness is the model's own, the model itself is returned, so
+    every problem under it shares the groundings it keeps.
     """
     slots = removal_slots(model, spec.scope)
     k = math.ceil((1.0 - spec.completeness) * len(slots))
+    if k == 0 and spec.completeness == model.completeness:
+        return model
     rng = random.Random(spec.seed)
     order = rng.sample(range(len(slots)), len(slots))
     removed = {slots[i] for i in order[:k]}

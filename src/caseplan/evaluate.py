@@ -35,15 +35,16 @@ def check_solution(problem: PlanningProblem, plan: Plan, complete_model: DomainM
     """Does the plan execute to the goal when the complete model replaces the incomplete model?
 
     ``grounding``, when given, must be ``Grounding(complete_model,
-    problem.objects)``; a caller checking several plans on one problem builds
-    it once.
+    problem.objects)``; by default it is the one the complete model keeps
+    (``complete_model.grounding(problem.objects)``), so checking the plans of
+    problems over the same objects builds one.
 
     This is ``execute_plan(...).success``, decided on atom ids alone: it names
     no state and gives no reason, and a step that is no action of the
     grounding reads as ``False``. The plan is numbered once, up to such a
     step, and walked by :meth:`Grounding.run`.
     """
-    grounding = grounding or Grounding(complete_model, problem.objects)
+    grounding = grounding or complete_model.grounding(problem.objects)
     try:
         ids = [grounding.op_id(action) for action in plan]
     except StripsError:
@@ -74,7 +75,7 @@ def evaluate(problems: list[PlanningProblem], solutions: list[Plan | None],
             per.append(ProblemResult(problem_id, False, 0, reason="no plan"))
             continue
         result = execute_plan(problem, plan,
-                              grounding=Grounding(complete_model, problem.objects))
+                              grounding=complete_model.grounding(problem.objects))
         if result.success:
             lengths.append(len(plan))
             per.append(ProblemResult(problem_id, True, len(plan)))

@@ -14,7 +14,7 @@ from .mapping import CaseIndex, case_fragments, mapping_index
 from .mining import SequenceDB, grow_frequent
 from .pipeline import mine_fragments, skeleton, solve_with_library
 from .search import SearchConfig
-from .strips import DomainModel, Grounding, OpPlan, Plan, PlanningProblem
+from .strips import DomainModel, OpPlan, Plan, PlanningProblem
 
 DEFAULT_CASE_COUNTS = (40, 80, 120, 160, 200)
 DEFAULT_COMPLETENESS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -78,7 +78,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
 
     - per library case: its case index (``case.mapping_rows``), which
       compares without names, kept on the case;
-    - per problem: its mapping index and the complete model's grounding;
+    - per (model, object set): its grounding, kept on the model
+      (``DomainModel.grounding``): the complete model's, on which plans are
+      validated, and the one each skeleton walks on;
+    - per problem: its mapping index;
     - per (problem, case index): the fragments of the first case with that
       index;
     - per (problem, model): the skeleton, its full-goal search included;
@@ -91,9 +94,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     cpu_millis is the cost of a standalone solve: the wall-clock ms of the
     solve call (no parsing, no validation) plus the time of every stage it
     used, each timed once, when built: the row's skeleton (its full-goal
-    search included) and, where the skeleton has causal pairs, its mining and
-    the ``case_fragments`` call of each distinct case index in its prefix,
-    timed once, as a standalone ``build_fragments`` of the prefix reuses it.
+    search included, and its grounding unless the model already held one)
+    and, where the skeleton has causal pairs, its mining and the
+    ``case_fragments`` call of each distinct case index in its prefix, timed
+    once, as a standalone ``build_fragments`` of the prefix reuses it.
     Its mining is the prefix's growth pass, charged in full to each row of the
     prefix, plus the row's own filter at its delta. A nonempty prefix is also
     charged the problem's index. A row whose skeleton has no pairs is charged
@@ -118,8 +122,6 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
     cells: dict[tuple[int, int, int, int, int], RunDetail] = {}
     for p_idx, problem in enumerate(spec.problems):
         index, index_s = _timed(mapping_index, problem)
-        # the complete model's grounding, on which the problem's plans are validated
-        complete = Grounding(spec.domain, problem.objects)
         # per case index, for every seed: (the fragments of its first case, build seconds)
         built: dict[CaseIndex, tuple[list[OpPlan], float]] = {}
         # per model, for every seed: (the problem under it, its skeleton, build seconds)
@@ -155,7 +157,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[ExperimentRow], list[RunD
                             delta=delta,
                             problem_id=f"seed{seed}-p{p_idx:03d}",
                             solved=outcome.plan is not None and check_solution(
-                                degraded, outcome.plan, spec.domain, grounding=complete),
+                                degraded, outcome.plan, spec.domain),
                             plan_length=len(outcome.plan) if outcome.plan else 0,
                             cpu_millis=int(elapsed * 1000) if spec.timing else 0),
                             degraded, outcome.plan, outcome.route)

@@ -6,13 +6,7 @@ import random
 
 from .cases import CaseFile
 from .search import SearchConfig, solve
-from .strips import (
-    Atom,
-    DomainModel,
-    Grounding,
-    PlanningProblem,
-    State,
-)
+from .strips import Atom, DomainModel, PlanningProblem, State
 
 
 def random_blocks_state(blocks: list[str], rng: random.Random) -> State:
@@ -79,7 +73,7 @@ def random_walk_problem(domain: DomainModel, objects: dict[str, str], init: Stat
     when given, and preferring atoms that do not hold initially), so the walk
     itself witnesses solvability.
     """
-    grounding = Grounding(domain, objects)
+    grounding = domain.grounding(objects)
     state_ids = grounding.encode(init)
     for _ in range(walk_length):
         successors = list(grounding.successors(state_ids))

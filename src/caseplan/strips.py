@@ -94,6 +94,10 @@ def is_subtype(types: Mapping[str, str | None], t: str, ancestor: str) -> bool:
     return False
 
 
+# how many object sets a model keeps the grounding of (see DomainModel.grounding)
+_KEPT_GROUNDINGS = 8
+
+
 @dataclass(frozen=True)
 class DomainModel:
     """A set of action schemas plus the type and predicate declarations they use.
@@ -146,13 +150,35 @@ class DomainModel:
                         f"action {schema.name}: {atom.pddl()} has arity {len(atom.args)}, "
                         f"declared {len(sig)}")
 
+        # the groundings built from this model, by object set: no field, so
+        # equality, hashing, repr and pickling ignore it
+        object.__setattr__(self, "_groundings", {})
+
     def __hash__(self) -> int:
         return hash((self.name, frozenset(self.types.items()),
                      frozenset(self.predicates.items()), frozenset(self.schemas.items()),
                      self.completeness))
 
+    def __reduce__(self):
+        return DomainModel, (self.name, dict(self.types), dict(self.predicates),
+                             dict(self.schemas), self.completeness)
+
     def atom_count(self) -> int:
         return sum(s.atom_count() for s in self.schemas.values())
+
+    def grounding(self, objects: Mapping[str, str]) -> Grounding:
+        """``Grounding(self, objects)``, built on first use and kept. It
+        depends on the model and the object set alone, not on a problem's init
+        or goal, so every problem over the same objects shares one; the
+        :data:`_KEPT_GROUNDINGS` latest object sets are kept, first in, first
+        out."""
+        key = frozenset(objects.items())
+        kept = self._groundings.get(key)
+        if kept is None:
+            if len(self._groundings) >= _KEPT_GROUNDINGS:
+                del self._groundings[next(iter(self._groundings))]
+            kept = self._groundings[key] = Grounding(self, objects)
+        return kept
 
 
 def _check_ground_atoms(atoms: Iterable[Atom], domain: DomainModel,
@@ -196,6 +222,10 @@ class PlanningProblem:
     def __hash__(self) -> int:
         return hash((self.name, self.domain, frozenset(self.objects.items()),
                      self.init, self.goal))
+
+    def __reduce__(self):
+        return PlanningProblem, (self.name, self.domain, dict(self.objects),
+                                 self.init, self.goal)
 
     def _with_own_goal(self, name: str, goal: frozenset[Atom]) -> PlanningProblem:
         """This problem under another name, with part of its goal as the goal.
@@ -295,8 +325,9 @@ def action_numbering(domain: DomainModel, pools: Pools) -> Numbering:
                       for name, schema in domain.schemas.items()}, pools)
 
 
-# how many distinct atom sets a grounding remembers the ids of; a solve encodes
-# its initial state, its goal and the goal of each goal atom's search
+# how many distinct atom sets a grounding remembers the ids of, first in, first
+# out; a solve encodes its initial state, its goal and the goal of each goal
+# atom's search, and every problem over the model's objects shares the grounding
 _ENCODED_SETS = 64
 
 
@@ -320,11 +351,14 @@ class Grounding:
     problem starts from the same initial state. :meth:`run` is the one plan
     simulator: a plan given by name is numbered by ``op_id`` first. Its
     tables are computed once and never change, so it is safe to share across
-    the per-goal solver calls of one problem.
+    the solver calls of every problem over the same model and objects, and
+    the model keeps it (:meth:`DomainModel.grounding`).
     """
 
     def __init__(self, domain: DomainModel, objects: Mapping[str, str]):
-        self.domain = domain
+        # the one thing read of the model after construction; the model keeps
+        # its groundings, so a reference to it would be a cycle
+        self.schemas = domain.schemas
 
         pools = type_pools(domain, objects)
         self._atom_ids = Numbering(domain.predicates, pools)
@@ -403,20 +437,23 @@ class Grounding:
 
     @classmethod
     def for_problem(cls, problem: PlanningProblem) -> "Grounding":
-        return cls(problem.domain, problem.objects)
+        """The grounding of the problem's objects that its model keeps
+        (:meth:`DomainModel.grounding`)."""
+        return problem.domain.grounding(problem.objects)
 
     def encode(self, atoms: Iterable[Atom]) -> frozenset[int]:
         """The ids of ground atoms; an atom outside the universe raises
-        :class:`StripsError`. The ids of a frozenset are remembered, so the
-        initial state that every search and walk of a problem starts from is
-        encoded once."""
+        :class:`StripsError`. The ids of the latest frozensets are
+        remembered, so the initial state that every search and walk of a
+        problem starts from is encoded once."""
         if not isinstance(atoms, frozenset):
             return frozenset(map(self._atom_id, atoms))
         ids = self._encoded.get(atoms)
         if ids is None:
             ids = frozenset(map(self._atom_id, atoms))
-            if len(self._encoded) < _ENCODED_SETS:
-                self._encoded[atoms] = ids
+            if len(self._encoded) >= _ENCODED_SETS:
+                del self._encoded[next(iter(self._encoded))]
+            self._encoded[atoms] = ids
         return ids
 
     def _atom_id(self, atom: Atom) -> int:
@@ -445,7 +482,7 @@ class Grounding:
         return op_idx
 
     def _why_off_table(self, action: GroundAction) -> str:
-        schema = self.domain.schemas.get(action.name)
+        schema = self.schemas.get(action.name)
         if schema is None:
             return f"unknown action schema: {action.name}"
         if len(action.args) != len(schema.params):
@@ -490,11 +527,10 @@ def execute_plan(problem: PlanningProblem, plan: Plan, *,
     reached state is named once, for the result.
 
     The steps run under the model of ``grounding``, which must be a grounding
-    of the problem's objects; by default it is the problem's own,
-    ``Grounding.for_problem(problem)``, whose construction raises
-    :class:`StripsError` where the problem cannot be grounded. A caller that
-    runs several plans on one problem builds it once and passes it to every
-    call.
+    of the problem's objects; by default it is the one the problem's model
+    keeps, ``Grounding.for_problem(problem)``, whose construction raises
+    :class:`StripsError` where the problem cannot be grounded. So plans of
+    problems that share a model and objects run on one grounding.
     """
     grounding = grounding or Grounding.for_problem(problem)
     ids: list[int] = []

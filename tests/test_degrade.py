@@ -27,6 +27,16 @@ def test_completeness_one_is_identity(blocks):
     result = degrade(blocks, DegradeSpec(completeness=1.0, seed=3))
     assert result.schemas == blocks.schemas
     assert result.completeness == 1.0
+    # the model itself, so every complete-model problem shares its groundings
+    assert result is blocks
+
+
+def test_removing_nothing_still_records_the_completeness(blocks):
+    # a model keeps its own completeness only where degrade returns it as it is
+    partial = degrade(blocks, DegradeSpec(completeness=0.6, seed=3))
+    assert degrade(partial, DegradeSpec(completeness=0.6, seed=3, scope=())) is partial
+    relabelled = degrade(partial, DegradeSpec(completeness=1.0, seed=3))
+    assert relabelled.completeness == 1.0 and relabelled.schemas == partial.schemas
 
 
 def test_completeness_zero_empties_all_lists(blocks):

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from caseplan import evaluate, solve_with_library
+from caseplan import (
+    concat_frag,
+    evaluate,
+    extract_causal_pairs,
+    make_problem_suite,
+    solve,
+    solve_with_library,
+    trim,
+)
 from caseplan.evaluate import check_solution
 from caseplan.strips import GroundAction, Grounding, PlanningProblem, execute_plan
 
@@ -134,3 +144,29 @@ def test_check_solution_on_solver_plans(blocks, incomplete_blocks):
         seen.add(expected)
         assert check_solution(problem, found, blocks) == expected
     assert seen == {True, False}
+
+
+def test_checking_plans_of_problems_over_the_same_objects_grounds_once(blocks, monkeypatch):
+    # a one-off call with no grounding= reads the grounding the model keeps, so
+    # plans of problems over one object set, checked and walked one call at a
+    # time, build one grounding of the complete model between them. A fresh
+    # copy of the model keeps no grounding from an earlier test
+    model = replace(blocks)
+    problems = make_problem_suite(model, 6, 2, n_blocks=4)
+    solved = [(p, solve(replace(p, domain=blocks))) for p in problems]
+    built = []
+    real_init = Grounding.__init__
+
+    def counted_init(self, domain, objects):
+        built.append(domain)
+        real_init(self, domain, objects)
+
+    monkeypatch.setattr(Grounding, "__init__", counted_init)
+    for problem, result in solved:
+        assert check_solution(problem, result.plan, model)
+        assert execute_plan(problem, result.plan).success
+        assert trim(result.ops, problem) == result.ops
+        pairs = extract_causal_pairs(result.ops, problem)
+        assert concat_frag(problem, pairs, (result.ops,)) is not None
+    assert evaluate(problems, [r.plan for _, r in solved], model).n_correct == len(problems)
+    assert built == [model]

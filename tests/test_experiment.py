@@ -102,8 +102,12 @@ def test_matches_per_cell_reference_reusing_every_level(blocks, domain_name):
 
 def test_sweep_builds_each_problem_index_and_complete_grounding_once(blocks, p1, p2,
                                                                     monkeypatch):
-    # the mapping index and the complete model's grounding depend on the
-    # problem alone: 3 problems under 2 seeds and 2 models build each 3 times
+    # the mapping index depends on the problem alone, and the complete model's
+    # grounding on its object set alone: 3 problems over 2 object sets, under 2
+    # seeds and 2 models, build 3 indexes and 2 groundings, one kept by the
+    # model for validation and for every skeleton at completeness 1.0. A fresh
+    # copy of the model keeps no grounding from an earlier test
+    model = replace(blocks)
     indexed, complete = [], []
     real_index = caseplan.mapping.mapping_index
     real_init = Grounding.__init__
@@ -113,20 +117,22 @@ def test_sweep_builds_each_problem_index_and_complete_grounding_once(blocks, p1,
         return real_index(problem)
 
     def counted_init(self, domain, objects):
-        if domain is blocks:  # the complete model itself, not a degraded copy
-            complete.append(objects)
+        if domain is model:  # the complete model itself, not a degraded copy
+            complete.append(frozenset(objects))
         real_init(self, domain, objects)
 
     for module in (caseplan.mapping, caseplan.experiment):
         monkeypatch.setattr(module, "mapping_index", counted_index)
     monkeypatch.setattr(Grounding, "__init__", counted_init)
-    spec = small_spec(blocks, cases=[("p1", p1), ("p2", p2)], case_counts=(2, 1),
+    problems = make_problem_suite(model, 2, 0, n_blocks=4) + [
+        replace(p, name="q") for p in make_problem_suite(model, 1, 0, n_blocks=3)]
+    spec = small_spec(model, cases=[("p1", p1), ("p2", p2)], case_counts=(2, 1),
                       completeness_levels=(0.6, 1.0), deltas=(1, 2), seeds=(1, 2),
-                      problems=make_problem_suite(blocks, 3, 0, n_blocks=4))
+                      problems=problems)
     rows, _ = run_experiment(spec)
     assert len(rows) == 2 * 2 * 2 * 2 * 3
     assert sorted(indexed) == sorted(p.name for p in spec.problems)
-    assert len(complete) == 3
+    assert sorted(complete, key=len) == [{"b1", "b2", "b3"}, {"b1", "b2", "b3", "b4"}]
 
 
 def test_sweep_builds_each_skeletal_plan_once(blocks, monkeypatch):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import functools
+import gc
 import itertools
+import pickle
 import random
 import re
+import weakref
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -25,15 +29,18 @@ from caseplan import (
     degrade,
     execute_plan,
     extract_causal_pairs,
+    make_problem_suite,
     parse_domain,
     parse_problem,
+    solve_with_library,
     trim,
 )
+from caseplan import strips
 from caseplan.generators import random_blocks_state
 from caseplan.strips import PlanningProblem
 
-from .conftest import A, GA, GOLDEN_SOLUTION, atoms, depots_start, driverlog_start, \
-    make_tower_problem, named, named_pairs, op_ids
+from .conftest import SMALL_SEARCH, A, GA, GOLDEN_SOLUTION, atoms, depots_start, \
+    driverlog_start, make_tower_problem, named, named_pairs, op_ids
 from .oracles import (
     GroundingThroughGrounded,
     action_names,
@@ -61,9 +68,10 @@ def applies(problem: PlanningProblem, action: GroundAction, state=None) -> bool:
 
 DOMAIN_NAMES = ("blocks", "driverlog", "depots")
 
-# everything a Grounding holds: its domain, the integer tables, the two
-# numberings and encode's memo, and no table of names
-GROUNDING_FIELDS = {"domain", "_atom_ids", "_op_ids", "atom_count", "_encoded",
+# everything a Grounding holds: its model's schemas (not the model, which keeps
+# the grounding), the integer tables, the two numberings and encode's memo, and
+# no table of names
+GROUNDING_FIELDS = {"schemas", "_atom_ids", "_op_ids", "atom_count", "_encoded",
                     "ops_ids", "adds", "waiting", "pre_counts", "free_ops"}
 
 
@@ -233,7 +241,7 @@ def test_grounded_matches_instantiate_reference(data):
     name = data.draw(st.sampled_from(DOMAIN_NAMES))
     grounding = typed_grounding(name, data.draw(st.sampled_from([1.0, 0.5])))
     action = data.draw(st.sampled_from(action_names(grounding)))
-    schema = grounding.domain.schemas[action.name]
+    schema = grounding.schemas[action.name]
     reference = instantiate(schema, {var: obj for (var, _), obj in zip(schema.params, action.args)})
     assert op_atoms(grounding, action) == (reference.pre, reference.add, reference.delete)
 
@@ -594,3 +602,108 @@ def test_run_matches_the_atom_simulator(drawn):
     applied = len(ops) if expected.success else expected.failed_step
     state, count = grounding.run(ops, grounding.encode(problem.init))
     assert (grounding.decode(state), count) == (expected.state, applied)
+
+
+# The groundings a model keeps (DomainModel.grounding). A test that counts or
+# compares them works on a fresh copy of the model (``replace(model)``), since
+# the session's models keep theirs across tests.
+
+def grounding_tables(grounding: Grounding):
+    """Every table of a grounding, and each atom and action named by id."""
+    return (grounding.atom_count, grounding.ops_ids, grounding.adds, grounding.waiting,
+            grounding.pre_counts, grounding.free_ops,
+            tuple(map(grounding.action, range(len(grounding.ops_ids)))),
+            sorted(grounding.decode(range(grounding.atom_count))))
+
+
+def test_problems_over_equal_objects_share_one_grounding(blocks):
+    model = replace(blocks)
+    first, second = make_problem_suite(model, 2, 5, n_blocks=4)
+    grounding = Grounding.for_problem(first)
+    assert Grounding.for_problem(second) is grounding
+    assert model.grounding(dict(second.objects)) is grounding
+    # an equal model that is another object, and another object set, each
+    # get their own
+    other = replace(model)
+    assert other == model
+    assert Grounding.for_problem(replace(first, domain=other)) is not grounding
+    (smaller,) = make_problem_suite(model, 1, 5, n_blocks=3)
+    assert Grounding.for_problem(smaller) is not grounding
+    assert Grounding.for_problem(first) is grounding
+
+
+def test_a_model_keeps_the_groundings_of_its_latest_object_sets(blocks):
+    model = replace(blocks)
+    kept = strips._KEPT_GROUNDINGS
+    object_sets = [{f"b{i}": "object" for i in range(n)} for n in range(1, kept + 3)]
+    groundings = [model.grounding(objects) for objects in object_sets]
+    # first in, first out: the first two object sets are no longer kept
+    assert all(model.grounding(objects) is grounding
+               for objects, grounding in zip(object_sets[2:], groundings[2:]))
+    assert len(vars(model)["_groundings"]) == kept
+    assert model.grounding(object_sets[0]) is not groundings[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DOMAIN_NAMES), st.sampled_from([1.0, 0.6]), st.integers(0, 3),
+       st.data())
+def test_a_kept_grounding_has_the_tables_of_a_fresh_one(name, completeness, seed, data):
+    # at completeness 1.0 the model is the packaged one itself, whose memo
+    # carries over from earlier examples
+    model = degrade(packaged_domain(name), DegradeSpec(completeness=completeness, seed=seed))
+    for _ in range(3):
+        objects = {f"{t}{i}": t for t in sorted(model.types)
+                   for i in range(data.draw(st.integers(0, 2), label=t))}
+        kept = model.grounding(objects)
+        assert model.grounding(dict(objects)) is kept
+        assert grounding_tables(kept) == grounding_tables(Grounding(model, objects))
+
+
+def test_a_model_and_its_groundings_form_no_cycle(blocks):
+    # with the cyclic collector off, a model whose groundings point back at
+    # it would outlive its last reference
+    gc.disable()
+    try:
+        model = degrade(blocks, DegradeSpec(completeness=0.6, seed=1))
+        (problem,) = make_problem_suite(model, 1, 3, n_blocks=4)
+        solve_with_library(problem, [], 1, config=SMALL_SEARCH)
+        grounding = weakref.ref(Grounding.for_problem(problem))
+        dead = weakref.ref(model)
+        del model, problem
+        assert dead() is None and grounding() is None
+    finally:
+        gc.enable()
+
+
+def test_encode_stays_right_when_many_problems_share_a_grounding(blocks):
+    model = replace(blocks)
+    problems = make_problem_suite(model, 3 * strips._ENCODED_SETS, 9, n_blocks=4)
+    grounding = Grounding.for_problem(problems[0])
+    fresh = Grounding(model, problems[0].objects)
+    for problem in problems + problems[::-1]:
+        assert Grounding.for_problem(problem) is grounding
+        for atom_set in (problem.init, problem.goal):
+            # a list is never remembered
+            assert grounding.encode(atom_set) == fresh.encode(list(atom_set))
+        if problem is problems[-1]:
+            # the memo keeps the latest sets, up to its bound
+            assert len(grounding._encoded) == strips._ENCODED_SETS
+            assert {problem.init, problem.goal} <= grounding._encoded.keys()
+
+
+@pytest.mark.parametrize("copy_of", [lambda value: pickle.loads(pickle.dumps(value)),
+                                     copy.deepcopy, copy.copy])
+def test_models_and_problems_copy_without_their_groundings(blocks, copy_of):
+    # the copy is rebuilt from its fields and keeps no grounding; a solve on
+    # it builds its own and returns what the original returns
+    model = degrade(blocks, DegradeSpec(completeness=0.6, seed=2))
+    problems = make_problem_suite(model, 2, 4, n_blocks=4) + [make_tower_problem(blocks)]
+    outcomes = [solve_with_library(p, [], 1, config=SMALL_SEARCH) for p in problems]
+    for problem, outcome in zip(problems, outcomes):
+        assert vars(problem.domain)["_groundings"]
+        assert vars(copy_of(problem.domain))["_groundings"] == {}
+        for value in (problem.domain, problem):
+            restored = copy_of(value)
+            assert restored == value and hash(restored) == hash(value)
+        restored = copy_of(problem)
+        assert solve_with_library(restored, [], 1, config=SMALL_SEARCH) == outcome
